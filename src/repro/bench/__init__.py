@@ -30,15 +30,13 @@ from repro.bench.harness import (
     run_rubis_cache_experiment,
     run_routing_ablation,
     run_tpcw_scalability,
-    write_hotpath_json,
-    write_routing_json,
+    write_bench_json,
 )
 from repro.bench.scheduler_bench import (
     SCHEDULER_BENCH_VERSION,
     SCHEDULER_MIN_CONTENDED_READ_SPEEDUP,
     check_scheduler_baseline,
     run_scheduler_ablation,
-    write_scheduler_json,
 )
 from repro.bench.report import (
     format_hotpath_report,
@@ -74,7 +72,5 @@ __all__ = [
     "run_scheduler_ablation",
     "run_tpcw_scalability",
     "table_digests",
-    "write_hotpath_json",
-    "write_routing_json",
-    "write_scheduler_json",
+    "write_bench_json",
 ]

@@ -21,7 +21,7 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cluster import Cluster
 from repro.core import BackendConfig, VirtualDatabaseConfig
@@ -38,6 +38,48 @@ from repro.workloads.tpcw.mixes import mix_by_name
 # in seconds of wall-clock time.
 DEFAULT_WARMUP = 120.0
 DEFAULT_MEASUREMENT = 600.0
+
+
+# ---------------------------------------------------------------------------
+# BENCH_*.json documents: one writer, one loader for every baseline gate
+# ---------------------------------------------------------------------------
+
+
+def write_bench_json(results: dict, path: Union[str, Path]) -> Path:
+    """Write a bench run's results where its baseline gate will find them."""
+    path = Path(path)
+    path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
+    return path
+
+
+def load_bench_document(
+    document: Union[dict, str, Path],
+    version: object,
+    label: str,
+    file_label: Optional[str] = None,
+) -> Tuple[Optional[dict], List[str]]:
+    """Resolve a results dict or a BENCH file path to a gateable document.
+
+    Returns ``(document, [])``, or ``(None, [problem])`` for a missing
+    file, invalid JSON or a ``version`` other than the harness's: a baseline
+    that cannot be compared is reported as a problem so the gate fails
+    loudly instead of silently passing.  ``label`` names the document in
+    the messages (``file_label`` where the file wording differs).
+    """
+    if not isinstance(document, dict):
+        path = Path(document)
+        if not path.exists():
+            return None, [f"{file_label or label} {str(path)!r} does not exist"]
+        try:
+            document = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            return None, [f"{file_label or label} {str(path)!r} is not valid JSON: {exc}"]
+    if document.get("version") != version:
+        return None, [
+            f"{label} version {document.get('version')!r} does not match"
+            f" harness version {version!r}; regenerate the baseline"
+        ]
+    return document, []
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +418,6 @@ def run_routing_ablation(
     }
 
 
-def write_routing_json(results: dict, path: Union[str, Path]) -> Path:
-    """Write the routing-ablation results where the baseline gate finds them."""
-    path = Path(path)
-    path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def check_routing_baseline(
     results: Union[dict, str, Path],
     min_skewed_speedup: float = ROUTING_MIN_SKEWED_SPEEDUP,
@@ -395,20 +430,10 @@ def check_routing_baseline(
     read policy on the skewed layout and no worse than ``min_uniform_speedup``
     of it on the uniform layout.
     """
-    if not isinstance(results, dict):
-        results_path = Path(results)
-        if not results_path.exists():
-            return [f"routing baseline {str(results_path)!r} does not exist"]
-        try:
-            results = json.loads(results_path.read_text())
-        except json.JSONDecodeError as exc:
-            return [f"routing baseline {str(results_path)!r} is not valid JSON: {exc}"]
-    problems: List[str] = []
-    if results.get("version") != ROUTING_BENCH_VERSION:
-        problems.append(
-            f"routing baseline version {results.get('version')!r} does not match"
-            f" harness version {ROUTING_BENCH_VERSION!r}; regenerate the baseline"
-        )
+    results, problems = load_bench_document(
+        results, ROUTING_BENCH_VERSION, "routing baseline"
+    )
+    if results is None:
         return problems
     layouts = results.get("layouts", {})
     for layout_name, minimum in (
@@ -842,13 +867,6 @@ def run_hotpath_microbenchmark(
     }
 
 
-def write_hotpath_json(results: dict, path: Union[str, Path]) -> Path:
-    """Write the hot-path results where the baseline gate will find them."""
-    path = Path(path)
-    path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def check_hotpath_baseline(
     results: dict,
     baseline: Union[dict, str, Path],
@@ -862,20 +880,10 @@ def check_hotpath_baseline(
     reported as a regression so the gate fails loudly instead of silently
     passing.
     """
-    if not isinstance(baseline, dict):
-        baseline_path = Path(baseline)
-        if not baseline_path.exists():
-            return [f"baseline file {str(baseline_path)!r} does not exist"]
-        try:
-            baseline = json.loads(baseline_path.read_text())
-        except json.JSONDecodeError as exc:
-            return [f"baseline file {str(baseline_path)!r} is not valid JSON: {exc}"]
-    problems: List[str] = []
-    if baseline.get("version") != results.get("version"):
-        problems.append(
-            f"baseline version {baseline.get('version')!r} does not match"
-            f" harness version {results.get('version')!r}; regenerate the baseline"
-        )
+    baseline, problems = load_bench_document(
+        baseline, results.get("version"), "baseline", file_label="baseline file"
+    )
+    if baseline is None:
         return problems
     current_scenarios = results.get("scenarios", {})
     for name, baseline_scenario in sorted(baseline.get("scenarios", {}).items()):

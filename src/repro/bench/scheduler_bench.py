@@ -22,13 +22,13 @@ scheduler's — the whole point of non-blocking reads.
 from __future__ import annotations
 
 import itertools
-import json
 import threading
 import time
 from pathlib import Path
 from random import Random
 from typing import Dict, List, Optional, Sequence, Union
 
+from repro.bench.harness import load_bench_document
 from repro.cluster import Cluster
 from repro.cluster.registry import ControllerRegistry
 from repro.core import BackendConfig, VirtualDatabaseConfig
@@ -240,13 +240,6 @@ def run_scheduler_ablation(
     return results
 
 
-def write_scheduler_json(results: dict, path: Union[str, Path]) -> Path:
-    """Write the ablation results where the baseline gate finds them."""
-    path = Path(path)
-    path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def check_scheduler_baseline(
     results: Union[dict, str, Path],
     min_contended_read_speedup: float = SCHEDULER_MIN_CONTENDED_READ_SPEEDUP,
@@ -257,20 +250,10 @@ def check_scheduler_baseline(
     cell is present with real traffic and mvcc's contended read throughput
     clears the gate over pessimistic.
     """
-    if not isinstance(results, dict):
-        results_path = Path(results)
-        if not results_path.exists():
-            return [f"scheduler baseline {str(results_path)!r} does not exist"]
-        try:
-            results = json.loads(results_path.read_text())
-        except json.JSONDecodeError as exc:
-            return [f"scheduler baseline {str(results_path)!r} is not valid JSON: {exc}"]
-    problems: List[str] = []
-    if results.get("version") != SCHEDULER_BENCH_VERSION:
-        problems.append(
-            f"scheduler baseline version {results.get('version')!r} does not match"
-            f" harness version {SCHEDULER_BENCH_VERSION!r}; regenerate the baseline"
-        )
+    results, problems = load_bench_document(
+        results, SCHEDULER_BENCH_VERSION, "scheduler baseline"
+    )
+    if results is None:
         return problems
     cells = results.get("cells", {})
     expected = set(results.get("config", {}).get("schedulers", _SCHEDULERS))
@@ -313,5 +296,4 @@ __all__ = [
     "SCHEDULER_MIN_CONTENDED_READ_SPEEDUP",
     "check_scheduler_baseline",
     "run_scheduler_ablation",
-    "write_scheduler_json",
 ]

@@ -28,7 +28,7 @@ from repro.bench import (
     run_overhead_microbenchmark,
     run_rubis_cache_experiment,
     run_tpcw_scalability,
-    write_hotpath_json,
+    write_bench_json,
 )
 
 
@@ -242,7 +242,7 @@ def _run_bench_hotpath(args: argparse.Namespace, stdout) -> int:
     )
     print(format_hotpath_report(results), file=stdout)
     if args.out:
-        path = write_hotpath_json(results, args.out)
+        path = write_bench_json(results, args.out)
         print(f"\nresults written to {path}", file=stdout)
     if args.check_baseline:
         # the tolerance default lives on check_hotpath_baseline; only an

@@ -8,13 +8,15 @@ cross-cutting concerns (tracing, metrics, slow-query logging, rate limiting)
 attach as :class:`Interceptor` objects that wrap the whole chain with
 before/after hooks, observe the context, or short-circuit execution.
 
-Stage order (a stage that does not apply to a request category is a no-op)::
+Stage order (each request category runs only the stages that do something
+for it — see the table below)::
 
     classify ─ authenticate ─ schedule ─ cache-lookup ─ transaction
         ─ recovery-log ─ cache-invalidate ─ plan ─ load-balance
 
-* **classify** derives the request category (read/write/batch/begin/
-  commit/rollback) and validates transaction demarcation;
+* **classify** validates transaction demarcation (the category itself —
+  read/write/batch/begin/commit/rollback — is derived by
+  :meth:`Pipeline.execute` from the request's class, to pick the chain);
 * **authenticate** resolves the virtual login against the authentication
   manager when one is attached to the pipeline;
 * **schedule** acquires the scheduler ticket appropriate for the category
@@ -37,11 +39,27 @@ Stage order (a stage that does not apply to a request category is a no-op)::
   RAIDb-2 partitions), broadcast for writes — or broadcasts demarcation to
   the participating backends.
 
-The chain is *compiled once* — each stage contributes a closure wrapping the
-next — so steady-state execution allocates nothing beyond the context
-object, keeping pipeline overhead within a few percent of the previous
-hard-wired code path (measured by ``bench-hotpath``'s ``pipeline_overhead``
-ablation).
+The stage list is *compiled once per request category*: each stage
+contributes a closure wrapping the next, or nothing at all when it has no
+work for that category, and :meth:`Pipeline.execute` looks the request's
+category up by class and calls that category's chain.  With the default
+stages and a transparent authentication manager the six chains are::
+
+    read            schedule ─ cache-lookup ─ plan ─ load-balance
+    write, batch    schedule ─ recovery-log ─ cache-invalidate ─ plan
+                        ─ load-balance
+    begin           transaction ─ recovery-log ─ load-balance
+                        (schedule first when lazy begin is off)
+    commit,         classify ─ schedule ─ transaction ─ recovery-log
+      rollback          ─ load-balance
+
+(an enforcing authentication manager puts **authenticate** in front of
+**schedule** in all six).  There is one mechanism, not a general chain plus
+a special-cased copy: tracing, a custom stage list or an enforcing login
+check change which closures are in a chain, never which code path runs.
+Steady-state execution allocates nothing beyond the context object; what
+the chain costs against a hand-inlined read path is measured by
+``bench-hotpath``'s ``pipeline_overhead`` ablation.
 
 Interceptors are declaratively configurable: a cluster descriptor's
 ``interceptors:`` section names built-ins from :data:`BUILTIN_INTERCEPTORS`
@@ -81,7 +99,6 @@ from repro.core.request import (
     WriteRequest,
 )
 from repro.errors import CJDBCError, ConfigurationError, RateLimitExceededError
-from repro.planner.plan import SCATTER_GATHER
 
 #: request categories flowed through the pipeline (string constants rather
 #: than an Enum: identity comparison on interned strings is the hot path)
@@ -91,6 +108,8 @@ BATCH = "batch"
 BEGIN = "begin"
 COMMIT = "commit"
 ROLLBACK = "rollback"
+#: every category; the pipeline compiles one stage chain for each
+CATEGORIES = (READ, WRITE, BATCH, BEGIN, COMMIT, ROLLBACK)
 
 _CATEGORY_BY_TYPE = {
     RequestType.SELECT: READ,
@@ -126,7 +145,7 @@ class RequestContext:
     when a stage actually sets it.
     """
 
-    #: one of READ/WRITE/BEGIN/COMMIT/ROLLBACK, set by the classify stage
+    #: one of CATEGORIES, set by Pipeline.execute once the before hooks pass
     category: Optional[str] = None
     result: Optional[RequestResult] = None
     error: Optional[BaseException] = None
@@ -186,36 +205,41 @@ Handler = Callable[[RequestContext], None]
 class Stage:
     """One step of the execution chain.
 
-    A stage *compiles* into a handler closing over the request manager and
-    the rest of the chain: work before ``proceed(context)`` happens on the
-    way in (in stage order), work after it happens on the way out (in
-    reverse order), and ``try/finally`` around ``proceed`` gives guaranteed
-    cleanup.  Stages that keep no per-request state are shared by every
-    request, so they must not store anything on ``self`` at run time.
+    A stage *compiles*, once per request category, into a handler closing
+    over the request manager and the rest of that category's chain: work
+    before ``proceed(context)`` happens on the way in (in stage order), work
+    after it happens on the way out (in reverse order), and ``try/finally``
+    around ``proceed`` gives guaranteed cleanup.  A stage with nothing to do
+    for a category returns ``proceed`` itself: it then costs that category
+    no frame and leaves no span in ``stage_timings``.  Stages that keep no
+    per-request state are shared by every request, so they must not store
+    anything on ``self`` at run time.
     """
 
     name = "stage"
 
-    def compile(self, manager, proceed: Handler) -> Handler:
+    def compile(self, manager, category: str, proceed: Handler) -> Handler:
         raise NotImplementedError
 
 
 class ClassifyStage(Stage):
-    """Derive the request category and validate transaction demarcation."""
+    """Validate transaction demarcation for the request's category.
+
+    The category itself is derived by :meth:`Pipeline.execute`, which needs
+    it to pick the chain; what is left to check here is that a ``COMMIT`` or
+    ``ROLLBACK`` names the transaction it ends.
+    """
 
     name = "classify"
 
-    def compile(self, manager, proceed: Handler) -> Handler:
+    def compile(self, manager, category: str, proceed: Handler) -> Handler:
+        if category is not COMMIT and category is not ROLLBACK:
+            return proceed
+        message = f"{category.upper()} outside of a transaction"
+
         def classify(context: RequestContext) -> None:
-            request = context.request
-            category = _CATEGORY_BY_CLASS.get(type(request))
-            if category is None:
-                category = _CATEGORY_BY_TYPE[request.request_type]
-            context.category = category
-            if category is COMMIT and request.transaction_id is None:
-                raise CJDBCError("COMMIT outside of a transaction")
-            if category is ROLLBACK and request.transaction_id is None:
-                raise CJDBCError("ROLLBACK outside of a transaction")
+            if context.request.transaction_id is None:
+                raise CJDBCError(message)
             proceed(context)
 
         return classify
@@ -235,7 +259,7 @@ class AuthenticateStage(Stage):
     def __init__(self, authentication_manager=None):
         self.authentication_manager = authentication_manager
 
-    def compile(self, manager, proceed: Handler) -> Handler:
+    def compile(self, manager, category: str, proceed: Handler) -> Handler:
         auth = self.authentication_manager
         if auth is None or getattr(auth, "transparent", True):
             return proceed
@@ -252,25 +276,28 @@ class AuthenticateStage(Stage):
 
 
 class ScheduleStage(Stage):
-    """Acquire the scheduler ticket; release it on *every* exit path."""
+    """Acquire the scheduler ticket; release it on *every* exit path.
+
+    Whether ``BEGIN`` is lazy is read from the manager when the chains
+    compile, like the authenticate stage's manager: it is fixed at
+    construction, and a lazy ``BEGIN`` then has no schedule stage at all.
+    """
 
     name = "schedule"
 
-    def compile(self, manager, proceed: Handler) -> Handler:
+    def compile(self, manager, category: str, proceed: Handler) -> Handler:
+        if category is BEGIN and manager.lazy_transaction_begin:
+            # lazy begin does no backend work: nothing to order (§2.4.4)
+            return proceed
+        reads = category is READ
+
         def schedule(context: RequestContext) -> None:
             scheduler = manager.scheduler
-            category = context.category
-            if category is READ:
+            if reads:
                 ticket = scheduler.schedule_read(context.request)
-            elif category is BEGIN and manager.lazy_transaction_begin:
-                # lazy begin does no backend work: nothing to order (§2.4.4)
-                ticket = None
             else:
                 ticket = scheduler.schedule_write(context.request)
             context.ticket = ticket
-            if ticket is None:
-                proceed(context)
-                return
             try:
                 proceed(context)
             finally:
@@ -284,17 +311,17 @@ class CacheLookupStage(Stage):
 
     name = "cache_lookup"
 
-    def compile(self, manager, proceed: Handler) -> Handler:
+    def compile(self, manager, category: str, proceed: Handler) -> Handler:
+        if category is not READ:
+            return proceed
+
         def cache_lookup(context: RequestContext) -> None:
             cache = manager.result_cache
-            if (
-                cache is None
-                or context.category is not READ
-                or context.request.transaction_id is not None
-            ):
+            request = context.request
+            if cache is None or request.transaction_id is not None:
                 proceed(context)
                 return
-            cached = cache.get(context.request)
+            cached = cache.get(request)
             if cached is not None:
                 context.cache_verdict = "hit"
                 context.short_circuited_by = self.name
@@ -305,7 +332,7 @@ class CacheLookupStage(Stage):
             if context.result is not None:
                 # hand the client the same tuple-frozen row shape later
                 # cache hits will see, never list rows on the miss only
-                context.result = cache.put(context.request, context.result)
+                context.result = cache.put(request, context.result)
 
         return cache_lookup
 
@@ -315,18 +342,46 @@ class TransactionStage(Stage):
 
     name = "transaction"
 
-    def compile(self, manager, proceed: Handler) -> Handler:
-        def transaction(context: RequestContext) -> None:
-            category = context.category
-            if category is BEGIN:
+    def compile(self, manager, category: str, proceed: Handler) -> Handler:
+        if category is BEGIN:
+
+            def transaction(context: RequestContext) -> None:
                 context.transaction_id = manager._register_transaction(
                     context.request.login, context.requested_transaction_id
                 )
-            elif category is COMMIT or category is ROLLBACK:
-                manager._pop_transaction(context.request.transaction_id)
-            proceed(context)
+                proceed(context)
 
+        elif category is COMMIT or category is ROLLBACK:
+
+            def transaction(context: RequestContext) -> None:
+                manager._pop_transaction(context.request.transaction_id)
+                proceed(context)
+
+        else:
+            return proceed
         return transaction
+
+
+#: category -> what the recovery log records for it (reads are not logged)
+_LOG_ENTRY_WRITERS: Dict[str, Callable[[Any, AbstractRequest, RequestContext], Any]] = {
+    WRITE: lambda log, request, context: log.log_request(
+        request.sql, request.parameters, request.login, request.transaction_id
+    ),
+    # one replayable group entry for the whole batch: recovery re-executes
+    # it as a single server-side batch too
+    BATCH: lambda log, request, context: log.log_batch(
+        request.sql, request.parameter_sets, request.login, request.transaction_id
+    ),
+    BEGIN: lambda log, request, context: log.log_begin(
+        request.login, context.transaction_id
+    ),
+    COMMIT: lambda log, request, context: log.log_commit(
+        request.login, request.transaction_id
+    ),
+    ROLLBACK: lambda log, request, context: log.log_rollback(
+        request.login, request.transaction_id
+    ),
+}
 
 
 class RecoveryLogStage(Stage):
@@ -334,34 +389,15 @@ class RecoveryLogStage(Stage):
 
     name = "recovery_log"
 
-    def compile(self, manager, proceed: Handler) -> Handler:
+    def compile(self, manager, category: str, proceed: Handler) -> Handler:
+        if category is READ:
+            return proceed
+        write_entry = _LOG_ENTRY_WRITERS[category]
+
         def recovery_log(context: RequestContext) -> None:
             log = manager.recovery_log
             if log is not None:
-                category = context.category
-                request = context.request
-                if category is WRITE:
-                    log.log_request(
-                        request.sql,
-                        request.parameters,
-                        login=request.login,
-                        transaction_id=request.transaction_id,
-                    )
-                elif category is BATCH:
-                    # one replayable group entry for the whole batch: recovery
-                    # re-executes it as a single server-side batch too
-                    log.log_batch(
-                        request.sql,
-                        request.parameter_sets,
-                        login=request.login,
-                        transaction_id=request.transaction_id,
-                    )
-                elif category is BEGIN:
-                    log.log_begin(request.login, context.transaction_id)
-                elif category is COMMIT:
-                    log.log_commit(request.login, request.transaction_id)
-                elif category is ROLLBACK:
-                    log.log_rollback(request.login, request.transaction_id)
+                write_entry(log, context.request, context)
             proceed(context)
 
         return recovery_log
@@ -372,13 +408,14 @@ class CacheInvalidateStage(Stage):
 
     name = "cache_invalidate"
 
-    def compile(self, manager, proceed: Handler) -> Handler:
+    def compile(self, manager, category: str, proceed: Handler) -> Handler:
+        if category is not WRITE and category is not BATCH:
+            return proceed
+
         def cache_invalidate(context: RequestContext) -> None:
             proceed(context)
             cache = manager.result_cache
-            if cache is not None and (
-                context.category is WRITE or context.category is BATCH
-            ):
+            if cache is not None:
                 # for a batch this is ONE pass over the union of written
                 # tables (request.tables), not one pass per parameter set
                 cache.invalidate(context.request)
@@ -397,13 +434,12 @@ class PlanStage(Stage):
 
     name = "plan"
 
-    def compile(self, manager, proceed: Handler) -> Handler:
+    def compile(self, manager, category: str, proceed: Handler) -> Handler:
+        if category is not READ and category is not WRITE and category is not BATCH:
+            return proceed
+
         def plan(context: RequestContext) -> None:
-            category = context.category
-            if category is READ or category is WRITE or category is BATCH:
-                planner = manager.planner
-                if planner is not None:
-                    context.route_plan = planner.plan_for_request(context.request)
+            context.route_plan = manager.planner.plan_for_request(context.request)
             proceed(context)
 
         return plan
@@ -414,30 +450,13 @@ class LoadBalanceStage(Stage):
 
     name = "load_balance"
 
-    def compile(self, manager, proceed: Handler) -> Handler:
+    def compile(self, manager, category: str, proceed: Handler) -> Handler:
+        # one RequestManager callback per category: _execute_read_on_backends,
+        # _execute_write_on_backends, ... _execute_rollback_on_backends
+        execute = getattr(manager, f"_execute_{category}_on_backends")
+
         def load_balance(context: RequestContext) -> None:
-            category = context.category
-            if category is READ:
-                plan = context.route_plan
-                if plan is not None and plan.kind == SCATTER_GATHER:
-                    result = manager.scatter_executor.execute(context.request, plan)
-                else:
-                    result = manager.load_balancer.execute_read_request(
-                        context.request, manager._backends, plan
-                    )
-                manager._note_transaction_participant(context.request)
-                context.backend_name = result.backend_name
-                context.result = result
-            elif category is WRITE:
-                context.result = manager._execute_write_on_backends(context)
-            elif category is BATCH:
-                context.result = manager._execute_batch_on_backends(context)
-            elif category is BEGIN:
-                context.result = manager._execute_begin_on_backends(context)
-            elif category is COMMIT:
-                context.result = manager._execute_commit_on_backends(context)
-            else:
-                context.result = manager._execute_rollback_on_backends(context)
+            context.result = execute(context)
 
         return load_balance
 
@@ -455,76 +474,6 @@ def default_stages(authentication_manager=None) -> List[Stage]:
         PlanStage(),
         LoadBalanceStage(),
     ]
-
-
-#: the stage composition eligible for read fast-path fusion (see below)
-_DEFAULT_STAGE_CLASSES = (
-    ClassifyStage,
-    AuthenticateStage,
-    ScheduleStage,
-    CacheLookupStage,
-    TransactionStage,
-    RecoveryLogStage,
-    CacheInvalidateStage,
-    PlanStage,
-    LoadBalanceStage,
-)
-
-
-def _compile_fused_read(manager, chain: Handler) -> Handler:
-    """Fuse the default stages into one handler for plain SELECTs.
-
-    Stage-by-stage dispatch costs a Python frame per stage — measurable on
-    the cached-read hot path, the most frequent request shape a read-mostly
-    cluster serves.  When the pipeline is exactly the default composition
-    (checked by ``Pipeline._recompile``), this fusion executes the identical
-    operations in the identical order with the identical context effects,
-    without the per-stage frames; every other request type, and any
-    customized pipeline, takes the general chain.  Behavioural equivalence
-    between the two paths is pinned by tests (``test_pipeline.py``).
-    """
-
-    def fused_read(context: RequestContext) -> None:
-        request = context.request
-        if type(request) is not SelectRequest:
-            chain(context)
-            return
-        # classify
-        context.category = READ
-        # schedule (ticket released on every path)
-        ticket = manager.scheduler.schedule_read(request)
-        context.ticket = ticket
-        try:
-            # cache lookup
-            cache = manager.result_cache
-            cacheable = cache is not None and request.transaction_id is None
-            if cacheable:
-                cached = cache.get(request)
-                if cached is not None:
-                    context.cache_verdict = "hit"
-                    context.short_circuited_by = CacheLookupStage.name
-                    context.result = cached
-                    return
-                context.cache_verdict = "miss"
-            # plan
-            plan = manager.planner.plan_for_request(request)
-            context.route_plan = plan
-            # load balance
-            if plan.kind == SCATTER_GATHER:
-                result = manager.scatter_executor.execute(request, plan)
-            else:
-                result = manager.load_balancer.execute_read_request(
-                    request, manager._backends, plan
-                )
-            manager._note_transaction_participant(request)
-            context.backend_name = result.backend_name
-            if cacheable:
-                result = cache.put(request, result)
-            context.result = result
-        finally:
-            ticket.release()
-
-    return fused_read
 
 
 # ---------------------------------------------------------------------------
@@ -872,7 +821,8 @@ class RateLimitInterceptor(Interceptor):
 
 
 class Pipeline:
-    """An ordered stage chain wrapped by an ordered interceptor list."""
+    """An ordered stage list, compiled into one chain per request category,
+    wrapped by an ordered interceptor list."""
 
     def __init__(
         self,
@@ -884,9 +834,6 @@ class Pipeline:
         self.stages: List[Stage] = list(stages) if stages is not None else default_stages()
         self._interceptors: List[Interceptor] = []
         self._lock = threading.Lock()
-        self._chain: Handler = _noop_handler
-        self._timed = False
-        self.requests_started = 0
         for interceptor in interceptors:
             _check_interceptor(interceptor)
             self._check_duplicate_name(interceptor)
@@ -955,27 +902,6 @@ class Pipeline:
         self._recompile()
         return interceptor
 
-    def _fusable(self) -> bool:
-        """True when the read fast path may be fused (default composition).
-
-        Fusion is disabled as soon as anything observable differs from the
-        default chain: reordered/custom/extra stages, per-stage timing, or
-        an enforcing authentication manager (its per-request check applies
-        to reads too).  Callers hold ``self._lock``.
-        """
-        if self._timed or len(self.stages) != len(_DEFAULT_STAGE_CLASSES):
-            return False
-        for stage, expected in zip(self.stages, _DEFAULT_STAGE_CLASSES):
-            if type(stage) is not expected:
-                return False
-        # same default as AuthenticateStage.compile: a manager without a
-        # `transparent` attribute compiles to a pass-through, so it must not
-        # disable the fusion either
-        authentication_manager = self.stages[1].authentication_manager
-        return authentication_manager is None or getattr(
-            authentication_manager, "transparent", True
-        )
-
     def use_authentication_manager(self, authentication_manager) -> None:
         """Point the authenticate stage at a (possibly enforcing) manager."""
         for stage in self.stages:
@@ -984,50 +910,43 @@ class Pipeline:
         self._recompile()
 
     def _recompile(self) -> None:
-        """Rebuild the compiled handler chain and interceptor hook tables.
+        """Rebuild the per-category handler chains and interceptor hook tables.
 
-        Hooks are filtered at compile time — an interceptor that does not
-        override ``before`` (or ``after``) costs nothing per request — and
-        wall clocks are only read when some interceptor asked for timing.
+        Each category gets its own chain holding only the stages that do
+        something for it.  Hooks are filtered at compile time — an
+        interceptor that does not override ``before`` (or ``after``) costs
+        nothing per request — and wall clocks are only read when some
+        interceptor asked for timing.
         """
         with self._lock:
             interceptors = self._interceptors
-            self._clocked = any(
-                i.needs_timing or i.needs_stage_timings for i in interceptors
-            )
-            self._timed = any(i.needs_stage_timings for i in interceptors)
-            handler: Handler = _noop_handler
-            for stage in reversed(self.stages):
-                handler = stage.compile(self._manager, handler)
-                if self._timed:
-                    handler = _timed_handler(stage.name, handler)
-            if self._fusable():
-                handler = _compile_fused_read(self._manager, handler)
-            self._chain = handler
+            clocked = any(i.needs_timing or i.needs_stage_timings for i in interceptors)
+            timed = any(i.needs_stage_timings for i in interceptors)
+            chains: Dict[str, Handler] = {}
+            for category in CATEGORIES:
+                handler: Handler = _noop_handler
+                for stage in reversed(self.stages):
+                    compiled = stage.compile(self._manager, category, handler)
+                    if timed and compiled is not handler:
+                        compiled = _timed_handler(stage.name, compiled)
+                    handler = compiled
+                chains[category] = handler
             #: (position, name, bound hook) for interceptors overriding before
-            self._befores = tuple(
+            befores = tuple(
                 (position, interceptor.name, interceptor.before)
                 for position, interceptor in enumerate(interceptors)
                 if type(interceptor).before is not Interceptor.before
             )
             #: (position, bound hook) in reverse order for overridden afters
-            self._afters = tuple(
+            afters = tuple(
                 (position, interceptor.after)
                 for position, interceptor in reversed(list(enumerate(interceptors)))
                 if type(interceptor).after is not Interceptor.after
             )
-            self._barrier = len(interceptors)
             # one atomically-swapped snapshot of everything execute() needs:
             # an in-flight request must never see a half-recompiled mixture
             # of old and new hook tables when interceptors change at runtime
-            self._compiled = (
-                self._clocked,
-                self._timed,
-                self._chain,
-                self._befores,
-                self._afters,
-                self._barrier,
-            )
+            self._compiled = (clocked, timed, chains, befores, afters, len(interceptors))
 
     # -- execution -----------------------------------------------------------------
 
@@ -1035,19 +954,17 @@ class Pipeline:
         """Run one request through interceptors and stages.
 
         Interceptor ``before`` hooks run in order (any may short-circuit by
-        returning a result, or reject by raising); the stage chain runs
-        next; ``after`` hooks then run in reverse order whatever happened —
-        for every interceptor whose ``before`` was reached — and the error,
-        if any, is on the context and propagates after the last hook.
+        returning a result, or reject by raising); the request is then
+        classified and its category's stage chain runs; ``after`` hooks then
+        run in reverse order whatever happened — for every interceptor whose
+        ``before`` was reached — and the error, if any, is on the context and
+        propagates after the last hook.
         """
-        clocked, timed, chain, befores, afters, full_barrier = self._compiled
+        clocked, timed, chains, befores, afters, full_barrier = self._compiled
         if clocked:
             context.started_at = time.perf_counter()
             if timed:
                 context.stage_timings = {}
-        # monitoring aid only: unsynchronized, may undercount under
-        # concurrency (the exact counters live on the metrics interceptor)
-        self.requests_started += 1
         # afters run for interceptor positions <= barrier: everything when
         # the chain is reached, only the attempted prefix when a before
         # raises or short-circuits
@@ -1061,7 +978,13 @@ class Pipeline:
                     context.short_circuited_by = name
                     return context
             barrier = full_barrier
-            chain(context)
+            request = context.request
+            try:
+                category = _CATEGORY_BY_CLASS[type(request)]
+            except KeyError:
+                category = _CATEGORY_BY_TYPE[request.request_type]
+            context.category = category
+            chains[category](context)
             return context
         except BaseException as exc:
             context.error = exc
@@ -1088,7 +1011,6 @@ class Pipeline:
     def statistics(self) -> dict:
         return {
             "stages": self.stage_names,
-            "requests_started": self.requests_started,
             "interceptors": {
                 interceptor.name: interceptor.statistics()
                 for interceptor in self.interceptors

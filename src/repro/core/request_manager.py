@@ -57,6 +57,7 @@ from repro.core.requestparser import ParsedTemplate, RequestFactory
 from repro.core.scheduler import AbstractScheduler, OptimisticTransactionLevelScheduler
 from repro.errors import CJDBCError
 from repro.planner import (
+    SCATTER_GATHER,
     QueryPlanner,
     RoutePlan,
     RoutingConfig,
@@ -354,6 +355,18 @@ class RequestManager:
         return self.execute_request(request)
 
     # -- stage callbacks (invoked by the pipeline's load-balance stage) ----------------
+
+    def _execute_read_on_backends(self, context: RequestContext) -> RequestResult:
+        request, plan = context.request, context.route_plan
+        if plan is not None and plan.kind == SCATTER_GATHER:
+            result = self.scatter_executor.execute(request, plan)
+        else:
+            result = self.load_balancer.execute_read_request(
+                request, self._backends, plan
+            )
+        self._note_transaction_participant(request)
+        context.backend_name = result.backend_name
+        return result
 
     def _execute_write_on_backends(self, context: RequestContext) -> RequestResult:
         request = context.request

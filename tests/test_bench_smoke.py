@@ -30,9 +30,7 @@ from repro.bench import (
     run_rubis_cache_experiment,
     run_scheduler_ablation,
     run_tpcw_scalability,
-    write_hotpath_json,
-    write_routing_json,
-    write_scheduler_json,
+    write_bench_json,
 )
 from repro.isolation import run_isolation_matrix
 
@@ -148,7 +146,7 @@ class TestHotpathBaselineGate:
 
     def test_check_baseline_detects_regressions(self, tmp_path):
         results = tiny_hotpath_run()
-        baseline_file = write_hotpath_json(results, tmp_path / "baseline.json")
+        baseline_file = write_bench_json(results, tmp_path / "baseline.json")
         assert check_hotpath_baseline(results, baseline_file) == []
         # a >30% ops/s drop in any scenario must be reported
         regressed = json.loads(json.dumps(results))
@@ -201,7 +199,7 @@ class TestRoutingBaselineGate:
         assert skewed["cost_speedup"] >= 1.2
         assert skewed["cost"]["slow_read_fraction"] < skewed["policy"]["slow_read_fraction"]
         assert results["layouts"]["uniform"]["cost_speedup"] >= 0.7
-        baseline_file = write_routing_json(results, tmp_path / "routing.json")
+        baseline_file = write_bench_json(results, tmp_path / "routing.json")
         assert check_routing_baseline(
             baseline_file, min_skewed_speedup=1.2, min_uniform_speedup=0.7
         ) == []
@@ -259,7 +257,7 @@ class TestSchedulerBaselineGate:
         )
         # looser than the committed gate: tiny run, noisy timings
         assert results["contended_read_speedup"] >= 1.0
-        baseline_file = write_scheduler_json(results, tmp_path / "scheduler.json")
+        baseline_file = write_bench_json(results, tmp_path / "scheduler.json")
         assert (
             check_scheduler_baseline(baseline_file, min_contended_read_speedup=1.0)
             == []

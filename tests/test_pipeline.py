@@ -9,7 +9,8 @@ Covers the composable execution pipeline of :mod:`repro.core.pipeline`:
 * the built-in interceptors (metrics, tracing, slow_query_log, rate_limit)
   end-to-end through descriptors and ``repro.connect``;
 * declarative validation of the ``interceptors:`` descriptor section;
-* equivalence of the fused read fast path and the general stage chain;
+* per-category chains: only the applicable stages run, tracing changes
+  nothing observable, tickets released on every category's error path;
 * copy-on-checkout isolation of cached read results.
 """
 
@@ -30,6 +31,7 @@ from repro.core.pipeline import (
     RateLimitInterceptor,
     RequestContext,
     SlowQueryLogInterceptor,
+    Stage,
     TracingInterceptor,
     build_interceptor,
     build_interceptors,
@@ -574,8 +576,8 @@ class TestEndToEndThroughFacade:
             manager.pipeline.remove_interceptor("tracing")
 
 
-class TestFusedFastPathEquivalence:
-    """The fused read fast path must be observably identical to the chain."""
+class TestPerCategoryChains:
+    """One compiled chain per request category, and no second read path."""
 
     def run_workload(self, manager):
         results = []
@@ -587,39 +589,89 @@ class TestFusedFastPathEquivalence:
         results.append((tuple(map(tuple, result.rows)), result.from_cache))
         return results
 
-    def test_fused_and_unfused_agree(self):
-        fused_manager, _ = make_manager()
-        # tracing forces per-stage timing, which disables fusion
-        unfused_manager, _ = make_manager(interceptors=["tracing"])
-        assert "fused_read" in fused_manager.pipeline._chain.__qualname__
-        assert "fused_read" not in unfused_manager.pipeline._chain.__qualname__
-        fused = self.run_workload(fused_manager)
-        unfused = self.run_workload(unfused_manager)
-        assert fused == unfused
-        fused_counts = fused_manager.metrics.counters
-        unfused_counts = unfused_manager.metrics.counters
-        assert fused_counts == unfused_counts
+    def test_tracing_changes_nothing_observable(self):
+        """The timing wrappers sit around the same closures an untraced
+        request runs: results, cache flags and counters must not move."""
+        plain_manager, _ = make_manager()
+        traced_manager, _ = make_manager(interceptors=["tracing"])
+        assert self.run_workload(plain_manager) == self.run_workload(traced_manager)
+        assert plain_manager.metrics.counters == traced_manager.metrics.counters
 
-    def test_custom_stage_composition_disables_fusion(self):
-        manager, _ = make_manager()
-        pipeline = manager.pipeline
-        pipeline.stages = list(reversed(default_stages()))
-        pipeline._recompile()
-        assert "fused_read" not in pipeline._chain.__qualname__
-
-    def test_enforcing_authentication_disables_fusion_and_rejects(self):
+    def test_enforcing_authentication_rejects_reads(self):
         from repro.core.authentication import AuthenticationManager
+        from repro.errors import AuthenticationError
 
         manager, _ = make_manager()
         enforcing = AuthenticationManager(transparent=False)
         enforcing.add_virtual_user("app", "secret")
         manager.pipeline.use_authentication_manager(enforcing)
-        assert "fused_read" not in manager.pipeline._chain.__qualname__
-        from repro.errors import AuthenticationError
-
         with pytest.raises(AuthenticationError):
             manager.execute("SELECT v FROM kv WHERE k = 1", login="intruder")
         manager.execute("SELECT v FROM kv WHERE k = 1", login="app")
+
+    def test_reversed_stage_list_still_executes(self):
+        manager, _ = make_manager()
+        pipeline = manager.pipeline
+        pipeline.stages = list(reversed(default_stages()))
+        pipeline._recompile()
+        # load_balance is terminal, so put first it is all a request reaches
+        result = manager.execute("SELECT v FROM kv WHERE k = 1")
+        assert [tuple(row) for row in result.rows] == [("one",)]
+        assert result.from_cache is False
+
+    def test_each_category_runs_only_the_stages_that_apply(self):
+        manager, _ = make_manager(interceptors=["tracing"])
+        tracer = manager.pipeline.interceptor("tracing")
+        manager.execute("SELECT v FROM kv WHERE k = 1")
+        manager.execute("SELECT v FROM kv WHERE k = 1")
+        hit = tracer.traces()[-1]
+        assert hit["cache"] == "hit"
+        assert set(hit["stages"]) == {"schedule", "cache_lookup"}
+        manager.execute("UPDATE kv SET v = 'two' WHERE k = 1")
+        write = tracer.traces()[-1]
+        assert write["category"] == "write"
+        assert set(write["stages"]) == {
+            "schedule", "recovery_log", "cache_invalidate", "plan", "load_balance",
+        }
+
+    def test_demarcation_outside_a_transaction_still_rejected(self):
+        manager, _ = make_manager(interceptors=["tracing"])
+        for sql in ("COMMIT", "ROLLBACK"):
+            with pytest.raises(CJDBCError, match=f"{sql} outside of a transaction"):
+                manager.execute(sql)
+        assert manager.scheduler.pending_writes == 0
+
+    def test_raising_terminal_stage_releases_ticket_for_every_category(self):
+        class ExplodingStage(Stage):
+            name = "load_balance"
+
+            def compile(self, manager, category, proceed):
+                def explode(context):
+                    raise BackendError(f"{category} blew up")
+
+                return explode
+
+        manager, _ = make_manager(scheduler=PessimisticTransactionLevelScheduler())
+        transaction_id = manager.begin("alice")
+        # read when the chains compile: an eager BEGIN takes a ticket too
+        manager.lazy_transaction_begin = False
+        manager.pipeline.stages[-1] = ExplodingStage()
+        manager.pipeline._recompile()
+        attempts = {
+            "read": lambda: manager.execute("SELECT v FROM kv WHERE k = 1"),
+            "write": lambda: manager.execute("UPDATE kv SET v = 'x' WHERE k = 1"),
+            "batch": lambda: manager.execute_batch(
+                "INSERT INTO kv (k, v) VALUES (?, ?)", [(8, "a"), (9, "b")]
+            ),
+            "begin": lambda: manager.begin("bob"),
+            "commit": lambda: manager.commit(transaction_id, "alice"),
+            "rollback": lambda: manager.rollback(transaction_id, "alice"),
+        }
+        for category, attempt in attempts.items():
+            with pytest.raises(BackendError, match=f"{category} blew up"):
+                attempt()
+            assert manager.scheduler._active_readers == 0, category
+            assert manager.scheduler.pending_writes == 0, category
 
 
 class TestCachedReadCheckout:
