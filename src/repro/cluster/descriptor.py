@@ -36,6 +36,19 @@ in-memory engine that backs them (``engine`` defaults to the backend name);
 :class:`repro.core.config.VirtualDatabaseConfig` the existing builder
 consumes, creating engines on demand.
 
+One schema, one definition per key.  The spec dataclasses below *are* the
+schema: a field declared with :func:`repro.core.schema.key` is a descriptor
+key, and the declaration holds its kind, bounds and default — nothing else
+in ``src/`` repeats them.  :class:`VirtualDatabaseSpec` and
+:class:`BackendSpec` derive from the core config classes, so the keys they
+share with programmatic configs are declared there
+(:mod:`repro.core.config`) and only the descriptor-only keys here.
+:func:`repro.core.schema.parse_section` does all per-key work (unknown
+keys, types, ranges, enums, defaults, error paths); this module adds only
+the rules that relate several keys, as explicit code in
+:func:`parse_descriptor`.  To add a key: declare the field, document it in
+README.md — a tier-1 test fails until both agree.
+
 A virtual database with a ``group_name`` is *horizontal* (paper §4.1): each
 controller listing it gets its own replica (with its own engines) and the
 replicas are synchronised through group communication by the
@@ -44,73 +57,62 @@ replicas are synchronised through group communication by the
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Union
 
-from repro.core.cache.rules import RelaxationRule
 from repro.core.config import BackendConfig, VirtualDatabaseConfig
-from repro.core.retry import RetryPolicy
+from repro.core.retry import RETRY_OPTION_KEYS, RetryPolicy
+from repro.core.schema import Key, check_keys, fail, key, parse_section, parse_value, quoted
 from repro.errors import CJDBCError, ConfigurationError
+from repro.planner import ROUTING_POLICIES, RoutingConfig, RoutingWeights
 from repro.sql.engine import DatabaseEngine
 
 DescriptorSource = Union[Mapping, str, Path]
 
-_TOP_LEVEL_KEYS = {"name", "virtual_databases", "controllers"}
-_VDB_KEYS = {
-    "name",
-    "backends",
-    "replication",
-    "load_balancing_policy",
-    "wait_for_completion",
-    "scheduler",
-    "lazy_transaction_begin",
-    "cache",
-    "parsing_cache_size",
-    "interceptors",
-    "recovery_log",
-    "users",
-    "transparent_authentication",
-    "group_name",
-    "group",
-    "retry",
-    "routing",
-    "replication_map",
-    "partition_map",
-    "failure_detector",
-}
-_BACKEND_KEYS = {"name", "engine", "weight", "connection_manager", "pool_size", "faults"}
-_FAILURE_DETECTOR_KEYS = {"read_error_threshold", "auto_resync"}
-_CACHE_KEYS = {"enabled", "granularity", "max_entries", "relaxation_rules"}
-_RULE_KEYS = {"staleness_seconds", "tables", "sql_pattern", "keep_on_write"}
-_CONTROLLER_KEYS = {"name", "virtual_databases", "listen"}
-_LISTEN_KEYS = {"host", "port", "max_connections", "idle_timeout", "backlog"}
-_GROUP_KEYS = {"transport", "heartbeat_interval", "heartbeat_threshold", "rpc_timeout", "members"}
-_GROUP_TRANSPORTS = {"inproc", "tcp"}
-_RETRY_KEYS = {"attempts", "backoff", "backoff_multiplier", "backoff_max", "jitter", "timeout", "seed"}
-_ROUTING_KEYS = {"policy", "scatter_gather", "weights"}
-_ROUTING_POLICIES = {"cost", "policy"}
-_ROUTING_WEIGHT_KEYS = {"pending", "pool", "service_time"}
-_SCHEDULER_KEYS = {"name", "lock_timeout", "conflict_policy"}
+
+# ---------------------------------------------------------------------------
+# validators for values another module owns
+# ---------------------------------------------------------------------------
+
+
+def _retry_policy(section: Any, where: str) -> RetryPolicy:
+    """A ``retry:`` section: core/retry's URL options without the ``retry_`` prefix."""
+    section = parse_value(Key(dict), section, where)
+    check_keys(section, [option[len("retry_") :] for option in RETRY_OPTION_KEYS], where)
+    try:
+        return RetryPolicy.from_options(
+            {f"retry_{name}": value for name, value in section.items()}
+        ) or RetryPolicy()
+    except CJDBCError as exc:
+        fail(where, str(exc))
+
+
+def _group_address(address: Any, where: str) -> str:
+    host, _, port = parse_value(Key(str), address, where).rpartition(":")
+    if not host or not port.isdigit() or not 0 <= int(port) <= 65535:
+        fail(where, f"expected a 'host:port' group address, got {address!r}")
+    return address
 
 
 # ---------------------------------------------------------------------------
-# validated specs
+# the schema: one dataclass per descriptor section
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class BackendSpec:
+class BackendSpec(BackendConfig):
     """One backend entry of a virtual database descriptor."""
 
-    name: str
-    engine_name: str
-    weight: int = 1
-    connection_manager: str = "variable"
-    pool_size: int = 10
-    #: validated ``faults:`` section ({"seed": ..., "rules": [...]}) or None
-    faults: Optional[Dict[str, Any]] = None
+    #: name of the in-memory engine backing it (default: the backend name)
+    engine_name: Optional[str] = key(str, None, name="engine")
+
+    def __post_init__(self) -> None:
+        if self.engine_name is None:
+            self.engine_name = self.name
 
 
 @dataclass
@@ -124,11 +126,11 @@ class GroupSpec:
     controllers not listed bind an ephemeral port.
     """
 
-    transport: str = "inproc"
-    heartbeat_interval: float = 0.5
-    heartbeat_threshold: int = 3
-    rpc_timeout: float = 10.0
-    members: Dict[str, str] = field(default_factory=dict)
+    transport: str = key(str, "inproc", choices=("inproc", "tcp"))
+    heartbeat_interval: float = key(float, 0.5, exclusive_minimum=0)
+    heartbeat_threshold: int = key(int, 3, minimum=1)
+    rpc_timeout: float = key(float, 10.0, exclusive_minimum=0)
+    members: Dict[str, str] = key(dict, factory=dict, item=Key(_group_address))
 
 
 @dataclass
@@ -145,50 +147,31 @@ class RoutingSpec:
     :class:`~repro.errors.NotReplicatedError`.
     """
 
-    policy: str = "policy"
-    scatter_gather: bool = False
+    policy: str = key(str, RoutingConfig.policy, choices=ROUTING_POLICIES)
+    scatter_gather: bool = key(bool, RoutingConfig.scatter_gather)
     #: cost-formula weight overrides (pending / pool / service_time)
-    weights: Dict[str, float] = field(default_factory=dict)
+    weights: Dict[str, float] = key(
+        dict,
+        factory=dict,
+        keys=[field.name for field in dataclasses.fields(RoutingWeights)],
+        item=Key(float, minimum=0, maximum=100),
+    )
 
 
 @dataclass
-class VirtualDatabaseSpec:
+class VirtualDatabaseSpec(VirtualDatabaseConfig):
     """One validated virtual database entry of a cluster descriptor."""
 
-    name: str
-    backends: List[BackendSpec]
-    replication: str = "raidb1"
-    load_balancing_policy: str = "lprf"
-    wait_for_completion: str = "all"
-    #: scheduler name (passthrough | optimistic | pessimistic | table_lock |
-    #: mvcc) or a validated options mapping ({"name": ..., "lock_timeout": ...,
-    #: "conflict_policy": ...})
-    scheduler: Union[str, Dict[str, Any]] = "optimistic"
-    lazy_transaction_begin: bool = True
-    cache_enabled: bool = False
-    cache_granularity: str = "table"
-    cache_max_entries: int = 10000
-    cache_relaxation_rules: List[RelaxationRule] = field(default_factory=list)
-    #: entries in the controller's SQL parsing cache; 0 disables it (on by default)
-    parsing_cache_size: int = 1024
-    #: validated ``interceptors:`` entries (built-in names or option mappings)
-    interceptors: List[Any] = field(default_factory=list)
-    recovery_log: str = "memory"
-    users: Dict[str, str] = field(default_factory=dict)
-    transparent_authentication: bool = True
-    group_name: Optional[str] = None
+    backends: List[BackendSpec] = key(
+        list, item=Key(BackendSpec, shorthand="name"), at_least_one="backend"
+    )
     #: group-communication wiring of a horizontal vdb (None = inproc defaults)
-    group: Optional[GroupSpec] = None
+    group: Optional[GroupSpec] = key(GroupSpec, None)
     #: client retry/backoff defaults for connections to this vdb
-    retry: Optional[RetryPolicy] = None
-    #: query routing configuration (None = policy routing, no scatter-gather)
-    routing: Optional[RoutingSpec] = None
-    replication_map: Dict[str, List[str]] = field(default_factory=dict)
-    partition_map: Dict[str, str] = field(default_factory=dict)
-    #: reads failing this many times on one backend disable it
-    read_error_threshold: int = 3
-    #: automatically re-integrate disabled backends from the recovery log
-    auto_resync: bool = False
+    retry: Optional[RetryPolicy] = key(_retry_policy, None)
+    #: query routing configuration (None = policy routing, no scatter-gather);
+    #: to_config copies it onto the inherited ``routing_*`` config fields
+    routing: Optional[RoutingSpec] = key(RoutingSpec, None)
 
     @property
     def backend_names(self) -> List[str]:
@@ -204,52 +187,31 @@ class VirtualDatabaseSpec:
         Engines are created on demand into ``engines`` (a cluster-wide pool,
         so two backends naming the same engine share one).  ``engine_prefix``
         namespaces the engines of one horizontal replica so that each
-        controller of a group gets independent databases.
+        controller of a group gets independent databases.  Every config gets
+        private copies of the spec's mutable values.
         """
-        backend_configs = []
+        values = _shared_values(self, VirtualDatabaseConfig)
+        values["backends"] = []
         for backend in self.backends:
             engine_name = engine_prefix + backend.engine_name
             engine = engines.get(engine_name)
             if engine is None:
                 engine = engines[engine_name] = DatabaseEngine(engine_name)
-            backend_configs.append(
-                BackendConfig(
-                    name=backend.name,
-                    engine=engine,
-                    weight=backend.weight,
-                    connection_manager=backend.connection_manager,
-                    pool_size=backend.pool_size,
-                    faults=dict(backend.faults) if backend.faults else None,
-                )
+            values["backends"].append(
+                BackendConfig(**{**_shared_values(backend, BackendConfig), "engine": engine})
             )
-        return VirtualDatabaseConfig(
-            name=self.name,
-            backends=backend_configs,
-            replication=self.replication,
-            load_balancing_policy=self.load_balancing_policy,
-            wait_for_completion=self.wait_for_completion,
-            scheduler=dict(self.scheduler)
-            if isinstance(self.scheduler, dict)
-            else self.scheduler,
-            lazy_transaction_begin=self.lazy_transaction_begin,
-            cache_enabled=self.cache_enabled,
-            cache_granularity=self.cache_granularity,
-            cache_max_entries=self.cache_max_entries,
-            cache_relaxation_rules=list(self.cache_relaxation_rules),
-            parsing_cache_size=self.parsing_cache_size,
-            interceptors=list(self.interceptors),
-            recovery_log=self.recovery_log,
-            users=dict(self.users),
-            transparent_authentication=self.transparent_authentication,
-            group_name=self.group_name,
-            replication_map={t: list(b) for t, b in self.replication_map.items()},
-            partition_map=dict(self.partition_map),
-            read_error_threshold=self.read_error_threshold,
-            auto_resync=self.auto_resync,
-            routing_policy=self.routing.policy if self.routing else "policy",
-            routing_scatter_gather=bool(self.routing and self.routing.scatter_gather),
-            routing_weights=dict(self.routing.weights) if self.routing else {},
-        )
+        if self.routing is not None:
+            for name, value in _shared_values(self.routing, RoutingSpec).items():
+                values[f"routing_{name}"] = value
+        return VirtualDatabaseConfig(**values)
+
+
+def _shared_values(spec: Any, cls: type) -> Dict[str, Any]:
+    """Private copies of the values of the fields ``spec`` has from ``cls``."""
+    return {
+        field.name: copy.deepcopy(getattr(spec, field.name))
+        for field in dataclasses.fields(cls)
+    }
 
 
 @dataclass
@@ -260,30 +222,44 @@ class ListenSpec:
     the actual port is reported by :meth:`ControllerServer.start`.
     """
 
-    port: int
-    host: str = "127.0.0.1"
-    max_connections: int = 64
-    idle_timeout: Optional[float] = None
-    backlog: int = 128
+    port: int = key(
+        int,
+        minimum=0,
+        maximum=65535,
+        message="expected a TCP port number (0-65535, 0 = ephemeral)",
+    )
+    host: str = key(str, "127.0.0.1")
+    max_connections: int = key(int, 64, minimum=1)
+    idle_timeout: Optional[float] = key(
+        float,
+        None,
+        exclusive_minimum=0,
+        message="expected a positive number of seconds (or omit it)",
+    )
+    backlog: int = key(int, 128, minimum=1)
 
 
 @dataclass
 class ControllerSpec:
     """One controller entry: a name plus the virtual databases it hosts."""
 
-    name: str
-    virtual_databases: List[str] = field(default_factory=list)
+    name: str = key(str)
+    #: hosted vdb names; a controller with no explicit list hosts every vdb
+    virtual_databases: List[str] = key(list, factory=list, item=Key(str))
     #: TCP front-end configuration, or None for an in-process-only controller
-    listen: Optional[ListenSpec] = None
+    listen: Optional[ListenSpec] = key(ListenSpec, None)
 
 
 @dataclass
 class ClusterDescriptor:
     """A fully validated cluster description."""
 
-    virtual_databases: List[VirtualDatabaseSpec]
-    controllers: List[ControllerSpec]
-    name: str = "cluster"
+    virtual_databases: List[VirtualDatabaseSpec] = key(
+        list, item=Key(VirtualDatabaseSpec), at_least_one="virtual database"
+    )
+    #: omitting the section creates one default controller hosting every vdb
+    controllers: List[ControllerSpec] = key(list, factory=list, item=Key(ControllerSpec))
+    name: str = key(str, "cluster")
 
     def virtual_database(self, name: str) -> VirtualDatabaseSpec:
         for spec in self.virtual_databases:
@@ -304,397 +280,40 @@ class ClusterDescriptor:
 
 
 # ---------------------------------------------------------------------------
-# validation helpers
+# descriptor parsing: the table pass, then the rules relating several keys
 # ---------------------------------------------------------------------------
 
 
-def _fail(where: str, message: str) -> None:
-    raise ConfigurationError(f"{where}: {message}")
+def _check_duplicates(names: List[str], what: str, where: str) -> None:
+    seen = set()
+    for name in names:
+        if name.lower() in seen:
+            fail(where, f"duplicate {what} name {name!r}")
+        seen.add(name.lower())
 
 
-def _check_keys(mapping: Mapping, allowed: set, where: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
-    if unknown:
-        _fail(
-            where,
-            f"unknown key{'s' if len(unknown) > 1 else ''} {', '.join(map(repr, unknown))}"
-            f" (expected one of: {', '.join(sorted(allowed))})",
-        )
-
-
-def _get_str(mapping: Mapping, key: str, where: str, default: Any = None, required: bool = False):
-    if key not in mapping:
-        if required:
-            _fail(where, f"missing required key {key!r}")
-        return default
-    value = mapping[key]
-    if not isinstance(value, str) or (required and not value.strip()):
-        _fail(f"{where}.{key}", f"expected a non-empty string, got {value!r}")
-    return value
-
-
-def _get_bool(mapping: Mapping, key: str, where: str, default: bool) -> bool:
-    value = mapping.get(key, default)
-    if not isinstance(value, bool):
-        _fail(f"{where}.{key}", f"expected true/false, got {value!r}")
-    return value
-
-
-def _get_int(mapping: Mapping, key: str, where: str, default: int, minimum: int = 1) -> int:
-    value = mapping.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(f"{where}.{key}", f"expected an integer, got {value!r}")
-    if value < minimum:
-        _fail(f"{where}.{key}", f"must be >= {minimum}, got {value}")
-    return value
-
-
-def _get_list(mapping: Mapping, key: str, where: str, required: bool = False) -> list:
-    if key not in mapping:
-        if required:
-            _fail(where, f"missing required key {key!r}")
-        return []
-    value = mapping[key]
-    if not isinstance(value, (list, tuple)):
-        _fail(f"{where}.{key}", f"expected a list, got {type(value).__name__}")
-    return list(value)
-
-
-def _get_mapping(mapping: Mapping, key: str, where: str) -> Mapping:
-    value = mapping.get(key, {})
-    if not isinstance(value, Mapping):
-        _fail(f"{where}.{key}", f"expected a mapping, got {type(value).__name__}")
-    return value
-
-
-# ---------------------------------------------------------------------------
-# descriptor parsing
-# ---------------------------------------------------------------------------
-
-
-def _parse_backend(entry: Any, where: str) -> BackendSpec:
-    if isinstance(entry, str):  # shorthand: "node-a" == {"name": "node-a"}
-        entry = {"name": entry}
-    if not isinstance(entry, Mapping):
-        _fail(where, f"expected a backend mapping or name, got {type(entry).__name__}")
-    _check_keys(entry, _BACKEND_KEYS, where)
-    name = _get_str(entry, "name", where, required=True)
-    faults = None
-    if "faults" in entry:
-        from repro.core.faults import parse_faults_section
-
-        faults = parse_faults_section(entry["faults"], f"{where}.faults")
-    return BackendSpec(
-        name=name,
-        engine_name=_get_str(entry, "engine", where, default=name) or name,
-        weight=_get_int(entry, "weight", where, default=1),
-        connection_manager=_get_str(entry, "connection_manager", where, default="variable"),
-        pool_size=_get_int(entry, "pool_size", where, default=10),
-        faults=faults,
-    )
-
-
-def _parse_cache(vdb: Mapping, where: str) -> dict:
-    cache = _get_mapping(vdb, "cache", where)
-    _check_keys(cache, _CACHE_KEYS, f"{where}.cache")
-    rules = []
-    for index, entry in enumerate(_get_list(cache, "relaxation_rules", f"{where}.cache")):
-        rule_where = f"{where}.cache.relaxation_rules[{index}]"
-        if not isinstance(entry, Mapping):
-            _fail(rule_where, f"expected a mapping, got {type(entry).__name__}")
-        _check_keys(entry, _RULE_KEYS, rule_where)
-        if "staleness_seconds" not in entry:
-            _fail(rule_where, "missing required key 'staleness_seconds'")
-        staleness = entry["staleness_seconds"]
-        if isinstance(staleness, bool) or not isinstance(staleness, (int, float)):
-            _fail(f"{rule_where}.staleness_seconds", f"expected a number, got {staleness!r}")
-        tables = _get_list(entry, "tables", rule_where)
-        if any(not isinstance(table, str) for table in tables):
-            _fail(f"{rule_where}.tables", "expected a list of table names")
-        rules.append(
-            RelaxationRule(
-                staleness_seconds=float(staleness),
-                tables=tuple(tables),
-                sql_pattern=_get_str(entry, "sql_pattern", rule_where),
-                keep_on_write=_get_bool(entry, "keep_on_write", rule_where, True),
-            )
-        )
-    return {
-        # a present cache section means enabled unless stated otherwise
-        "cache_enabled": _get_bool(cache, "enabled", f"{where}.cache", "cache" in vdb),
-        "cache_granularity": _get_str(cache, "granularity", f"{where}.cache", "table"),
-        "cache_max_entries": _get_int(cache, "max_entries", f"{where}.cache", 10000),
-        "cache_relaxation_rules": rules,
-    }
-
-
-def _parse_interceptors(vdb: Mapping, where: str) -> List[Any]:
-    """Validate the ``interceptors:`` section against the built-in registry.
-
-    Each entry is a built-in name or a ``{"name": ..., option: ...}``
-    mapping; validation actually *builds* every interceptor (so option
-    values are checked too, not just key names) and keeps the raw specs,
-    which the virtual database materializes again at boot.
-    """
-    from repro.core.pipeline import build_interceptors
-
-    specs = _get_list(vdb, "interceptors", where)
-    build_interceptors(specs, where=f"{where}.interceptors")
-    return [dict(spec) if isinstance(spec, Mapping) else spec for spec in specs]
-
-
-def _parse_virtual_database(entry: Any, where: str) -> VirtualDatabaseSpec:
-    if not isinstance(entry, Mapping):
-        _fail(where, f"expected a mapping, got {type(entry).__name__}")
-    _check_keys(entry, _VDB_KEYS, where)
-    name = _get_str(entry, "name", where, required=True)
-
-    backends: List[BackendSpec] = []
-    for index, backend_entry in enumerate(_get_list(entry, "backends", where, required=True)):
-        backends.append(_parse_backend(backend_entry, f"{where}.backends[{index}]"))
-    if not backends:
-        _fail(f"{where}.backends", "a virtual database needs at least one backend")
-    seen: set = set()
-    for backend in backends:
-        if backend.name.lower() in seen:
-            _fail(f"{where}.backends", f"duplicate backend name {backend.name!r}")
-        seen.add(backend.name.lower())
-
-    users = _get_mapping(entry, "users", where)
-    for login, password in users.items():
-        if not isinstance(login, str) or not isinstance(password, str):
-            _fail(f"{where}.users", f"expected login -> password strings, got {login!r}")
-
-    backend_names = {backend.name for backend in backends}
-    replication_map: Dict[str, List[str]] = {}
-    for table, hosts in _get_mapping(entry, "replication_map", where).items():
-        if not isinstance(hosts, (list, tuple)) or any(not isinstance(h, str) for h in hosts):
-            _fail(f"{where}.replication_map.{table}", "expected a list of backend names")
-        unknown = sorted(set(hosts) - backend_names)
+def _check_virtual_database(spec: VirtualDatabaseSpec, entry: Mapping, where: str) -> None:
+    """The rules of one virtual database that relate several of its keys."""
+    _check_duplicates(spec.backend_names, "backend", f"{where}.backends")
+    placed = {f"replication_map.{table}": hosts for table, hosts in spec.replication_map.items()}
+    placed.update({f"partition_map.{table}": [host] for table, host in spec.partition_map.items()})
+    for path, hosts in placed.items():
+        unknown = set(hosts) - set(spec.backend_names)
         if unknown:
-            _fail(
-                f"{where}.replication_map.{table}",
-                f"unknown backend{'s' if len(unknown) > 1 else ''} {', '.join(map(repr, unknown))}",
+            fail(f"{where}.{path}", f"unknown {quoted('backend', unknown)}")
+    if spec.group is not None:
+        if spec.group_name is None:
+            fail(
+                f"{where}.group",
+                "a group: section needs group_name (the vdb is not replicated without one)",
             )
-        replication_map[table] = list(hosts)
-
-    partition_map: Dict[str, str] = {}
-    for table, host in _get_mapping(entry, "partition_map", where).items():
-        if not isinstance(host, str):
-            _fail(f"{where}.partition_map.{table}", f"expected a backend name, got {host!r}")
-        if host not in backend_names:
-            _fail(f"{where}.partition_map.{table}", f"unknown backend {host!r}")
-        partition_map[table] = host
-
-    failure_detector = _get_mapping(entry, "failure_detector", where)
-    _check_keys(failure_detector, _FAILURE_DETECTOR_KEYS, f"{where}.failure_detector")
-    read_error_threshold = _get_int(
-        failure_detector, "read_error_threshold", f"{where}.failure_detector", default=3
-    )
-    auto_resync = _get_bool(
-        failure_detector, "auto_resync", f"{where}.failure_detector", False
-    )
-
-    group_name = _get_str(entry, "group_name", where)
-    if group_name is not None and not group_name.strip():
-        _fail(
-            f"{where}.group_name",
-            "must be a non-empty group name (omit the key for a non-replicated vdb)",
-        )
-
-    group = _parse_group(entry, where)
-    if group is not None and group_name is None:
-        _fail(
-            f"{where}.group",
-            "a group: section needs group_name (the vdb is not replicated without one)",
-        )
-
-    parsing_cache_size = entry.get("parsing_cache_size", 1024)
-    if (
-        isinstance(parsing_cache_size, bool)
-        or not isinstance(parsing_cache_size, int)
-        or parsing_cache_size < 0
-    ):
-        _fail(
-            f"{where}.parsing_cache_size",
-            "expected a non-negative integer number of cached statements"
-            f" (0 disables the parsing cache), got {parsing_cache_size!r}",
-        )
-
-    return VirtualDatabaseSpec(
-        name=name,
-        backends=backends,
-        replication=_get_str(entry, "replication", where, "raidb1"),
-        load_balancing_policy=_get_str(entry, "load_balancing_policy", where, "lprf"),
-        wait_for_completion=_get_str(entry, "wait_for_completion", where, "all"),
-        scheduler=_parse_scheduler(entry, where),
-        lazy_transaction_begin=_get_bool(entry, "lazy_transaction_begin", where, True),
-        recovery_log=_get_str(entry, "recovery_log", where, "memory"),
-        parsing_cache_size=parsing_cache_size,
-        interceptors=_parse_interceptors(entry, where),
-        users=dict(users),
-        transparent_authentication=_get_bool(entry, "transparent_authentication", where, True),
-        group_name=group_name,
-        group=group,
-        retry=_parse_retry(entry, where),
-        routing=_parse_routing(entry, where),
-        replication_map=replication_map,
-        partition_map=partition_map,
-        read_error_threshold=read_error_threshold,
-        auto_resync=auto_resync,
-        **_parse_cache(entry, where),
-    )
-
-
-def _get_number(mapping: Mapping, key: str, where: str, default: float) -> float:
-    value = mapping.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
-        _fail(f"{where}.{key}", f"expected a positive number of seconds, got {value!r}")
-    return float(value)
-
-
-def _parse_group(vdb: Mapping, where: str) -> Optional[GroupSpec]:
-    if "group" not in vdb:
-        return None
-    group = vdb["group"]
-    if not isinstance(group, Mapping):
-        _fail(f"{where}.group", f"expected a mapping, got {type(group).__name__}")
-    _check_keys(group, _GROUP_KEYS, f"{where}.group")
-    transport = _get_str(group, "transport", f"{where}.group", "inproc") or "inproc"
-    if transport not in _GROUP_TRANSPORTS:
-        _fail(
-            f"{where}.group.transport",
-            f"expected one of: {', '.join(sorted(_GROUP_TRANSPORTS))}, got {transport!r}",
-        )
-    members: Dict[str, str] = {}
-    for controller_name, address in _get_mapping(group, "members", f"{where}.group").items():
-        member_where = f"{where}.group.members.{controller_name}"
-        if not isinstance(controller_name, str) or not isinstance(address, str):
-            _fail(member_where, "expected controller-name -> 'host:port' strings")
-        host, _, port = address.rpartition(":")
-        if not host or not port.isdigit() or not 0 <= int(port) <= 65535:
-            _fail(member_where, f"expected a 'host:port' group address, got {address!r}")
-        members[controller_name] = address
-    if members and transport != "tcp":
-        _fail(
-            f"{where}.group.members",
-            "fixed member addresses only apply to the 'tcp' transport",
-        )
-    return GroupSpec(
-        transport=transport,
-        heartbeat_interval=_get_number(group, "heartbeat_interval", f"{where}.group", 0.5),
-        heartbeat_threshold=_get_int(group, "heartbeat_threshold", f"{where}.group", 3),
-        rpc_timeout=_get_number(group, "rpc_timeout", f"{where}.group", 10.0),
-        members=members,
-    )
-
-
-def _parse_scheduler(vdb: Mapping, where: str) -> Union[str, Dict[str, Any]]:
-    """Validate the ``scheduler:`` knob — a plain name or an options mapping.
-
-    Both forms are validated through the scheduler factory so the descriptor
-    rejects exactly what :func:`repro.core.scheduler.build_scheduler` would
-    (unknown names, unknown option keys, options applied to the wrong
-    variant), with the descriptor path prefixed to the message.
-    """
-    from repro.core.scheduler import build_scheduler
-
-    if "scheduler" not in vdb:
-        return "optimistic"
-    value = vdb["scheduler"]
-    if isinstance(value, Mapping):
-        _check_keys(value, _SCHEDULER_KEYS, f"{where}.scheduler")
-        value = dict(value)
-    elif not isinstance(value, str):
-        _fail(
-            f"{where}.scheduler",
-            f"expected a scheduler name or an options mapping,"
-            f" got {type(value).__name__}",
-        )
-    try:
-        build_scheduler(value)
-    except ConfigurationError as exc:
-        _fail(f"{where}.scheduler", str(exc))
-    return value
-
-
-def _parse_routing(vdb: Mapping, where: str) -> Optional[RoutingSpec]:
-    if "routing" not in vdb:
-        return None
-    routing = vdb["routing"]
-    if not isinstance(routing, Mapping):
-        _fail(f"{where}.routing", f"expected a mapping, got {type(routing).__name__}")
-    _check_keys(routing, _ROUTING_KEYS, f"{where}.routing")
-    policy = _get_str(routing, "policy", f"{where}.routing", "policy") or "policy"
-    if policy not in _ROUTING_POLICIES:
-        _fail(
-            f"{where}.routing.policy",
-            f"expected one of: {', '.join(sorted(_ROUTING_POLICIES))}, got {policy!r}",
-        )
-    weights_section = _get_mapping(routing, "weights", f"{where}.routing")
-    _check_keys(weights_section, _ROUTING_WEIGHT_KEYS, f"{where}.routing.weights")
-    weights: Dict[str, float] = {}
-    for key, value in weights_section.items():
-        weight_where = f"{where}.routing.weights.{key}"
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            _fail(weight_where, f"expected a number, got {value!r}")
-        if not 0 <= value <= 100:
-            _fail(weight_where, f"must be between 0 and 100, got {value!r}")
-        weights[key] = float(value)
-    return RoutingSpec(
-        policy=policy,
-        scatter_gather=_get_bool(routing, "scatter_gather", f"{where}.routing", False),
-        weights=weights,
-    )
-
-
-def _parse_retry(vdb: Mapping, where: str) -> Optional[RetryPolicy]:
-    if "retry" not in vdb:
-        return None
-    retry = vdb["retry"]
-    if not isinstance(retry, Mapping):
-        _fail(f"{where}.retry", f"expected a mapping, got {type(retry).__name__}")
-    _check_keys(retry, _RETRY_KEYS, f"{where}.retry")
-    try:
-        return RetryPolicy.from_options(
-            {f"retry_{key}": value for key, value in retry.items()}
-        ) or RetryPolicy()
-    except CJDBCError as exc:
-        _fail(f"{where}.retry", str(exc))
-
-
-def _parse_listen(entry: Mapping, where: str) -> Optional[ListenSpec]:
-    if "listen" not in entry:
-        return None
-    listen = entry["listen"]
-    if not isinstance(listen, Mapping):
-        _fail(f"{where}.listen", f"expected a mapping, got {type(listen).__name__}")
-    _check_keys(listen, _LISTEN_KEYS, f"{where}.listen")
-    if "port" not in listen:
-        _fail(f"{where}.listen", "missing required key 'port'")
-    port = listen["port"]
-    if isinstance(port, bool) or not isinstance(port, int) or not 0 <= port <= 65535:
-        _fail(
-            f"{where}.listen.port",
-            f"expected a TCP port number (0-65535, 0 = ephemeral), got {port!r}",
-        )
-    idle_timeout = listen.get("idle_timeout")
-    if idle_timeout is not None and (
-        isinstance(idle_timeout, bool)
-        or not isinstance(idle_timeout, (int, float))
-        or idle_timeout <= 0
-    ):
-        _fail(
-            f"{where}.listen.idle_timeout",
-            f"expected a positive number of seconds (or omit it), got {idle_timeout!r}",
-        )
-    return ListenSpec(
-        port=port,
-        host=_get_str(listen, "host", f"{where}.listen", "127.0.0.1") or "127.0.0.1",
-        max_connections=_get_int(listen, "max_connections", f"{where}.listen", 64),
-        idle_timeout=float(idle_timeout) if idle_timeout is not None else None,
-        backlog=_get_int(listen, "backlog", f"{where}.listen", 128),
-    )
+        if spec.group.members and spec.group.transport != "tcp":
+            fail(
+                f"{where}.group.members",
+                "fixed member addresses only apply to the 'tcp' transport",
+            )
+    if "cache" in entry:  # a present cache section means enabled unless stated otherwise
+        spec.cache_enabled = entry["cache"].get("enabled", True)
 
 
 def parse_descriptor(document: Mapping) -> ClusterDescriptor:
@@ -703,51 +322,29 @@ def parse_descriptor(document: Mapping) -> ClusterDescriptor:
         raise ConfigurationError(
             f"cluster descriptor must be a mapping, got {type(document).__name__}"
         )
-    _check_keys(document, _TOP_LEVEL_KEYS, "descriptor")
-    cluster_name = _get_str(document, "name", "descriptor", "cluster")
+    descriptor = parse_section(ClusterDescriptor, document, "descriptor")
+    specs = descriptor.virtual_databases
+    for index, (spec, entry) in enumerate(zip(specs, document["virtual_databases"])):
+        _check_virtual_database(spec, entry, f"descriptor.virtual_databases[{index}]")
+    _check_duplicates(
+        [spec.name for spec in specs], "virtual database", "descriptor.virtual_databases"
+    )
 
-    vdb_entries = _get_list(document, "virtual_databases", "descriptor", required=True)
-    if not vdb_entries:
-        _fail("descriptor.virtual_databases", "at least one virtual database is required")
-    specs: List[VirtualDatabaseSpec] = []
-    for index, entry in enumerate(vdb_entries):
-        specs.append(_parse_virtual_database(entry, f"descriptor.virtual_databases[{index}]"))
-    names = [spec.name.lower() for spec in specs]
-    for name in names:
-        if names.count(name) > 1:
-            _fail("descriptor.virtual_databases", f"duplicate virtual database name {name!r}")
-
-    controllers: List[ControllerSpec] = []
     known_vdbs = {spec.name.lower(): spec.name for spec in specs}
-    for index, entry in enumerate(_get_list(document, "controllers", "descriptor")):
-        where = f"descriptor.controllers[{index}]"
-        if not isinstance(entry, Mapping):
-            _fail(where, f"expected a mapping, got {type(entry).__name__}")
-        _check_keys(entry, _CONTROLLER_KEYS, where)
-        controller_name = _get_str(entry, "name", where, required=True)
-        hosted = _get_list(entry, "virtual_databases", where)
-        if not hosted:  # a controller with no explicit list hosts every vdb
-            hosted = [spec.name for spec in specs]
-        for vdb_name in hosted:
-            if not isinstance(vdb_name, str) or vdb_name.lower() not in known_vdbs:
-                _fail(
-                    f"{where}.virtual_databases",
+    if not descriptor.controllers:
+        descriptor.controllers = [ControllerSpec(name="controller0")]
+    for index, controller in enumerate(descriptor.controllers):
+        if not controller.virtual_databases:
+            controller.virtual_databases = list(known_vdbs.values())
+        for vdb_name in controller.virtual_databases:
+            if vdb_name.lower() not in known_vdbs:
+                fail(
+                    f"descriptor.controllers[{index}].virtual_databases",
                     f"unknown virtual database {vdb_name!r}"
                     f" (defined: {', '.join(sorted(known_vdbs.values()))})",
                 )
-        controllers.append(
-            ControllerSpec(
-                name=controller_name,
-                virtual_databases=list(hosted),
-                listen=_parse_listen(entry, where),
-            )
-        )
-    if not controllers:
-        controllers = [ControllerSpec(name="controller0", virtual_databases=[s.name for s in specs])]
-    controller_names = [controller.name.lower() for controller in controllers]
-    for name in controller_names:
-        if controller_names.count(name) > 1:
-            _fail("descriptor.controllers", f"duplicate controller name {name!r}")
+    controllers = descriptor.controllers
+    _check_duplicates([c.name for c in controllers], "controller", "descriptor.controllers")
 
     bound: Dict[tuple, str] = {}
     for controller in controllers:
@@ -756,7 +353,7 @@ def parse_descriptor(document: Mapping) -> ClusterDescriptor:
             continue
         address = (listen.host, listen.port)
         if address in bound:
-            _fail(
+            fail(
                 "descriptor.controllers",
                 f"controllers {bound[address]!r} and {controller.name!r} both"
                 f" listen on {listen.host}:{listen.port}",
@@ -765,32 +362,24 @@ def parse_descriptor(document: Mapping) -> ClusterDescriptor:
 
     known_controllers = {controller.name.lower() for controller in controllers}
     for index, spec in enumerate(specs):
-        if spec.group is None:
-            continue
-        unknown = sorted(
-            name for name in spec.group.members if name.lower() not in known_controllers
-        )
+        members = spec.group.members if spec.group is not None else ()
+        unknown = {name for name in members if name.lower() not in known_controllers}
         if unknown:
-            _fail(
+            fail(
                 f"descriptor.virtual_databases[{index}].group.members",
-                f"unknown controller{'s' if len(unknown) > 1 else ''}"
-                f" {', '.join(map(repr, unknown))}",
+                f"unknown {quoted('controller', unknown)}",
             )
 
     hosted_anywhere = {
         vdb_name.lower() for controller in controllers for vdb_name in controller.virtual_databases
     }
-    orphans = sorted(set(known_vdbs) - hosted_anywhere)
+    orphans = set(known_vdbs) - hosted_anywhere
     if orphans:
-        _fail(
+        fail(
             "descriptor.controllers",
-            f"virtual database{'s' if len(orphans) > 1 else ''}"
-            f" {', '.join(map(repr, orphans))} not hosted by any controller",
+            f"{quoted('virtual database', orphans)} not hosted by any controller",
         )
-
-    return ClusterDescriptor(
-        virtual_databases=specs, controllers=controllers, name=cluster_name
-    )
+    return descriptor
 
 
 def load_descriptor(source: DescriptorSource) -> ClusterDescriptor:

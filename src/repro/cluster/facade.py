@@ -32,6 +32,7 @@ replicas (§4.1).
 
 from __future__ import annotations
 
+import dataclasses
 import weakref
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -500,14 +501,7 @@ class Cluster:
             controller = self.controller(spec.name)
             server = self.servers.get(controller.name)
             if server is None or not server.is_running:
-                server = ControllerServer(
-                    controller,
-                    host=spec.listen.host,
-                    port=spec.listen.port,
-                    max_connections=spec.listen.max_connections,
-                    idle_timeout=spec.listen.idle_timeout,
-                    backlog=spec.listen.backlog,
-                )
+                server = ControllerServer(controller, **dataclasses.asdict(spec.listen))
                 controller.attach_network_server(server)
                 server.start()
                 self.servers[controller.name] = server

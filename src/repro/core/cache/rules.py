@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.core.request import AbstractRequest
+from repro.core.schema import Key, key
 
 
 @dataclass
@@ -31,10 +32,10 @@ class RelaxationRule:
     still invalidates on writes but expires entries after the window.
     """
 
-    staleness_seconds: float
-    tables: tuple = ()
-    sql_pattern: Optional[str] = None
-    keep_on_write: bool = True
+    staleness_seconds: float = key(float, minimum=0)
+    tables: tuple = key(tuple, (), item=Key(str))
+    sql_pattern: Optional[str] = key(str, None)
+    keep_on_write: bool = key(bool, True)
 
     def __post_init__(self):
         self._compiled = re.compile(self.sql_pattern, re.IGNORECASE) if self.sql_pattern else None

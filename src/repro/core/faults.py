@@ -49,13 +49,15 @@ cluster descriptor's per-backend ``faults:`` section (validated by
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import threading
 import time
 from dataclasses import dataclass, field
 from random import Random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.schema import Key, key, parse_section
 from repro.errors import ConfigurationError, OperationalError
 
 
@@ -87,21 +89,23 @@ class BackendCrashedError(OperationalError):
 class FaultRule:
     """One armed fault: a kind plus the schedule deciding when it fires."""
 
-    kind: str
+    # the key() fields are the keys of a descriptor ``faults.rules[i]`` entry;
+    # their ranges are checked once, in __post_init__
+    kind: str = key(str)
     #: fire starting at the Nth matching operation (1-based); None = always
-    after_n_ops: Optional[int] = None
+    after_n_ops: Optional[int] = key(int, None)
     #: per-operation firing probability from the injector's seeded RNG
-    probability: Optional[float] = None
+    probability: Optional[float] = key(float, None)
     #: disarm the rule after its first firing
-    one_shot: bool = False
+    one_shot: bool = key(bool, False)
     #: sleep duration for ``latency`` / ``hang`` faults
-    latency_ms: float = 0.0
+    latency_ms: float = key(float, 0.0)
     #: only operations whose SQL contains this substring are considered
-    match_sql: Optional[str] = None
+    match_sql: Optional[str] = key(str, None)
     #: operation categories this rule applies to
-    operations: Tuple[str, ...] = FAULT_OPERATIONS
+    operations: Tuple[str, ...] = key(tuple, FAULT_OPERATIONS, item=Key(str))
     #: free-text label surfaced in status output
-    label: str = ""
+    label: str = key(str, "", empty=True)
     # internal counters (per rule, guarded by the injector's lock)
     seen_ops: int = field(default=0, repr=False)
     fired: int = field(default=0, repr=False)
@@ -304,91 +308,28 @@ class FaultInjector:
 # descriptor `faults:` section
 # ---------------------------------------------------------------------------
 
-_FAULTS_KEYS = {"seed", "rules"}
-_RULE_KEYS = {
-    "kind",
-    "after_n_ops",
-    "probability",
-    "one_shot",
-    "latency_ms",
-    "match_sql",
-    "operations",
-    "label",
-}
+
+def _rule_entry(entry: Any, where: str) -> dict:
+    parse_section(FaultRule, entry, where)  # constructing validates everything
+    return dict(entry)
 
 
-def parse_faults_section(section, where: str) -> dict:
+@dataclass
+class _FaultsSection:
+    seed: int = key(int, 0)
+    rules: List[dict] = key(list, factory=list, item=Key(_rule_entry))
+
+
+def parse_faults_section(section: Any, where: str) -> dict:
     """Validate one backend's ``faults:`` descriptor section.
 
     Returns a normalized ``{"seed": int, "rules": [rule-mapping, ...]}``
     document (plain data, so descriptors stay serializable); use
     :func:`build_fault_injector` to materialize it.  Raises
     :class:`~repro.errors.ConfigurationError` naming ``where`` for every
-    problem, matching the descriptor validator's error style.
+    problem, like every other descriptor section.
     """
-    if not isinstance(section, dict):
-        raise ConfigurationError(
-            f"{where}: expected a mapping, got {type(section).__name__}"
-        )
-    unknown = sorted(set(section) - _FAULTS_KEYS)
-    if unknown:
-        raise ConfigurationError(
-            f"{where}: unknown key{'s' if len(unknown) > 1 else ''}"
-            f" {', '.join(map(repr, unknown))}"
-            f" (expected one of: {', '.join(sorted(_FAULTS_KEYS))})"
-        )
-    seed = section.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigurationError(f"{where}.seed: expected an integer, got {seed!r}")
-    rules = section.get("rules", [])
-    if not isinstance(rules, (list, tuple)):
-        raise ConfigurationError(
-            f"{where}.rules: expected a list, got {type(rules).__name__}"
-        )
-    normalized = []
-    for index, entry in enumerate(rules):
-        rule_where = f"{where}.rules[{index}]"
-        if not isinstance(entry, dict):
-            raise ConfigurationError(
-                f"{rule_where}: expected a mapping, got {type(entry).__name__}"
-            )
-        unknown = sorted(set(entry) - _RULE_KEYS)
-        if unknown:
-            raise ConfigurationError(
-                f"{rule_where}: unknown key{'s' if len(unknown) > 1 else ''}"
-                f" {', '.join(map(repr, unknown))}"
-                f" (expected one of: {', '.join(sorted(_RULE_KEYS))})"
-            )
-        if "kind" not in entry:
-            raise ConfigurationError(f"{rule_where}: missing required key 'kind'")
-        if "operations" in entry:
-            operations = entry["operations"]
-            if not isinstance(operations, (list, tuple)) or any(
-                not isinstance(op, str) for op in operations
-            ):
-                raise ConfigurationError(
-                    f"{rule_where}.operations: expected a list of operation names"
-                )
-        try:
-            FaultRule(**_rule_options(entry))  # constructing validates everything
-        except TypeError as exc:
-            raise ConfigurationError(f"{rule_where}: {exc}") from exc
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"{rule_where}: {exc}") from exc
-        normalized.append(dict(entry))
-    return {"seed": seed, "rules": normalized}
-
-
-def _rule_options(entry: dict) -> dict:
-    """Normalize a serialized rule mapping into FaultRule keyword arguments."""
-    options = dict(entry)
-    if "operations" in options:
-        options["operations"] = tuple(options["operations"])
-    for key in ("probability", "latency_ms"):
-        value = options.get(key)
-        if isinstance(value, int) and not isinstance(value, bool):
-            options[key] = float(value)
-    return options
+    return dataclasses.asdict(parse_section(_FaultsSection, section, where))
 
 
 def build_fault_injector(document: Optional[dict]) -> Optional[FaultInjector]:
@@ -396,8 +337,8 @@ def build_fault_injector(document: Optional[dict]) -> Optional[FaultInjector]:
     if not document:
         return None
     injector = FaultInjector(seed=document.get("seed", 0))
-    for entry in document.get("rules", ()):
-        injector.add_rule(FaultRule(**_rule_options(entry)))
+    for index, entry in enumerate(document.get("rules", ())):
+        injector.add_rule(parse_section(FaultRule, entry, f"faults.rules[{index}]"))
     return injector
 
 

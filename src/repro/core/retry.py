@@ -30,7 +30,7 @@ from typing import Any, Mapping, Optional
 from repro.errors import CJDBCError, ControllerError, SerializationConflictError
 
 #: URL option / descriptor keys understood by :meth:`RetryPolicy.from_options`
-_OPTION_KEYS = (
+RETRY_OPTION_KEYS = (
     "retry_attempts",
     "retry_backoff",
     "retry_backoff_multiplier",
@@ -103,7 +103,7 @@ class RetryPolicy:
         Returns None when no ``retry_*`` key is present, so connections
         without retry options keep the legacy single-pass failover.
         """
-        if not any(key in options for key in _OPTION_KEYS):
+        if not any(key in options for key in RETRY_OPTION_KEYS):
             return None
         try:
             return cls(
@@ -129,4 +129,4 @@ class RetryPolicy:
             raise CJDBCError(f"invalid retry option: {exc}") from exc
 
 
-__all__ = ["RetryPolicy"]
+__all__ = ["RETRY_OPTION_KEYS", "RetryPolicy"]

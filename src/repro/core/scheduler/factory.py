@@ -78,7 +78,7 @@ def build_scheduler(spec: SchedulerSpec = "optimistic") -> AbstractScheduler:
         unknown = sorted(set(spec) - _OPTION_KEYS)
         if unknown:
             raise ConfigurationError(
-                f"unknown scheduler option{'s' if len(unknown) > 1 else ''}"
+                f"unknown key{'s' if len(unknown) > 1 else ''}"
                 f" {', '.join(map(repr, unknown))}"
                 f" (expected one of: {', '.join(sorted(_OPTION_KEYS))})"
             )
@@ -87,7 +87,7 @@ def build_scheduler(spec: SchedulerSpec = "optimistic") -> AbstractScheduler:
         name, options = spec["name"], {k: v for k, v in spec.items() if k != "name"}
     else:
         raise ConfigurationError(
-            f"scheduler must be a name or an options mapping,"
+            f"expected a scheduler name or an options mapping,"
             f" got {type(spec).__name__}"
         )
     canonical = canonical_scheduler_name(name)

@@ -231,6 +231,35 @@ class TestConfigCommands:
         assert main(["check-config", str(path)], stdout=out) == 1
         assert "parsing_cache_size" in out.getvalue()
 
+    def test_check_config_rejects_invalid_enum_without_traceback(self, tmp_path):
+        # regression: an unknown load-balancing policy used to escape
+        # check-config as a ValueError traceback
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        path = tmp_path / "cluster.json"
+        path.write_text(
+            '{"virtual_databases": [{"name": "clidb", "backends": ["b0"],'
+            ' "load_balancing_policy": "zzz"}]}'
+        )
+        source_root = os.path.dirname(os.path.dirname(repro.__file__))
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "check-config", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": source_root},
+        )
+        assert completed.returncode == 1
+        assert completed.stdout.startswith(
+            "invalid descriptor: descriptor.virtual_databases[0].load_balancing_policy:"
+            " expected one of: lprf, rr, wrr, got 'zzz'"
+        )
+        assert completed.stderr == ""
+
 
 class TestBenchHotpathCommand:
     def test_registered_in_help(self):

@@ -221,6 +221,70 @@ class TestDescriptorValidation:
         with pytest.raises(ConfigurationError, match=message):
             parse_descriptor(document)
 
+    @pytest.mark.parametrize(
+        "overrides, path, allowed",
+        [
+            ({"replication": "raidb9"}, "replication", "raidb0, raidb1, raidb2, single"),
+            ({"load_balancing_policy": "zzz"}, "load_balancing_policy", "lprf, rr, wrr"),
+            ({"wait_for_completion": "some"}, "wait_for_completion", "all, first, majority"),
+            ({"recovery_log": "redis:x"}, "recovery_log", "file:<path>, memory, none"),
+            ({"cache": {"granularity": "row"}}, "cache.granularity", "column, database, table"),
+            (
+                {"backends": [{"name": "a", "connection_manager": "pooled"}]},
+                "backends[0].connection_manager",
+                "failfast, randomwait, simple, variable",
+            ),
+        ],
+    )
+    def test_enum_keys_name_their_path_and_allowed_values(self, overrides, path, allowed):
+        # regression: these six passed parse_descriptor unchecked and failed
+        # later, at build time, without a key path (or with a ValueError)
+        with pytest.raises(ConfigurationError) as raised:
+            parse_descriptor(minimal_descriptor(**overrides))
+        bad = str(raised.value).rsplit("got ", 1)[1]
+        assert str(raised.value) == (
+            f"descriptor.virtual_databases[0].{path}: expected one of: {allowed}, got {bad}"
+        )
+
+    def test_enum_aliases_and_case_are_still_accepted(self):
+        spec = parse_descriptor(
+            minimal_descriptor(
+                replication="RAIDb-1",
+                load_balancing_policy="Round-Robin",
+                wait_for_completion="FIRST",
+                recovery_log="file:/tmp/recovery.log",
+                cache={"granularity": "Column"},
+                backends=[{"name": "a", "connection_manager": "fail_fast"}],
+            )
+        ).virtual_database("mydb")
+        assert spec.replication == "RAIDb-1"
+        assert spec.backends[0].connection_manager == "fail_fast"
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"virtual_databases": [{"name": "d", "backends": ["a"]}],
+              "controllers": [{"name": "c", "listen": {"port": 0, "host": ""}}]},
+             r"controllers\[0\]\.listen\.host: expected a non-empty string"),
+            ({"virtual_databases": [{"name": "d", "backends": [{"name": "a", "engine": ""}]}]},
+             r"backends\[0\]\.engine: expected a non-empty string"),
+            ({"virtual_databases": [{"name": "d", "backends": ["a"], "group_name": "g",
+                                     "group": {"transport": ""}}]},
+             r"group\.transport: expected a non-empty string"),
+            ({"virtual_databases": [{"name": "d", "backends": ["a"],
+                                     "routing": {"policy": ""}}]},
+             r"routing\.policy: expected a non-empty string"),
+            ({"virtual_databases": [{"name": "d", "backends": ["a"], "cache": {
+                "relaxation_rules": [{"staleness_seconds": -1}]}}]},
+             r"relaxation_rules\[0\]\.staleness_seconds: must be >= 0"),
+        ],
+    )
+    def test_values_the_hand_parsers_let_through(self, document, message):
+        # regression: empty strings fell back to the default through
+        # `... or default`, and a negative staleness was accepted
+        with pytest.raises(ConfigurationError, match=message):
+            parse_descriptor(document)
+
     def test_unknown_vdb_lookup_lists_known_names(self):
         descriptor = load_descriptor(minimal_descriptor())
         with pytest.raises(ConfigurationError, match="no virtual database 'ghost'.*mydb"):
