@@ -353,6 +353,7 @@ def _build_config_console(config_path: str, controller_name: Optional[str]):
 
 def _run_check_config(config_path: str, stdout) -> int:
     from repro.cluster import load_cluster
+    from repro.cluster.descriptor import GroupSpec
     from repro.core.scheduler import describe_scheduler
     from repro.errors import ConfigurationError
 
@@ -400,6 +401,21 @@ def _run_check_config(config_path: str, stdout) -> int:
                     f" {'on' if routing.scatter_gather else 'off'}; {weights})",
                     file=stdout,
                 )
+    for spec in cluster.descriptor.virtual_databases:
+        if spec.group_name is None:
+            continue
+        group = spec.group or GroupSpec()
+        line = f"  group: {spec.group_name} over {group.transport}"
+        if group.transport == "tcp":
+            members = ", ".join(
+                f"{name}={address}" for name, address in sorted(group.members.items())
+            )
+            line += (
+                f" (members: {members or 'ephemeral ports'};"
+                f" heartbeat {group.heartbeat_interval:g}s x {group.heartbeat_threshold};"
+                f" rpc_timeout {group.rpc_timeout:g}s)"
+            )
+        print(line, file=stdout)
     for spec in cluster.descriptor.controllers:
         if spec.listen is not None:
             idle = (

@@ -119,11 +119,12 @@ class BackendSpec(BackendConfig):
 class GroupSpec:
     """A grouped vdb's ``group:`` section: how its controllers communicate.
 
-    ``transport: "inproc"`` (the default) keeps the single-process shared
-    medium; ``"tcp"`` gives every controller its own socket group node
-    (sequencer-based total order, heartbeat failure detection).  ``members``
-    optionally pins controllers to fixed ``host:port`` group addresses —
-    controllers not listed bind an ephemeral port.
+    Every controller gets its own group node running the one sequencer
+    protocol; ``transport`` picks the link between the nodes: ``"inproc"``
+    (the default) a dict lookup within the process, ``"tcp"`` framed sockets
+    with heartbeat failure detection.  ``members`` optionally pins
+    controllers to fixed ``host:port`` group addresses — controllers not
+    listed bind an ephemeral port.
     """
 
     transport: str = key(str, "inproc", choices=("inproc", "tcp"))

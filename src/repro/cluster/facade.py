@@ -152,9 +152,8 @@ class Cluster:
         self._vdb_names: Dict[str, str] = {}
         #: lowercased vdb name -> descriptor-declared client retry policy
         self._retry_policies: Dict[str, RetryPolicy] = {}
-        self._replicators: Dict[str, object] = {}
         self._transport = transport
-        #: controller name (lowercased) -> its socket group node (tcp groups)
+        #: controller name (lowercased) -> its group node
         self.group_nodes: Dict[str, object] = {}
         #: controller name -> running ControllerServer (see start_servers())
         self.servers: Dict[str, "object"] = {}
@@ -241,80 +240,72 @@ class Cluster:
         return controller
 
     def _add_replica(self, controller: Controller, spec) -> None:
-        """Horizontal vdb: a private replica per controller, group-synchronised."""
-        config = spec.to_config(self.engines, engine_prefix=f"{controller.name}/")
-        local_vdb = build_virtual_database(config)
-        if spec.group is not None and spec.group.transport == "tcp":
-            replica = self._add_socket_replica(controller, spec, local_vdb)
-        else:
-            from repro.distrib import ControllerReplicator
-            from repro.groupcomm.transport import GroupTransport
+        """Horizontal vdb: a private replica per controller, group-synchronised.
 
-            if self._transport is None:
-                self._transport = GroupTransport()
-            replicator = self._replicators.get(spec.group_name)
-            if replicator is None:
-                replicator = self._replicators[spec.group_name] = ControllerReplicator(
-                    self._transport
-                )
-            replica = replicator.add_replica(
-                controller, local_vdb, replace_in_controller=False
-            )
-        controller.add_virtual_database(replica)
-        self.replicas[(controller.name, spec.name.lower())] = replica
-
-    def _add_socket_replica(self, controller: Controller, spec, local_vdb):
-        """TCP group: join through this controller's own socket group node.
-
-        Joining with state transfer is always requested; when the node turns
-        out to be the first group member it degrades to a plain join, and
-        when peers already run (another process booted first, or a
-        controller rejoins a live group) the replica synchronizes its
-        backends from one of them before serving.
+        The replica joins through its controller's own group node.  Joining
+        with state transfer is always requested; when the node turns out to
+        be the first group member it degrades to a plain join, and when
+        peers already run (another controller booted first, or a controller
+        rejoins a live group) the replica synchronizes its backends from
+        one of them before serving.
         """
         from repro.distrib import DistributedVirtualDatabase
 
-        node = self._group_node(controller, spec.group)
+        config = spec.to_config(self.engines, engine_prefix=f"{controller.name}/")
         replica = DistributedVirtualDatabase(
-            local_vdb, node, controller_name=controller.name, group_name=spec.group_name
+            build_virtual_database(config),
+            self._group_node(controller, spec.group),
+            controller_name=controller.name,
+            group_name=spec.group_name,
         )
         replica.join_group(state_transfer=True)
-        return replica
+        controller.add_virtual_database(replica)
+        self.replicas[(controller.name, spec.name.lower())] = replica
 
     def _group_node(self, controller: Controller, group):
-        """This controller's socket group node, created and started on first use."""
+        """This controller's group node, created on first use.
+
+        One protocol, and ``group.transport`` only picks the link under it:
+        a node of the cluster's in-process network (memory link), or a
+        socket node of its own (TCP link) bound to the controller's address.
+        """
         node = self.group_nodes.get(controller.name.lower())
         if node is not None:
             return node
-        from repro.groupcomm import SocketGroupTransport
+        from repro.groupcomm import GroupTransport, SocketGroupTransport
 
-        address = next(
-            (
+        if group is None or group.transport != "tcp":
+            if self._transport is None:
+                self._transport = GroupTransport()
+            node = self._transport.node(controller.name)
+        else:
+            address = next(
+                (
+                    member_address
+                    for name, member_address in group.members.items()
+                    if name.lower() == controller.name.lower()
+                ),
+                "127.0.0.1:0",
+            )
+            host, _, port = address.rpartition(":")
+            peers = [
                 member_address
                 for name, member_address in group.members.items()
-                if name.lower() == controller.name.lower()
-            ),
-            "127.0.0.1:0",
-        )
-        host, _, port = address.rpartition(":")
-        peers = [
-            member_address
-            for name, member_address in group.members.items()
-            if name.lower() != controller.name.lower()
-        ]
-        peers += [
-            other.address for other in self.group_nodes.values()
-            if other.address not in peers
-        ]
-        node = SocketGroupTransport(
-            bind_host=host or "127.0.0.1",
-            bind_port=int(port),
-            peers=peers,
-            heartbeat_interval=group.heartbeat_interval,
-            heartbeat_threshold=group.heartbeat_threshold,
-            rpc_timeout=group.rpc_timeout,
-            name=controller.name,
-        )
+                if name.lower() != controller.name.lower()
+            ]
+            peers += [
+                other.address for other in self.group_nodes.values()
+                if other.address not in peers
+            ]
+            node = SocketGroupTransport(
+                bind_host=host or "127.0.0.1",
+                bind_port=int(port),
+                peers=peers,
+                heartbeat_interval=group.heartbeat_interval,
+                heartbeat_threshold=group.heartbeat_threshold,
+                rpc_timeout=group.rpc_timeout,
+                name=controller.name,
+            )
         node.start()
         self.group_nodes[controller.name.lower()] = node
         return node

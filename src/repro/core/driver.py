@@ -249,47 +249,23 @@ class VirtualConnection:
         surface an error instead of retrying.
 
         Without a retry policy each operation makes a single pass over the
-        controller list.  With one, attempts continue (rotating controllers,
+        controller list: no sleeping, and only a controller failure earns
+        the next try.  With one, attempts continue (rotating controllers,
         sleeping the policy's backoff between tries) until an attempt
         succeeds, ``max_attempts`` is exhausted, or the per-operation
         timeout expires — the window a restarting controller needs to come
         back is covered by the later, longer delays.
         """
-        if self._retry_policy is None:
-            last_error: Optional[Exception] = None
-            for _attempt in range(len(self._controllers)):
-                virtual_database = self._virtual_database()
-                try:
-                    return operation(virtual_database)
-                except ControllerError as exc:
-                    last_error = exc
-                    with self._lock:
-                        self._controller_index = (self._controller_index + 1) % len(
-                            self._controllers
-                        )
-                        self.failovers += 1
-                    if transaction_id is not None:
-                        self._transaction_id = None
-                        raise DatabaseError(
-                            "controller failed during a transaction; transaction aborted"
-                        ) from exc
-            raise DatabaseError(f"all controllers failed: {last_error}")
-        return self._execute_with_retry(operation, transaction_id)
-
-    def _execute_with_retry(
-        self,
-        operation: Callable[[VirtualDatabase], RequestResult],
-        transaction_id: Optional[int],
-    ) -> RequestResult:
         policy = self._retry_policy
+        attempts = len(self._controllers) if policy is None else policy.max_attempts
         deadline = (
             time.monotonic() + policy.operation_timeout
-            if policy.operation_timeout is not None
+            if policy is not None and policy.operation_timeout is not None
             else None
         )
         last_error: Optional[Exception] = None
-        for attempt in range(policy.max_attempts):
-            if attempt:
+        for attempt in range(attempts):
+            if attempt and policy is not None:
                 delay = policy.delay(attempt, self._retry_rng)
                 if deadline is not None:
                     delay = min(delay, max(0.0, deadline - time.monotonic()))
@@ -297,14 +273,23 @@ class VirtualConnection:
                     time.sleep(delay)
                 with self._lock:
                     self.retries += 1
+            virtual_database = None
             try:
-                # controller selection belongs inside the attempt: "no
-                # controller can serve" is retryable too — the controllers
-                # may be restarting
+                # controller selection belongs inside the attempt: under a
+                # policy "no controller can serve" is retryable too — the
+                # controllers may be restarting
                 virtual_database = self._virtual_database()
                 return operation(virtual_database)
             except CJDBCError as exc:
-                if not RetryPolicy.is_retryable(exc):
+                if policy is not None:
+                    retryable = RetryPolicy.is_retryable(exc)
+                else:
+                    # a pass that never sleeps cannot outwait a restart:
+                    # when selection itself found nobody, that error is final
+                    retryable = (
+                        isinstance(exc, ControllerError) and virtual_database is not None
+                    )
+                if not retryable:
                     raise
                 last_error = exc
                 with self._lock:
@@ -322,9 +307,9 @@ class VirtualConnection:
                         f"operation timed out after {policy.operation_timeout}s"
                         f" ({attempt + 1} attempts): {last_error}"
                     ) from exc
-        raise DatabaseError(
-            f"all {policy.max_attempts} attempts failed: {last_error}"
-        )
+        if policy is None:
+            raise DatabaseError(f"all controllers failed: {last_error}")
+        raise DatabaseError(f"all {attempts} attempts failed: {last_error}")
 
     def _run(self, sql: str, parameters: Sequence[Any]) -> RequestResult:
         self._check_open()

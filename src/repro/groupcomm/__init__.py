@@ -2,16 +2,22 @@
 
 C-JDBC relies on JGroups' "reliable and ordered message delivery to
 synchronize write requests and demarcate transactions" between replicated
-controllers.  This package provides the same guarantees for in-process
-groups:
+controllers.  This package provides those guarantees with **one protocol
+and two links**:
 
 * :class:`GroupChannel` — join/leave a named group, send totally ordered
   multicasts, receive view-change notifications;
-* :class:`GroupTransport` — the shared in-process medium implementing total
-  order (a sequencer), reliable delivery and failure injection for tests;
-* :class:`SocketGroupTransport` — the same contract over real TCP sockets:
-  one node per controller process, sequencer-based total order, heartbeat
-  failure detection and view changes across processes.
+* :class:`~repro.groupcomm.node.GroupNode` — the protocol, written once:
+  views, the derived sequencer, sequence-and-deliver, suspicion and
+  re-election, as one handler table reached through one ``call``;
+* :class:`SocketGroupTransport` — a node over the TCP link (framed sockets,
+  acceptor, heartbeat monitor): one per controller process;
+* :class:`GroupTransport` — a network of nodes over the memory link (a dict
+  lookup in the caller's thread): the same protocol without threads, sockets
+  or sleeps, plus failure injection for tests.
+
+The rule: ordering, membership and failure handling live in ``node.py`` and
+nowhere else; ``socket_transport.py`` and ``transport.py`` only move frames.
 """
 
 from repro.groupcomm.channel import GroupChannel

@@ -54,13 +54,13 @@ class ViewChange:
 # payload wire codec
 # ---------------------------------------------------------------------------
 #
-# The in-process transport hands payload objects around by reference; the
-# socket transport must serialize them.  Registered payload dataclasses
+# Frame bodies must survive JSON, and the protocol encodes payloads the same
+# way over either link (the memory link skips the JSON, not the codec, so
+# every receiver gets its own rebuilt object).  Registered payload dataclasses
 # round-trip as ``{"@payload": <class name>, "fields": {...}}`` documents; a
 # class needing to restore non-JSON field types (tuples, nested tuples)
 # defines a ``from_wire(fields)`` classmethod.  Plain JSON-safe values pass
-# through untouched, so tests can multicast bare strings over either
-# transport.
+# through untouched, so tests can multicast bare strings over either link.
 
 _WIRE_TAG = "@payload"
 

@@ -1,47 +1,14 @@
-"""Socket group transport: total order and membership over real TCP.
+"""The TCP link: the group protocol's frames over real sockets.
 
-One :class:`SocketGroupTransport` is one *node* of a group network —
-typically one per controller process — speaking the PR 6 framed wire
-protocol (:mod:`repro.net.protocol`) to its peers.  It implements the same
-method surface as the in-process :class:`repro.groupcomm.transport.
-GroupTransport`, so :class:`~repro.groupcomm.channel.GroupChannel` and the
-distributed request manager run over either medium unchanged.
-
-Design (JGroups SEQUENCER over TCP):
-
-* **Sequencer-based total order.**  The sequencer is *derived*, not
-  elected: it is the member with the lowest ``(host, port)`` address in the
-  current view.  A sender submits a multicast to the sequencer
-  (``GROUP_MCAST``); the sequencer assigns the next sequence number under a
-  per-group lock and synchronously fans ``GROUP_DELIVER`` frames out to
-  every member address (including itself and the origin), so a multicast
-  returns only after every live member processed it — the blocking group
-  RPC semantics the distributed request manager acknowledges writes on.
-* **Membership.**  A joiner asks any known peer (``GROUP_JOIN``);
-  non-sequencers answer with a redirect, the sequencer installs the new
-  view and pushes it (``GROUP_VIEW``) to every member — including the
-  joiner — before replying.  When no peer is reachable the joiner becomes a
-  singleton group (and, as lowest address, its sequencer).
-* **Failure detection.**  Heartbeat frames flow both ways: members beacon
-  the sequencer and the sequencer beacons the members.  A node that has not
-  heard from a peer for ``heartbeat_interval * heartbeat_threshold``
-  seconds suspects it: the sequencer removes silent members directly; a
-  member that loses the sequencer reports the suspicion to the next-lowest
-  survivor (``GROUP_SUSPECT``) — or removes it itself if *it* is the new
-  sequencer — and the surviving view is re-broadcast.  The sequence counter
-  travels inside every view so a re-elected sequencer continues numbering
-  where its predecessor stopped.
-* **Partitions** are injected receiver-side: a ``(sender, receiver)`` pair
-  registered via :meth:`partition` silently drops multicast deliveries to
-  that member and fails point-to-point sends, matching the in-process
-  transport's semantics.
-
-Retry semantics: if the sequencer dies mid-multicast the sender runs
-failure handling and retries against the re-elected sequencer.  A multicast
-the dead sequencer had already fanned out but not acknowledged is delivered
-*again* with a fresh sequence number — at-least-once across sequencer
-crashes — which the distributed layer tolerates (idempotent replay, origin
-results keyed by message id).
+:class:`SocketGroupTransport` is a :class:`~repro.groupcomm.node.GroupNode`
+— the one implementation of views, sequencing and suspicion — whose link is
+:class:`_TcpLink`: the PR 6 framed wire protocol
+(:mod:`repro.net.protocol`) to its peers, typically one node per controller
+process.  **One protocol rule:** this module only moves frames — dialling,
+connection caching, the acceptor, heartbeat frames and the clock that drives
+the failure detector; nothing here decides ordering or membership, so the
+in-process :class:`~repro.groupcomm.transport.GroupTransport` (same nodes,
+memory link) runs the identical protocol.
 """
 
 from __future__ import annotations
@@ -49,15 +16,14 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import GroupCommunicationError
-from repro.groupcomm.message import (
-    GroupMessage,
-    ViewChange,
-    _next_message_id,
-    payload_from_wire,
-    payload_to_wire,
+from repro.groupcomm.node import (
+    DEFAULT_HEARTBEAT_INTERVAL,
+    DEFAULT_HEARTBEAT_THRESHOLD,
+    GroupNode,
+    _RpcTransportError,
 )
 from repro.net.protocol import (
     ConnectionClosed,
@@ -68,30 +34,11 @@ from repro.net.protocol import (
     encode_error,
 )
 
-#: default seconds between heartbeat beacons
-DEFAULT_HEARTBEAT_INTERVAL = 0.5
-#: missed intervals before a silent peer is suspected dead
-DEFAULT_HEARTBEAT_THRESHOLD = 3
 #: default cap on one group RPC round trip
 DEFAULT_RPC_TIMEOUT = 10.0
 
 #: socket poll granularity for inbound service loops and RPC waits
 _POLL_INTERVAL = 0.1
-
-
-def _address_key(address: str) -> Tuple[str, int]:
-    """Sort key for ``host:port`` addresses (sequencer = lowest)."""
-    host, _, port = address.rpartition(":")
-    return (host, int(port))
-
-
-class _RpcTransportError(GroupCommunicationError):
-    """Internal: the RPC *transport* failed (dial, timeout, dead socket).
-
-    Distinguished from handler-raised :class:`GroupCommunicationError`
-    (duplicate member, unknown receiver, ...) so failure handling only
-    triggers on genuinely unreachable peers.
-    """
 
 
 class _PeerConnection:
@@ -104,94 +51,37 @@ class _PeerConnection:
         self.lock = threading.Lock()
 
 
-class _GroupState:
-    """This node's view of one group."""
+class _TcpLink:
+    """Framed request/response sockets between group nodes."""
 
-    __slots__ = ("name", "view_id", "sequence", "members")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.view_id = 0
-        #: last sequence number assigned (sequencer) or seen (member)
-        self.sequence = 0
-        #: member name -> node address hosting it
-        self.members: Dict[str, str] = {}
-
-
-class SocketGroupTransport:
-    """One node of a TCP group network; GroupTransport-compatible."""
+    kind = "tcp"
 
     def __init__(
-        self,
-        bind_host: str = "127.0.0.1",
-        bind_port: int = 0,
-        peers: Sequence[str] = (),
-        heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-        heartbeat_threshold: int = DEFAULT_HEARTBEAT_THRESHOLD,
-        rpc_timeout: float = DEFAULT_RPC_TIMEOUT,
-        name: Optional[str] = None,
+        self, host: str, port: int, rpc_timeout: float, heartbeat_interval: float
     ):
-        if heartbeat_interval <= 0:
-            raise GroupCommunicationError(
-                f"heartbeat_interval must be positive, got {heartbeat_interval!r}"
-            )
-        if heartbeat_threshold < 1:
-            raise GroupCommunicationError(
-                f"heartbeat_threshold must be >= 1, got {heartbeat_threshold!r}"
-            )
-        self.bind_host = bind_host
-        self.bind_port = bind_port
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_threshold = heartbeat_threshold
-        self.rpc_timeout = rpc_timeout
-        self._peers: List[str] = list(peers)
-        self._lock = threading.RLock()
-        #: group -> member name -> (on_message, on_view_change) for members
-        #: hosted by THIS node
-        self._local: Dict[str, Dict[str, tuple]] = {}
-        self._groups: Dict[str, _GroupState] = {}
-        #: per-group sequencing/membership lock (reentrant: fan-out may
-        #: remove a dead member mid-multicast)
-        self._order_locks: Dict[str, threading.RLock] = {}
-        #: (sender, receiver) member pairs whose messages are dropped
-        self._partitions: Set[tuple] = set()
+        self.address = f"{host}:{port}"
+        self._rpc_timeout = rpc_timeout
+        self._heartbeat_interval = heartbeat_interval
+        self._lock = threading.Lock()
         self._connections: Dict[str, _PeerConnection] = {}
         self._inbound: List[FrameSocket] = []
-        #: peer node address -> monotonic time we last heard a heartbeat
-        self._last_heard: Dict[str, float] = {}
         self._listener: Optional[socket.socket] = None
-        self._started = False
-        self._dead = False
-        self.address = f"{bind_host}:{bind_port}"
-        self.name = name or "socket-node"
-        # statistics
-        self.messages_sent = 0
-        self.messages_delivered = 0
-        self.views_installed = 0
-        self.heartbeats_sent = 0
-        self.heartbeats_received = 0
-        self.delivered_by_sender: Dict[str, int] = {}
+        self._node: Optional[GroupNode] = None
+        self._closed = False
 
     # -- lifecycle ----------------------------------------------------------------------
 
-    def start(self) -> str:
-        """Bind, listen, start the acceptor and heartbeat monitor; idempotent."""
-        with self._lock:
-            if self._started:
-                return self.address
-            if self._dead:
-                raise GroupCommunicationError(
-                    f"group node {self.address} has been killed"
-                )
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((self.bind_host, self.bind_port))
-            listener.listen(64)
-            listener.settimeout(_POLL_INTERVAL)
-            self.bind_host, self.bind_port = listener.getsockname()[:2]
-            self.address = f"{self.bind_host}:{self.bind_port}"
-            self._listener = listener
-            self._started = True
+    def open(self, node: GroupNode) -> None:
+        """Bind, listen, start the acceptor and heartbeat monitor for ``node``."""
+        host, _, port = self.address.rpartition(":")
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        listener.bind((host, int(port)))
+        listener.listen(64)
+        listener.settimeout(_POLL_INTERVAL)
+        self.address = "%s:%d" % listener.getsockname()[:2]
+        self._listener = listener
+        self._node = node
         threading.Thread(
             target=self._accept_loop,
             name=f"group-acceptor-{self.address}",
@@ -202,29 +92,11 @@ class SocketGroupTransport:
             name=f"group-monitor-{self.address}",
             daemon=True,
         ).start()
-        return self.address
 
-    def stop(self) -> None:
-        """Graceful shutdown: leave every group, then close all sockets."""
-        for group, members in list(self._local.items()):
-            for member in list(members):
-                try:
-                    self.leave(group, member)
-                except GroupCommunicationError:
-                    pass
-        self.kill()
-
-    def kill(self) -> None:
-        """Abrupt crash: close every socket without a goodbye.
-
-        This is the chaos-suite way to kill a controller's group node; the
-        survivors detect the silence through missed heartbeats.
-        """
+    def close(self) -> None:
+        """Close every socket without a goodbye."""
         with self._lock:
-            if self._dead:
-                return
-            self._dead = True
-            self._started = False  # a killed node cannot be restarted
+            self._closed = True
             listener, self._listener = self._listener, None
             inbound, self._inbound = list(self._inbound), []
             connections, self._connections = dict(self._connections), {}
@@ -238,667 +110,48 @@ class SocketGroupTransport:
         for connection in connections.values():
             connection.frames.close()
 
-    @property
-    def is_running(self) -> bool:
-        return self._started and not self._dead
-
-    # -- GroupTransport contract: membership --------------------------------------------
-
-    def join(
-        self,
-        group: str,
-        member: str,
-        on_message: Callable[[GroupMessage], None],
-        on_view_change: Optional[Callable[[ViewChange], None]] = None,
-    ) -> List[str]:
-        """Add a locally hosted ``member`` to ``group``; returns the view."""
-        self.start()
-        with self._lock:
-            local = self._local.setdefault(group, {})
-            if member in local:
-                raise GroupCommunicationError(
-                    f"member {member!r} already joined group {group!r}"
-                )
-            # register before the network join: the sequencer pushes the new
-            # view (and may start delivering) the moment we are accepted
-            local[member] = (on_message, on_view_change)
-        try:
-            self._network_join(group, member)
-        except BaseException:
-            with self._lock:
-                self._local.get(group, {}).pop(member, None)
-            raise
-        return self.members(group)
-
-    def leave(self, group: str, member: str) -> None:
-        with self._lock:
-            local = self._local.get(group, {})
-            if member not in local:
-                return
-            del local[member]
-            state = self._groups.get(group)
-            sequencer = None
-            if state is not None and member in state.members:
-                addresses = sorted(set(state.members.values()), key=_address_key)
-                sequencer = addresses[0] if addresses else None
-        if sequencer is not None:
-            body = {"group": group, "member": member}
-            if sequencer == self.address:
-                self._handle_leave(body)
-            else:
-                try:
-                    self._call(sequencer, MessageType.GROUP_LEAVE, body)
-                except GroupCommunicationError:
-                    pass  # sequencer unreachable: its detector will notice us
-        with self._lock:
-            state = self._groups.get(group)
-            if state is not None:
-                state.members.pop(member, None)
-
-    def members(self, group: str) -> List[str]:
-        with self._lock:
-            state = self._groups.get(group)
-            return sorted(state.members) if state is not None else []
-
-    # -- GroupTransport contract: failure injection -------------------------------------
-
-    def partition(self, sender: str, receiver: str) -> None:
-        """Drop messages from member ``sender`` to member ``receiver``."""
-        with self._lock:
-            self._partitions.add((sender, receiver))
-
-    def heal_partition(self, sender: str, receiver: str) -> None:
-        with self._lock:
-            self._partitions.discard((sender, receiver))
-
-    # -- GroupTransport contract: messaging ---------------------------------------------
-
-    def multicast(self, group: str, sender: str, payload: Any) -> GroupMessage:
-        """Totally ordered reliable multicast; returns after all-member delivery."""
-        with self._lock:
-            if sender not in self._local.get(group, {}):
-                raise GroupCommunicationError(
-                    f"sender {sender!r} is not a member of group {group!r}"
-                )
-        body = {
-            "group": group,
-            "sender": sender,
-            "payload": payload_to_wire(payload),
-            "message_id": _next_message_id(),
-        }
-        redirect: Optional[str] = None
-        last_error: Optional[Exception] = None
-        for _attempt in range(self.heartbeat_threshold + 3):
-            if redirect is not None:
-                sequencer, redirect = redirect, None
-            else:
-                with self._lock:
-                    state = self._groups.get(group)
-                    if state is None or not state.members:
-                        raise GroupCommunicationError(
-                            f"no membership view for group {group!r}"
-                        )
-                    sequencer = min(set(state.members.values()), key=_address_key)
-            if sequencer == self.address:
-                reply = self._sequence_and_deliver(body)
-            else:
-                try:
-                    reply = self._call(sequencer, MessageType.GROUP_MCAST, body)
-                except _RpcTransportError as exc:
-                    last_error = exc
-                    # the sequencer looks dead: run failure handling, then
-                    # retry against the re-elected one (possibly ourselves)
-                    self._report_suspect(group, sequencer)
-                    time.sleep(min(self.heartbeat_interval, 0.05))
-                    continue
-            if not reply.get("accepted"):
-                target = reply.get("redirect")
-                if target:
-                    redirect = str(target)
-                    continue
-                raise GroupCommunicationError(
-                    f"multicast to group {group!r} rejected:"
-                    f" {reply.get('reason') or 'unknown'}"
-                )
-            errors = reply.get("errors") or []
-            if errors:
-                names = [name for name, _ in errors]
-                raise GroupCommunicationError(
-                    f"delivery failed at members {names}: {errors[0][1]}"
-                )
-            self.messages_sent += 1
-            return GroupMessage(
-                group=group,
-                sender=sender,
-                payload=payload,
-                message_id=body["message_id"],
-                sequence=int(reply["sequence"]),
-            )
-        raise GroupCommunicationError(
-            f"multicast to group {group!r} failed after sequencer loss: {last_error}"
-        )
-
-    def send_to(self, group: str, sender: str, receiver: str, payload: Any) -> Any:
-        """Point-to-point message within a group (used for state transfer)."""
-        with self._lock:
-            if (sender, receiver) in self._partitions:
-                raise GroupCommunicationError(
-                    f"network partition between {sender!r} and {receiver!r}"
-                )
-            state = self._groups.get(group)
-            address = state.members.get(receiver) if state is not None else None
-        if address is None:
-            raise GroupCommunicationError(
-                f"member {receiver!r} is not in group {group!r}"
-            )
-        body = {
-            "group": group,
-            "sender": sender,
-            "receiver": receiver,
-            "payload": payload_to_wire(payload),
-            "message_id": _next_message_id(),
-        }
-        if address == self.address:
-            self._deliver_send(body)
-        else:
-            self._call(address, MessageType.GROUP_SEND, body)
-        self.messages_sent += 1
-        return GroupMessage(
-            group=group,
-            sender=sender,
-            payload=payload,
-            message_id=body["message_id"],
-            sequence=None,
-        )
-
-    # -- monitoring ---------------------------------------------------------------------
-
-    def describe(self) -> dict:
-        """Node status for the console's ``group`` command."""
-        now = time.monotonic()
-        with self._lock:
-            groups = {}
-            for group, state in self._groups.items():
-                addresses = sorted(set(state.members.values()), key=_address_key)
-                sequencer = addresses[0] if addresses else None
-                groups[group] = {
-                    "members": dict(state.members),
-                    "view_id": state.view_id,
-                    "sequence": state.sequence,
-                    "sequencer": sequencer,
-                    "is_sequencer": sequencer == self.address,
-                }
-            return {
-                "transport": "tcp",
-                "address": self.address,
-                "running": self.is_running,
-                "heartbeat_interval": self.heartbeat_interval,
-                "heartbeat_threshold": self.heartbeat_threshold,
-                "heartbeats_sent": self.heartbeats_sent,
-                "heartbeats_received": self.heartbeats_received,
-                "last_heard_ago": {
-                    address: round(now - at, 3)
-                    for address, at in self._last_heard.items()
-                    if address != self.address
-                },
-                "messages_sent": self.messages_sent,
-                "messages_delivered": self.messages_delivered,
-                "views_installed": self.views_installed,
-                "delivered_by_sender": dict(self.delivered_by_sender),
-                "groups": groups,
-            }
-
-    # -- join protocol ------------------------------------------------------------------
-
-    def _network_join(self, group: str, member: str) -> None:
-        body = {"group": group, "member": member, "address": self.address}
-        candidates: List[str] = []
-        with self._lock:
-            state = self._groups.get(group)
-            if state is not None:
-                candidates.extend(
-                    sorted(set(state.members.values()), key=_address_key)
-                )
-            for peer in self._peers:
-                if peer not in candidates:
-                    candidates.append(peer)
-        tried: Set[str] = set()
-        queue = [address for address in candidates if address != self.address]
-        while queue:
-            address = queue.pop(0)
-            if address in tried or address == self.address:
-                continue
-            tried.add(address)
-            try:
-                reply = self._call(address, MessageType.GROUP_JOIN, body)
-            except _RpcTransportError:
-                continue
-            if reply.get("accepted"):
-                self._install_view(reply["view"])
-                return
-            redirect = reply.get("redirect")
-            if redirect and redirect not in tried:
-                queue.insert(0, str(redirect))
-        # nobody out there knows the group: become (or stay) its sequencer
-        self._local_join(group, member)
-
-    def _local_join(self, group: str, member: str) -> None:
-        with self._order_lock_for(group):
-            with self._lock:
-                state = self._groups.setdefault(group, _GroupState(group))
-                if member in state.members:
-                    raise GroupCommunicationError(
-                        f"member {member!r} already joined group {group!r}"
-                    )
-                state.members[member] = self.address
-                state.view_id += 1
-                self._last_heard.setdefault(self.address, time.monotonic())
-                self.views_installed += 1
-                document = self._view_document(state, joined=[member], left=[])
-            self._broadcast_view(document)
-
-    def _handle_join(self, body: dict) -> dict:
-        group = str(body.get("group"))
-        member = str(body.get("member"))
-        joiner_address = str(body.get("address"))
-        with self._order_lock_for(group):
-            with self._lock:
-                state = self._groups.get(group)
-                if state is None or not state.members or not self._local.get(group):
-                    return {"accepted": False, "reason": "not-a-member"}
-                sequencer = min(set(state.members.values()), key=_address_key)
-                if sequencer != self.address:
-                    return {"accepted": False, "redirect": sequencer}
-                if member in state.members:
-                    raise GroupCommunicationError(
-                        f"member {member!r} already joined group {group!r}"
-                    )
-                state.members[member] = joiner_address
-                state.view_id += 1
-                self._last_heard[joiner_address] = time.monotonic()
-                self.views_installed += 1
-                document = self._view_document(state, joined=[member], left=[])
-            # push the view to every member (including the joiner) before
-            # acknowledging, so no delivery can precede the view anywhere
-            self._broadcast_view(document)
-            return {"accepted": True, "view": document}
-
-    def _handle_leave(self, body: dict) -> dict:
-        group = str(body.get("group"))
-        member = str(body.get("member"))
-        with self._order_lock_for(group):
-            with self._lock:
-                state = self._groups.get(group)
-                if state is None or member not in state.members:
-                    return {}
-                del state.members[member]
-                state.view_id += 1
-                self.views_installed += 1
-                document = self._view_document(state, joined=[], left=[member])
-            self._broadcast_view(document)
-        return {}
-
-    # -- views --------------------------------------------------------------------------
-
-    def _view_document(
-        self, state: _GroupState, joined: List[str], left: List[str]
-    ) -> dict:
-        return {
-            "group": state.name,
-            "view_id": state.view_id,
-            "seq": state.sequence,
-            "members": dict(state.members),
-            "joined": list(joined),
-            "left": list(left),
-        }
-
-    def _broadcast_view(self, document: dict) -> None:
-        addresses = sorted(
-            {str(a) for a in dict(document["members"]).values()}, key=_address_key
-        )
-        for address in addresses:
-            if address == self.address:
-                self._notify_local_view(document)
-            else:
-                try:
-                    self._call(address, MessageType.GROUP_VIEW, document)
-                except GroupCommunicationError:
-                    pass  # unreachable member: failure detection will handle it
-
-    def _install_view(self, document: dict) -> None:
-        group = str(document.get("group"))
-        with self._lock:
-            state = self._groups.setdefault(group, _GroupState(group))
-            if int(document.get("view_id") or 0) <= state.view_id:
-                return  # stale or duplicate view
-            state.members = {
-                str(name): str(address)
-                for name, address in dict(document.get("members") or {}).items()
-            }
-            state.view_id = int(document["view_id"])
-            state.sequence = max(state.sequence, int(document.get("seq") or 0))
-            now = time.monotonic()
-            for address in set(state.members.values()):
-                self._last_heard.setdefault(address, now)
-            self.views_installed += 1
-        self._notify_local_view(document)
-
-    def _notify_local_view(self, document: dict) -> None:
-        group = str(document.get("group"))
-        with self._lock:
-            listeners = [
-                callbacks[1]
-                for _name, callbacks in sorted(self._local.get(group, {}).items())
-                if callbacks[1] is not None
-            ]
-        view = ViewChange(
-            group=group,
-            members=sorted(dict(document.get("members") or {})),
-            joined=[str(name) for name in document.get("joined") or []],
-            left=[str(name) for name in document.get("left") or []],
-            view_id=int(document.get("view_id") or 0),
-        )
-        for listener in listeners:
-            try:
-                listener(view)
-            except Exception:  # noqa: BLE001 - view listeners must not break membership
-                pass
-
-    # -- sequencing and delivery --------------------------------------------------------
-
-    def _handle_mcast(self, body: dict) -> dict:
-        group = str(body.get("group"))
-        with self._lock:
-            state = self._groups.get(group)
-            if state is None or not state.members:
-                raise GroupCommunicationError(
-                    f"node {self.address} has no view for group {group!r}"
-                )
-            sequencer = min(set(state.members.values()), key=_address_key)
-        if sequencer != self.address:
-            return {"accepted": False, "redirect": sequencer}
-        return self._sequence_and_deliver(body)
-
-    def _sequence_and_deliver(self, body: dict) -> dict:
-        group = str(body.get("group"))
-        with self._order_lock_for(group):
-            with self._lock:
-                state = self._groups.get(group)
-                if state is None or str(body.get("sender")) not in state.members:
-                    raise GroupCommunicationError(
-                        f"sender {body.get('sender')!r} is not a member of"
-                        f" group {group!r}"
-                    )
-                state.sequence += 1
-                document = dict(body)
-                document["sequence"] = state.sequence
-                addresses = sorted(set(state.members.values()), key=_address_key)
-            errors: List[list] = []
-            dead: List[str] = []
-            for address in addresses:
-                if address == self.address:
-                    errors.extend(self._deliver_local(document))
-                    continue
-                try:
-                    reply = self._call(address, MessageType.GROUP_DELIVER, document)
-                except _RpcTransportError:
-                    # one more chance on a fresh connection before declaring
-                    # the member dead — a member that fails two RPCs in a
-                    # row has really crashed
-                    try:
-                        reply = self._call(
-                            address, MessageType.GROUP_DELIVER, document
-                        )
-                    except _RpcTransportError:
-                        dead.append(address)
-                        continue
-                errors.extend(reply.get("errors") or [])
-            for address in dead:
-                self._remove_address_as_sequencer(group, address)
-            return {
-                "accepted": True,
-                "sequence": document["sequence"],
-                "errors": errors,
-            }
-
-    def _deliver_local(self, document: dict) -> List[list]:
-        """Deliver one sequenced message to every local member; returns errors."""
-        group = str(document.get("group"))
-        sender = str(document.get("sender"))
-        sequence = document.get("sequence")
-        with self._lock:
-            state = self._groups.get(group)
-            if state is not None and sequence and int(sequence) > state.sequence:
-                # track the highest sequence seen so this node continues the
-                # numbering correctly if it ever becomes the sequencer
-                state.sequence = int(sequence)
-            locals_ = sorted(self._local.get(group, {}).items())
-            partitions = set(self._partitions)
-        message = GroupMessage(
-            group=group,
-            sender=sender,
-            payload=payload_from_wire(document.get("payload")),
-            message_id=int(document.get("message_id") or 0),
-            sequence=int(sequence) if sequence else None,
-        )
-        errors: List[list] = []
-        for name, callbacks in locals_:
-            if (sender, name) in partitions:
-                continue  # injected partition: drop silently, like in-process
-            try:
-                callbacks[0](message)
-                self.messages_delivered += 1
-                self.delivered_by_sender[sender] = (
-                    self.delivered_by_sender.get(sender, 0) + 1
-                )
-            except Exception as exc:  # noqa: BLE001 - report member failures
-                errors.append([name, str(exc)])
-        return errors
-
-    def _deliver_send(self, body: dict) -> dict:
-        group = str(body.get("group"))
-        sender = str(body.get("sender"))
-        receiver = str(body.get("receiver"))
-        with self._lock:
-            if (sender, receiver) in self._partitions:
-                raise GroupCommunicationError(
-                    f"network partition between {sender!r} and {receiver!r}"
-                )
-            entry = self._local.get(group, {}).get(receiver)
-        if entry is None:
-            raise GroupCommunicationError(
-                f"member {receiver!r} is not in group {group!r}"
-            )
-        message = GroupMessage(
-            group=group,
-            sender=sender,
-            payload=payload_from_wire(body.get("payload")),
-            message_id=int(body.get("message_id") or 0),
-            sequence=None,
-        )
-        entry[0](message)
-        self.messages_delivered += 1
-        self.delivered_by_sender[sender] = self.delivered_by_sender.get(sender, 0) + 1
-        return {}
-
-    # -- failure detection --------------------------------------------------------------
-
     def _monitor_loop(self) -> None:
-        while not self._dead:
-            time.sleep(self.heartbeat_interval)
-            if self._dead:
+        while not self._closed:
+            time.sleep(self._heartbeat_interval)
+            if self._closed:
                 return
             try:
-                self._heartbeat_round()
+                self._node._heartbeat_round()
             except Exception:  # noqa: BLE001 - the monitor must survive anything
                 pass
 
-    def _heartbeat_round(self) -> None:
-        now = time.monotonic()
-        limit = self.heartbeat_interval * self.heartbeat_threshold
-        with self._lock:
-            groups = {
-                group: sorted(set(state.members.values()), key=_address_key)
-                for group, state in self._groups.items()
-                if self._local.get(group) and state.members
-            }
-            last_heard = dict(self._last_heard)
-        suspects: List[Tuple[str, str]] = []
-        for group, addresses in groups.items():
-            sequencer = addresses[0]
-            if sequencer == self.address:
-                # we sequence this group: beacon every member, expire the silent
-                for address in addresses[1:]:
-                    self._send_heartbeat(address)
-                    if now - last_heard.get(address, now) > limit:
-                        suspects.append((group, address))
-            else:
-                self._send_heartbeat(sequencer)
-                if now - last_heard.get(sequencer, now) > limit:
-                    suspects.append((group, sequencer))
-        for group, address in suspects:
-            self._report_suspect(group, address)
+    # -- outbound -----------------------------------------------------------------------
 
-    def _report_suspect(self, group: str, dead_address: str) -> None:
-        """Handle a suspected-dead peer: remove it or escalate to the sequencer."""
-        # verify before acting: a peer that is slow to process heartbeats
-        # still accepts TCP connections, a crashed one refuses instantly
-        if self._probe(dead_address):
-            with self._lock:
-                self._last_heard[dead_address] = time.monotonic()
-            return
-        while True:
-            with self._lock:
-                state = self._groups.get(group)
-                if state is None or dead_address not in state.members.values():
-                    return
-                survivors = sorted(
-                    {
-                        address
-                        for address in state.members.values()
-                        if address != dead_address
-                    },
-                    key=_address_key,
-                )
-            if not survivors:
-                return
-            if survivors[0] == self.address:
-                self._remove_address_as_sequencer(group, dead_address)
-                return
-            try:
-                self._call(
-                    survivors[0],
-                    MessageType.GROUP_SUSPECT,
-                    {"group": group, "address": dead_address},
-                )
-                return
-            except _RpcTransportError:
-                # the would-be sequencer is unreachable too: drop it from our
-                # local view and escalate to the next survivor
-                with self._lock:
-                    state = self._groups.get(group)
-                    if state is None:
-                        return
-                    for name in [
-                        name
-                        for name, address in state.members.items()
-                        if address == survivors[0]
-                    ]:
-                        del state.members[name]
-                continue
-
-    def _handle_suspect(self, body: dict) -> dict:
-        group = str(body.get("group"))
-        dead_address = str(body.get("address"))
-        with self._lock:
-            state = self._groups.get(group)
-            if state is None or dead_address not in state.members.values():
-                return {"removed": False}
-            sequencer = min(set(state.members.values()), key=_address_key)
-            if sequencer != self.address and sequencer != dead_address:
-                return {"removed": False, "redirect": sequencer}
-        # verify the accusation ourselves before evicting: one failed
-        # heartbeat on the accuser's path must not evict a live member
-        if self._probe(dead_address):
-            self._last_heard[dead_address] = time.monotonic()
-            return {"removed": False, "reason": "alive"}
-        self._remove_address_as_sequencer(group, dead_address)
-        return {"removed": True}
-
-    def _probe(self, address: str) -> bool:
+    def probe(self, address: str) -> bool:
         """True when a fresh TCP dial to ``address`` succeeds."""
-        host, _, port = address.rpartition(":")
         try:
-            probe = socket.create_connection(
-                (host, int(port)), timeout=min(self.heartbeat_interval, 1.0)
-            )
-        except (OSError, ValueError):
+            self._dial(address, min(self._heartbeat_interval, 1.0)).close()
+        except _RpcTransportError:
             return False
-        try:
-            probe.close()
-        except OSError:  # pragma: no cover
-            pass
         return True
 
-    def _remove_address_as_sequencer(self, group: str, dead_address: str) -> None:
-        """As (possibly just-become) sequencer: evict an address, push the view."""
-        with self._order_lock_for(group):
-            with self._lock:
-                state = self._groups.get(group)
-                if state is None:
-                    return
-                left = sorted(
-                    name
-                    for name, address in state.members.items()
-                    if address == dead_address
-                )
-                if not left:
-                    return
-                for name in left:
-                    del state.members[name]
-                state.view_id += 1
-                self.views_installed += 1
-                document = self._view_document(state, joined=[], left=left)
-            self._drop_connection(dead_address)
-            self._broadcast_view(document)
-
-    def _note_heartbeat(self, body: dict) -> None:
-        address = body.get("address")
-        if not address:
-            return
-        with self._lock:
-            self._last_heard[str(address)] = time.monotonic()
-            self.heartbeats_received += 1
-
-    def _send_heartbeat(self, address: str) -> None:
+    def beacon(self, address: str) -> bool:
+        """Send one heartbeat frame to ``address``; True when it went out."""
         try:
             connection = self._connection(address)
         except _RpcTransportError:
-            return
+            return False
         if not connection.lock.acquire(blocking=False):
-            return  # an RPC is in flight on this connection: liveness enough
+            return False  # an RPC is in flight on this connection: liveness enough
         try:
             connection.frames.send_heartbeat({"address": self.address})
-            self.heartbeats_sent += 1
+            return True
         except (OSError, ConnectionClosed, ProtocolError):
-            self._drop_connection(address)
+            self.drop(address)
+            return False
         finally:
             connection.lock.release()
 
-    # -- RPC plumbing -------------------------------------------------------------------
-
-    def _order_lock_for(self, group: str) -> threading.RLock:
-        with self._lock:
-            lock = self._order_locks.get(group)
-            if lock is None:
-                lock = self._order_locks[group] = threading.RLock()
-            return lock
-
-    def _dial(self, address: str) -> FrameSocket:
+    def _dial(self, address: str, timeout: Optional[float] = None) -> FrameSocket:
         host, _, port = address.rpartition(":")
         try:
             sock = socket.create_connection(
-                (host, int(port)), timeout=self.rpc_timeout
+                (host, int(port)), timeout=timeout or self._rpc_timeout
             )
         except (OSError, ValueError) as exc:
             raise _RpcTransportError(
@@ -910,7 +163,7 @@ class SocketGroupTransport:
 
     def _connection(self, address: str) -> _PeerConnection:
         with self._lock:
-            if self._dead:
+            if self._closed:
                 raise _RpcTransportError(f"group node {self.address} is dead")
             connection = self._connections.get(address)
         if connection is not None:
@@ -922,19 +175,20 @@ class SocketGroupTransport:
             if existing is not None:
                 frames.close()
                 return existing
-            if self._dead:
+            if self._closed:
                 frames.close()
                 raise _RpcTransportError(f"group node {self.address} is dead")
             self._connections[address] = connection
         return connection
 
-    def _drop_connection(self, address: str) -> None:
+    def drop(self, address: str) -> None:
+        """Forget the cached connection to ``address``."""
         with self._lock:
             connection = self._connections.pop(address, None)
         if connection is not None:
             connection.frames.close()
 
-    def _call(self, address: str, message_type: MessageType, body: dict) -> dict:
+    def call(self, address: str, message_type: MessageType, body: dict) -> dict:
         """One request/response RPC to the node at ``address``.
 
         Normally reuses the cached connection.  When that connection is busy
@@ -967,14 +221,14 @@ class SocketGroupTransport:
         body: dict,
         cached: bool,
     ) -> dict:
-        deadline = time.monotonic() + self.rpc_timeout
+        deadline = time.monotonic() + self._rpc_timeout
 
         def idle() -> None:
-            if self._dead:
+            if self._closed:
                 raise ConnectionClosed(f"group node {self.address} was killed")
             if time.monotonic() > deadline:
                 raise ConnectionClosed(
-                    f"group rpc to {address} timed out after {self.rpc_timeout}s"
+                    f"group rpc to {address} timed out after {self._rpc_timeout}s"
                 )
 
         try:
@@ -982,14 +236,13 @@ class SocketGroupTransport:
             reply_type, reply = frames.recv(idle_callback=idle)
         except (ConnectionClosed, OSError, ProtocolError) as exc:
             if cached:
-                self._drop_connection(address)
+                self.drop(address)
             raise _RpcTransportError(
                 f"group rpc to {address} failed: {exc}"
             ) from exc
         # a completed round trip is proof of life, independent of how far
         # behind the peer is on processing our heartbeat frames
-        with self._lock:
-            self._last_heard[address] = time.monotonic()
+        self._node._heard_from(address)
         if reply_type is MessageType.ERROR:
             raise decode_error(reply)
         return reply
@@ -997,7 +250,7 @@ class SocketGroupTransport:
     # -- inbound service ----------------------------------------------------------------
 
     def _accept_loop(self) -> None:
-        while not self._dead:
+        while not self._closed:
             listener = self._listener
             if listener is None:
                 return
@@ -1010,9 +263,9 @@ class SocketGroupTransport:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.settimeout(_POLL_INTERVAL)
             frames = FrameSocket(sock)
-            frames.on_heartbeat = self._note_heartbeat
+            frames.on_heartbeat = self._node._note_heartbeat
             with self._lock:
-                if self._dead:
+                if self._closed:
                     frames.close()
                     return
                 self._inbound.append(frames)
@@ -1025,34 +278,18 @@ class SocketGroupTransport:
 
     def _serve_connection(self, frames: FrameSocket) -> None:
         def idle() -> None:
-            if self._dead:
+            if self._closed:
                 raise ConnectionClosed("node shutting down")
 
-        handlers = {
-            MessageType.GROUP_JOIN: self._handle_join,
-            MessageType.GROUP_LEAVE: self._handle_leave,
-            MessageType.GROUP_MCAST: self._handle_mcast,
-            MessageType.GROUP_DELIVER: lambda body: {
-                "errors": self._deliver_local(body)
-            },
-            MessageType.GROUP_SEND: self._deliver_send,
-            MessageType.GROUP_VIEW: self._handle_view,
-            MessageType.GROUP_SUSPECT: self._handle_suspect,
-        }
         try:
-            while not self._dead:
+            while not self._closed:
                 try:
                     message_type, body = frames.recv(idle_callback=idle)
                 except (ConnectionClosed, OSError, ProtocolError):
                     return
-                handler = handlers.get(message_type)
                 try:
-                    if handler is None:
-                        raise GroupCommunicationError(
-                            f"unexpected frame {message_type.name} on a group node"
-                        )
-                    reply = handler(body)
-                    frames.send(MessageType.OK, reply or {})
+                    reply = self._node._handle(message_type, body)
+                    frames.send(MessageType.OK, reply)
                 except GroupCommunicationError as exc:
                     try:
                         frames.send(MessageType.ERROR, encode_error(exc))
@@ -1066,13 +303,28 @@ class SocketGroupTransport:
                 if frames in self._inbound:
                     self._inbound.remove(frames)
 
-    def _handle_view(self, body: dict) -> dict:
-        self._install_view(body)
-        return {}
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "running" if self.is_running else ("dead" if self._dead else "new")
-        return f"SocketGroupTransport({self.address}, {state})"
+class SocketGroupTransport(GroupNode):
+    """One node of a TCP group network: the group protocol over a :class:`_TcpLink`."""
+
+    def __init__(
+        self,
+        bind_host: str = "127.0.0.1",
+        bind_port: int = 0,
+        peers: Sequence[str] = (),
+        heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
+        heartbeat_threshold: int = DEFAULT_HEARTBEAT_THRESHOLD,
+        rpc_timeout: float = DEFAULT_RPC_TIMEOUT,
+        name: Optional[str] = None,
+    ):
+        super().__init__(
+            _TcpLink(bind_host, bind_port, rpc_timeout, heartbeat_interval),
+            peers=list(peers),
+            heartbeat_interval=heartbeat_interval,
+            heartbeat_threshold=heartbeat_threshold,
+            name=name or "socket-node",
+        )
+        self.rpc_timeout = rpc_timeout
 
 
 __all__ = [

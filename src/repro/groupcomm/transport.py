@@ -1,47 +1,88 @@
-"""In-process group transport: membership, total order, failure injection.
+"""The memory link: the group protocol between nodes of one process.
 
-The transport is the shared medium all channels of one "network" attach to.
-Total order is obtained with a per-group sequencer (a lock around sequence
-assignment + synchronous delivery in sequence order), the approach JGroups'
-SEQUENCER protocol uses.  Delivery is synchronous and reliable: a multicast
-returns once every live member has processed the message, which mirrors the
-blocking group RPC the C-JDBC distributed request manager performs before
-acknowledging a write.
+A :class:`GroupTransport` is a network of :class:`~repro.groupcomm.node.
+GroupNode` s — one per member — joined by :class:`_MemoryLink`: a dict
+``address -> node`` whose ``call`` runs the peer's handler in the caller's
+thread.  **One protocol rule:** there is no ordering, view numbering or
+delivery logic here; joins, multicasts and failures run the same sequencer
+protocol the TCP nodes of :mod:`repro.groupcomm.socket_transport` run
+(redirects, view installation, re-election, the payload wire codec), only
+synchronously and without a thread, a socket or a sleep — which makes this
+the place to inject delivery order, drops and crashes deterministically.
 
-Failure injection: a member can be killed (``fail_member``), which removes
-it from every group and triggers view changes, or the transport can drop
-messages to specific members (``partition``) to simulate network failures in
-tests.
+Failure injection: :meth:`GroupTransport.fail_member` crashes a member's node
+and walks the survivors through the protocol's suspicion path on the spot;
+:meth:`GroupTransport.partition` drops messages to specific members.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.errors import GroupCommunicationError
 from repro.groupcomm.message import GroupMessage, ViewChange
+from repro.groupcomm.node import GroupNode, _RpcTransportError
+from repro.net.protocol import MessageType
+
+
+class _MemoryLink:
+    """A node's attachment to the wire: a dict of every live node by address."""
+
+    kind = "inproc"
+
+    def __init__(self, wire: Dict[str, GroupNode], address: str):
+        self._wire = wire
+        self.address = address
+
+    def open(self, node: GroupNode) -> None:
+        self._wire[self.address] = node
+
+    def close(self) -> None:
+        self._wire.pop(self.address, None)
+
+    def call(self, address: str, message_type: MessageType, body: dict) -> dict:
+        peer = self._wire.get(address)
+        # a crashed node neither answers nor gets anything out
+        if peer is None or self.address not in self._wire:
+            raise _RpcTransportError(f"cannot reach group node at {address}")
+        return peer._handle(message_type, body)
+
+    def probe(self, address: str) -> bool:
+        return address in self._wire and self.address in self._wire
+
+    def beacon(self, address: str) -> bool:
+        return False  # no clock runs the failure detector here: see fail_member
+
+    def drop(self, address: str) -> None:
+        pass  # nothing is cached per peer
 
 
 class GroupTransport:
-    """Shared medium connecting group channels."""
+    """An in-process group network: one protocol node per member."""
 
     def __init__(self, name: str = "transport"):
         self.name = name
-        self._lock = threading.RLock()
-        #: group name -> member name -> delivery callback
-        self._groups: Dict[str, Dict[str, Callable[[GroupMessage], None]]] = {}
-        #: group name -> member name -> view-change callback
-        self._view_listeners: Dict[str, Dict[str, Callable[[ViewChange], None]]] = {}
-        #: per-group sequence counters (the sequencer)
-        self._sequences: Dict[str, int] = {}
-        self._view_ids: Dict[str, int] = {}
-        #: members considered dead (failure injection)
-        self._failed_members: Set[str] = set()
-        #: (sender, receiver) pairs whose messages are dropped
-        self._partitions: Set[tuple] = set()
-        self.messages_sent = 0
-        self.messages_delivered = 0
+        self._lock = threading.Lock()
+        #: address -> live node: what the memory links dial through
+        self._wire: Dict[str, GroupNode] = {}
+        #: member name -> the node hosting it (a failed member gets a fresh one)
+        self._nodes: Dict[str, GroupNode] = {}
+        #: every node ever created, so the aggregate counters never go back
+        self._all_nodes: List[GroupNode] = []
+        self._ports = itertools.count(1)
+
+    def node(self, member: str) -> GroupNode:
+        """The protocol node hosting ``member`` (on the wire once it joins a group)."""
+        with self._lock:
+            node = self._nodes.get(member)
+            if node is None:
+                # addresses ascend in creation order, so the longest-standing
+                # node is the derived sequencer, as on a TCP network
+                link = _MemoryLink(self._wire, f"inproc:{next(self._ports)}")
+                node = self._nodes[member] = GroupNode(link, peers=self._wire, name=member)
+                self._all_nodes.append(node)
+            return node
 
     # -- membership ----------------------------------------------------------------
 
@@ -53,57 +94,46 @@ class GroupTransport:
         on_view_change: Optional[Callable[[ViewChange], None]] = None,
     ) -> List[str]:
         """Add ``member`` to ``group``; returns the new membership view."""
-        with self._lock:
-            if member in self._failed_members:
-                self._failed_members.discard(member)
-            members = self._groups.setdefault(group, {})
-            if member in members:
-                raise GroupCommunicationError(
-                    f"member {member!r} already joined group {group!r}"
-                )
-            members[member] = on_message
-            if on_view_change is not None:
-                self._view_listeners.setdefault(group, {})[member] = on_view_change
-            view = sorted(members)
-            self._notify_view_change(group, joined=[member], left=[])
-            return view
+        return self.node(member).join(group, member, on_message, on_view_change)
 
     def leave(self, group: str, member: str) -> None:
-        with self._lock:
-            members = self._groups.get(group, {})
-            if member in members:
-                del members[member]
-                self._view_listeners.get(group, {}).pop(member, None)
-                self._notify_view_change(group, joined=[], left=[member])
+        self.node(member).leave(group, member)
 
     def members(self, group: str) -> List[str]:
-        with self._lock:
-            return sorted(self._groups.get(group, {}))
+        """The group's membership, as its sequencer sees it."""
+        for node in list(self._wire.values()):
+            if node._local.get(group):
+                return node.members(group)
+        return []
 
     # -- failure injection --------------------------------------------------------------
 
     def fail_member(self, member: str) -> None:
-        """Simulate the crash of ``member``: drop it from every group."""
+        """Simulate the crash of ``member``: kill its node, let survivors notice.
+
+        What the heartbeat monitor does over TCP after a few silent
+        intervals happens here at once: every survivor runs the protocol's
+        suspicion path (probe, escalate to the lowest survivor, evict, push
+        the new view) before this returns.
+        """
         with self._lock:
-            self._failed_members.add(member)
-            for group, members in self._groups.items():
-                if member in members:
-                    del members[member]
-                    self._view_listeners.get(group, {}).pop(member, None)
-                    self._notify_view_change(group, joined=[], left=[member])
+            node = self._nodes.pop(member, None)
+        if node is None:
+            return
+        node.kill()
+        for group in list(node._local):
+            for survivor in list(self._wire.values()):
+                survivor._report_suspect(group, node.address)
 
     def heal_member(self, member: str) -> None:
-        with self._lock:
-            self._failed_members.discard(member)
+        """Nothing to heal: a failed member comes back by joining again."""
 
     def partition(self, sender: str, receiver: str) -> None:
         """Drop messages from ``sender`` to ``receiver`` (one direction)."""
-        with self._lock:
-            self._partitions.add((sender, receiver))
+        self.node(receiver).partition(sender, receiver)
 
     def heal_partition(self, sender: str, receiver: str) -> None:
-        with self._lock:
-            self._partitions.discard((sender, receiver))
+        self.node(receiver).heal_partition(sender, receiver)
 
     # -- messaging ---------------------------------------------------------------------
 
@@ -115,92 +145,32 @@ class GroupTransport:
         default), which the distributed request manager relies on to apply
         writes locally in the same total order as everywhere else.
         """
-        with self._lock:
-            members = self._groups.get(group)
-            if not members or sender not in members:
-                raise GroupCommunicationError(
-                    f"sender {sender!r} is not a member of group {group!r}"
-                )
-            sequence = self._sequences.get(group, 0) + 1
-            self._sequences[group] = sequence
-            message = GroupMessage(group=group, sender=sender, payload=payload, sequence=sequence)
-            self.messages_sent += 1
-            # Snapshot the delivery targets while holding the sequencer lock so
-            # concurrent multicasts deliver in sequence order at every member.
-            targets = [
-                (name, callback)
-                for name, callback in sorted(members.items())
-                if (sender, name) not in self._partitions
-            ]
-            errors = []
-            for name, callback in targets:
-                try:
-                    callback(message)
-                    self.messages_delivered += 1
-                except Exception as exc:  # noqa: BLE001 - collect member failures
-                    errors.append((name, exc))
-            if errors:
-                raise GroupCommunicationError(
-                    f"delivery failed at members {[name for name, _ in errors]}: {errors[0][1]}"
-                )
-            return message
+        return self.node(sender).multicast(group, sender, payload)
 
     def send_to(self, group: str, sender: str, receiver: str, payload: Any) -> Any:
         """Point-to-point message within a group (used for state transfer)."""
-        with self._lock:
-            members = self._groups.get(group, {})
-            callback = members.get(receiver)
-            if callback is None:
-                raise GroupCommunicationError(
-                    f"member {receiver!r} is not in group {group!r}"
-                )
-            if (sender, receiver) in self._partitions:
-                raise GroupCommunicationError(
-                    f"network partition between {sender!r} and {receiver!r}"
-                )
-            message = GroupMessage(group=group, sender=sender, payload=payload, sequence=None)
-            self.messages_sent += 1
-        callback(message)
-        self.messages_delivered += 1
-        return message
+        return self.node(sender).send_to(group, sender, receiver, payload)
 
     # -- monitoring -------------------------------------------------------------------------
 
+    @property
+    def messages_sent(self) -> int:
+        return sum(node.messages_sent for node in self._all_nodes)
+
+    @property
+    def messages_delivered(self) -> int:
+        return sum(node.messages_delivered for node in self._all_nodes)
+
     def describe(self) -> dict:
-        """Transport status for the console's ``group`` command."""
-        with self._lock:
-            groups = {
-                group: {
-                    "members": sorted(members),
-                    "view_id": self._view_ids.get(group, 0),
-                    "sequence": self._sequences.get(group, 0),
-                    # the in-process medium itself is the (only) sequencer
-                    "sequencer": self.name,
-                    "is_sequencer": True,
-                }
-                for group, members in self._groups.items()
-            }
-            return {
-                "transport": "inproc",
-                "groups": groups,
-                "messages_sent": self.messages_sent,
-                "messages_delivered": self.messages_delivered,
-            }
-
-    # -- internals --------------------------------------------------------------------------
-
-    def _notify_view_change(self, group: str, joined: List[str], left: List[str]) -> None:
-        view_id = self._view_ids.get(group, 0) + 1
-        self._view_ids[group] = view_id
-        view = ViewChange(
-            group=group,
-            members=sorted(self._groups.get(group, {})),
-            joined=joined,
-            left=left,
-            view_id=view_id,
-        )
-        for listener in list(self._view_listeners.get(group, {}).values()):
-            try:
-                listener(view)
-            except Exception:  # noqa: BLE001 - view listeners must not break membership
-                pass
+        """Network status for the console's ``group`` command."""
+        groups = {}
+        for node in list(self._wire.values()):
+            for group, status in node.describe()["groups"].items():
+                if status["is_sequencer"]:
+                    groups[group] = dict(status, members=sorted(status["members"]))
+        return {
+            "transport": "inproc",
+            "groups": groups,
+            "messages_sent": self.messages_sent,
+            "messages_delivered": self.messages_delivered,
+        }

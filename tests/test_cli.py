@@ -192,6 +192,46 @@ class TestConfigCommands:
         out = io.StringIO()
         assert main(["check-config", str(config)], stdout=out) == 0
         assert out.getvalue().count("interceptors: metrics") == 2
+        # one line per replicated vdb, not per controller; no group: section
+        # means the in-process link
+        assert out.getvalue().count("  group: ") == 1
+        assert "  group: ccg over inproc\n" in out.getvalue()
+
+    def test_check_config_reports_tcp_group_section(self, tmp_path):
+        import json
+
+        config = tmp_path / "tcpgroup.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "virtual_databases": [
+                        {
+                            "name": "cctdb",
+                            "group_name": "cct",
+                            "backends": ["db"],
+                            "group": {
+                                "transport": "tcp",
+                                "heartbeat_interval": 0.25,
+                                "heartbeat_threshold": 4,
+                                "rpc_timeout": 2.5,
+                                "members": {"cct-a": "127.0.0.1:0"},
+                            },
+                        },
+                        {"name": "plain", "backends": ["pdb"]},
+                    ],
+                    "controllers": [
+                        {"name": "cct-a", "virtual_databases": ["cctdb", "plain"]}
+                    ],
+                }
+            )
+        )
+        out = io.StringIO()
+        assert main(["check-config", str(config)], stdout=out) == 0
+        assert (
+            "  group: cct over tcp (members: cct-a=127.0.0.1:0;"
+            " heartbeat 0.25s x 4; rpc_timeout 2.5s)\n"
+        ) in out.getvalue()
+        assert out.getvalue().count("  group: ") == 1  # `plain` is not replicated
 
     def test_check_config_reports_scheduler(self, tmp_path):
         path = tmp_path / "cluster.json"

@@ -234,6 +234,59 @@ class TestDescriptorBoot:
             cluster.virtual_database("hosted", controller="other-ctrl")
 
 
+class TestInprocGroupFailure:
+    """Grouped vdbs over the memory link run the real protocol: crash the sequencer."""
+
+    @pytest.mark.parametrize("controllers", [2, 3])
+    def test_replication_survives_failing_the_sequencers_controller(self, controllers):
+        from repro.bench.chaos import digest_mismatches
+
+        names = [f"ipf{controllers}-{chr(97 + i)}" for i in range(controllers)]
+        cluster = load_cluster(
+            {
+                "virtual_databases": [
+                    {
+                        "name": f"ipfdb{controllers}",
+                        "group_name": f"ipf{controllers}",
+                        "group": {"transport": "inproc"},
+                        "backends": ["e0", "e1"],
+                    }
+                ],
+                "controllers": [{"name": name} for name in names],
+            }
+        )
+        try:
+            connection = cluster.connect(f"ipfdb{controllers}")
+            connection.execute("CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(10))")
+            connection.execute("INSERT INTO t VALUES (1, 'before')")
+            assert digest_mismatches(cluster.engines) == []
+            # the first controller's node has the lowest address: the sequencer
+            status = cluster.transport.describe()["groups"][f"ipf{controllers}"]
+            assert status["sequencer"] == cluster.group_nodes[names[0]].address
+            sequence_before = status["sequence"]
+
+            cluster.controller(names[0]).shutdown()
+            cluster.transport.fail_member(names[0])
+
+            connection.execute("INSERT INTO t VALUES (2, 'after')")
+            assert connection.failovers >= 1
+            survivors = {
+                name: engine
+                for name, engine in cluster.engines.items()
+                if not name.startswith(f"{names[0]}/")
+            }
+            assert len(survivors) == 2 * (controllers - 1)
+            assert all(engine.row_count("t") == 2 for engine in survivors.values())
+            assert digest_mismatches(survivors) == []
+            assert cluster.engine(f"{names[0]}/e0").row_count("t") == 1
+            status = cluster.transport.describe()["groups"][f"ipf{controllers}"]
+            assert status["members"] == names[1:]
+            assert status["sequencer"] == cluster.group_nodes[names[1]].address
+            assert status["sequence"] > sequence_before  # numbering continued
+        finally:
+            cluster.shutdown()
+
+
 def tcp_group_descriptor(suffix: str, retry=None) -> dict:
     vdb = {
         "name": f"tgdb{suffix}",
