@@ -34,12 +34,7 @@ from repro.cluster import (
     load_descriptor,
     parse_url,
 )
-from repro.core import (
-    BackendConfig,
-    Controller,
-    VirtualDatabaseConfig,
-    build_virtual_database,
-)
+from repro.core import BackendConfig, Controller, VirtualDatabaseConfig
 
 __version__ = "1.1.0"
 
@@ -51,7 +46,6 @@ __all__ = [
     "ControllerRegistry",
     "VirtualDatabaseConfig",
     "__version__",
-    "build_virtual_database",
     "connect",
     "default_registry",
     "load_cluster",

@@ -17,9 +17,14 @@ invariants:
 * **failover latency** — the time from fault activation to the detector
   disabling the backend is measured and reported.
 
+Every scenario stands its cluster up the way a deployment does: it writes a
+descriptor and boots it through :class:`repro.cluster.Cluster`
+(:mod:`repro.cluster.fixture` builds the document and holds the invariant
+checks, re-exported here).
+
 Scenarios are seeded: the fault schedules and workloads replay identically
 for a given seed.  ``scale`` shrinks operation counts for smoke runs (the
-``bench_smoke`` tier-1 marker runs three tiny scenarios on every PR).
+``bench_smoke`` tier-1 marker runs :data:`CHAOS_SMOKE_SCENARIOS` on every PR).
 
 Run from the command line::
 
@@ -30,60 +35,32 @@ Run from the command line::
 
 from __future__ import annotations
 
-import hashlib
-import itertools
-import json
 import threading
 import time
 from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster import Cluster
-from repro.cluster.registry import ControllerRegistry
-from repro.core import BackendConfig, VirtualDatabaseConfig
+from repro.cluster.facade import Cluster, connect
+from repro.cluster.fixture import (
+    boot,
+    check_acked,
+    descriptor,
+    digest_mismatches,
+    seed_kv,
+    table_digests,
+    wait_until,
+)
+from repro.core.retry import RetryPolicy
+from repro.core.virtualdb import VirtualDatabase
 from repro.errors import CJDBCError
+from repro.isolation import run_random_mix
+from repro.net.client import connect_remote
 from repro.sql import DatabaseEngine
-from repro.sql.metadata import DatabaseMetaData
-
-#: distinguishes chaos controller names across scenarios and test sessions
-_LABELS = itertools.count(1)
-
 
 # ---------------------------------------------------------------------------
 # invariant helpers
 # ---------------------------------------------------------------------------
-
-
-def table_digests(engine: DatabaseEngine) -> Dict[str, str]:
-    """Order-independent per-table content digest of one engine."""
-    digests: Dict[str, str] = {}
-    for table in sorted(DatabaseMetaData(engine).get_table_names()):
-        rows = engine.dump_table_rows(table)
-        canonical = sorted(
-            json.dumps(row, sort_keys=True, default=str) for row in rows
-        )
-        digests[table] = hashlib.sha256("\n".join(canonical).encode()).hexdigest()
-    return digests
-
-
-def digest_mismatches(engines: Dict[str, DatabaseEngine]) -> List[str]:
-    """Human-readable divergences between the given engines (empty = equal)."""
-    if len(engines) < 2:
-        return []
-    names = sorted(engines)
-    reference_name = names[0]
-    reference = table_digests(engines[reference_name])
-    problems: List[str] = []
-    for name in names[1:]:
-        digests = table_digests(engines[name])
-        tables = set(reference) | set(digests)
-        for table in sorted(tables):
-            if reference.get(table) != digests.get(table):
-                problems.append(
-                    f"table {table!r} diverged between {reference_name!r} and {name!r}"
-                )
-    return problems
 
 
 class BackendStateLog:
@@ -144,226 +121,112 @@ class ChaosResult:
 
 
 # ---------------------------------------------------------------------------
-# cluster scaffolding
+# cluster scaffolding: every scenario boots a descriptor (repro.cluster.fixture)
 # ---------------------------------------------------------------------------
 
 
-class _ChaosCluster:
-    """One disposable RAIDb cluster with a ``kv`` schema and genesis dumps."""
-
-    def __init__(
-        self,
-        backends: int = 3,
-        replication: str = "raidb1",
-        wait_for_completion: str = "all",
-        read_error_threshold: int = 3,
-        auto_resync: bool = False,
-        seed_rows: int = 10,
-    ):
-        label = f"chaos{next(_LABELS)}"
-        self.engines: Dict[str, DatabaseEngine] = {
-            f"b{i}": DatabaseEngine(f"{label}-b{i}") for i in range(backends)
-        }
-        config = VirtualDatabaseConfig(
-            name=label,
-            backends=[
-                BackendConfig(name=name, engine=engine)
-                for name, engine in self.engines.items()
-            ],
-            replication=replication,
-            wait_for_completion=wait_for_completion,
-            recovery_log="memory",
-            read_error_threshold=read_error_threshold,
-            auto_resync=auto_resync,
-        )
-        # a private registry keeps chaos controllers out of the process-wide one
-        self.cluster = Cluster.from_configs(
-            config, controller_name=label, registry=ControllerRegistry()
-        )
-        self.vdb = self.cluster.virtual_database(label)
-        self.manager = self.vdb.request_manager
-        self.manager.execute("CREATE TABLE kv (k INT PRIMARY KEY, v VARCHAR(40))")
-        for key in range(seed_rows):
-            self.manager.execute(
-                "INSERT INTO kv (k, v) VALUES (?, ?)", (key, f"seed-{key}")
-            )
-        # genesis dump per backend so re-integration has a restore point
-        for name in self.engines:
-            self.vdb.checkpoint_backend(name, name=f"genesis-{label}-{name}")
-        self.state_log = BackendStateLog(self.vdb.backends)
-
-    def injector(self, backend_name: str, seed: int = 0):
-        return self.vdb.fault_injector(backend_name, seed=seed)
-
-    def enabled_engines(self) -> Dict[str, DatabaseEngine]:
-        return {
-            backend.name: self.engines[backend.name]
-            for backend in self.vdb.backends
-            if backend.is_enabled and backend.name in self.engines
-        }
-
-    def check_acked(self, acked: Dict[int, str], violations: List[str]) -> None:
-        """Every acknowledged write must be visible on every enabled backend."""
-        for name, engine in self.enabled_engines().items():
-            rows = {
-                row["k"]: row["v"] for row in engine.dump_table_rows("kv")
-            }
-            for key, value in sorted(acked.items()):
-                if rows.get(key) != value:
-                    violations.append(
-                        f"committed write k={key} (v={value!r}) lost on enabled"
-                        f" backend {name!r} (found {rows.get(key)!r})"
-                    )
-
-    def check_convergence(self, violations: List[str]) -> None:
-        violations.extend(digest_mismatches(self.enabled_engines()))
-
-    def failover_latency(self, fault_armed_at: float) -> Optional[float]:
-        events = self.vdb.failure_detector.events
-        if not events:
-            return None
-        return max(0.0, events[0]["at"] - fault_armed_at)
-
-    def shutdown(self) -> None:
-        self.cluster.shutdown()
+def _boot_kv_cluster(backends: int, **descriptor_keys) -> Tuple[Cluster, VirtualDatabase]:
+    """One shared RAIDb vdb with the ``kv`` seed and a genesis dump per backend."""
+    cluster = boot(descriptor("chaos", backends, **descriptor_keys))
+    vdb = cluster.virtual_database(cluster.name)
+    seed_kv(vdb.request_manager.execute, 10)
+    # genesis dump per backend so re-integration has a restore point
+    for name in cluster.engines:
+        vdb.checkpoint_backend(name, name=f"genesis-{cluster.name}-{name}")
+    return cluster, vdb
 
 
-def _wait_until(predicate: Callable[[], bool], timeout: float = 5.0) -> bool:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.01)
-    return predicate()
+def _enabled_engines(cluster: Cluster, vdb: VirtualDatabase) -> Dict[str, DatabaseEngine]:
+    return {
+        backend.name: cluster.engines[backend.name]
+        for backend in vdb.backends
+        if backend.is_enabled
+    }
 
 
-class _SocketGroupCluster:
-    """N controllers synchronized over real TCP group nodes, each with a TCP front-end.
+def _check_enabled_replicas(
+    cluster: Cluster, vdb: VirtualDatabase, acked: Dict[int, str], violations: List[str]
+) -> None:
+    """No committed write lost, and convergence, over the enabled backends."""
+    engines = _enabled_engines(cluster, vdb)
+    check_acked(engines, acked, violations)
+    violations.extend(digest_mismatches(engines))
 
-    The controller-crash scenarios' scaffolding: every controller gets its
-    own backend engine, its own :class:`SocketGroupTransport` node (fast
-    heartbeats so failure detection fits a smoke run) and its own
-    :class:`ControllerServer`, so killing one controller severs its clients
-    *and* its group membership at once — the multi-process §4.1 topology in
-    one process.
+
+def _failover_latency(vdb: VirtualDatabase, fault_armed_at: float) -> Optional[float]:
+    events = vdb.failure_detector.events
+    if not events:
+        return None
+    return max(0.0, events[0]["at"] - fault_armed_at)
+
+
+#: group name of every grouped chaos vdb (each cluster runs its own group
+#: nodes, so the name never crosses clusters)
+_GROUP = "chaos-group"
+
+
+def _tcp_group_descriptor() -> dict:
+    """Three controllers replicating one vdb over TCP group nodes, a front-end each.
+
+    The multi-process §4.1 topology in one process: every controller has its
+    own backend engine, its own socket group node (fast heartbeats so failure
+    detection fits a smoke run) and its own TCP front-end, so killing one
+    controller severs its clients *and* its group membership at once.
     """
+    return descriptor(
+        "chaosgrp",
+        1,
+        controllers=3,
+        listen=True,
+        group_name=_GROUP,
+        group={
+            "transport": "tcp",
+            "heartbeat_interval": 0.05,
+            "heartbeat_threshold": 3,
+            "rpc_timeout": 5.0,
+        },
+    )
 
-    HEARTBEAT_INTERVAL = 0.05
-    HEARTBEAT_THRESHOLD = 3
 
-    def __init__(self, controllers: int = 3, label: Optional[str] = None):
-        self.label = label or f"chaosgrp{next(_LABELS)}"
-        self.db_name = f"{self.label}-db"
-        self.group_name = f"{self.label}-group"
-        self.engines: Dict[str, DatabaseEngine] = {}
-        self.nodes: Dict[str, object] = {}
-        self.replicas: Dict[str, object] = {}
-        self.controllers: Dict[str, object] = {}
-        self.servers: Dict[str, object] = {}
-        #: server dial addresses in creation order (the client failover list)
-        self.addresses: List[str] = []
-        for index in range(controllers):
-            self.add_controller(f"{self.label}-{chr(97 + index)}", state_transfer=index > 0)
+def _sequencer(cluster: Cluster) -> str:
+    """The controller whose live group node holds the sequencer role."""
+    return next(
+        name
+        for name, node in cluster.group_nodes.items()
+        if node.is_running and node.describe()["groups"][_GROUP]["is_sequencer"]
+    )
 
-    def add_controller(self, name: str, state_transfer: bool = True) -> str:
-        """Boot one controller and join it to the group (live when peers run)."""
-        from repro.core.config import build_virtual_database
-        from repro.core.controller import Controller
-        from repro.distrib import DistributedVirtualDatabase
-        from repro.groupcomm import SocketGroupTransport
-        from repro.net.server import ControllerServer
 
-        peers = [node.address for node in self.nodes.values() if node.is_running]
-        engine = DatabaseEngine(f"{name}-engine")
-        config = VirtualDatabaseConfig(
-            name=self.db_name,
-            backends=[BackendConfig(name="b0", engine=engine)],
-            recovery_log="memory",
-        )
-        node = SocketGroupTransport(
-            peers=peers,
-            heartbeat_interval=self.HEARTBEAT_INTERVAL,
-            heartbeat_threshold=self.HEARTBEAT_THRESHOLD,
-            rpc_timeout=5.0,
-            name=name,
-        )
-        node.start()
-        replica = DistributedVirtualDatabase(
-            build_virtual_database(config), node, controller_name=name,
-            group_name=self.group_name,
-        )
-        replica.join_group(state_transfer=state_transfer)
-        controller = Controller(name, register=False)
-        controller.add_virtual_database(replica)
-        server = ControllerServer(controller)
-        address = "%s:%d" % server.start()
-        self.engines[name] = engine
-        self.nodes[name] = node
-        self.replicas[name] = replica
-        self.controllers[name] = controller
-        self.servers[name] = server
-        self.addresses.append(address)
-        return address
+def _kill_controller(cluster: Cluster, name: str) -> None:
+    """Hard-crash one controller: front-end and group node, no goodbye."""
+    cluster.servers[name].kill()
+    cluster.group_nodes[name].kill()
 
-    def sequencer_name(self) -> str:
-        """The controller whose node holds the group's sequencer role."""
-        def order(item):
-            host, _, port = item[1].address.rpartition(":")
-            return (host, int(port))
 
-        live = [item for item in self.nodes.items() if item[1].is_running]
-        return min(live, key=order)[0]
+def _live_replicas(*clusters: Cluster) -> Dict[str, object]:
+    """Controller name -> replica, for every controller whose group node runs."""
+    return {
+        controller: replica
+        for cluster in clusters
+        for (controller, _), replica in cluster.replicas.items()
+        if cluster.group_nodes[controller].is_running
+    }
 
-    def kill_controller(self, name: str) -> None:
-        """Hard-crash one controller: front-end and group node, no goodbye."""
-        self.servers[name].stop(drain=False)
-        self.nodes[name].kill()
 
-    def forget_controller(self, name: str) -> None:
-        """Drop a killed controller's objects so the name can rejoin fresh."""
-        address = self.servers[name].url_authority
-        if address in self.addresses:
-            self.addresses.remove(address)
-        for registry in (self.engines, self.nodes, self.replicas, self.controllers, self.servers):
-            registry.pop(name, None)
+def _live_engines(*clusters: Cluster) -> Dict[str, DatabaseEngine]:
+    return {
+        controller: cluster.engines[f"{controller}/b0"]
+        for cluster in clusters
+        for controller in _live_replicas(cluster)
+    }
 
-    def live_replicas(self) -> Dict[str, object]:
-        return {
-            name: replica
-            for name, replica in self.replicas.items()
-            if self.nodes[name].is_running
-        }
 
-    def live_engines(self) -> Dict[str, DatabaseEngine]:
-        return {
-            name: self.engines[name]
-            for name in self.replicas
-            if self.nodes[name].is_running
-        }
-
-    def check_acked(self, acked: Dict[int, str], violations: List[str]) -> None:
-        """Every acknowledged write must be on every surviving controller."""
-        for name, engine in self.live_engines().items():
-            rows = {row["k"]: row["v"] for row in engine.dump_table_rows("kv")}
-            for key, value in sorted(acked.items()):
-                if rows.get(key) != value:
-                    violations.append(
-                        f"committed write k={key} (v={value!r}) lost on surviving"
-                        f" controller {name!r} (found {rows.get(key)!r})"
-                    )
-
-    def shutdown(self) -> None:
-        for server in self.servers.values():
-            if server.is_running:
-                server.stop(drain=False)
-        for name, replica in self.replicas.items():
-            if self.nodes[name].is_running:
-                try:
-                    replica.close()
-                except CJDBCError:  # pragma: no cover - best-effort teardown
-                    pass
-        for node in self.nodes.values():
-            node.stop()
+def _views_converged(replicas: Dict[str, object]) -> bool:
+    """Wait until every given replica's view holds exactly the given controllers."""
+    return wait_until(
+        lambda: all(set(replica.group_members) == set(replicas) for replica in replicas.values()),
+        timeout=10.0,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -379,15 +242,16 @@ def scenario_crash_mid_transaction(seed: int, scale: float = 1.0) -> ChaosResult
     recovery log.
     """
     result = ChaosResult("crash_mid_transaction", seed)
-    chaos = _ChaosCluster(backends=3)
+    cluster, vdb = _boot_kv_cluster(3)
     try:
-        manager = chaos.manager
+        manager = vdb.request_manager
+        state_log = BackendStateLog(vdb.backends)
         acked: Dict[int, str] = {}
         tid = manager.begin("chaos")
         manager.execute(
             "INSERT INTO kv (k, v) VALUES (?, ?)", (1000, "txn-a"), transaction_id=tid
         )
-        injector = chaos.injector("b2", seed=seed)
+        injector = vdb.fault_injector("b2", seed=seed)
         armed_at = time.monotonic()
         injector.crash()
         # this write fails on b2 -> detector disables it mid-transaction
@@ -404,25 +268,24 @@ def scenario_crash_mid_transaction(seed: int, scale: float = 1.0) -> ChaosResult
         # a post-failure read must not come from the disabled backend
         read_started = time.monotonic()
         read = manager.execute("SELECT v FROM kv WHERE k = ?", (1000,))
-        if chaos.state_log.served_while_disabled(
+        if state_log.served_while_disabled(
             read.backend_name, read_started, time.monotonic()
         ):
             result.violations.append(
                 f"read served by disabled backend {read.backend_name!r}"
             )
         injector.recover()
-        replayed = chaos.vdb.resynchronize_backend("b2")
-        chaos.check_acked(acked, result.violations)
-        chaos.check_convergence(result.violations)
+        replayed = vdb.resynchronize_backend("b2")
+        _check_enabled_replicas(cluster, vdb, acked, result.violations)
         result.details.update(
             {
                 "replayed": replayed,
-                "failover_latency_s": chaos.failover_latency(armed_at),
-                "detector_events": len(chaos.vdb.failure_detector.events),
+                "failover_latency_s": _failover_latency(vdb, armed_at),
+                "detector_events": len(vdb.failure_detector.events),
             }
         )
     finally:
-        chaos.shutdown()
+        cluster.shutdown()
     return result
 
 
@@ -433,10 +296,10 @@ def scenario_crash_mid_batch(seed: int, scale: float = 1.0) -> ChaosResult:
     backend is disabled, and replay re-executes the batches atomically.
     """
     result = ChaosResult("crash_mid_batch", seed)
-    chaos = _ChaosCluster(backends=3)
+    cluster, vdb = _boot_kv_cluster(3)
     try:
-        manager = chaos.manager
-        injector = chaos.injector("b1", seed=seed)
+        manager = vdb.request_manager
+        injector = vdb.fault_injector("b1", seed=seed)
         # crash on b1's second batch execution, deterministically
         injector.inject("crash", after_n_ops=2, operations=("executemany",))
         armed_at = time.monotonic()
@@ -455,18 +318,17 @@ def scenario_crash_mid_batch(seed: int, scale: float = 1.0) -> ChaosResult:
         if manager.get_backend("b1").is_enabled:
             result.violations.append("b1 still enabled after failing a batch")
         injector.recover()
-        replayed = chaos.vdb.resynchronize_backend("b1")
-        chaos.check_acked(acked, result.violations)
-        chaos.check_convergence(result.violations)
+        replayed = vdb.resynchronize_backend("b1")
+        _check_enabled_replicas(cluster, vdb, acked, result.violations)
         result.details.update(
             {
                 "batches": batch,
                 "replayed": replayed,
-                "failover_latency_s": chaos.failover_latency(armed_at),
+                "failover_latency_s": _failover_latency(vdb, armed_at),
             }
         )
     finally:
-        chaos.shutdown()
+        cluster.shutdown()
     return result
 
 
@@ -478,10 +340,11 @@ def scenario_transient_error_storm(seed: int, scale: float = 1.0) -> ChaosResult
     disabled, and after the storm clears it is re-integrated.
     """
     result = ChaosResult("transient_error_storm", seed)
-    chaos = _ChaosCluster(backends=3, read_error_threshold=3)
+    cluster, vdb = _boot_kv_cluster(3, failure_detector={"read_error_threshold": 3})
     try:
-        manager = chaos.manager
-        injector = chaos.injector("b0", seed=seed)
+        manager = vdb.request_manager
+        state_log = BackendStateLog(vdb.backends)
+        injector = vdb.fault_injector("b0", seed=seed)
         injector.inject(
             "error", probability=0.6, match_sql="SELECT", operations=("execute",)
         )
@@ -510,7 +373,7 @@ def scenario_transient_error_storm(seed: int, scale: float = 1.0) -> ChaosResult
                     read = manager.execute(
                         "SELECT v FROM kv WHERE k = ?", (rng.randrange(10),)
                     )
-                    if chaos.state_log.served_while_disabled(
+                    if state_log.served_while_disabled(
                         read.backend_name, started, time.monotonic()
                     ):
                         result.violations.append(
@@ -527,16 +390,15 @@ def scenario_transient_error_storm(seed: int, scale: float = 1.0) -> ChaosResult
             result.violations.append(
                 "b0 still enabled after exceeding the read-error threshold"
             )
-        events = chaos.vdb.failure_detector.events
+        events = vdb.failure_detector.events
         if events and events[0]["kind"] != "read":
             result.violations.append(
                 f"expected a read-threshold disable, got {events[0]['kind']!r}"
             )
         injector.clear()
         injector.recover()
-        replayed = chaos.vdb.resynchronize_backend("b0")
-        chaos.check_acked(acked, result.violations)
-        chaos.check_convergence(result.violations)
+        replayed = vdb.resynchronize_backend("b0")
+        _check_enabled_replicas(cluster, vdb, acked, result.violations)
         balancer = manager.load_balancer
         result.details.update(
             {
@@ -544,11 +406,11 @@ def scenario_transient_error_storm(seed: int, scale: float = 1.0) -> ChaosResult
                 "read_failovers": balancer.read_failovers,
                 "faults_injected": injector.statistics()["faults_injected"],
                 "replayed": replayed,
-                "failover_latency_s": chaos.failover_latency(armed_at),
+                "failover_latency_s": _failover_latency(vdb, armed_at),
             }
         )
     finally:
-        chaos.shutdown()
+        cluster.shutdown()
     return result
 
 
@@ -560,10 +422,10 @@ def scenario_slow_backend_first_policy(seed: int, scale: float = 1.0) -> ChaosRe
     backend is disabled: slow is degraded, not failed.
     """
     result = ChaosResult("slow_backend_first_policy", seed)
-    chaos = _ChaosCluster(backends=3, wait_for_completion="first")
+    cluster, vdb = _boot_kv_cluster(3, wait_for_completion="first")
     try:
-        manager = chaos.manager
-        injector = chaos.injector("b2", seed=seed)
+        manager = vdb.request_manager
+        injector = vdb.fault_injector("b2", seed=seed)
         delay_ms = 25.0
         injector.inject("latency", latency_ms=delay_ms, operations=("execute",))
         writes = max(int(8 * scale), 4)
@@ -580,16 +442,12 @@ def scenario_slow_backend_first_policy(seed: int, scale: float = 1.0) -> ChaosRe
                 f"early response did not hide the slow backend: {writes} writes"
                 f" took {elapsed:.3f}s (slow path would be {worst_case:.3f}s)"
             )
-        if chaos.vdb.failure_detector.events:
+        if vdb.failure_detector.events:
             result.violations.append("a merely-slow backend was disabled")
         injector.clear()
         # wait for the stragglers to drain, then the replicas must converge
-        converged = _wait_until(
-            lambda: not digest_mismatches(chaos.enabled_engines()), timeout=5.0
-        )
-        if not converged:
-            chaos.check_convergence(result.violations)
-        chaos.check_acked(acked, result.violations)
+        wait_until(lambda: not digest_mismatches(_enabled_engines(cluster, vdb)))
+        _check_enabled_replicas(cluster, vdb, acked, result.violations)
         result.details.update(
             {
                 "writes": writes,
@@ -601,7 +459,7 @@ def scenario_slow_backend_first_policy(seed: int, scale: float = 1.0) -> ChaosRe
             }
         )
     finally:
-        chaos.shutdown()
+        cluster.shutdown()
     return result
 
 
@@ -614,10 +472,10 @@ def scenario_crash_reintegration_under_writes(seed: int, scale: float = 1.0) -> 
     up the final entries under a brief scheduler write barrier.
     """
     result = ChaosResult("crash_reintegration_under_writes", seed)
-    chaos = _ChaosCluster(backends=3, auto_resync=True)
+    cluster, vdb = _boot_kv_cluster(3, failure_detector={"auto_resync": True})
     try:
-        manager = chaos.manager
-        injector = chaos.injector("b1", seed=seed)
+        manager = vdb.request_manager
+        injector = vdb.fault_injector("b1", seed=seed)
         per_writer = max(int(40 * scale), 15)
         acked: Dict[int, str] = {}
         acked_lock = threading.Lock()
@@ -650,18 +508,17 @@ def scenario_crash_reintegration_under_writes(seed: int, scale: float = 1.0) -> 
             thread.join()
         # the auto-resync worker may still be catching up (or may have burned
         # its retries while the backend was crashed): wait, then force one
-        chaos.vdb.resynchronizer.wait(timeout=5.0)
+        vdb.resynchronizer.wait(timeout=5.0)
         if not manager.get_backend("b1").is_enabled:
-            chaos.vdb.resynchronize_backend("b1")
+            vdb.resynchronize_backend("b1")
         if not manager.get_backend("b1").is_enabled:
             result.violations.append("b1 was not re-integrated")
-        chaos.check_acked(acked, result.violations)
-        chaos.check_convergence(result.violations)
-        resync_stats = chaos.vdb.resynchronizer.statistics()
+        _check_enabled_replicas(cluster, vdb, acked, result.violations)
+        resync_stats = vdb.resynchronizer.statistics()
         result.details.update(
             {
                 "writes_acknowledged": len(acked),
-                "failover_latency_s": chaos.failover_latency(armed_at),
+                "failover_latency_s": _failover_latency(vdb, armed_at),
                 "resyncs_started": resync_stats["resyncs_started"],
                 "resyncs_succeeded": resync_stats["resyncs_succeeded"],
                 "write_barriers": manager.scheduler.statistics()["write_barriers"],
@@ -670,7 +527,7 @@ def scenario_crash_reintegration_under_writes(seed: int, scale: float = 1.0) -> 
         if resync_stats["resyncs_succeeded"] < 1:
             result.violations.append("no resynchronization succeeded")
     finally:
-        chaos.shutdown()
+        cluster.shutdown()
     return result
 
 
@@ -684,34 +541,20 @@ def scenario_distributed_controller_backend_failure(
     re-integrated from the local recovery log.
     """
     result = ChaosResult("distributed_controller_backend_failure", seed)
-    label = f"chaosdist{next(_LABELS)}"
-    descriptor = {
-        "name": label,
-        "virtual_databases": [
-            {
-                "name": "chaosdb",
-                "replication": "raidb1",
-                "group_name": f"{label}-group",
-                "recovery_log": "memory",
-                "backends": [{"name": "b0"}, {"name": "b1"}],
-            }
-        ],
-        "controllers": [{"name": f"{label}-a"}, {"name": f"{label}-b"}],
-    }
-    cluster = Cluster(descriptor, registry=ControllerRegistry())
+    cluster = boot(descriptor("chaosdist", 2, controllers=2, group_name=_GROUP))
     try:
-        connection = cluster.connect("chaosdb", "chaos", "chaos")
-        cursor = connection.cursor()
-        cursor.execute("CREATE TABLE kv (k INT PRIMARY KEY, v VARCHAR(40))")
+        label = cluster.name
+        cursor = cluster.connect(label, "chaos", "chaos").cursor()
+        seed_kv(cursor.execute, 0)
         writes = max(int(20 * scale), 8)
         acked: Dict[int, str] = {}
         for index in range(writes // 2):
             cursor.execute("INSERT INTO kv (k, v) VALUES (?, ?)", (index, f"pre-{index}"))
             acked[index] = f"pre-{index}"
-        vdb_a = cluster.virtual_database("chaosdb", controller=f"{label}-a")
+        vdb_a = cluster.virtual_database(label, controller=f"{label}-a")
         # genesis dumps so re-integration restores instead of bootstrapping
         vdb_a.checkpoint_backend("b0", name=f"genesis-{label}-b0")
-        injector = cluster.fault_injector("chaosdb", "b0", controller=f"{label}-a")
+        injector = cluster.fault_injector(label, "b0", controller=f"{label}-a")
         armed_at = time.monotonic()
         injector.crash()
         for index in range(writes // 2, writes):
@@ -719,41 +562,28 @@ def scenario_distributed_controller_backend_failure(
             acked[index] = f"post-{index}"
         if vdb_a.get_backend("b0").is_enabled:
             result.violations.append("controller A's b0 still enabled after the crash")
-        replica_b = cluster.replicas[(f"{label}-b", "chaosdb")]
+        replica_b = cluster.replicas[(f"{label}-b", label)]
         # the failure event is announced asynchronously: give it a moment
-        event_seen = _wait_until(
+        event_seen = wait_until(
             lambda: any(
                 event["backend"] == "b0" and event["controller"] == f"{label}-a"
                 for event in replica_b.peer_failures
-            ),
-            timeout=5.0,
+            )
         )
         if not event_seen:
             result.violations.append(
                 "controller B never learned about controller A's backend failure"
             )
         injector.recover()
-        replayed = cluster.resynchronize("chaosdb", "b0", controller=f"{label}-a")
-        engines = dict(cluster.engines)
-        mismatches = digest_mismatches(engines)
-        result.violations.extend(mismatches)
-        for name, engine in engines.items():
-            rows = {row["k"]: row["v"] for row in engine.dump_table_rows("kv")}
-            for key, value in acked.items():
-                if rows.get(key) != value:
-                    result.violations.append(
-                        f"committed write k={key} lost on engine {name!r}"
-                    )
+        replayed = cluster.resynchronize(label, "b0", controller=f"{label}-a")
+        result.violations.extend(digest_mismatches(cluster.engines))
+        check_acked(cluster.engines, acked, result.violations)
         result.details.update(
             {
                 "writes_acknowledged": len(acked),
                 "replayed": replayed,
                 "peer_failures_seen": len(replica_b.peer_failures),
-                "failover_latency_s": (
-                    max(0.0, vdb_a.failure_detector.events[0]["at"] - armed_at)
-                    if vdb_a.failure_detector.events
-                    else None
-                ),
+                "failover_latency_s": _failover_latency(vdb_a, armed_at),
             }
         )
     finally:
@@ -773,69 +603,55 @@ def scenario_remote_disconnect_failover(seed: int, scale: float = 1.0) -> ChaosR
     use is re-prepared on the survivor.
     """
     result = ChaosResult("remote_disconnect_failover", seed)
-    chaos = _ChaosCluster(backends=2)
+    cluster, vdb = _boot_kv_cluster(2, controllers=2, listen=True)
     try:
-        from repro.core.controller import Controller
-        from repro.net.client import connect_remote
-        from repro.net.server import ControllerServer
+        cluster.start_servers()
+        primary_server = cluster.servers[f"{cluster.name}-a"]
+        # sever the client's socket right before its 4th write dispatches
+        injector = primary_server.ensure_fault_injector(seed)
+        injector.inject("disconnect", after_n_ops=4, operations=("execute",))
 
-        primary = next(iter(chaos.cluster.controllers.values()))
-        standby = Controller(f"{chaos.vdb.name}-standby", register=False)
-        standby.add_virtual_database(chaos.vdb)
-        primary_server = ControllerServer(primary)
-        standby_server = ControllerServer(standby)
-        addresses = [
-            "%s:%d" % primary_server.start(),
-            "%s:%d" % standby_server.start(),
-        ]
-        try:
-            # sever the client's socket right before its 4th write dispatches
-            injector = primary_server.ensure_fault_injector(seed)
-            injector.inject("disconnect", after_n_ops=4, operations=("execute",))
+        connection = connect(
+            cluster.remote_url(cluster.name), user="chaos", password="chaos"
+        )
+        statement = connection.prepare("INSERT INTO kv (k, v) VALUES (?, ?)")
+        writes = max(int(20 * scale), 8)
+        acked: Dict[int, str] = {}
+        client_errors = 0
+        for index in range(writes):
+            key = 9000 + index
+            try:
+                statement.execute((key, f"remote-{key}"))
+            except CJDBCError:
+                client_errors += 1
+                continue
+            acked[key] = f"remote-{key}"
+        count = connection.execute("SELECT COUNT(*) FROM kv").scalar()
+        connection.close()
 
-            connection = connect_remote(addresses, chaos.vdb.name, "chaos", "chaos")
-            statement = connection.prepare("INSERT INTO kv (k, v) VALUES (?, ?)")
-            writes = max(int(20 * scale), 8)
-            acked: Dict[int, str] = {}
-            client_errors = 0
-            for index in range(writes):
-                key = 9000 + index
-                try:
-                    statement.execute((key, f"remote-{key}"))
-                except CJDBCError:
-                    client_errors += 1
-                    continue
-                acked[key] = f"remote-{key}"
-            count = connection.execute("SELECT COUNT(*) FROM kv").scalar()
-            connection.close()
-
-            if client_errors:
-                result.violations.append(
-                    f"{client_errors} write errors leaked to the client despite"
-                    " transparent controller failover"
-                )
-            if connection.failovers < 1:
-                result.violations.append(
-                    "the injected disconnect never made the driver fail over"
-                )
-            disconnects = primary_server.statistics()["fault_disconnects"]
-            if disconnects < 1:
-                result.violations.append("the disconnect fault never fired")
-            chaos.check_acked(acked, result.violations)
-            chaos.check_convergence(result.violations)
-            result.details.update(
-                {
-                    "writes_acknowledged": len(acked),
-                    "driver_failovers": connection.failovers,
-                    "fault_disconnects": disconnects,
-                    "rows_visible_after_failover": count,
-                }
+        if client_errors:
+            result.violations.append(
+                f"{client_errors} write errors leaked to the client despite"
+                " transparent controller failover"
             )
-        finally:
-            primary_server.stop(drain=False)
-            standby_server.stop(drain=False)
+        if connection.failovers < 1:
+            result.violations.append(
+                "the injected disconnect never made the driver fail over"
+            )
+        disconnects = primary_server.statistics()["fault_disconnects"]
+        if disconnects < 1:
+            result.violations.append("the disconnect fault never fired")
+        _check_enabled_replicas(cluster, vdb, acked, result.violations)
+        result.details.update(
+            {
+                "writes_acknowledged": len(acked),
+                "driver_failovers": connection.failovers,
+                "fault_disconnects": disconnects,
+                "rows_visible_after_failover": count,
+            }
+        )
     finally:
-        chaos.shutdown()
+        cluster.shutdown()
     return result
 
 
@@ -853,34 +669,26 @@ def scenario_controller_crash_failover(seed: int, scale: float = 1.0) -> ChaosRe
     sequencer-crash multicast retries are at-least-once, and a duplicated
     UPDATE is harmless where a duplicated INSERT would be an error.
     """
-    from repro.core.retry import RetryPolicy
-    from repro.net.client import connect_remote
-
     result = ChaosResult("controller_crash_failover", seed)
-    group = _SocketGroupCluster(controllers=3)
+    cluster = boot(_tcp_group_descriptor())
     connection = None
     try:
+        cluster.start_servers()
         policy = RetryPolicy(
             max_attempts=8, backoff=0.02, backoff_max=0.5, operation_timeout=15.0,
             seed=seed,
         )
         # dial the sequencer's front-end first: killing it then exercises
         # client failover and sequencer re-election in the same blow
-        sequencer = group.sequencer_name()
-        sequencer_address = group.servers[sequencer].url_authority
-        addresses = [sequencer_address] + [
-            address for address in group.addresses if address != sequencer_address
-        ]
+        sequencer = _sequencer(cluster)
+        dial_order = [sequencer, *(name for name in cluster.servers if name != sequencer)]
         connection = connect_remote(
-            addresses, group.db_name, "chaos", "chaos", retry_policy=policy
+            [cluster.servers[name].url_authority for name in dial_order],
+            cluster.name, "chaos", "chaos", retry_policy=policy,
         )
         cursor = connection.cursor()
-        cursor.execute("CREATE TABLE kv (k INT PRIMARY KEY, v VARCHAR(40))")
         keys = max(int(10 * scale), 6)
-        acked: Dict[int, str] = {}
-        for key in range(keys):
-            cursor.execute("INSERT INTO kv (k, v) VALUES (?, ?)", (key, f"seed-{key}"))
-            acked[key] = f"seed-{key}"
+        acked = seed_kv(cursor.execute, keys)
         rng = Random(seed)
         rounds = max(int(6 * scale), 3)
         kill_at = max(rounds // 2, 1)
@@ -889,7 +697,7 @@ def scenario_controller_crash_failover(seed: int, scale: float = 1.0) -> ChaosRe
         for round_index in range(rounds):
             if round_index == kill_at:
                 armed_at = time.monotonic()
-                group.kill_controller(sequencer)
+                _kill_controller(cluster, sequencer)
             for key in range(keys):
                 value = f"r{round_index}-{key}-{rng.randrange(1 << 30)}"
                 try:
@@ -899,20 +707,11 @@ def scenario_controller_crash_failover(seed: int, scale: float = 1.0) -> ChaosRe
                     continue
                 acked[key] = value
 
-        survivors = set(group.live_replicas())
-        converged = _wait_until(
-            lambda: all(
-                set(replica.group_members) == survivors
-                for replica in group.live_replicas().values()
-            ),
-            timeout=10.0,
-        )
+        survivors = _live_replicas(cluster)
+        converged = _views_converged(survivors)
         detected_after = time.monotonic() - armed_at if armed_at is not None else None
         if not converged:
-            views = {
-                name: replica.group_members
-                for name, replica in group.live_replicas().items()
-            }
+            views = {name: replica.group_members for name, replica in survivors.items()}
             result.violations.append(
                 f"survivors never converged on the two-member view: {views}"
             )
@@ -927,79 +726,64 @@ def scenario_controller_crash_failover(seed: int, scale: float = 1.0) -> ChaosRe
             result.violations.append(
                 "killing the client's controller never made the driver fail over"
             )
-        group.check_acked(acked, result.violations)
-        result.violations.extend(digest_mismatches(group.live_engines()))
-        new_sequencer = group.sequencer_name()
+        engines = _live_engines(cluster)
+        check_acked(engines, acked, result.violations)
+        result.violations.extend(digest_mismatches(engines))
         result.details.update(
             {
                 "killed_sequencer": sequencer,
-                "new_sequencer": new_sequencer,
+                "new_sequencer": _sequencer(cluster),
                 "writes_acknowledged": len(acked),
                 "driver_failovers": connection.failovers,
                 "driver_retries": connection.retries,
                 "view_convergence_s": round(detected_after, 3)
                 if detected_after is not None
                 else None,
-                "survivor_views": sorted(
-                    next(iter(group.live_replicas().values())).group_members
-                ),
+                "survivor_views": sorted(next(iter(survivors.values())).group_members),
             }
         )
     finally:
         if connection is not None and not connection.closed:
             connection.close()
-        group.shutdown()
+        cluster.shutdown()
     return result
 
 
 def scenario_controller_rejoin(seed: int, scale: float = 1.0) -> ChaosResult:
     """A crashed controller rejoins the live group and catches up by state transfer.
 
-    Three controllers serve writes; the highest-addressed (never-sequencer)
-    one is killed and the survivors keep accepting writes it never saw.  The
-    controller then comes back — fresh engines, empty database, same name —
-    and joins with ``state_transfer=True``: a peer serves it a snapshot
-    under the write barrier, deliveries racing the snapshot are buffered and
-    replayed, and at the end all three controllers are digest-identical with
-    every acknowledged write present.
+    Three controllers serve writes; one that is not the sequencer is killed
+    and the survivors keep accepting writes it never saw.  The controller
+    then comes back the way an operator restarts it (README "One process per
+    controller"): the same descriptor, its ``group.members`` naming the
+    survivors' live addresses, booted with ``only_controller=<victim>`` —
+    fresh engines, empty database, same name.  It joins with state transfer:
+    a peer serves it a snapshot under the write barrier, deliveries racing
+    the snapshot are buffered and replayed, and at the end all three
+    controllers are digest-identical with every acknowledged write present.
     """
-    from repro.core.retry import RetryPolicy
-    from repro.net.client import connect_remote
-
     result = ChaosResult("controller_rejoin", seed)
-    group = _SocketGroupCluster(controllers=3)
+    document = _tcp_group_descriptor()
+    clusters = [boot(document)]
     connection = None
     try:
+        cluster = clusters[0]
+        cluster.start_servers()
         policy = RetryPolicy(max_attempts=6, backoff=0.02, backoff_max=0.5, seed=seed)
-        connection = connect_remote(
-            # all three front-ends: the victim may well be the client's first
-            # choice, in which case the retry policy rides its death too
-            list(group.addresses), group.db_name, "chaos", "chaos", retry_policy=policy
+        # all three front-ends: the victim may well be the client's first
+        # choice, in which case the retry policy rides its death too
+        connection = connect(
+            cluster.remote_url(cluster.name),
+            user="chaos", password="chaos", retry_policy=policy,
         )
         cursor = connection.cursor()
-        cursor.execute("CREATE TABLE kv (k INT PRIMARY KEY, v VARCHAR(40))")
         keys = max(int(10 * scale), 6)
-        acked: Dict[int, str] = {}
-        for key in range(keys):
-            cursor.execute("INSERT INTO kv (k, v) VALUES (?, ?)", (key, f"seed-{key}"))
-            acked[key] = f"seed-{key}"
+        acked = seed_kv(cursor.execute, keys)
 
-        # kill the highest-addressed node: deterministically not the sequencer
-        def order(name):
-            host, _, port = group.nodes[name].address.rpartition(":")
-            return (host, int(port))
-
-        victim = max(group.nodes, key=order)
-        group.kill_controller(victim)
-        survivors = set(group.replicas) - {victim}
-        converged = _wait_until(
-            lambda: all(
-                set(group.replicas[name].group_members) == survivors
-                for name in survivors
-            ),
-            timeout=10.0,
-        )
-        if not converged:
+        victim = [name for name in cluster.group_nodes if name != _sequencer(cluster)][-1]
+        _kill_controller(cluster, victim)
+        survivors = _live_replicas(cluster)
+        if not _views_converged(survivors):
             result.violations.append("survivors never evicted the killed controller")
 
         # writes the victim never saw — the rejoiner must recover them all
@@ -1011,21 +795,17 @@ def scenario_controller_rejoin(seed: int, scale: float = 1.0) -> ChaosResult:
                 cursor.execute("UPDATE kv SET v = ? WHERE k = ?", (value, key))
                 acked[key] = value
 
-        group.forget_controller(victim)
-        group.add_controller(victim, state_transfer=True)
-        rejoined = group.replicas[victim]
+        document["virtual_databases"][0]["group"]["members"] = {
+            name: cluster.group_nodes[name].address for name in survivors
+        }
+        clusters.append(boot(document, only_controller=victim))
+        rejoined = clusters[1].replicas[(victim, cluster.name)]
         if rejoined.state_synced_from is None:
             result.violations.append(
                 "the rejoined controller never state-transferred from a peer"
             )
-        members_after = set(group.replicas)
-        if not _wait_until(
-            lambda: all(
-                set(replica.group_members) == members_after
-                for replica in group.live_replicas().values()
-            ),
-            timeout=10.0,
-        ):
+        replicas = _live_replicas(*clusters)
+        if not _views_converged(replicas):
             result.violations.append("the group never converged on the rejoined view")
 
         # post-rejoin writes must reach the rejoined controller too
@@ -1034,8 +814,9 @@ def scenario_controller_rejoin(seed: int, scale: float = 1.0) -> ChaosResult:
             cursor.execute("UPDATE kv SET v = ? WHERE k = ?", (value, key))
             acked[key] = value
 
-        group.check_acked(acked, result.violations)
-        result.violations.extend(digest_mismatches(group.live_engines()))
+        engines = _live_engines(*clusters)
+        check_acked(engines, acked, result.violations)
+        result.violations.extend(digest_mismatches(engines))
         result.details.update(
             {
                 "victim": victim,
@@ -1046,14 +827,15 @@ def scenario_controller_rejoin(seed: int, scale: float = 1.0) -> ChaosResult:
                 "writes_acknowledged": len(acked),
                 "transfers_served": {
                     name: replica.state_transfers_served
-                    for name, replica in group.live_replicas().items()
+                    for name, replica in replicas.items()
                 },
             }
         )
     finally:
         if connection is not None and not connection.closed:
             connection.close()
-        group.shutdown()
+        for cluster in reversed(clusters):
+            cluster.shutdown()
     return result
 
 
@@ -1068,9 +850,6 @@ def scenario_scheduler_isolation_mix(seed: int, scale: float = 1.0) -> ChaosResu
     convergence promise — which is the property the ordered variants are
     being checked against.
     """
-    # imported here: repro.isolation imports digest helpers from this module
-    from repro.isolation import run_random_mix
-
     result = ChaosResult("scheduler_isolation_mix", seed)
     ordered = ("optimistic", "pessimistic", "table_lock", "mvcc")
     for scheduler in ordered:

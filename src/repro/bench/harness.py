@@ -23,12 +23,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.cluster import Cluster
-from repro.core import BackendConfig, VirtualDatabaseConfig
+from repro.cluster.fixture import boot, descriptor, seed_kv
 from repro.simulation import ClusterSimulation, SimulationConfig, SimulationResult
 from repro.simulation.cluster import tpcw_partial_placement
-from repro.simulation.costmodel import RUBIS_COST_MODEL, TPCW_COST_MODEL, CostModel
-from repro.sql import DatabaseEngine, dbapi
+from repro.planner.costmodel import RUBIS_COST_MODEL, TPCW_COST_MODEL, CostModel
+from repro.sql import dbapi
 from repro.workloads.rubis import BIDDING_MIX, RUBIS_INTERACTIONS
 from repro.workloads.tpcw import INTERACTIONS
 from repro.workloads.tpcw.mixes import mix_by_name
@@ -244,31 +243,21 @@ def run_loadbalancer_ablation(
 
     fractions: Dict[str, float] = {}
     for policy_name in ("rr", "wrr", "lprf"):
-        engines = [DatabaseEngine(f"lb-{policy_name}-{i}") for i in range(backends)]
-        configs = []
-        for index, engine in enumerate(engines):
-            weight = 1 if index == 0 else int(slow_backend_factor)
-            configs.append(BackendConfig(name=f"backend{index}", engine=engine, weight=weight))
-        cluster = Cluster.from_configs(
-            VirtualDatabaseConfig(
-                name="lbtest",
-                backends=configs,
-                replication="raidb1",
-                load_balancing_policy=policy_name,
-                recovery_log="none",
-            ),
-            controller_name=f"lb-{policy_name}",
+        document = descriptor(
+            "lb", backends, load_balancing_policy=policy_name, recovery_log="none"
         )
-        vdb = cluster.virtual_database("lbtest")
-        connection = cluster.connect("lbtest", "bench", "bench")
-        cursor = connection.cursor()
-        cursor.execute("CREATE TABLE kv (k INT PRIMARY KEY, v VARCHAR(20))")
-        for key in range(100):
-            cursor.execute("INSERT INTO kv (k, v) VALUES (?, ?)", (key, f"value{key}"))
+        document["virtual_databases"][0]["backends"] = [
+            {"name": f"b{index}", "weight": 1 if index == 0 else int(slow_backend_factor)}
+            for index in range(backends)
+        ]
+        cluster = boot(document)
+        vdb = cluster.virtual_database(cluster.name)
+        cursor = cluster.connect(cluster.name, "bench", "bench").cursor()
+        seed_kv(cursor.execute, 100)
         for key in range(requests):
             cursor.execute("SELECT v FROM kv WHERE k = ?", (key % 100,))
             cursor.fetchall()
-        slow = vdb.get_backend("backend0")
+        slow = vdb.get_backend("b0")
         total_reads = sum(backend.total_reads for backend in vdb.backends)
         fractions[policy_name] = slow.total_reads / total_reads if total_reads else 0.0
     return fractions
@@ -284,26 +273,6 @@ ROUTING_BENCH_VERSION = 1
 #: gates applied by check_routing_baseline to a committed run
 ROUTING_MIN_SKEWED_SPEEDUP = 1.3
 ROUTING_MIN_UNIFORM_SPEEDUP = 0.9
-
-
-def _build_routing_vdb(label: str, routing_policy: str, replication_map: Dict[str, list]):
-    configs = [
-        BackendConfig(name=f"backend{i}", engine=DatabaseEngine(f"routing-{label}-{i}"))
-        for i in range(3)
-    ]
-    cluster = Cluster.from_configs(
-        VirtualDatabaseConfig(
-            name="routingdb",
-            backends=configs,
-            replication="raidb2",
-            load_balancing_policy="lprf",
-            replication_map=replication_map,
-            routing_policy=routing_policy,
-            recovery_log="none",
-        ),
-        controller_name=f"routing-{label}",
-    )
-    return cluster.virtual_database("routingdb")
 
 
 def run_routing_ablation(
@@ -331,7 +300,7 @@ def run_routing_ablation(
     wall-clock seconds per routing mode, the cost/policy speedup and the
     fraction of reads each mode sent to the slow backend.
     """
-    all_backends = ["backend0", "backend1", "backend2"]
+    all_backends = ["b0", "b1", "b2"]
     layouts = {
         "uniform": {
             "replication_map": {t: all_backends for t in ("item", "orders", "order_line")},
@@ -340,19 +309,27 @@ def run_routing_ablation(
         "skewed": {
             "replication_map": {
                 "item": all_backends,
-                "orders": ["backend0", "backend1"],
-                "order_line": ["backend0", "backend1"],
+                "orders": ["b0", "b1"],
+                "order_line": ["b0", "b1"],
             },
-            "slow_backend": "backend0",
+            "slow_backend": "b0",
         },
     }
     results: Dict[str, dict] = {}
     for layout_name, layout in layouts.items():
         layout_result: Dict[str, object] = {}
         for routing_policy in ("policy", "cost"):
-            vdb = _build_routing_vdb(
-                f"{layout_name}-{routing_policy}", routing_policy, layout["replication_map"]
+            cluster = boot(
+                descriptor(
+                    "routing",
+                    3,
+                    replication="raidb2",
+                    replication_map=layout["replication_map"],
+                    routing={"policy": routing_policy},
+                    recovery_log="none",
+                )
             )
+            vdb = cluster.virtual_database(cluster.name)
             manager = vdb.request_manager
             manager.execute("CREATE TABLE item (i_id INT PRIMARY KEY, i_title VARCHAR(32))")
             manager.execute("CREATE TABLE orders (o_id INT PRIMARY KEY, o_total INT)")
@@ -478,30 +455,16 @@ def run_overhead_microbenchmark(statements: int = 2000) -> OverheadResult:
     overhead on the read path; it uses the real engine, controller, driver
     and cache-less RAIDb-1 configuration with one backend.
     """
-    engine = DatabaseEngine("overhead")
-    direct = dbapi.connect(engine)
-    cursor = direct.cursor()
-    cursor.execute("CREATE TABLE kv (k INT PRIMARY KEY, v VARCHAR(32))")
-    for key in range(200):
-        cursor.execute("INSERT INTO kv (k, v) VALUES (?, ?)", (key, f"value-{key}"))
+    cluster = boot(descriptor("overhead", 1, replication="single", recovery_log="none"))
+    virtual_cursor = cluster.connect(cluster.name, "bench", "bench").cursor()
+    seed_kv(virtual_cursor.execute, 200)
+    cursor = dbapi.connect(cluster.engines["b0"]).cursor()
 
     start = time.perf_counter()
     for index in range(statements):
         cursor.execute("SELECT v FROM kv WHERE k = ?", (index % 200,))
         cursor.fetchall()
     direct_seconds = time.perf_counter() - start
-
-    cluster = Cluster.from_configs(
-        VirtualDatabaseConfig(
-            name="overheaddb",
-            backends=[BackendConfig(name="backend0", engine=engine)],
-            replication="single",
-            recovery_log="none",
-        ),
-        controller_name="overhead-controller",
-    )
-    connection = cluster.connect("cjdbc://overhead-controller/overheaddb?user=bench&password=bench")
-    virtual_cursor = connection.cursor()
 
     start = time.perf_counter()
     for index in range(statements):
@@ -585,35 +548,21 @@ def _run_parse_scenarios(statements: int) -> Dict[str, HotpathScenarioResult]:
     return scenarios
 
 
-def _build_hotpath_cluster(backends: int, label: str):
-    """A RAIDb-1 virtual database with result + parsing caches enabled."""
-    configs = [
-        BackendConfig(name=f"backend{i}", engine=DatabaseEngine(f"hotpath-{label}-{i}"))
-        for i in range(backends)
-    ]
-    cluster = Cluster.from_configs(
-        VirtualDatabaseConfig(
-            name=f"hotpath-{label}",
-            backends=configs,
-            replication="raidb1",
-            cache_enabled=True,
-            recovery_log="none",
-        ),
-        controller_name=f"hotpath-{label}",
+def _hotpath_manager(backends: int):
+    """The request manager of a RAIDb-1 vdb with result + parsing caches enabled."""
+    cluster = boot(
+        descriptor("hotpath", backends, cache={"enabled": True}, recovery_log="none")
     )
-    vdb = cluster.virtual_database(f"hotpath-{label}")
-    manager = vdb.request_manager
-    manager.execute("CREATE TABLE kv (k INT PRIMARY KEY, v VARCHAR(32))")
+    manager = cluster.virtual_database(cluster.name).request_manager
+    seed_kv(manager.execute, 100)
     manager.execute("CREATE TABLE audit (a_id INT PRIMARY KEY, note VARCHAR(32))")
     for key in range(100):
-        manager.execute("INSERT INTO kv (k, v) VALUES (?, ?)", (key, f"value-{key}"))
         manager.execute("INSERT INTO audit (a_id, note) VALUES (?, ?)", (key, f"note-{key}"))
-    return vdb
+    return manager
 
 
 def _run_cached_read_scenario(backends: int, statements: int) -> HotpathScenarioResult:
-    vdb = _build_hotpath_cluster(backends, f"read{backends}")
-    manager = vdb.request_manager
+    manager = _hotpath_manager(backends)
     # warm the result cache with the 20 point reads the loop will cycle
     for key in range(20):
         manager.execute("SELECT v FROM kv WHERE k = ?", (key,))
@@ -630,8 +579,7 @@ def _run_write_invalidate_scenario(backends: int, statements: int) -> HotpathSce
     write runs invalidation against a full cache without emptying it, the
     steady state the invalidation index is built for.
     """
-    vdb = _build_hotpath_cluster(backends, f"write{backends}")
-    manager = vdb.request_manager
+    manager = _hotpath_manager(backends)
     for key in range(100):
         manager.execute("SELECT note FROM audit WHERE a_id = ?", (key,))
     seconds = _time_loop(
@@ -709,8 +657,7 @@ def _run_pipeline_overhead_scenarios(statements: int) -> Dict[str, HotpathScenar
     isolates what the composable stage chain costs on the hottest request
     shape the controller serves.
     """
-    vdb = _build_hotpath_cluster(1, "pipeline-overhead")
-    manager = vdb.request_manager
+    manager = _hotpath_manager(1)
     for key in range(20):
         manager.execute("SELECT v FROM kv WHERE k = ?", (key,))
 
@@ -773,8 +720,7 @@ def _run_batch_insert_scenarios(
     sql = "INSERT INTO bulk (b_id, payload) VALUES (?, ?)"
     scenarios: Dict[str, HotpathScenarioResult] = {}
     for label, batched in (("batch_insert_looped", False), ("batch_insert_server", True)):
-        vdb = _build_hotpath_cluster(2, label.replace("_", "-"))
-        manager = vdb.request_manager
+        manager = _hotpath_manager(2)
         manager.execute("CREATE TABLE bulk (b_id INT PRIMARY KEY, payload VARCHAR(32))")
 
         def run_batch(index: int) -> None:

@@ -21,7 +21,6 @@ scheduler's — the whole point of non-blocking reads.
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from pathlib import Path
@@ -29,12 +28,9 @@ from random import Random
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.bench.harness import load_bench_document
-from repro.cluster import Cluster
-from repro.cluster.registry import ControllerRegistry
-from repro.core import BackendConfig, VirtualDatabaseConfig
+from repro.cluster.fixture import boot, descriptor, seed_kv
 from repro.core.scheduler import canonical_scheduler_name
 from repro.errors import CJDBCError
-from repro.sql import DatabaseEngine
 
 #: bumped when the workload or document layout changes, so stale baselines
 #: fail loudly instead of gating the wrong numbers
@@ -51,8 +47,6 @@ _SCHEDULERS = ("passthrough", "optimistic", "pessimistic", "table_lock", "mvcc")
 _TABLES = 4
 _ROWS_PER_TABLE = 32
 
-_LABELS = itertools.count(1)
-
 
 def _run_cell(
     scheduler: str,
@@ -63,31 +57,20 @@ def _run_cell(
     write_latency_ms: float,
     seed: int,
 ) -> dict:
-    label = f"schedbench{next(_LABELS)}"
-    engines = {f"b{i}": DatabaseEngine(f"{label}-b{i}") for i in range(2)}
-    config = VirtualDatabaseConfig(
-        name=label,
-        backends=[
-            BackendConfig(name=name, engine=engine) for name, engine in engines.items()
-        ],
-        replication="raidb1",
-        load_balancing_policy="rr",
-        wait_for_completion="all",
-        scheduler=scheduler,
-        recovery_log="none",
-    )
-    cluster = Cluster.from_configs(
-        config, controller_name=label, registry=ControllerRegistry()
+    cluster = boot(
+        descriptor(
+            "schedbench",
+            2,
+            load_balancing_policy="rr",
+            scheduler=scheduler,
+            recovery_log="none",
+        )
     )
     try:
-        vdb = cluster.virtual_database(label)
+        vdb = cluster.virtual_database(cluster.name)
         manager = vdb.request_manager
         for table in range(_TABLES):
-            manager.execute(f"CREATE TABLE t{table} (k INT PRIMARY KEY, v VARCHAR(40))")
-            for key in range(_ROWS_PER_TABLE):
-                manager.execute(
-                    f"INSERT INTO t{table} (k, v) VALUES (?, ?)", (key, f"seed-{key}")
-                )
+            seed_kv(manager.execute, _ROWS_PER_TABLE, table=f"t{table}")
         # writes hold their ticket for a realistic broadcast time; reads are
         # untouched (match_sql), so the schedulers' blocking behaviour is
         # what the cell measures

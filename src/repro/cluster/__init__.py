@@ -25,7 +25,9 @@ Modules:
 * :mod:`repro.cluster.url` — ``cjdbc://`` URL parsing;
 * :mod:`repro.cluster.pool` — client-side connection pool;
 * :mod:`repro.cluster.facade` — the :class:`Cluster` object and
-  :func:`connect` / :func:`load_cluster` entry points.
+  :func:`connect` / :func:`load_cluster` entry points;
+* :mod:`repro.cluster.fixture` — disposable descriptor-booted clusters and
+  replica invariant checks for the chaos, isolation and bench suites.
 """
 
 from repro.cluster.descriptor import (

@@ -68,6 +68,7 @@ from repro.core.config import BackendConfig, VirtualDatabaseConfig
 from repro.core.retry import RETRY_OPTION_KEYS, RetryPolicy
 from repro.core.schema import Key, check_keys, fail, key, parse_section, parse_value, quoted
 from repro.errors import CJDBCError, ConfigurationError
+from repro.net.server import DEFAULT_BACKLOG, DEFAULT_HOST, DEFAULT_MAX_CONNECTIONS
 from repro.planner import ROUTING_POLICIES, RoutingConfig, RoutingWeights
 from repro.sql.engine import DatabaseEngine
 
@@ -229,15 +230,15 @@ class ListenSpec:
         maximum=65535,
         message="expected a TCP port number (0-65535, 0 = ephemeral)",
     )
-    host: str = key(str, "127.0.0.1")
-    max_connections: int = key(int, 64, minimum=1)
+    host: str = key(str, DEFAULT_HOST)
+    max_connections: int = key(int, DEFAULT_MAX_CONNECTIONS, minimum=1)
     idle_timeout: Optional[float] = key(
         float,
         None,
         exclusive_minimum=0,
         message="expected a positive number of seconds (or omit it)",
     )
-    backlog: int = key(int, 128, minimum=1)
+    backlog: int = key(int, DEFAULT_BACKLOG, minimum=1)
 
 
 @dataclass

@@ -50,24 +50,24 @@ from repro.core.driver import connect as driver_connect
 from repro.core.retry import RetryPolicy
 from repro.core.virtualdb import VirtualDatabase
 from repro.errors import ConfigurationError, ControllerError
+from repro.net.client import connect_remote, looks_like_address
 from repro.sql.engine import DatabaseEngine
 
 
 def connect(
-    target,
-    database: Optional[str] = None,
+    url: str,
+    *,
     user: str = "",
     password: str = "",
-    *,
     registry: Optional[ControllerRegistry] = None,
     retry_policy: Optional[RetryPolicy] = None,
 ) -> VirtualConnection:
-    """Open a driver connection to a virtual database.
+    """Open a driver connection to the virtual database a cluster URL names.
 
-    Accepts either a cluster URL (``cjdbc://ctrl-a,ctrl-b/mydb?user=...``),
-    whose controller names are resolved through ``registry`` (the process
-    default when omitted), or the legacy driver signature — a controller or
-    controller list plus a database name.
+    The controller names of ``cjdbc://ctrl-a,ctrl-b/mydb?user=...`` are
+    resolved through ``registry`` (the process default when omitted).  To
+    connect to controller *objects* instead, use
+    :func:`repro.core.driver.connect`.
 
     Controller names of the form ``host:port`` select the *remote* driver
     mode: instead of registry lookups, each name is dialled over TCP and
@@ -80,44 +80,31 @@ def connect(
     failover from a single rotation pass to bounded retries with backoff;
     ``retry_*`` URL options build one when no explicit policy is given.
     """
-    if isinstance(target, str):
-        if database is not None:
+    parsed = parse_url(url)
+    if retry_policy is None:
+        retry_policy = RetryPolicy.from_options(parsed.options)
+    remote = [looks_like_address(name) for name in parsed.controllers]
+    if any(remote):
+        if not all(remote):
             raise ConfigurationError(
-                f"a cluster URL already names its virtual database; drop the extra"
-                f" database argument {database!r}"
+                f"cannot mix host:port addresses and registry names in one"
+                f" URL: {', '.join(map(repr, parsed.controllers))}"
             )
-        url = parse_url(target)
-        from repro.net.client import connect_remote, looks_like_address
-
-        if retry_policy is None:
-            retry_policy = RetryPolicy.from_options(url.options)
-        remote = [looks_like_address(name) for name in url.controllers]
-        if any(remote):
-            if not all(remote):
-                raise ConfigurationError(
-                    f"cannot mix host:port addresses and registry names in one"
-                    f" URL: {', '.join(map(repr, url.controllers))}"
-                )
-            return connect_remote(
-                url.controllers,
-                url.database,
-                url.user or user,
-                url.password or password,
-                retry_policy=retry_policy,
-            )
-        controllers = (registry or default_registry).resolve_all(url.controllers)
-        return driver_connect(
-            controllers,
-            url.database,
-            url.user or user,
-            url.password or password,
+        return connect_remote(
+            parsed.controllers,
+            parsed.database,
+            parsed.user or user,
+            parsed.password or password,
             retry_policy=retry_policy,
         )
-    if database is None:
-        raise ConfigurationError(
-            "connect(controllers, ...) needs a virtual database name"
-        )
-    return driver_connect(target, database, user, password, retry_policy=retry_policy)
+    controllers = (registry or default_registry).resolve_all(parsed.controllers)
+    return driver_connect(
+        controllers,
+        parsed.database,
+        parsed.user or user,
+        parsed.password or password,
+        retry_policy=retry_policy,
+    )
 
 
 class Cluster:
@@ -174,7 +161,7 @@ class Cluster:
     ) -> "Cluster":
         """Programmatic assembly: one controller hosting pre-built configs.
 
-        The escape hatch for callers (benchmarks, tests) whose configuration
+        The escape hatch for callers (examples, tests) whose configuration
         is not expressible as pure data — e.g. custom connection factories.
         """
         if isinstance(configs, VirtualDatabaseConfig):

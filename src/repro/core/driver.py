@@ -47,8 +47,8 @@ paramstyle = "qmark"
 
 
 def connect(
-    controllers: Union[str, Controller, Sequence[Controller]],
-    database: Optional[str] = None,
+    controllers: Union[Controller, Sequence[Controller]],
+    database: str,
     user: str = "",
     password: str = "",
     retry_policy: Optional[RetryPolicy] = None,
@@ -62,23 +62,12 @@ def connect(
     per-operation timeout); without one, each operation makes a single pass
     over the controller list.
 
-    A ``cjdbc://ctrl-a,ctrl-b/mydb?user=...&password=...`` URL is also
-    accepted: its controller names are resolved through the default
-    controller registry (see :mod:`repro.cluster`) and ``retry_*`` URL
-    options build the policy.
+    To connect by ``cjdbc://`` URL instead, use :func:`repro.connect`.
     """
-    if isinstance(controllers, str):
-        from repro.cluster.facade import connect as facade_connect
-
-        return facade_connect(
-            controllers, database, user, password, retry_policy=retry_policy
-        )
     if isinstance(controllers, Controller):
         controllers = [controllers]
     if not controllers:
         raise InterfaceError("at least one controller is required")
-    if database is None:
-        raise InterfaceError("a virtual database name is required")
     return VirtualConnection(
         list(controllers), database, user, password, retry_policy=retry_policy
     )

@@ -8,11 +8,10 @@
   the C-JDBC driver as the backend's "native driver" (§4.2).
 """
 
-from repro.distrib.distributed_vdb import ControllerReplicator, DistributedVirtualDatabase
+from repro.distrib.distributed_vdb import DistributedVirtualDatabase
 from repro.distrib.vertical import NestedVirtualDatabaseMetaData, nested_backend_config
 
 __all__ = [
-    "ControllerReplicator",
     "DistributedVirtualDatabase",
     "NestedVirtualDatabaseMetaData",
     "nested_backend_config",

@@ -681,35 +681,3 @@ class _DistributedPreparedStatement:
             self.sql, parameter_sets, login=login, transaction_id=transaction_id
         )
 
-
-class ControllerReplicator:
-    """Convenience helper wiring N controllers into one distributed virtual database.
-
-    Used by tests and examples to build the Figure 3 topology: every
-    controller hosts a replica of the virtual database (each with its own
-    backends) and clients can connect to any of them.
-    """
-
-    def __init__(self, transport: Optional[GroupTransport] = None):
-        self.transport = transport or GroupTransport()
-        self.replicas: List[DistributedVirtualDatabase] = []
-
-    def add_replica(
-        self, controller, virtual_database: VirtualDatabase, replace_in_controller: bool = True
-    ) -> DistributedVirtualDatabase:
-        """Wrap ``virtual_database`` and register the wrapper on ``controller``.
-
-        When ``replace_in_controller`` is True the controller serves the
-        distributed wrapper to drivers (so writes through any controller are
-        propagated to all replicas).
-        """
-        replica = DistributedVirtualDatabase(
-            virtual_database, self.transport, controller_name=controller.name
-        )
-        replica.join_group()
-        if replace_in_controller:
-            if controller.has_virtual_database(virtual_database.name):
-                controller.remove_virtual_database(virtual_database.name)
-            controller.add_virtual_database(replica)  # duck-typed: same surface
-        self.replicas.append(replica)
-        return replica

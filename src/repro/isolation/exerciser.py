@@ -36,23 +36,15 @@ scheduler — which is the point the matrix demonstrates.
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from random import Random
 from typing import Dict, List, Optional, Sequence
 
-from repro.bench.chaos import digest_mismatches
-from repro.cluster import Cluster
-from repro.cluster.registry import ControllerRegistry
-from repro.core import BackendConfig, VirtualDatabaseConfig
+from repro.cluster.fixture import boot, descriptor, digest_mismatches, seed_kv
 from repro.core.scheduler import canonical_scheduler_name
 from repro.errors import CJDBCError, SerializationConflictError
 from repro.isolation.checker import History, backward_transitions, cell, dirty_reads
-from repro.sql import DatabaseEngine
-
-#: distinguishes exerciser controller names across probes and test sessions
-_LABELS = itertools.count(1)
 
 #: the scheduler variants the matrix compares
 ISOLATION_SCHEDULERS = ("passthrough", "optimistic", "pessimistic", "table_lock", "mvcc")
@@ -63,7 +55,7 @@ ISOLATION_SCHEDULERS = ("passthrough", "optimistic", "pessimistic", "table_lock"
 _BLOCKED_READ_SECONDS = 0.010
 
 
-class _IsolationCluster:
+class _ProbeBed:
     """One disposable 2-backend RAIDb-1 cluster with the exerciser schema.
 
     Round-robin read routing is load-bearing: the anomaly probes rely on
@@ -71,34 +63,17 @@ class _IsolationCluster:
     write has already reached and the one it has not.
     """
 
-    def __init__(self, scheduler="optimistic", backends: int = 2, clients: int = 3):
-        label = f"iso{next(_LABELS)}"
-        self.engines: Dict[str, DatabaseEngine] = {
-            f"b{i}": DatabaseEngine(f"{label}-b{i}", lock_timeout=2.0)
-            for i in range(backends)
-        }
-        config = VirtualDatabaseConfig(
-            name=label,
-            backends=[
-                BackendConfig(name=name, engine=engine)
-                for name, engine in self.engines.items()
-            ],
-            replication="raidb1",
-            load_balancing_policy="rr",
-            wait_for_completion="all",
-            scheduler=scheduler,
-            recovery_log="memory",
+    def __init__(self, scheduler="optimistic", clients: int = 3):
+        self.cluster = boot(
+            descriptor("iso", 2, load_balancing_policy="rr", scheduler=scheduler)
         )
-        self.cluster = Cluster.from_configs(
-            config, controller_name=label, registry=ControllerRegistry()
-        )
-        self.vdb = self.cluster.virtual_database(label)
+        self.engines = self.cluster.engines
+        for engine in self.engines.values():
+            engine.lock_manager.lock_timeout = 2.0
+        self.vdb = self.cluster.virtual_database(self.cluster.name)
         self.manager = self.vdb.request_manager
-        self.clients = clients
         execute = self.manager.execute
-        execute("CREATE TABLE kv (k INT PRIMARY KEY, v VARCHAR(40))")
-        for key in range(8):
-            execute("INSERT INTO kv (k, v) VALUES (?, ?)", (key, f"seed-{key}"))
+        seed_kv(execute, 8)
         execute("CREATE TABLE meta (k INT PRIMARY KEY, v VARCHAR(40))")
         execute("INSERT INTO meta (k, v) VALUES (?, ?)", (1, "meta"))
         for account in ("acct_a", "acct_b"):
@@ -107,7 +82,7 @@ class _IsolationCluster:
         # one private table per mix client, so transactional writes never
         # collide on backend-level row locks across clients
         for index in range(clients):
-            execute(f"CREATE TABLE c{index} (k INT PRIMARY KEY, v VARCHAR(40))")
+            seed_kv(execute, 0, table=f"c{index}")
 
     def injector(self, backend_name: str, seed: int = 0):
         return self.vdb.fault_injector(backend_name, seed=seed)
@@ -136,7 +111,7 @@ class _IsolationCluster:
 # ---------------------------------------------------------------------------
 
 
-def probe_dirty_read(iso: _IsolationCluster, seed: int, scale: float) -> dict:
+def probe_dirty_read(iso: _ProbeBed, seed: int, scale: float) -> dict:
     """One write delayed on b0; do reads see its value before the ack?"""
     window = max(0.12 * scale, 0.06)
     iso.injector("b0", seed).inject(
@@ -178,7 +153,7 @@ def probe_dirty_read(iso: _IsolationCluster, seed: int, scale: float) -> dict:
     )
 
 
-def probe_non_repeatable_read(iso: _IsolationCluster, seed: int, scale: float) -> dict:
+def probe_non_repeatable_read(iso: _ProbeBed, seed: int, scale: float) -> dict:
     """Do round-robin reads go new→old while a write is half-propagated?"""
     iso.manager.execute("UPDATE kv SET v = ? WHERE k = ?", ("nrr-old", 1))
     window = max(0.12 * scale, 0.06)
@@ -223,7 +198,7 @@ def probe_non_repeatable_read(iso: _IsolationCluster, seed: int, scale: float) -
     )
 
 
-def probe_lost_update(iso: _IsolationCluster, seed: int, scale: float) -> dict:
+def probe_lost_update(iso: _ProbeBed, seed: int, scale: float) -> dict:
     """Two racing updates of one row: do the replicas apply them in order?"""
     window = max(0.3 * scale, 0.2)
     iso.injector("b1", seed).inject(
@@ -259,7 +234,7 @@ def probe_lost_update(iso: _IsolationCluster, seed: int, scale: float) -> dict:
     )
 
 
-def probe_ww_conflict(iso: _IsolationCluster, seed: int, scale: float) -> dict:
+def probe_ww_conflict(iso: _ProbeBed, seed: int, scale: float) -> dict:
     """First-committer-wins: is a snapshot-stale write aborted or let through?"""
     manager = iso.manager
     t1 = manager.begin("iso")
@@ -297,7 +272,7 @@ def probe_ww_conflict(iso: _IsolationCluster, seed: int, scale: float) -> dict:
     )
 
 
-def probe_write_skew(iso: _IsolationCluster, seed: int, scale: float) -> dict:
+def probe_write_skew(iso: _ProbeBed, seed: int, scale: float) -> dict:
     """Disjoint write sets under a shared invariant: admitted everywhere."""
     manager = iso.manager
 
@@ -342,7 +317,7 @@ def probe_write_skew(iso: _IsolationCluster, seed: int, scale: float) -> dict:
     return cell("prevented", final_total=total)  # pragma: no cover - none prevents it
 
 
-def probe_read_blocking(iso: _IsolationCluster, seed: int, scale: float) -> dict:
+def probe_read_blocking(iso: _ProbeBed, seed: int, scale: float) -> dict:
     """Do readers wait during a write storm?  Split by same/other table."""
     per_write = 0.015
     iso.injector("b0", seed).inject(
@@ -416,7 +391,7 @@ def run_isolation_probe(
     if probe is None:
         known = ", ".join(ANOMALIES)
         raise CJDBCError(f"unknown isolation probe {anomaly!r} (probes: {known})")
-    iso = _IsolationCluster(scheduler=canonical_scheduler_name(scheduler))
+    iso = _ProbeBed(scheduler=canonical_scheduler_name(scheduler))
     try:
         return probe(iso, seed, scale)
     finally:
@@ -457,7 +432,7 @@ def run_random_mix(
     replicas.  Serialization conflicts under the MVCC scheduler are rolled
     back and counted, not treated as client errors.
     """
-    iso = _IsolationCluster(scheduler=canonical_scheduler_name(scheduler), clients=clients)
+    iso = _ProbeBed(scheduler=canonical_scheduler_name(scheduler), clients=clients)
     try:
         ops_per_client = max(int(30 * scale), 10)
         errors = [0] * clients

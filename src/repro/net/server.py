@@ -54,6 +54,12 @@ from repro.net.protocol import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.controller import Controller
 
+#: front-end defaults, declared once: ``ControllerServer`` and the descriptor's
+#: ``listen:`` section (:class:`repro.cluster.descriptor.ListenSpec`) read these
+DEFAULT_HOST = "127.0.0.1"
+DEFAULT_MAX_CONNECTIONS = 64
+DEFAULT_BACKLOG = 128
+
 #: how often a blocked session wakes up to check idle/drain state
 _POLL_INTERVAL = 0.2
 
@@ -126,11 +132,11 @@ class ControllerServer:
     def __init__(
         self,
         controller: "Controller",
-        host: str = "127.0.0.1",
+        host: str = DEFAULT_HOST,
         port: int = 0,
-        max_connections: int = 64,
+        max_connections: int = DEFAULT_MAX_CONNECTIONS,
         idle_timeout: Optional[float] = None,
-        backlog: int = 128,
+        backlog: int = DEFAULT_BACKLOG,
         drain_timeout: float = 5.0,
     ):
         if max_connections < 1:

@@ -1,6 +1,6 @@
 """Per-backend cost estimation for route planning.
 
-The estimates promote the static :mod:`repro.simulation.costmodel` service
+The estimates promote the static :mod:`repro.planner.costmodel` service
 times into *live* per-backend figures: each backend tracks an EWMA of its
 measured service time per statement class (see
 :meth:`repro.core.backend.DatabaseBackend.planner_inputs`), and the
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.errors import NoMoreBackendError
+from repro.planner.costmodel import CostModel
 from repro.planner.plan import (
     BATCH,
     READ_COMPLEX,
@@ -29,7 +30,6 @@ from repro.planner.plan import (
     WRITE,
     CandidateCost,
 )
-from repro.simulation.costmodel import CostModel
 
 
 @dataclass(frozen=True)

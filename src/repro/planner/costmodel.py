@@ -1,4 +1,4 @@
-"""Service-time cost model for the cluster simulation.
+"""Service-time cost model: the planner's priors and the cluster simulation's costs.
 
 The absolute values are calibrated so that a single backend saturates in the
 same region as the paper's PII-450 MySQL servers (≈130 SQL requests/minute

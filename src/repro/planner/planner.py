@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 from repro.core.request import AbstractRequest, BatchWriteRequest, SelectRequest
 from repro.errors import CJDBCError, NotReplicatedError
 from repro.planner.cost import CostEstimator, RoutingWeights
+from repro.planner.costmodel import CostModel
 from repro.planner.placement import PlacementMap
 from repro.planner.plan import (
     BATCH,
@@ -41,7 +42,6 @@ from repro.planner.plan import (
     classify_statement,
     merge_strategy_for,
 )
-from repro.simulation.costmodel import CostModel
 
 #: routing policies: "cost" routes each read to the cheapest capable
 #: backend; "policy" (the default, and the pre-planner behaviour) leaves

@@ -19,7 +19,7 @@ and reports the same rows and series as the paper's figures and table.
 """
 
 from repro.simulation.core import Simulator
-from repro.simulation.costmodel import CostModel
+from repro.planner.costmodel import CostModel
 from repro.simulation.cluster import ClusterSimulation, SimulationConfig, SimulationResult
 from repro.simulation.resources import Server
 

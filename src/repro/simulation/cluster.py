@@ -17,7 +17,7 @@ from repro.core.cache import RelaxationRule, ResultCache
 from repro.core.cache.granularity import TableGranularity
 from repro.core.request import RequestResult, SelectRequest, WriteRequest
 from repro.simulation.core import Simulator
-from repro.simulation.costmodel import CostModel, TPCW_COST_MODEL
+from repro.planner.costmodel import CostModel, TPCW_COST_MODEL
 from repro.simulation.resources import Server
 from repro.workloads.profile import InteractionProfile, StatementClass, StatementProfile
 

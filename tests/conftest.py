@@ -12,6 +12,7 @@ from repro.core import (
     VirtualDatabaseConfig,
     build_virtual_database,
 )
+from repro.cluster import ControllerRegistry, load_cluster
 from repro.core import connect as cjdbc_connect
 from repro.sql import DatabaseEngine
 from repro.sql import dbapi
@@ -75,6 +76,33 @@ def make_cluster(
     controller = Controller(f"{name}-controller-{instance}")
     controller.add_virtual_database(virtual_database)
     return controller, virtual_database, engines
+
+
+def make_replicated_cluster(name: str = "appdb", controllers: int = 2):
+    """Boot ``name`` as a grouped vdb replicated across ``controllers`` controllers.
+
+    Returns ``(cluster, [(controller, replica, engine), ...])`` in controller
+    order; every controller has one private backend engine.
+    """
+    instance = next(_cluster_counter)
+    names = [f"{name}-controller-{instance}{chr(97 + i)}" for i in range(controllers)]
+    cluster = load_cluster(
+        {
+            "virtual_databases": [
+                {"name": name, "group_name": name, "backends": ["backend0"]}
+            ],
+            "controllers": [{"name": controller} for controller in names],
+        },
+        registry=ControllerRegistry(),
+    )
+    return cluster, [
+        (
+            cluster.controller(controller),
+            cluster.replicas[(controller, name)],
+            cluster.engine(f"{controller}/backend0"),
+        )
+        for controller in names
+    ]
 
 
 @pytest.fixture

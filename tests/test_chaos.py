@@ -15,6 +15,8 @@ from repro.bench import (
     run_chaos_suite,
 )
 from repro.bench.chaos import digest_mismatches, table_digests
+from repro.cluster import load_descriptor
+from repro.cluster.fixture import boot, check_acked, descriptor, seed_kv
 from repro.errors import CJDBCError
 from repro.sql import DatabaseEngine
 
@@ -100,6 +102,38 @@ class TestDigests:
         left.execute("INSERT INTO t VALUES (1, 'only-left')")
         problems = digest_mismatches({"l": left, "r": right})
         assert problems and "t" in problems[0]
+
+
+class TestClusterFixture:
+    """repro.cluster.fixture: the one way the suites stand a cluster up."""
+
+    def test_descriptors_are_uniquely_named_and_valid(self):
+        first = descriptor("fx", 2)
+        second = descriptor("fx", 1, controllers=3, listen=True, group_name="fx-group")
+        assert first["name"] != second["name"]
+        spec = load_descriptor(second)
+        assert [c.name for c in spec.controllers] == [
+            f"{second['name']}-{letter}" for letter in "abc"
+        ]
+        assert all(c.listen is not None and c.listen.port == 0 for c in spec.controllers)
+        assert all(c.virtual_databases == [second["name"]] for c in spec.controllers)
+        assert load_descriptor(first).controllers[0].name == first["name"]
+
+    def test_check_acked_names_the_engine_that_lost_a_write(self):
+        cluster = boot(descriptor("fx", 2))
+        try:
+            manager = cluster.virtual_database(cluster.name).request_manager
+            acked = seed_kv(manager.execute, 3)
+            violations = []
+            check_acked(cluster.engines, acked, violations)
+            assert violations == []
+            cluster.engine("b1").execute("DELETE FROM kv WHERE k = 2")
+            check_acked(cluster.engines, acked, violations)
+            assert len(violations) == 1
+            assert "k=2" in violations[0] and "'b1'" in violations[0]
+            assert digest_mismatches(cluster.engines)
+        finally:
+            cluster.shutdown()
 
 
 class TestControllerCrashScenarios:

@@ -5,7 +5,6 @@ import pytest
 import repro
 from repro.cluster import Cluster, ControllerRegistry, default_registry, load_cluster
 from repro.core import BackendConfig, Controller, VirtualDatabaseConfig
-from repro.core.driver import connect as driver_connect
 from repro.errors import ConfigurationError, ControllerError
 from repro.sql import DatabaseEngine
 
@@ -176,10 +175,14 @@ class TestDescriptorBoot:
         assert cluster.virtual_database_names == ["FloodAlert"]
         assert cluster.url("floodalert") == "cjdbc://case-a,case-b/FloodAlert"
 
-    def test_url_with_extra_database_argument_is_rejected(self):
-        load_cluster(ha_descriptor("two"))
-        with pytest.raises(ConfigurationError, match="already names its virtual database"):
+    def test_connect_takes_one_shape_a_url(self):
+        cluster = load_cluster(ha_descriptor("two"))
+        # a URL already names its virtual database: nothing else is positional
+        with pytest.raises(TypeError):
             repro.connect("cjdbc://ha-two-a/hadbtwo?user=app&password=secret", "otherdb")
+        # controller objects go to repro.core.driver.connect, not here
+        with pytest.raises(ConfigurationError, match="cluster URL must be a string"):
+            repro.connect(cluster.controller("ha-two-a"))
 
     def test_cluster_shutdown_unregisters(self):
         cluster = load_cluster(ha_descriptor("down"))
@@ -287,7 +290,7 @@ class TestInprocGroupFailure:
             cluster.shutdown()
 
 
-def tcp_group_descriptor(suffix: str, retry=None) -> dict:
+def tcp_group_descriptor(suffix: str, retry=None, controllers: str = "ab") -> dict:
     vdb = {
         "name": f"tgdb{suffix}",
         "group_name": f"tg-{suffix}",
@@ -304,7 +307,7 @@ def tcp_group_descriptor(suffix: str, retry=None) -> dict:
     return {
         "name": f"tg-{suffix}",
         "virtual_databases": [vdb],
-        "controllers": [{"name": f"tg-{suffix}-a"}, {"name": f"tg-{suffix}-b"}],
+        "controllers": [{"name": f"tg-{suffix}-{letter}"} for letter in controllers],
     }
 
 
@@ -383,6 +386,54 @@ class TestOnlyController:
         ):
             load_cluster(ha_descriptor("ghosted"), only_controller="ghost")
 
+    def test_crashed_controller_rejoins_a_tcp_group_by_state_transfer(self):
+        """README "One process per controller": a restarted controller boots
+        alone from the same descriptor, finds the survivors through
+        ``group.members`` and synchronizes from one of them before serving."""
+        from repro.cluster.fixture import digest_mismatches, wait_until
+
+        document = tcp_group_descriptor("rejoin", controllers="abc")
+        cluster = load_cluster(document)
+        rebooted = None
+        try:
+            connection = cluster.connect("tgdbrejoin")
+            connection.execute("CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(10))")
+            connection.execute("INSERT INTO t VALUES (1, 'before')")
+            victim = "tg-rejoin-c"
+            cluster.group_nodes[victim].kill()  # hard crash, no goodbye
+            survivors = ["tg-rejoin-a", "tg-rejoin-b"]
+            assert wait_until(
+                lambda: all(
+                    cluster.replicas[(name, "tgdbrejoin")].group_members == survivors
+                    for name in survivors
+                )
+            )
+            connection.execute("INSERT INTO t VALUES (2, 'missed')")
+
+            document["virtual_databases"][0]["group"]["members"] = {
+                name: cluster.group_nodes[name].address for name in survivors
+            }
+            rebooted = load_cluster(
+                document, registry=ControllerRegistry(), only_controller=victim
+            )
+            replica = rebooted.replicas[(victim, "tgdbrejoin")]
+            assert replica.state_synced_from in survivors
+            assert sorted(replica.group_members) == [*survivors, victim]
+
+            connection.execute("INSERT INTO t VALUES (3, 'after')")
+            live = {
+                **{name: cluster.engine(f"{name}/db") for name in survivors},
+                victim: rebooted.engine(f"{victim}/db"),
+            }
+            assert digest_mismatches(live) == []
+            assert live[victim].row_count("t") == 3
+            # the crashed incarnation's engine never saw the later writes
+            assert cluster.engine(f"{victim}/db").row_count("t") == 1
+        finally:
+            if rebooted is not None:
+                rebooted.shutdown()
+            cluster.shutdown()
+
 
 class TestProgrammaticAssembly:
     def test_from_configs_with_custom_engine(self):
@@ -426,20 +477,7 @@ class TestProgrammaticAssembly:
         assert default_registry.resolve("clobber-shared") is shared
 
 
-class TestLegacyShims:
-    def test_old_driver_signature_still_works(self):
-        cluster = load_cluster(ha_descriptor("old"))
-        controller = cluster.controller("ha-old-a")
-        connection = driver_connect(controller, "hadbold", "app", "secret")
-        assert connection.execute("SELECT 1").scalar() == 1
-
-    def test_driver_connect_accepts_urls(self):
-        load_cluster(ha_descriptor("durl"))
-        connection = driver_connect(
-            "cjdbc://ha-durl-a,ha-durl-b/hadbdurl?user=app&password=secret"
-        )
-        assert connection.execute("SELECT 1").scalar() == 1
-
+class TestBuilder:
     def test_build_virtual_database_registers_engines_via_public_path(self):
         engine = DatabaseEngine("shim-engine")
         from repro.core import build_virtual_database

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.conftest import make_cluster
+from tests.conftest import make_cluster, make_replicated_cluster
 
 from repro.core import (
     BackendConfig,
@@ -11,23 +11,14 @@ from repro.core import (
     build_virtual_database,
     connect,
 )
-from repro.distrib import ControllerReplicator, nested_backend_config
-from repro.groupcomm import GroupTransport
+from repro.distrib import nested_backend_config
 from repro.sql import DatabaseEngine
 
 
 def build_replicated_pair(db_name="appdb"):
     """Two controllers, each hosting a replica of the same virtual database."""
-    controller_a, vdb_a, engines_a = make_cluster(db_name, backend_count=1)
-    controller_b, vdb_b, engines_b = make_cluster(db_name, backend_count=1)
-    replicator = ControllerReplicator()
-    replica_a = replicator.add_replica(controller_a, vdb_a)
-    replica_b = replicator.add_replica(controller_b, vdb_b)
-    return (
-        (controller_a, replica_a, engines_a[0]),
-        (controller_b, replica_b, engines_b[0]),
-        replicator,
-    )
+    cluster, (first, second) = make_replicated_cluster(db_name)
+    return first, second, cluster
 
 
 class TestHorizontalScalability:
@@ -128,8 +119,8 @@ class TestHorizontalScalability:
         assert set(replica_b.peer_backends) == {replica_a.controller_name}
 
     def test_controller_failure_triggers_view_change(self):
-        (_, replica_a, _), (_, replica_b, _), replicator = build_replicated_pair()
-        replicator.transport.fail_member(replica_b.controller_name)
+        (_, replica_a, _), (_, replica_b, _), cluster = build_replicated_pair()
+        cluster.transport.fail_member(replica_b.controller_name)
         assert replica_a.group_members == [replica_a.controller_name]
         assert any(view.left == [replica_b.controller_name] for view in replica_a.view_changes)
 

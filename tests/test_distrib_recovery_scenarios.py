@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.conftest import make_cluster
+from tests.conftest import make_cluster, make_replicated_cluster
 
 from repro.core import (
     BackendConfig,
@@ -11,7 +11,7 @@ from repro.core import (
     build_virtual_database,
     connect,
 )
-from repro.distrib import ControllerReplicator, nested_backend_config
+from repro.distrib import nested_backend_config
 from repro.distrib.distributed_vdb import DistributedVirtualDatabase
 from repro.errors import GroupCommunicationError
 from repro.groupcomm import GroupTransport
@@ -20,14 +20,12 @@ from repro.sql import DatabaseEngine
 
 class TestReplicaLifecycle:
     def test_writes_before_other_controllers_join_stay_local(self):
-        controller_a, vdb_a, engine_a = make_cluster("lonely", backend_count=1)
-        replicator = ControllerReplicator()
-        replica_a = replicator.add_replica(controller_a, vdb_a)
+        _, [(controller_a, replica_a, engine_a)] = make_replicated_cluster("lonely", 1)
         connection = connect(controller_a, "lonely", "u", "p")
         connection.execute("CREATE TABLE t (id INT PRIMARY KEY)")
         connection.execute("INSERT INTO t VALUES (1)")
         assert replica_a.group_members == [controller_a.name]
-        assert engine_a[0].execute("SELECT COUNT(*) FROM t").scalar() == 1
+        assert engine_a.execute("SELECT COUNT(*) FROM t").scalar() == 1
 
     def test_multicast_without_join_raises(self):
         controller, vdb, _ = make_cluster("nojoin", backend_count=1)
@@ -36,24 +34,18 @@ class TestReplicaLifecycle:
             replica.execute("INSERT INTO t VALUES (1)")
 
     def test_leave_group_stops_receiving_writes(self):
-        controller_a, vdb_a, engines_a = make_cluster("leaver", backend_count=1)
-        controller_b, vdb_b, engines_b = make_cluster("leaver", backend_count=1)
-        replicator = ControllerReplicator()
-        replicator.add_replica(controller_a, vdb_a)
-        replica_b = replicator.add_replica(controller_b, vdb_b)
+        _, [(controller_a, _, engine_a), (_, replica_b, engine_b)] = (
+            make_replicated_cluster("leaver")
+        )
         connection = connect(controller_a, "leaver", "u", "p")
         connection.execute("CREATE TABLE t (id INT PRIMARY KEY)")
         replica_b.leave_group()
         connection.execute("INSERT INTO t VALUES (1)")
-        assert engines_a[0].execute("SELECT COUNT(*) FROM t").scalar() == 1
-        assert engines_b[0].execute("SELECT COUNT(*) FROM t").scalar() == 0
+        assert engine_a.execute("SELECT COUNT(*) FROM t").scalar() == 1
+        assert engine_b.execute("SELECT COUNT(*) FROM t").scalar() == 0
 
     def test_transaction_ids_do_not_collide_across_controllers(self):
-        controller_a, vdb_a, _ = make_cluster("txids", backend_count=1)
-        controller_b, vdb_b, _ = make_cluster("txids", backend_count=1)
-        replicator = ControllerReplicator()
-        replica_a = replicator.add_replica(controller_a, vdb_a)
-        replica_b = replicator.add_replica(controller_b, vdb_b)
+        _, [(_, replica_a, _), (_, replica_b, _)] = make_replicated_cluster("txids")
         ids_a = [replica_a.begin("u") for _ in range(5)]
         ids_b = [replica_b.begin("u") for _ in range(5)]
         assert len(set(ids_a) | set(ids_b)) == 10
@@ -63,14 +55,9 @@ class TestReplicaLifecycle:
             replica_b.rollback(transaction_id)
 
     def test_three_replicas_converge_under_interleaved_writes(self):
-        replicator = ControllerReplicator()
-        controllers, engines = [], []
-        for index in range(3):
-            controller, vdb, engine_list = make_cluster("tri", backend_count=1)
-            replicator.add_replica(controller, vdb)
-            controllers.append(controller)
-            engines.append(engine_list[0])
-        connections = [connect(controller, "tri", "u", "p") for controller in controllers]
+        _, members = make_replicated_cluster("tri", 3)
+        engines = [engine for _, _, engine in members]
+        connections = [connect(controller, "tri", "u", "p") for controller, _, _ in members]
         connections[0].execute("CREATE TABLE t (id INT PRIMARY KEY AUTO_INCREMENT, origin VARCHAR(10))")
         for round_index in range(5):
             for index, connection in enumerate(connections):
@@ -161,7 +148,9 @@ class TestJoiningControllerStateTransfer:
 class TestMixedTopology:
     def test_horizontal_plus_vertical(self):
         """Figure 5: replicated top-level controllers, each over its own nested subtree."""
-        replicator = ControllerReplicator()
+        # nested backends are live controllers, not expressible in a descriptor:
+        # the two replicas are wired by hand over one in-process network
+        transport = GroupTransport()
         top_controllers = []
         local_engines = []
         leaf_engines = []
@@ -186,8 +175,11 @@ class TestMixedTopology:
                 )
             )
             top_controller = Controller(f"top-{index}")
-            top_controller.add_virtual_database(top_vdb)
-            replicator.add_replica(top_controller, top_vdb)
+            replica = DistributedVirtualDatabase(
+                top_vdb, transport, controller_name=top_controller.name
+            )
+            replica.join_group()
+            top_controller.add_virtual_database(replica)
             top_controllers.append(top_controller)
 
         connection = connect(top_controllers, "topdb", "u", "p")

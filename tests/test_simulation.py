@@ -4,7 +4,7 @@ import pytest
 
 from repro.simulation import ClusterSimulation, SimulationConfig, Simulator
 from repro.simulation.cluster import tpcw_partial_placement
-from repro.simulation.costmodel import (
+from repro.planner.costmodel import (
     RUBIS_COST_MODEL,
     TPCW_COST_MODEL,
     CostModel,

@@ -4,7 +4,7 @@ import pytest
 
 from repro.simulation import ClusterSimulation, SimulationConfig, Simulator
 from repro.simulation.cluster import SimulatedController, tpcw_partial_placement
-from repro.simulation.costmodel import CostModel
+from repro.planner.costmodel import CostModel
 from repro.workloads.profile import StatementClass, StatementProfile
 from repro.workloads.tpcw import BROWSING_MIX, INTERACTIONS
 
