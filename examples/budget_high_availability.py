@@ -64,12 +64,7 @@ def main() -> None:
     # the failed node lost its disk: wipe it to make the point
     for table in list(postgres_1.catalog.table_names()):
         postgres_1.catalog.drop_table(table)
-    virtual_database.checkpointing_service.recover_backend(
-        virtual_database.get_backend("pg-node1"),
-        postgres_1,
-        checkpoint_name=checkpoint,
-        replay=virtual_database.request_manager.replay_log_entries,
-    )
+    virtual_database.recover_backend("pg-node1", checkpoint)
     print(
         "pg-node1 re-integrated from checkpoint",
         checkpoint,

@@ -125,14 +125,20 @@ class ChaosResult:
 # ---------------------------------------------------------------------------
 
 
-def _boot_kv_cluster(backends: int, **descriptor_keys) -> Tuple[Cluster, VirtualDatabase]:
-    """One shared RAIDb vdb with the ``kv`` seed and a genesis dump per backend."""
+def _boot_kv_cluster(
+    backends: int, genesis_dumps: bool = True, **descriptor_keys
+) -> Tuple[Cluster, VirtualDatabase]:
+    """One shared RAIDb vdb with the ``kv`` seed and a genesis dump per backend.
+
+    Without ``genesis_dumps`` re-integration has no restore point and must
+    cut a checkpoint from the live backends.
+    """
     cluster = boot(descriptor("chaos", backends, **descriptor_keys))
     vdb = cluster.virtual_database(cluster.name)
     seed_kv(vdb.request_manager.execute, 10)
-    # genesis dump per backend so re-integration has a restore point
-    for name in cluster.engines:
-        vdb.checkpoint_backend(name, name=f"genesis-{cluster.name}-{name}")
+    if genesis_dumps:
+        for name in cluster.engines:
+            vdb.checkpoint_backend(name, name=f"genesis-{cluster.name}-{name}")
     return cluster, vdb
 
 
@@ -238,8 +244,8 @@ def scenario_crash_mid_transaction(seed: int, scale: float = 1.0) -> ChaosResult
     """A backend hard-crashes between two statements of a client transaction.
 
     The failed write disables the backend, the transaction commits on the
-    survivors, and re-integration replays the whole transaction from the
-    recovery log.
+    survivors, and the operator's ``recover <backend> <checkpoint>`` replays
+    the whole transaction from the recovery log.
     """
     result = ChaosResult("crash_mid_transaction", seed)
     cluster, vdb = _boot_kv_cluster(3)
@@ -275,7 +281,7 @@ def scenario_crash_mid_transaction(seed: int, scale: float = 1.0) -> ChaosResult
                 f"read served by disabled backend {read.backend_name!r}"
             )
         injector.recover()
-        replayed = vdb.resynchronize_backend("b2")
+        replayed = vdb.recover_backend("b2", f"genesis-{cluster.name}-b2")
         _check_enabled_replicas(cluster, vdb, acked, result.violations)
         result.details.update(
             {
@@ -293,10 +299,11 @@ def scenario_crash_mid_batch(seed: int, scale: float = 1.0) -> ChaosResult:
     """A backend crashes while executing a server-side batch.
 
     The batch succeeds on the survivors (one log group entry), the crashed
-    backend is disabled, and replay re-executes the batches atomically.
+    backend is disabled, and — no dump was ever taken — re-integration cuts
+    a checkpoint from a live peer.
     """
     result = ChaosResult("crash_mid_batch", seed)
-    cluster, vdb = _boot_kv_cluster(3)
+    cluster, vdb = _boot_kv_cluster(3, genesis_dumps=False)
     try:
         manager = vdb.request_manager
         injector = vdb.fault_injector("b1", seed=seed)

@@ -370,11 +370,19 @@ class Cluster:
         return self.virtual_database(vdb_name, controller).failure_detector
 
     def resynchronize(
-        self, vdb_name: str, backend_name: str, controller: Optional[str] = None
+        self,
+        vdb_name: str,
+        backend_name: str,
+        controller: Optional[str] = None,
+        checkpoint: Optional[str] = None,
     ) -> int:
-        """Synchronously re-integrate a disabled backend from the recovery log."""
+        """Synchronously re-integrate a disabled backend (restore, replay, catch up).
+
+        It comes back from the named checkpoint, else its own most recent
+        one, else a fresh cut of the live backends.
+        """
         return self.virtual_database(vdb_name, controller).resynchronize_backend(
-            backend_name
+            backend_name, checkpoint
         )
 
     @property

@@ -40,6 +40,7 @@ from repro.errors import (
     InterfaceError,
     NoMoreBackendError,
 )
+from repro.sql.dbapi import ResultCursor
 
 apilevel = "2.0"
 threadsafety = 1
@@ -420,36 +421,8 @@ class _HandleCache:
         return self.handle
 
 
-class VirtualCursor:
+class VirtualCursor(ResultCursor):
     """DB-API cursor over a virtual connection; results are fully materialized."""
-
-    arraysize = 1
-
-    def __init__(self, connection: VirtualConnection):
-        self._connection = connection
-        self._result: Optional[RequestResult] = None
-        self._position = 0
-        self._closed = False
-
-    # -- metadata -------------------------------------------------------------------------
-
-    @property
-    def description(self) -> Optional[List[Tuple]]:
-        if self._result is None or not self._result.columns:
-            return None
-        return [(name, None, None, None, None, None, None) for name in self._result.columns]
-
-    @property
-    def rowcount(self) -> int:
-        if self._result is None:
-            return -1
-        if self._result.columns:
-            return len(self._result.rows)
-        return self._result.update_count
-
-    @property
-    def columns(self) -> List[str]:
-        return list(self._result.columns) if self._result else []
 
     @property
     def from_cache(self) -> bool:
@@ -504,70 +477,6 @@ class VirtualCursor:
             summary.update_count = total
             self._result = summary
         return self
-
-    # -- fetching ---------------------------------------------------------------------------
-
-    def fetchone(self) -> Optional[Tuple[Any, ...]]:
-        self._check_has_result()
-        if self._position >= len(self._result.rows):
-            return None
-        row = tuple(self._result.rows[self._position])
-        self._position += 1
-        return row
-
-    def fetchmany(self, size: Optional[int] = None) -> List[Tuple[Any, ...]]:
-        self._check_has_result()
-        count = size if size is not None else self.arraysize
-        rows = []
-        for _ in range(count):
-            row = self.fetchone()
-            if row is None:
-                break
-            rows.append(row)
-        return rows
-
-    def fetchall(self) -> List[Tuple[Any, ...]]:
-        self._check_has_result()
-        rows = [tuple(row) for row in self._result.rows[self._position :]]
-        self._position = len(self._result.rows)
-        return rows
-
-    def fetchall_dicts(self) -> List[dict]:
-        self._check_has_result()
-        return self._result.as_dicts()
-
-    def scalar(self) -> Any:
-        self._check_has_result()
-        return self._result.scalar()
-
-    # -- misc --------------------------------------------------------------------------------
-
-    def setinputsizes(self, sizes) -> None:  # pragma: no cover - DB-API stub
-        return None
-
-    def setoutputsize(self, size, column=None) -> None:  # pragma: no cover
-        return None
-
-    def close(self) -> None:
-        self._closed = True
-        self._result = None
-
-    def __iter__(self):
-        while True:
-            row = self.fetchone()
-            if row is None:
-                return
-            yield row
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise InterfaceError("cursor is closed")
-        self._connection._check_open()
-
-    def _check_has_result(self) -> None:
-        self._check_open()
-        if self._result is None:
-            raise InterfaceError("no statement executed yet")
 
 
 class PreparedStatement(VirtualCursor):

@@ -14,17 +14,13 @@ database."  This module supplies the two halves of that story:
   cluster), notifies listeners, and optionally hands the backend to the
   resynchronizer.
 * :class:`BackendResynchronizer` — the self-healing worker that brings a
-  disabled backend back while the cluster keeps serving traffic: restore
-  the last dump checkpoint into the backend's engine (§3.1), replay the
-  recovery-log tail *online* (writes keep flowing and keep being logged),
-  then catch up the entries that arrived during the online replay under a
-  brief scheduler write barrier and re-enable the backend.
-
-Replay across the two phases keeps client transactions faithful: a
-transaction begun inside the replay window is left *open* on the recovering
-backend (``rollback_unfinished=False``), so the backend becomes a
-participant and the client's own later COMMIT/ROLLBACK reaches it through
-the normal broadcast path.
+  disabled backend back while the cluster keeps serving traffic.  It owns
+  the policy — which checkpoint to come back from, retries, the background
+  thread — and the mechanism is the one re-integration procedure of
+  :mod:`repro.core.recovery.checkpoint`: ``cut`` a checkpoint from the live
+  backends when no dump fits, then ``catch_up`` (restore, replay the log
+  tail online, replay the rest under a brief scheduler write barrier,
+  settle transactions, re-enable).
 """
 
 from __future__ import annotations
@@ -173,18 +169,14 @@ class FailureDetector:
 class BackendResynchronizer:
     """Background worker re-integrating disabled backends from the recovery log.
 
-    Owned by a :class:`repro.core.virtualdb.VirtualDatabase`.  A resync runs
-    in three steps:
-
-    1. **restore** — load the chosen dump checkpoint into the backend's
-       registered engine (writes keep flowing to the healthy backends).  If
-       no dump exists yet, one is taken from a healthy enabled peer under
-       the write barrier of step 3 (bootstrap of a brand-new backend).
-    2. **online replay** — replay every log entry recorded since that
-       checkpoint, while new writes continue and keep appending to the log.
-    3. **barrier catch-up** — acquire the scheduler's write barrier (blocking
-       new writes/commits briefly), replay the entries that arrived during
-       step 2, re-enable the backend, release the barrier.
+    Owned by a :class:`repro.core.virtualdb.VirtualDatabase`.  A resync
+    comes back from the named checkpoint, else the backend's own most recent
+    one, else (full replication, where any dump is the whole database) the
+    most recent of any backend, else a fresh
+    :meth:`~repro.core.recovery.checkpoint.CheckpointingService.cut` of the
+    tables it hosts from the live backends; then
+    :meth:`~repro.core.recovery.checkpoint.CheckpointingService.catch_up`
+    restores, replays and re-enables it.
 
     Failures (e.g. the backend is still crashed) are retried up to
     ``max_attempts`` with ``retry_delay`` between attempts; each outcome is
@@ -231,11 +223,11 @@ class BackendResynchronizer:
         thread.start()
         return thread
 
-    def resynchronize(self, backend_name: str) -> int:
+    def resynchronize(self, backend_name: str, checkpoint: Optional[str] = None) -> int:
         """Synchronous resync; returns the number of log entries replayed."""
         with self._lock:
             self.resyncs_started += 1
-        return self._resync_with_retries(backend_name)
+        return self._resync_with_retries(backend_name, checkpoint)
 
     def wait(self, backend_name: Optional[str] = None, timeout: float = 10.0) -> None:
         """Block until the named (or every) background resync finishes."""
@@ -265,11 +257,11 @@ class BackendResynchronizer:
                 lock = self._backend_locks[backend_name] = threading.Lock()
             return lock
 
-    def _resync_with_retries(self, backend_name: str) -> int:
+    def _resync_with_retries(self, backend_name: str, checkpoint: Optional[str] = None) -> int:
         with self._backend_lock(backend_name):
-            return self._locked_resync_with_retries(backend_name)
+            return self._locked_resync_with_retries(backend_name, checkpoint)
 
-    def _locked_resync_with_retries(self, backend_name: str) -> int:
+    def _locked_resync_with_retries(self, backend_name: str, checkpoint: Optional[str]) -> int:
         record = {
             "backend": backend_name,
             "attempts": 0,
@@ -283,7 +275,7 @@ class BackendResynchronizer:
         for attempt in range(self.max_attempts):
             record["attempts"] = attempt + 1
             try:
-                record["replayed"] = self._attempt(backend_name)
+                record["replayed"] = self._attempt(backend_name, checkpoint)
                 record["ok"] = True
                 error = None
                 break
@@ -312,17 +304,12 @@ class BackendResynchronizer:
             ) from error
         return record["replayed"]
 
-    def _attempt(self, backend_name: str) -> int:
+    def _attempt(self, backend_name: str, checkpoint_name: Optional[str]) -> int:
         vdb = self.virtual_database
         manager = vdb.request_manager
+        service = vdb.checkpointing_service
         backend = manager.get_backend(backend_name)
-        engine = vdb.backend_engine(backend_name)
-        if engine is None:
-            raise CheckpointError(
-                f"backend {backend_name!r} has no registered engine to restore into"
-            )
-        log = manager.recovery_log
-        if log is None:
+        if manager.recovery_log is None:
             raise CheckpointError(
                 "resynchronization needs a recovery log (recovery_log: none"
                 " disables re-integration)"
@@ -331,101 +318,13 @@ class BackendResynchronizer:
             # another resync (or an operator) already brought it back; do
             # not truncate-restore an engine that is serving traffic
             return 0
-        service = vdb.checkpointing_service
-        backend.set_recovering()
-        # drop transactions a previous failed attempt may have left open
-        backend.abort_all_transactions()
-        checkpoint = self._pick_checkpoint(backend)
-        if checkpoint is None:
-            # Bootstrap: no dump exists yet.  Take one from a healthy peer
-            # under the write barrier so the snapshot is consistent, restore
-            # it, and enable — the fresh checkpoint marker means nothing to
-            # replay.
-            replayed = self._bootstrap_from_peer(backend, engine)
-            self._finish(backend)
-            return replayed
-        # 1. restore the dump (online: healthy backends keep serving)
-        service.octopus.restore_engine(checkpoint.dump, engine, truncate=True)
-        backend.last_known_checkpoint = checkpoint.name
-        # 2. online replay of the tail recorded since the dump's marker
-        open_transactions: set = set()
-        entries = log.entries_since_checkpoint(checkpoint.name)
-        manager.replay_log_entries(
-            backend, entries, rollback_unfinished=False, open_transactions=open_transactions
-        )
-        replayed = len(entries)
-        last_seen = entries[-1].log_id if entries else self._marker_id(log, checkpoint.name)
-        # 3. barrier catch-up: block new writes, replay what arrived during
-        #    step 2, re-enable while still holding the barrier
-        with manager.scheduler.write_barrier():
-            delta = log.entries_after_id(last_seen)
-            manager.replay_log_entries(
-                backend,
-                delta,
-                rollback_unfinished=False,
-                open_transactions=open_transactions,
-            )
-            replayed += len(delta)
-            self._finish(backend)
-        return replayed
-
-    def _pick_checkpoint(self, backend: DatabaseBackend):
-        service = self.virtual_database.checkpointing_service
-        if backend.last_known_checkpoint:
-            try:
-                return service.get_checkpoint(backend.last_known_checkpoint)
-            except CheckpointError:
-                pass
-        own = service.last_checkpoint_for(backend.name)
-        if own is not None:
-            return own
-        # under full replication any backend's dump is the whole database;
-        # under partial replication another backend's dump holds a different
-        # table subset, so fall through to the peer bootstrap instead
-        balancer = self.virtual_database.request_manager.load_balancer
-        if balancer.raidb_level == "RAIDb-1":
-            return service.last_checkpoint()
-        return None
-
-    def _bootstrap_from_peer(self, backend: DatabaseBackend, engine) -> int:
-        vdb = self.virtual_database
-        manager = vdb.request_manager
-        service = vdb.checkpointing_service
-        peers = [
-            peer
-            for peer in manager.enabled_backends()
-            if peer.name != backend.name and vdb.backend_engine(peer.name) is not None
-        ]
-        if not peers:
-            raise CheckpointError(
-                f"no checkpoint and no healthy peer engine to bootstrap"
-                f" backend {backend.name!r} from"
-            )
-        peer = peers[0]
-        with manager.scheduler.write_barrier():
-            checkpoint = service.checkpoint_backend(
-                peer,
-                vdb.backend_engine(peer.name),
-                re_enable=True,
-                replay=manager.replay_log_entries,
-            )
-            service.octopus.restore_engine(checkpoint.dump, engine, truncate=True)
-            backend.last_known_checkpoint = checkpoint.name
-            self._finish(backend)
-        return 0
-
-    def _finish(self, backend: DatabaseBackend) -> None:
-        backend.enable()
-        detector = getattr(self.virtual_database.request_manager, "failure_detector", None)
-        if detector is not None:
-            detector.note_backend_recovered(backend)
-
-    @staticmethod
-    def _marker_id(log, checkpoint_name: str) -> int:
-        for entry in log.entries():
-            if entry.entry_type == "checkpoint" and entry.checkpoint_name == checkpoint_name:
-                return entry.log_id
-        raise CheckpointError(f"checkpoint marker {checkpoint_name!r} not in the log")
+        if checkpoint_name is not None:
+            checkpoint = service.get_checkpoint(checkpoint_name)
+        else:
+            checkpoint = service.last_checkpoint(backend.name)
+            if checkpoint is None and manager.load_balancer.raidb_level == "RAIDb-1":
+                checkpoint = service.last_checkpoint()
+        return service.catch_up(backend, checkpoint or service.cut(target=backend))
 
     # -- monitoring --------------------------------------------------------------------
 

@@ -40,7 +40,7 @@ class AdminConsole:
             "explain": self._cmd_explain,
             "interceptors": self._cmd_interceptors,
             "fault": self._cmd_fault,
-            "resync": self._cmd_resync,
+            "resync": self._cmd_recover,
             "net": self._cmd_net,
             "pools": self._cmd_pools,
             "group": self._cmd_group,
@@ -69,7 +69,8 @@ class AdminConsole:
             "  enable <vdb> <backend> [<checkpoint>]\n"
             "  disable <vdb> <backend> [checkpoint]\n"
             "  checkpoint <vdb> <backend> [<name>]\n"
-            "  recover <vdb> <backend> [<checkpoint>]\n"
+            "  recover | resync <vdb> <backend> [<checkpoint>] (re-integrate a disabled"
+            " backend: restore, replay, catch up)\n"
             "  stats <vdb>\n"
             "  scheduler <vdb> (scheduler variant, wait accounting,"
             " lock/conflict counters)\n"
@@ -78,7 +79,6 @@ class AdminConsole:
             "  fault <vdb> <backend> status|crash|recover|clear\n"
             "  fault <vdb> <backend> latency <ms> [probability]\n"
             "  fault <vdb> <backend> error [probability]\n"
-            "  resync <vdb> <backend>\n"
             "  net (TCP front-end status of this controller)\n"
             "  pools (client-side connection pool statistics; needs a cluster)\n"
             "  group <vdb> (membership view, sequencer and heartbeat status of a"
@@ -128,10 +128,10 @@ class AdminConsole:
 
     def _cmd_recover(self, args: List[str]) -> str:
         if len(args) < 2:
-            return "usage: recover <vdb> <backend> [<checkpoint>]"
+            return "usage: recover | resync <vdb> <backend> [<checkpoint>]"
         vdb = self.controller.get_virtual_database(args[0])
         checkpoint = args[2] if len(args) > 2 else None
-        replayed = vdb.recover_backend(args[1], checkpoint_name=checkpoint)
+        replayed = vdb.resynchronize_backend(args[1], checkpoint)
         return f"backend {args[1]} recovered ({replayed} log entries replayed)"
 
     def _cmd_interceptors(self, args: List[str]) -> str:
@@ -193,13 +193,6 @@ class AdminConsole:
         except ValueError:
             return usage
         return usage
-
-    def _cmd_resync(self, args: List[str]) -> str:
-        if len(args) < 2:
-            return "usage: resync <vdb> <backend>"
-        vdb = self.controller.get_virtual_database(args[0])
-        replayed = vdb.resynchronize_backend(args[1])
-        return f"backend {args[1]} resynchronized ({replayed} log entries replayed)"
 
     def _cmd_net(self, args: List[str]) -> str:
         server = self.controller.network_server

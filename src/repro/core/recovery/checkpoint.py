@@ -1,28 +1,35 @@
-"""Checkpointing service and backend recovery (paper §3.1).
+"""Checkpointing service and backend re-integration (paper §3.1).
 
-The checkpoint procedure follows the paper exactly:
+The paper has one procedure:
 
 1. insert a checkpoint marker in the recovery log;
-2. disable the backend so no updates reach it during the dump (the other
-   backends keep serving clients);
-3. dump the backend content with the Octopus-like ETL tool;
-4. replay from the recovery log the updates that occurred during the dump,
-   starting at the checkpoint marker;
+2. dump the database content with the Octopus-like ETL tool;
+3. restore the dump into the backend being integrated;
+4. replay from the recovery log the updates recorded since the marker;
 5. re-enable the backend.
 
-The same machinery recovers a failed backend or integrates a brand new one:
-restore the latest dump, then replay the log from the dump's checkpoint.
+Here it is two primitives.  :meth:`CheckpointingService.cut` is steps 1-2: a
+marker and a dump that agree exactly, taken under the scheduler's write
+barrier.  :meth:`CheckpointingService.catch_up` is steps 3-5: restore, replay
+the log from the marker while writes keep flowing, then under the barrier
+replay what arrived meanwhile, settle transactions and enable.
+
+The same machinery takes an operator's online checkpoint
+(:meth:`CheckpointingService.checkpoint_backend`), recovers a failed backend
+or integrates a brand new one (:class:`repro.core.failover.BackendResynchronizer`)
+and synchronizes a joining controller
+(:class:`repro.distrib.DistributedVirtualDatabase`).
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.core.backend import DatabaseBackend
 from repro.core.recovery.octopus import Octopus, PortableDump
-from repro.core.recovery.recovery_log import LogEntry, RecoveryLog
+from repro.core.recovery.recovery_log import MemoryRecoveryLog
 from repro.errors import CheckpointError
 from repro.sql.engine import DatabaseEngine
 
@@ -33,6 +40,7 @@ class Checkpoint:
 
     name: str
     dump: PortableDump
+    #: backend whose table set the dump holds ("" = the whole database)
     backend_name: str
 
     @property
@@ -43,17 +51,21 @@ class Checkpoint:
 class CheckpointingService:
     """Manages checkpoints ("database dumps management" box of Figure 1)."""
 
-    def __init__(self, recovery_log: RecoveryLog, octopus: Optional[Octopus] = None):
-        self.recovery_log = recovery_log
+    def __init__(self, virtual_database, octopus: Optional[Octopus] = None):
+        self.virtual_database = virtual_database
+        log = virtual_database.request_manager.recovery_log
+        self.recovery_log = log if log is not None else MemoryRecoveryLog()
         self.octopus = octopus or Octopus()
         self._checkpoints: Dict[str, Checkpoint] = {}
         self._lock = threading.Lock()
         self._counter = 0
 
-    # -- checkpoint creation ------------------------------------------------------
+    # -- the checkpoint store -----------------------------------------------------
 
     def store_checkpoint(self, checkpoint: Checkpoint) -> None:
         with self._lock:
+            # the dict is kept in marker order: a re-taken name moves to the end
+            self._checkpoints.pop(checkpoint.name, None)
             self._checkpoints[checkpoint.name] = checkpoint
 
     def get_checkpoint(self, name: str) -> Checkpoint:
@@ -67,103 +79,157 @@ class CheckpointingService:
         with self._lock:
             return sorted(self._checkpoints)
 
-    def last_checkpoint(self) -> Optional[Checkpoint]:
-        with self._lock:
-            if not self._checkpoints:
-                return None
-            latest = max(self._checkpoints)
-            return self._checkpoints[latest]
+    def last_checkpoint(self, backend_name: Optional[str] = None) -> Optional[Checkpoint]:
+        """The most recently taken checkpoint, of one backend when named.
 
-    def last_checkpoint_for(self, backend_name: str) -> Optional[Checkpoint]:
-        """The most recent checkpoint dumped from the named backend.
-
-        Backend re-integration prefers a dump of the backend itself: under
-        partial replication (RAIDb-0/2) another backend's dump holds a
-        different table subset and must not be restored blindly.
+        Re-integration prefers a dump of the backend itself: under partial
+        replication (RAIDb-0/2) another backend's dump holds a different
+        table subset and must not be restored blindly.
         """
         with self._lock:
-            names = sorted(
-                name
-                for name, checkpoint in self._checkpoints.items()
-                if checkpoint.backend_name == backend_name
-            )
-            return self._checkpoints[names[-1]] if names else None
+            for checkpoint in reversed(self._checkpoints.values()):
+                if backend_name is None or checkpoint.backend_name == backend_name:
+                    return checkpoint
+        return None
 
     def next_checkpoint_name(self, prefix: str = "checkpoint") -> str:
         with self._lock:
             self._counter += 1
             return f"{prefix}-{self._counter:04d}"
 
-    def checkpoint_backend(
-        self,
-        backend: DatabaseBackend,
-        engine: DatabaseEngine,
-        name: Optional[str] = None,
-        re_enable: bool = True,
-        replay: Optional[Callable[[DatabaseBackend, List[LogEntry]], None]] = None,
-    ) -> Checkpoint:
-        """Take a checkpoint of ``backend`` whose storage is ``engine``.
+    def _engine(self, backend: DatabaseBackend) -> DatabaseEngine:
+        engine = self.virtual_database.backend_engine(backend.name)
+        if engine is None:
+            raise CheckpointError(
+                f"backend {backend.name!r} has no registered engine to dump or restore"
+            )
+        return engine
 
-        ``replay`` is a callback (provided by the virtual database) that
-        replays missed log entries on the backend once the dump is finished;
-        it is what makes the backend consistent again before re-enabling it.
+    # -- cut: marker + dump ---------------------------------------------------------
+
+    def cut(
+        self,
+        target: Optional[DatabaseBackend] = None,
+        source: Optional[DatabaseBackend] = None,
+        name: Optional[str] = None,
+    ) -> Checkpoint:
+        """Cut a checkpoint: a log marker and a dump that agree exactly.
+
+        The scheduler orders every write before any backend sees it, so its
+        write barrier is the one place a consistent cut can be taken: under
+        it no write is in flight, and the marker splits the log precisely at
+        the dumped content.  Reads keep being served.
+
+        With ``source`` (the paper's online checkpoint) that backend leaves
+        the cluster *at the marker* and is dumped after the barrier is
+        released, so the other backends take writes during the dump.
+        Otherwise every table ``target`` hosts — the whole database under
+        full replication, or with no target (a joining controller) — is
+        dumped inside the barrier from a live backend hosting it, which
+        stays ENABLED.  A table with no live host raises
+        :class:`CheckpointError` rather than restoring a stale table.
         """
-        checkpoint_name = name or self.next_checkpoint_name()
-        # 1. checkpoint marker first, so every later write is replayable
-        self.recovery_log.insert_checkpoint_marker(checkpoint_name)
-        # 2. disable the backend during the dump
-        was_enabled = backend.is_enabled
-        if was_enabled:
-            backend.disable()
+        name = name or self.next_checkpoint_name()
+        engine = self._engine(source) if source is not None else None
+        with self.virtual_database.request_manager.scheduler.write_barrier():
+            self.recovery_log.insert_checkpoint_marker(name)
+            if source is None:
+                dump = self._dump_live_hosts(name, target)
+            else:
+                source.disable()
+                source.set_recovering()
+                source.last_known_checkpoint = name
+        if source is not None:
+            try:
+                dump = self.octopus.dump_engine(engine, name)
+            except Exception as exc:
+                source.disable()
+                raise CheckpointError(f"checkpoint of {source.name!r} failed: {exc}") from exc
+        owner = source or target
+        checkpoint = Checkpoint(name, dump, owner.name if owner is not None else "")
+        self.store_checkpoint(checkpoint)
+        return checkpoint
+
+    def _dump_live_hosts(self, name: str, target: Optional[DatabaseBackend]) -> PortableDump:
+        vdb = self.virtual_database
+        manager = vdb.request_manager
+        donors = [
+            (peer, engine)
+            for peer in manager.enabled_backends()
+            if peer is not target and (engine := vdb.backend_engine(peer.name)) is not None
+        ]
+        if target is None or manager.load_balancer.raidb_level == "RAIDb-1":
+            if not donors:
+                raise CheckpointError("no live backend engine to cut a checkpoint from")
+            return self.octopus.dump_engine(donors[0][1], name)
+        dump = PortableDump(name)
+        missing = target.tables
+        for peer, engine in donors:
+            hosted = missing & peer.tables
+            if hosted:
+                part = self.octopus.dump_engine(engine, name, tables=hosted)
+                dump.tables.extend(part.tables)
+                dump.rows.update(part.rows)
+                missing -= hosted
+        if missing:
+            raise CheckpointError(
+                f"no live backend hosts {', '.join(sorted(missing))}"
+                f" to cut a checkpoint for backend {target.name!r} from"
+            )
+        return dump
+
+    # -- catch_up: restore + replay + barrier + enable ----------------------------------
+
+    def catch_up(
+        self, backend: DatabaseBackend, checkpoint: Checkpoint, restore: bool = True
+    ) -> int:
+        """Bring ``backend`` from ``checkpoint`` to the present and enable it.
+
+        Restores the dump (``restore=False``: the backend *is* the dump's
+        source and still holds its content), replays the log tail recorded
+        since the marker while writes keep flowing and being logged, then
+        takes the write barrier, replays what arrived during the online
+        replay, settles transactions — one the request manager still tracks
+        stays open so the client's own COMMIT/ROLLBACK reaches this backend,
+        any other is rolled back — and enables the backend before a single
+        new write can pass.  Returns the number of log entries replayed.
+        """
+        manager = self.virtual_database.request_manager
         backend.set_recovering()
+        # drop transactions a previous failed attempt may have left open
+        backend.abort_all_transactions()
+        if restore:
+            self.octopus.restore_engine(checkpoint.dump, self._engine(backend), truncate=True)
+        backend.last_known_checkpoint = checkpoint.name
+        tail = self.recovery_log.entries_since_checkpoint(checkpoint.name)
+        manager.replay_log_entries(backend, tail)
+        with manager.scheduler.write_barrier():
+            delta = self.recovery_log.entries_since_checkpoint(checkpoint.name)[len(tail):]
+            manager.replay_log_entries(backend, delta)
+            manager.settle_replayed_transactions(backend)
+            backend.enable()
+            if manager.failure_detector is not None:
+                manager.failure_detector.note_backend_recovered(backend)
+        return len(tail) + len(delta)
+
+    # -- the operator's online checkpoint ------------------------------------------------
+
+    def checkpoint_backend(
+        self, backend: DatabaseBackend, name: Optional[str] = None, re_enable: bool = True
+    ) -> Checkpoint:
+        """Checkpoint ``backend`` online: it is disabled only during its own dump.
+
+        The other backends keep serving; what they took meanwhile is caught
+        up before the backend is re-enabled (``re_enable=False`` leaves it
+        disabled: the dump is what a later recovery restores).
+        """
+        checkpoint = self.cut(source=backend, name=name)
+        if not re_enable:
+            backend.disable()
+            return checkpoint
         try:
-            # 3. dump
-            dump = self.octopus.dump_engine(engine, dump_name=checkpoint_name)
-            checkpoint = Checkpoint(checkpoint_name, dump, backend.name)
-            self.store_checkpoint(checkpoint)
-            backend.last_known_checkpoint = checkpoint_name
-            # 4. replay what happened during the dump
-            if replay is not None:
-                missed = self.recovery_log.entries_since_checkpoint(checkpoint_name)
-                replay(backend, missed)
+            self.catch_up(backend, checkpoint, restore=False)
         except Exception as exc:
             backend.disable()
             raise CheckpointError(f"checkpoint of {backend.name!r} failed: {exc}") from exc
-        # 5. re-enable
-        if re_enable:
-            backend.enable()
-        else:
-            backend.disable()
         return checkpoint
-
-    # -- backend recovery -----------------------------------------------------------
-
-    def recover_backend(
-        self,
-        backend: DatabaseBackend,
-        engine: DatabaseEngine,
-        checkpoint_name: Optional[str] = None,
-        replay: Optional[Callable[[DatabaseBackend, List[LogEntry]], None]] = None,
-        enable: bool = True,
-    ) -> int:
-        """Restore ``backend`` from a checkpoint and replay the log tail.
-
-        Returns the number of log entries replayed.  This is the
-        "automatically re-integrate failed backends into a virtual database"
-        tool referred to in §2.4.1.
-        """
-        if checkpoint_name is None:
-            last = self.last_checkpoint()
-            if last is None:
-                raise CheckpointError("no checkpoint available to recover from")
-            checkpoint_name = last.name
-        checkpoint = self.get_checkpoint(checkpoint_name)
-        backend.set_recovering()
-        self.octopus.restore_engine(checkpoint.dump, engine, truncate=True)
-        missed = self.recovery_log.entries_since_checkpoint(checkpoint_name)
-        if replay is not None and missed:
-            replay(backend, missed)
-        backend.last_known_checkpoint = checkpoint_name
-        if enable:
-            backend.enable()
-        return len(missed)

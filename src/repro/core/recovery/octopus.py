@@ -16,7 +16,7 @@ from __future__ import annotations
 import datetime as _dt
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.sql.engine import DatabaseEngine
 from repro.sql.metadata import DatabaseMetaData
@@ -71,14 +71,19 @@ class Octopus:
 
     # -- dumping --------------------------------------------------------------------
 
-    def dump_engine(self, engine: DatabaseEngine, dump_name: str = "") -> PortableDump:
-        """Snapshot every table of ``engine`` (schema + rows)."""
+    def dump_engine(
+        self, engine: DatabaseEngine, dump_name: str = "", tables: Optional[Iterable[str]] = None
+    ) -> PortableDump:
+        """Snapshot every table of ``engine`` (schema + rows), or only ``tables``."""
         metadata = DatabaseMetaData(engine)
         dump = PortableDump(
             name=dump_name or engine.name,
             created_at=_dt.datetime.now().isoformat(timespec="seconds"),
         )
+        wanted = None if tables is None else {table.lower() for table in tables}
         for table_name in metadata.get_table_names():
+            if wanted is not None and table_name.lower() not in wanted:
+                continue
             schema = engine.table_schema(table_name)
             dump.tables.append(schema.to_portable())
             dump.rows[schema.name] = engine.dump_table_rows(table_name)

@@ -158,26 +158,22 @@ class RecoveryLog:
         raise NotImplementedError  # pragma: no cover - interface
 
     def entries_since_checkpoint(self, checkpoint_name: str) -> List[LogEntry]:
-        """All entries recorded after the named checkpoint marker."""
-        found = False
-        selected: List[LogEntry] = []
+        """All entries recorded after the named checkpoint marker.
+
+        A name taken twice means its most recent marker — the one the stored
+        dump was cut at.  The log is append-only, so a caller that replayed
+        this tail once gets what arrived meanwhile by reading it again and
+        skipping as many entries as it has already applied.
+        """
+        selected: Optional[List[LogEntry]] = None
         for entry in self.entries():
-            if found:
+            if entry.entry_type == "checkpoint" and entry.checkpoint_name == checkpoint_name:
+                selected = []
+            elif selected is not None:
                 selected.append(entry)
-            elif entry.entry_type == "checkpoint" and entry.checkpoint_name == checkpoint_name:
-                found = True
-        if not found:
+        if selected is None:
             raise KeyError(f"unknown checkpoint {checkpoint_name!r}")
         return selected
-
-    def entries_after_id(self, log_id: int) -> List[LogEntry]:
-        """All entries recorded after the given log id.
-
-        Used by phased backend re-integration: the online replay notes the
-        id of the last entry it applied, and the barrier catch-up replays
-        only what was appended in the meantime.
-        """
-        return [entry for entry in self.entries() if entry.log_id > log_id]
 
     def checkpoint_names(self) -> List[str]:
         return [

@@ -565,71 +565,64 @@ class RequestManager:
 
     # -- recovery support -------------------------------------------------------------------
 
-    def replay_log_entries(
-        self,
-        backend: DatabaseBackend,
-        entries,
-        rollback_unfinished: bool = True,
-        open_transactions=None,
-    ) -> None:
+    def replay_log_entries(self, backend: DatabaseBackend, entries) -> None:
         """Replay recovery-log entries on one backend (used by recovery).
 
         Transactions are replayed faithfully: begin/commit/rollback entries
-        drive per-transaction connections on the backend; entries belonging
-        to transactions that never committed are rolled back at the end.
+        drive per-transaction connections on the backend, and a statement
+        joins its transaction when the backend holds it open (its begin was
+        replayed), so a replay may stop anywhere and a later one resumes.
         ``batch`` group entries replay atomically as one server-side batch
         on the backend (one connection, every parameter set), mirroring how
-        they originally executed.
-
-        Phased replay (backend re-integration) passes
-        ``rollback_unfinished=False`` together with a shared
-        ``open_transactions`` set: transactions still open at the end of one
-        phase are left open on the backend (making it a commit/abort
-        participant for the client's own demarcation) and the set carries
-        them into the next phase so their later entries keep joining them.
+        they originally executed.  Transactions left open at the end are
+        settled by :meth:`settle_replayed_transactions`.
         """
-        if open_transactions is None:
-            open_transactions = set()
+        demarcation = {
+            "begin": backend.begin_transaction,
+            "commit": backend.commit,
+            "rollback": backend.rollback,
+        }
         for entry in entries:
+            transaction_id = entry.transaction_id
             if entry.entry_type == "checkpoint":
                 continue
+            if entry.entry_type in demarcation:
+                if transaction_id is not None:
+                    demarcation[entry.entry_type](transaction_id)
+                continue
+            if transaction_id is not None and not backend.has_transaction(transaction_id):
+                transaction_id = None
             if entry.entry_type == "batch":
-                request = self.request_factory.create_batch_request(
-                    entry.sql,
-                    entry.parameter_sets,
-                    login=entry.login,
-                    transaction_id=entry.transaction_id
-                    if entry.transaction_id in open_transactions
-                    else None,
+                backend.execute_batch(
+                    self.request_factory.create_batch_request(
+                        entry.sql,
+                        entry.parameter_sets,
+                        login=entry.login,
+                        transaction_id=transaction_id,
+                    )
                 )
-                backend.execute_batch(request)
                 continue
-            if entry.entry_type == "begin":
-                if entry.transaction_id is not None:
-                    backend.begin_transaction(entry.transaction_id)
-                    open_transactions.add(entry.transaction_id)
-                continue
-            if entry.entry_type == "commit":
-                if entry.transaction_id is not None:
-                    backend.commit(entry.transaction_id)
-                    open_transactions.discard(entry.transaction_id)
-                continue
-            if entry.entry_type == "rollback":
-                if entry.transaction_id is not None:
-                    backend.rollback(entry.transaction_id)
-                    open_transactions.discard(entry.transaction_id)
-                continue
-            request = self.request_factory.create_request(
-                entry.sql,
-                entry.parameters,
-                login=entry.login,
-                transaction_id=entry.transaction_id if entry.transaction_id in open_transactions else None,
+            backend.execute_request(
+                self.request_factory.create_request(
+                    entry.sql, entry.parameters, login=entry.login, transaction_id=transaction_id
+                )
             )
-            backend.execute_request(request)
-        if rollback_unfinished:
-            for transaction_id in open_transactions:
+
+    def settle_replayed_transactions(self, backend: DatabaseBackend) -> None:
+        """Decide the transactions a replay left open on ``backend``.
+
+        One this manager still tracks belongs to a live client: it stays
+        open, the backend is a participant, and the client's own COMMIT or
+        ROLLBACK reaches it through the normal broadcast.  Any other has a
+        ``begin`` in the log and no outcome — it never committed — and is
+        rolled back, so it cannot hold engine locks on the recovered
+        backend.  Call it with the log fully replayed and no commit in
+        flight (under the write barrier).
+        """
+        tracked = set(self.active_transactions)
+        for transaction_id in backend.active_transactions:
+            if transaction_id not in tracked:
                 backend.rollback(transaction_id)
-            open_transactions.clear()
 
     # -- statistics ---------------------------------------------------------------------------
 

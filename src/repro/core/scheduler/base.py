@@ -117,10 +117,12 @@ class AbstractScheduler:
     def write_barrier(self) -> Iterator[None]:
         """Briefly block new writes/commits/aborts while the context is held.
 
-        Used by backend re-integration (:mod:`repro.core.failover`): the
-        resynchronizer replays the recovery-log tail online, then acquires
-        this barrier to catch up the last entries and re-enable the backend
-        with no write racing the switch.  Reads are not blocked.  The
+        Used by backend re-integration
+        (:mod:`repro.core.recovery.checkpoint`): ``cut`` holds it to take a
+        log marker and a dump that agree exactly, and ``catch_up`` replays
+        the recovery-log tail online, then acquires it to replay the last
+        entries and re-enable the backend with no write racing the switch.
+        Reads are not blocked (except by the pessimistic variants).  The
         barrier takes the same mutual-exclusion path as a write, so it
         waits for the in-flight write (if any) and excludes new ones.
         """

@@ -29,10 +29,9 @@ from repro.core.pipeline import (
     build_interceptors,
 )
 from repro.core.recovery.checkpoint import CheckpointingService
-from repro.core.recovery.recovery_log import MemoryRecoveryLog, RecoveryLog
 from repro.core.request import RequestResult
 from repro.core.request_manager import RequestManager
-from repro.errors import AuthenticationError, CheckpointError, CJDBCError
+from repro.errors import AuthenticationError, CJDBCError
 from repro.sql.engine import DatabaseEngine
 
 
@@ -44,7 +43,6 @@ class VirtualDatabase:
         name: str,
         request_manager: RequestManager,
         authentication_manager: Optional[AuthenticationManager] = None,
-        checkpointing_service: Optional[CheckpointingService] = None,
         group_name: Optional[str] = None,
         interceptors: Sequence[InterceptorSpec] = (),
         failure_detector: Optional[FailureDetector] = None,
@@ -67,12 +65,7 @@ class VirtualDatabase:
                 # it is a statement of intent, not a second copy
                 continue
             request_manager.pipeline.add_interceptor(interceptor)
-        recovery_log = (
-            request_manager.recovery_log
-            if request_manager.recovery_log is not None
-            else MemoryRecoveryLog()
-        )
-        self.checkpointing_service = checkpointing_service or CheckpointingService(recovery_log)
+        self.checkpointing_service = CheckpointingService(self)
         # failure detection & self-healing: the detector owns the disable
         # decision (write failures disable immediately, read failures count
         # against a threshold); the resynchronizer re-integrates disabled
@@ -122,22 +115,10 @@ class VirtualDatabase:
 
     def enable_backend(self, backend_name: str, from_checkpoint: Optional[str] = None) -> None:
         """Enable a backend, optionally recovering it from a checkpoint first."""
-        backend = self.get_backend(backend_name)
         if from_checkpoint is not None:
-            engine = self.backend_engine(backend_name)
-            if engine is None:
-                raise CheckpointError(
-                    f"backend {backend_name!r} has no registered engine to restore into"
-                )
-            self.checkpointing_service.recover_backend(
-                backend,
-                engine,
-                checkpoint_name=from_checkpoint,
-                replay=self.request_manager.replay_log_entries,
-                enable=True,
-            )
-            return
-        backend.enable()
+            self.resynchronize_backend(backend_name, from_checkpoint)
+        else:
+            self.get_backend(backend_name).enable()
 
     def disable_backend(self, backend_name: str, with_checkpoint: bool = False) -> Optional[str]:
         """Disable a backend; optionally take a checkpoint of it first.
@@ -146,49 +127,14 @@ class VirtualDatabase:
         """
         backend = self.get_backend(backend_name)
         if with_checkpoint:
-            engine = self.backend_engine(backend_name)
-            if engine is None:
-                raise CheckpointError(
-                    f"backend {backend_name!r} has no registered engine to dump"
-                )
-            checkpoint = self.checkpointing_service.checkpoint_backend(
-                backend,
-                engine,
-                re_enable=False,
-                replay=self.request_manager.replay_log_entries,
-            )
-            return checkpoint.name
+            return self.checkpointing_service.checkpoint_backend(backend, re_enable=False).name
         backend.disable()
         return None
 
     def checkpoint_backend(self, backend_name: str, name: Optional[str] = None) -> str:
         """Take an online checkpoint of one backend (it is re-enabled after)."""
         backend = self.get_backend(backend_name)
-        engine = self.backend_engine(backend_name)
-        if engine is None:
-            raise CheckpointError(f"backend {backend_name!r} has no registered engine to dump")
-        checkpoint = self.checkpointing_service.checkpoint_backend(
-            backend,
-            engine,
-            name=name,
-            re_enable=True,
-            replay=self.request_manager.replay_log_entries,
-        )
-        return checkpoint.name
-
-    def recover_backend(self, backend_name: str, checkpoint_name: Optional[str] = None) -> int:
-        """Re-integrate a failed or new backend from a checkpoint + log replay."""
-        backend = self.get_backend(backend_name)
-        engine = self.backend_engine(backend_name)
-        if engine is None:
-            raise CheckpointError(f"backend {backend_name!r} has no registered engine to restore")
-        return self.checkpointing_service.recover_backend(
-            backend,
-            engine,
-            checkpoint_name=checkpoint_name,
-            replay=self.request_manager.replay_log_entries,
-            enable=True,
-        )
+        return self.checkpointing_service.checkpoint_backend(backend, name).name
 
     # -- failure detection / self-healing ---------------------------------------------
 
@@ -197,11 +143,12 @@ class VirtualDatabase:
 
         Once enabled, a backend that fails a write (or crosses the read
         error threshold) is disabled, then handed to the background
-        resynchronizer, which restores it from the last dump checkpoint,
-        replays the recovery-log tail online, catches up under a brief write
-        barrier and re-enables it — live re-integration, no operator in the
-        loop.  (A crashed backend keeps failing the replay; the worker
-        retries a few times and records the outcome.)
+        resynchronizer, which restores it from its last dump checkpoint (or
+        cuts one from the live backends), replays the recovery-log tail
+        online, catches up under a brief write barrier and re-enables it —
+        live re-integration, no operator in the loop.  (A crashed backend
+        keeps failing the replay; the worker retries a few times and
+        records the outcome.)
         """
         if self._auto_resync:
             return
@@ -220,9 +167,17 @@ class VirtualDatabase:
     def _on_backend_disabled_event(self, backend, exc, event) -> None:
         self.resynchronizer.schedule(backend.name)
 
-    def resynchronize_backend(self, backend_name: str) -> int:
-        """Synchronously re-integrate one disabled backend; returns entries replayed."""
-        return self.resynchronizer.resynchronize(backend_name)
+    def resynchronize_backend(
+        self, backend_name: str, checkpoint_name: Optional[str] = None
+    ) -> int:
+        """Re-integrate a disabled (failed or new) backend; returns entries replayed.
+
+        It comes back from the named checkpoint, or from the one the
+        resynchronizer picks (see :class:`BackendResynchronizer`).
+        """
+        return self.resynchronizer.resynchronize(backend_name, checkpoint_name)
+
+    recover_backend = resynchronize_backend
 
     def fault_injector(self, backend_name: str, seed: int = 0) -> FaultInjector:
         """The fault injector of one backend, created idle on first access.

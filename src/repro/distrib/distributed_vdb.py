@@ -24,8 +24,8 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.core.recovery.checkpoint import Checkpoint
 from repro.core.recovery.octopus import PortableDump
-from repro.core.recovery.recovery_log import LogEntry
 from repro.core.request import RequestResult, freeze_parameter_sets
 from repro.core.requestparser import RequestFactory
 from repro.core.virtualdb import VirtualDatabase
@@ -82,24 +82,17 @@ class _StateTransferSnapshot:
     """A peer's reply to :class:`_StateTransferRequest`.
 
     ``dump`` is a :class:`repro.core.recovery.octopus.PortableDump` JSON
-    document taken under the peer's write barrier; ``last_sequence`` is the
-    group sequence number of the last write applied before the dump, so the
-    joiner can discard buffered deliveries the snapshot already contains.
-    ``entries`` carries any recovery-log tail recorded after the dump's
-    checkpoint marker (JSON-encoded :class:`LogEntry` records).
+    document cut under the peer's write barrier at checkpoint ``marker``;
+    ``last_sequence`` is the group sequence number of the last write applied
+    before the cut, so the joiner can discard buffered deliveries the
+    snapshot already contains.
     """
 
     peer: str
     requester: str
     dump: str = ""
     last_sequence: int = 0
-    entries: tuple = ()
     marker: str = ""
-
-    @classmethod
-    def from_wire(cls, fields: dict) -> "_StateTransferSnapshot":
-        fields["entries"] = tuple(fields.get("entries") or ())
-        return cls(**fields)
 
 
 @register_payload
@@ -269,9 +262,11 @@ class DistributedVirtualDatabase:
     def failure_detector(self):
         return self.local.failure_detector
 
-    def resynchronize_backend(self, backend_name: str) -> int:
+    def resynchronize_backend(
+        self, backend_name: str, checkpoint_name: Optional[str] = None
+    ) -> int:
         """Re-integrate one of this controller's own backends."""
-        return self.local.resynchronize_backend(backend_name)
+        return self.local.resynchronize_backend(backend_name, checkpoint_name)
 
     def check_credentials(self, login: str, password: str) -> None:
         self.local.check_credentials(login, password)
@@ -409,73 +404,41 @@ class DistributedVirtualDatabase:
     def _serve_state_transfer(self, requester: str) -> None:
         """Serve a consistent snapshot to a joining controller.
 
-        Runs under the write barrier (PR 5) so no write lands between the
-        checkpoint marker, the dump and the recorded group sequence: the
-        snapshot is an exact cut at ``last_sequence``.  The reply is sent
-        *after* every lock is released — sending while holding
+        The checkpoint is cut while holding ``_apply_lock``, so no group
+        write is applied between the marker, the dump and the recorded group
+        sequence: the snapshot is an exact cut at ``last_sequence``.  The
+        reply is sent *after* every lock is released — sending while holding
         ``_apply_lock`` can deadlock against an in-flight group delivery.
         """
         service = self.local.checkpointing_service
-        manager = self.local.request_manager
-        marker = service.next_checkpoint_name(
-            prefix=f"state-transfer-{self.controller_name}"
-        )
         with self._apply_lock:
-            with manager.scheduler.write_barrier():
-                if service.recovery_log is not None:
-                    service.recovery_log.insert_checkpoint_marker(marker)
-                engine = None
-                for backend in self.local.backends:
-                    if backend.is_enabled:
-                        engine = self.local.backend_engine(backend.name)
-                        if engine is not None:
-                            break
-                if engine is None:
-                    raise GroupCommunicationError(
-                        f"controller {self.controller_name!r} has no enabled"
-                        " backend to snapshot for state transfer"
-                    )
-                dump = service.octopus.dump_engine(engine, dump_name=marker)
-                entries: List[str] = []
-                if service.recovery_log is not None:
-                    entries = [
-                        entry.to_json()
-                        for entry in service.recovery_log.entries_since_checkpoint(marker)
-                    ]
-                last_sequence = self._last_applied_sequence
+            checkpoint = service.cut(
+                name=service.next_checkpoint_name(f"state-transfer-{self.controller_name}")
+            )
+            last_sequence = self._last_applied_sequence
         snapshot = _StateTransferSnapshot(
             peer=self.controller_name,
             requester=requester,
-            dump=dump.to_json(),
+            dump=checkpoint.dump.to_json(),
             last_sequence=last_sequence,
-            entries=tuple(entries),
-            marker=marker,
+            marker=checkpoint.name,
         )
         self.channel.send_to(requester, snapshot)
         self.state_transfers_served += 1
 
     def _restore_snapshot(self, snapshot: _StateTransferSnapshot) -> None:
-        """Load a peer snapshot into every local backend, then catch up."""
+        """Catch every local backend up from a peer's cut, then drain the buffer."""
         with self._apply_lock:
-            dump = PortableDump.from_json(snapshot.dump)
-            octopus = self.local.checkpointing_service.octopus
-            restored = []
+            service = self.local.checkpointing_service
+            checkpoint = Checkpoint(snapshot.marker, PortableDump.from_json(snapshot.dump), "")
+            # the transfer point goes in our own log and checkpoint store:
+            # it is where catch-up replays from, now and for a later local
+            # backend re-integration
+            service.recovery_log.insert_checkpoint_marker(checkpoint.name)
+            service.store_checkpoint(checkpoint)
             for backend in self.local.backends:
-                engine = self.local.backend_engine(backend.name)
-                if engine is None:
-                    continue
-                octopus.restore_engine(dump, engine, truncate=True)
-                restored.append(backend)
-            # record the transfer point in our own recovery log so local
-            # backend re-integration has a baseline to replay from
-            recovery_log = self.local.checkpointing_service.recovery_log
-            if recovery_log is not None and snapshot.marker:
-                recovery_log.insert_checkpoint_marker(snapshot.marker)
-            tail = [LogEntry.from_json(text) for text in snapshot.entries]
-            if tail:
-                for backend in restored:
-                    if backend.is_enabled:
-                        self.local.request_manager.replay_log_entries(backend, tail)
+                if self.local.backend_engine(backend.name) is not None:
+                    service.catch_up(backend, checkpoint)
             self._last_applied_sequence = snapshot.last_sequence
             self._finish_sync(snapshot)
 

@@ -181,14 +181,21 @@ class Connection:
         self.close()
 
 
-class Cursor:
-    """A DB-API cursor; also doubles as the JDBC ResultSet equivalent."""
+class ResultCursor:
+    """Everything of a DB-API cursor but ``execute``/``executemany``.
+
+    The native cursor below and the C-JDBC driver's cursor
+    (:class:`repro.core.driver.VirtualCursor`) both browse a fully
+    materialized result — an object with ``columns`` / ``rows`` /
+    ``update_count`` / ``as_dicts()`` / ``scalar()`` — held in ``_result``;
+    they differ only in how a statement is run.
+    """
 
     arraysize = 1
 
-    def __init__(self, connection: Connection):
+    def __init__(self, connection):
         self._connection = connection
-        self._result: Optional[ResultSet] = None
+        self._result = None
         self._position = 0
         self._closed = False
 
@@ -214,33 +221,6 @@ class Cursor:
     @property
     def columns(self) -> List[str]:
         return list(self._result.columns) if self._result else []
-
-    # -- execution -----------------------------------------------------------------
-
-    def execute(self, sql: str, parameters: Sequence[Any] = ()) -> "Cursor":
-        self._check_open()
-        self._result = self._connection._run(sql, parameters)
-        self._position = 0
-        return self
-
-    def executemany(self, sql: str, seq_of_parameters: Sequence[Sequence[Any]]) -> "Cursor":
-        """Execute ``sql`` once per parameter set, parsing it only once.
-
-        This is the engine-side half of server-side batching: the statement
-        is parsed a single time and the resulting plan is re-executed for
-        every parameter set, so a controller batch pays per-row execution
-        cost only, not per-row parsing.  An empty sequence executes nothing
-        and reports an update count of zero.
-        """
-        self._check_open()
-        result = self._connection._run_many(sql, seq_of_parameters)
-        if result is None:
-            # nothing executed: report zero, never the previous statement's
-            # stale result
-            result = ResultSet(update_count=0)
-        self._result = result
-        self._position = 0
-        return self
 
     # -- fetching -------------------------------------------------------------------
 
@@ -309,3 +289,32 @@ class Cursor:
         self._check_open()
         if self._result is None:
             raise InterfaceError("no statement executed yet")
+
+
+class Cursor(ResultCursor):
+    """A DB-API cursor; also doubles as the JDBC ResultSet equivalent."""
+
+    def execute(self, sql: str, parameters: Sequence[Any] = ()) -> "Cursor":
+        self._check_open()
+        self._result = self._connection._run(sql, parameters)
+        self._position = 0
+        return self
+
+    def executemany(self, sql: str, seq_of_parameters: Sequence[Sequence[Any]]) -> "Cursor":
+        """Execute ``sql`` once per parameter set, parsing it only once.
+
+        This is the engine-side half of server-side batching: the statement
+        is parsed a single time and the resulting plan is re-executed for
+        every parameter set, so a controller batch pays per-row execution
+        cost only, not per-row parsing.  An empty sequence executes nothing
+        and reports an update count of zero.
+        """
+        self._check_open()
+        result = self._connection._run_many(sql, seq_of_parameters)
+        if result is None:
+            # nothing executed: report zero, never the previous statement's
+            # stale result
+            result = ResultSet(update_count=0)
+        self._result = result
+        self._position = 0
+        return self

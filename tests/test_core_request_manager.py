@@ -214,12 +214,14 @@ class TestLogReplay:
         log.log_rollback("bob", 2)
         log.log_begin("carol", 3)
         log.log_request("INSERT INTO kv (k, v) VALUES (102, 'unfinished')", (), "carol", 3)
-        # no commit for carol: must be rolled back at the end of the replay
+        # no commit for carol, and the manager tracks no such transaction:
+        # settling the replay must roll it back
 
         fresh_engine = DatabaseEngine("replay-target")
         fresh_engine.execute("CREATE TABLE kv (k INT PRIMARY KEY, v VARCHAR(20))")
         target = make_backend("target", fresh_engine)
         request_manager.replay_log_entries(target, log.entries())
+        request_manager.settle_replayed_transactions(target)
         keys = sorted(row[0] for row in fresh_engine.execute("SELECT k FROM kv").rows)
         assert keys == [100]
 

@@ -5,9 +5,11 @@ import threading
 import pytest
 
 from repro.cluster import Cluster
+from repro.cluster.fixture import digest_mismatches, table_digests
 from repro.cluster.registry import ControllerRegistry
 from repro.core import BackendConfig, VirtualDatabaseConfig
 from repro.core.failover import FailureDetector
+from repro.core.management.console import AdminConsole
 from repro.core.scheduler import (
     OptimisticTransactionLevelScheduler,
     PassThroughScheduler,
@@ -37,6 +39,10 @@ def build_cluster(backends=3, label="failover", **config_kwargs):
     for key in range(5):
         vdb.execute("INSERT INTO kv (k, v) VALUES (?, ?)", (key, f"v{key}"))
     return cluster, vdb, engines
+
+
+def diverged(engines):
+    return digest_mismatches({engine.name: engine for engine in engines})
 
 
 class TestFailureDetector:
@@ -210,6 +216,176 @@ class TestBackendResynchronizer:
         vdb.resynchronizer.max_attempts = 1
         with pytest.raises(CheckpointError, match="recovery log"):
             vdb.resynchronize_backend("b0")
+        cluster.shutdown()
+
+
+class TestOneWayBackIn:
+    """recover, online checkpoint, resync and peer bootstrap are one procedure.
+
+    Each test pins a defect one of the former copies had; the injected
+    events are deterministic (a wrapped log read or dump), no sleeps.
+    """
+
+    @staticmethod
+    def write_after_first_log_read(vdb, key):
+        """One INSERT lands right after the online replay took its log snapshot."""
+        log = vdb.request_manager.recovery_log
+        read = log.entries_since_checkpoint
+        fired = []
+
+        def reading(checkpoint_name):
+            entries = read(checkpoint_name)
+            if not fired:
+                fired.append(key)
+                vdb.execute("INSERT INTO kv (k, v) VALUES (?, 'late')", (key,))
+            return entries
+
+        log.entries_since_checkpoint = reading
+        return fired
+
+    def test_recover_catches_a_write_racing_the_replay(self):
+        cluster, vdb, engines = build_cluster(backends=2, label="one-recover")
+        checkpoint = vdb.checkpoint_backend("b1")
+        vdb.disable_backend("b1")
+        vdb.execute("INSERT INTO kv (k, v) VALUES (800, 'while-down')")
+        fired = self.write_after_first_log_read(vdb, 801)
+        assert vdb.recover_backend("b1", checkpoint) == 2
+        assert fired == [801]
+        assert vdb.get_backend("b1").is_enabled
+        assert diverged(engines) == []
+        cluster.shutdown()
+
+    def test_online_checkpoint_catches_a_write_racing_the_replay(self):
+        cluster, vdb, engines = build_cluster(backends=2, label="one-ckpt")
+        fired = self.write_after_first_log_read(vdb, 811)
+        vdb.checkpoint_backend("b1")
+        assert fired == [811]
+        assert vdb.get_backend("b1").is_enabled
+        assert diverged(engines) == []
+        cluster.shutdown()
+
+    def test_peer_cut_leaves_the_donor_enabled_and_serving_reads(self):
+        cluster, vdb, engines = build_cluster(backends=2, label="one-donor")
+        vdb.disable_backend("b1")
+        vdb.execute("INSERT INTO kv (k, v) VALUES (820, 'while-down')")
+        donor_states = []
+        vdb.get_backend("b0").add_state_listener(
+            lambda backend: donor_states.append(backend.state)
+        )
+        octopus = vdb.checkpointing_service.octopus
+        dump_engine = octopus.dump_engine
+        reads = []
+
+        def dumping(engine, *args, **kwargs):
+            reads.append(vdb.execute("SELECT v FROM kv WHERE k = 820").scalar())
+            return dump_engine(engine, *args, **kwargs)
+
+        octopus.dump_engine = dumping
+        vdb.resynchronize_backend("b1")
+        assert reads == ["while-down"]
+        assert donor_states == []
+        assert vdb.get_backend("b1").is_enabled
+        assert diverged(engines) == []
+        cluster.shutdown()
+
+    def build_partial(self, label):
+        """RAIDb-2: t1 on b0,b1; t2 on b1,b2; five rows each."""
+        cluster, vdb, engines = build_cluster(
+            label=label,
+            replication="raidb2",
+            replication_map={"t1": ["b0", "b1"], "t2": ["b1", "b2"]},
+        )
+        for table in ("t1", "t2"):
+            vdb.execute(f"CREATE TABLE {table} (k INT PRIMARY KEY, v VARCHAR(20))")
+            for key in range(5):
+                vdb.execute(f"INSERT INTO {table} (k, v) VALUES (?, 'seed')", (key,))
+        vdb.resynchronizer.max_attempts = 1
+        return cluster, vdb, engines
+
+    def test_partial_replication_cut_takes_each_table_from_a_live_host(self):
+        cluster, vdb, engines = self.build_partial("one-raidb2")
+        vdb.disable_backend("b1")
+        for table in ("t1", "t2"):
+            for key in range(5, 10):
+                vdb.execute(f"INSERT INTO {table} (k, v) VALUES (?, 'while-down')", (key,))
+        vdb.resynchronize_backend("b1")
+        assert vdb.get_backend("b1").is_enabled
+        b0, b1, b2 = (table_digests(engine) for engine in engines)
+        assert b1["t1"] == b0["t1"]
+        assert b1["t2"] == b2["t2"]
+        assert engines[1].row_count("t2") == 10
+        assert "t2" not in b0 and "t1" not in b2
+        cluster.shutdown()
+
+    def test_partial_replication_cut_refuses_a_table_with_no_live_host(self):
+        cluster, vdb, engines = self.build_partial("one-raidb2-dead")
+        vdb.disable_backend("b1")
+        vdb.disable_backend("b2")
+        with pytest.raises(CheckpointError, match="t2"):
+            vdb.resynchronize_backend("b1")
+        assert not vdb.get_backend("b1").is_enabled
+        cluster.shutdown()
+
+    def test_orphaned_transaction_is_rolled_back_tracked_one_stays_open(self):
+        cluster, vdb, engines = build_cluster(backends=2, label="one-orphan")
+        # its own table: the engine locks per table, and the orphan would
+        # otherwise block the live transaction's replay until it is settled
+        vdb.execute("CREATE TABLE ghosts (k INT PRIMARY KEY)")
+        vdb.checkpoint_backend("b1", name="one-orphan-genesis")
+        vdb.disable_backend("b1")
+        # a client that vanished: begin and a write in the log, no outcome,
+        # and the request manager does not know the transaction
+        log = vdb.request_manager.recovery_log
+        log.log_begin("ghost", 999)
+        log.log_request("INSERT INTO ghosts (k) VALUES (830)", (), "ghost", 999)
+        tid = vdb.begin("alice")
+        vdb.execute(
+            "INSERT INTO kv (k, v) VALUES (831, 'open')", transaction_id=tid, login="alice"
+        )
+        vdb.resynchronize_backend("b1")
+        backend = vdb.get_backend("b1")
+        assert backend.active_transactions == [tid]
+        vdb.commit(tid, "alice")
+        assert backend.active_transactions == []
+        assert diverged(engines) == []
+        assert engines[1].row_count("ghosts") == 0
+        cluster.shutdown()
+
+    def test_last_checkpoint_is_the_most_recent_not_the_greatest_name(self):
+        cluster, vdb, engines = build_cluster(backends=2, label="one-last")
+        vdb.checkpoint_backend("b1", name="weekly")
+        vdb.execute("INSERT INTO kv (k, v) VALUES (840, 'x')")
+        vdb.checkpoint_backend("b1", name="nightly")
+        service = vdb.checkpointing_service
+        assert service.last_checkpoint().name == "nightly"
+        assert service.last_checkpoint("b1").name == "nightly"
+        assert service.last_checkpoint("b0") is None
+        vdb.disable_backend("b1")
+        vdb.execute("INSERT INTO kv (k, v) VALUES (841, 'y')")
+        # restores the newer dump and replays the shorter tail
+        assert vdb.resynchronize_backend("b1") == 1
+        assert vdb.get_backend("b1").last_known_checkpoint == "nightly"
+        cluster.shutdown()
+
+    @pytest.mark.parametrize(
+        "command",
+        ["recover {db} b1 {ckpt}", "resync {db} b1 {ckpt}", "enable {db} b1 {ckpt}",
+         "resync {db} b1", "recover {db} b1"],
+    )
+    def test_console_commands_share_the_routine(self, command):
+        cluster, vdb, engines = build_cluster(backends=2, label="one-console")
+        console = AdminConsole(cluster.controller("one-console-ctrl"))
+        vdb.checkpoint_backend("b1", name="older")
+        vdb.checkpoint_backend("b0", name="newer")
+        vdb.disable_backend("b1")
+        vdb.execute("INSERT INTO kv (k, v) VALUES (850, 'while-down')")
+        output = console.execute(command.format(db="one-console-db", ckpt="newer"))
+        assert "error" not in output
+        backend = vdb.get_backend("b1")
+        assert backend.is_enabled
+        # named: that checkpoint; not named: the backend's own most recent
+        assert backend.last_known_checkpoint == ("newer" if "{ckpt}" in command else "older")
+        assert diverged(engines) == []
         cluster.shutdown()
 
 
