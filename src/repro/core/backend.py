@@ -16,7 +16,7 @@ from __future__ import annotations
 import threading
 import time
 from enum import Enum
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.connection_manager import (
     ConnectionManager,
@@ -254,16 +254,19 @@ class DatabaseBackend:
         checked_out = getattr(self.connection_manager, "_checked_out", 0)
         return min(1.0, max(0, checked_out) / pool_size)
 
-    def planner_inputs(self) -> Dict[str, object]:
-        """The live signals the query planner's cost estimator consumes."""
-        with self._counters_lock:
-            ewma = dict(self._service_time_ewma)
-            pending = self._pending_requests
-        return {
-            "pending_requests": pending,
-            "pool_pressure": self.pool_pressure(),
-            "service_time_ewma": ewma,
-        }
+    def planner_inputs(self, statement_class: str) -> Tuple[Optional[float], int, float]:
+        """What one cost estimate reads: ``(service time, pending, pool pressure)``.
+
+        The service time is this backend's EWMA for ``statement_class``, None
+        until it has served one.  Called per candidate on every cost-routed
+        read, so it builds nothing but the tuple and takes no lock: each read
+        is atomic and an estimate needs no snapshot across the three.
+        """
+        return (
+            self._service_time_ewma.get(statement_class),
+            self._pending_requests,
+            self.pool_pressure(),
+        )
 
     # -- execution --------------------------------------------------------------------
 

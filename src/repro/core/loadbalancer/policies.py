@@ -97,8 +97,13 @@ class LeastPendingRequestsFirst(ReadPolicy):
 
     def choose(self, candidates: Sequence[DatabaseBackend]) -> DatabaseBackend:
         self._require_candidates(candidates)
-        least_pending = min(backend.pending_requests for backend in candidates)
-        tied = [backend for backend in candidates if backend.pending_requests == least_pending]
+        # each count is read once: other threads move them, and a second read
+        # could leave no backend at the minimum the first read found
+        pending = [backend.pending_requests for backend in candidates]
+        least_pending = min(pending)
+        tied = [
+            backend for backend, count in zip(candidates, pending) if count == least_pending
+        ]
         # Rotate among equally loaded backends so an idle cluster still spreads
         # reads instead of always hitting the first backend.
         with self._lock:

@@ -74,23 +74,22 @@ class CostEstimator:
 
     # -- estimation -----------------------------------------------------------------
 
+    def _cost(self, service: Optional[float], pending: int, pool_pressure: float) -> float:
+        weights = self.weights
+        return (weights.service_time * service) * (
+            1.0 + weights.pending * pending + weights.pool * pool_pressure
+        )
+
     def estimate(self, backend, statement_class: str) -> CandidateCost:
         """One backend's live cost estimate for a statement class."""
-        inputs = backend.planner_inputs()
-        service = inputs["service_time_ewma"].get(statement_class)
+        service, pending, pool_pressure = backend.planner_inputs(statement_class)
         source = "ewma"
         if service is None:
             service = self.seed_service_times.get(statement_class, 0.01)
             source = "seed"
-        pending = inputs["pending_requests"]
-        pool_pressure = inputs["pool_pressure"]
-        weights = self.weights
-        cost = (weights.service_time * service) * (
-            1.0 + weights.pending * pending + weights.pool * pool_pressure
-        )
         return CandidateCost(
             backend_name=backend.name,
-            cost=cost,
+            cost=self._cost(service, pending, pool_pressure),
             service_time=service,
             pending=pending,
             pool_pressure=pool_pressure,
@@ -132,18 +131,24 @@ class CostEstimator:
                 self.explorations += 1
         if explore:
             return candidates[probe]
-        estimates = [(self.estimate(backend, statement_class), backend) for backend in candidates]
+        # once per read, so on bare numbers: no CandidateCost per candidate
+        costs, unmeasured = [], []
+        seed = self.seed_service_times.get(statement_class, 0.01)
+        for backend in candidates:
+            service, pending, pool_pressure = backend.planner_inputs(statement_class)
+            if service is None:
+                unmeasured.append(backend)
+                service = seed
+            costs.append(self._cost(service, pending, pool_pressure))
         # measure-before-trust: while some candidates still run on the seed
         # prior and others have live EWMAs, probe the unmeasured ones first —
         # otherwise a measured-but-slow backend whose EWMA undercuts the
         # (pessimistic) prior would pin all traffic and the rest would never
         # get measured at all
-        unmeasured = [backend for estimate, backend in estimates if estimate.source == "seed"]
-        if unmeasured and len(unmeasured) < len(estimates):
+        if unmeasured and len(unmeasured) < len(candidates):
             return unmeasured[tie_breaker % len(unmeasured)]
-        estimates.sort(key=lambda pair: pair[0].cost)
-        cheapest = estimates[0][0].cost
-        tied = [backend for estimate, backend in estimates if estimate.cost <= cheapest * 1.05]
+        ceiling = min(costs) * 1.05
+        tied = [backend for backend, cost in zip(candidates, costs) if cost <= ceiling]
         return tied[tie_breaker % len(tied)]
 
     def statistics(self) -> dict:

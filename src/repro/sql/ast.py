@@ -188,6 +188,9 @@ class Select(Statement):
     limit: Optional[Expression] = None
     offset: Optional[Expression] = None
     distinct: bool = False
+    # where the executor keeps the compiled access plan (:mod:`repro.sql.plan`),
+    # here and on Update/Delete; it is no part of the statement's value
+    plan: Any = field(default=None, compare=False, repr=False)
 
     def referenced_tables(self) -> List[str]:
         tables = []
@@ -210,12 +213,14 @@ class Update(Statement):
     table: str
     assignments: List[Tuple[str, Expression]] = field(default_factory=list)
     where: Optional[Expression] = None
+    plan: Any = field(default=None, compare=False, repr=False)
 
 
 @dataclass
 class Delete(Statement):
     table: str
     where: Optional[Expression] = None
+    plan: Any = field(default=None, compare=False, repr=False)
 
 
 @dataclass

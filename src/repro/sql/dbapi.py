@@ -144,11 +144,9 @@ class Connection:
         when the sequence was empty.
         """
         self._check_open()
-        from repro.sql.parser import parse
-
         with self._lock:
             try:
-                statement = parse(sql)
+                statement = self._engine.prepare(sql)
                 result: Optional[ResultSet] = None
                 total = 0
                 for parameters in seq_of_parameters:

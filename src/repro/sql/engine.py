@@ -10,7 +10,8 @@ directly in tests.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from collections import OrderedDict
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import CatalogError, TransactionError
 from repro.sql import ast
@@ -22,11 +23,16 @@ from repro.sql.transactions import LockManager, Transaction
 
 
 class Catalog:
-    """The set of tables owned by one engine."""
+    """The set of tables owned by one engine.
+
+    ``version`` moves on every schema change (table, index or column DDL and
+    their undo); a plan compiled at another version is compiled again.
+    """
 
     def __init__(self):
         self._tables: Dict[str, Table] = {}
         self._lock = threading.RLock()
+        self.version = 0
 
     def has_table(self, name: str) -> bool:
         with self._lock:
@@ -46,12 +52,22 @@ class Catalog:
                 raise CatalogError(f"table {schema.name!r} already exists")
             table = Table(schema)
             self._tables[key] = table
+            self.version += 1
             return table
 
     def restore_table(self, table: Table) -> None:
         """Put a previously dropped table object back (transaction undo)."""
         with self._lock:
             self._tables[table.schema.name.lower()] = table
+            self.version += 1
+
+    def alter(self, change: Callable[..., Any], *arguments: Any) -> Any:
+        """Run an index or column DDL method of one of the tables."""
+        with self._lock:
+            try:
+                return change(*arguments)
+            finally:
+                self.version += 1
 
     def drop_table(self, name: str, if_exists: bool = False) -> None:
         with self._lock:
@@ -61,6 +77,7 @@ class Catalog:
                     return
                 raise CatalogError(f"unknown table {name!r}")
             del self._tables[key]
+            self.version += 1
 
     def table_names(self) -> List[str]:
         with self._lock:
@@ -104,8 +121,7 @@ class Session:
     def execute(self, sql: str, parameters: Sequence[Any] = ()) -> ResultSet:
         if self.closed:
             raise TransactionError("session is closed")
-        statement = parse(sql)
-        return self.execute_statement(statement, parameters)
+        return self.execute_statement(self.engine.prepare(sql), parameters)
 
     def execute_statement(
         self, statement: ast.Statement, parameters: Sequence[Any] = ()
@@ -143,6 +159,11 @@ class Session:
         self.closed = True
 
 
+#: parsed statements kept per engine; the TPC-W and RUBiS statement sets are
+#: each under a hundred texts, the rest is room for literal-carrying one-offs
+_PREPARED_STATEMENTS = 512
+
+
 class DatabaseEngine:
     """An in-memory SQL database engine instance ("one backend")."""
 
@@ -151,6 +172,8 @@ class DatabaseEngine:
         self.catalog = Catalog()
         self.lock_manager = LockManager(lock_timeout=lock_timeout)
         self.executor = Executor(self)
+        self._prepared: "OrderedDict[str, ast.Statement]" = OrderedDict()
+        self._prepared_lock = threading.Lock()
         self._statistics_lock = threading.Lock()
         self.statements_executed = 0
         self.reads_executed = 0
@@ -170,6 +193,24 @@ class DatabaseEngine:
             return result
         finally:
             session.close()
+
+    def prepare(self, sql: str) -> ast.Statement:
+        """The parsed statement for ``sql``, from a bounded LRU keyed by the text.
+
+        Parsing does not depend on the catalog, so entries survive DDL; the
+        plan the executor hangs on a statement is what a DDL retires.
+        """
+        with self._prepared_lock:
+            statement = self._prepared.get(sql)
+            if statement is not None:
+                self._prepared.move_to_end(sql)
+                return statement
+        statement = parse(sql)
+        with self._prepared_lock:
+            self._prepared[sql] = statement
+            if len(self._prepared) > _PREPARED_STATEMENTS:
+                self._prepared.popitem(last=False)
+        return statement
 
     def execute_script(self, statements: Iterable[str]) -> None:
         for sql in statements:

@@ -1,10 +1,15 @@
 """Statement execution for the in-memory SQL engine.
 
 The executor walks the AST produced by :mod:`repro.sql.parser` against the
-catalog and storage of a :class:`repro.sql.engine.DatabaseEngine`.  Query
-execution is deliberately simple (table scans, hash-index point lookups,
-nested-loop joins, in-memory sorts) — the goal is correct SQL semantics for
-the TPC-W / RUBiS footprint, not query-optimizer sophistication.
+catalog and storage of a :class:`repro.sql.engine.DatabaseEngine`.  Which rows
+a ``SELECT``, ``UPDATE`` or ``DELETE`` looks at is decided by a plan compiled
+once per statement (:mod:`repro.sql.plan`): an index point lookup for
+``column = constant`` on an indexed column, a table's own conjuncts applied
+before it is joined, a hash join or index probe where an equality relates two
+tables.  Range predicates, ``OR``, ``LIKE`` and joins without an equality
+still scan, and grouping, DISTINCT and sorting are in-memory passes over the
+joined rows — the goal is correct SQL semantics for the TPC-W / RUBiS
+footprint at a sane cost, not query-optimizer sophistication.
 """
 
 from __future__ import annotations
@@ -16,10 +21,11 @@ from repro.errors import CatalogError, SQLError
 from repro.sql import ast
 from repro.sql.expressions import ExpressionEvaluator, RowContext
 from repro.sql.functions import is_aggregate, make_aggregate
+from repro.sql.plan import Run, SelectPlan, compile_access
 from repro.sql.schema import Column, Index, TableSchema
 from repro.sql.storage import Table
 from repro.sql.transactions import Transaction
-from repro.sql.types import sort_key, type_from_name
+from repro.sql.types import sort_key
 
 
 @dataclass
@@ -72,6 +78,19 @@ class Executor:
         if handler is None:
             raise SQLError(f"unsupported statement {type(statement).__name__}")
         return handler(statement, transaction, list(parameters))
+
+    def _plan(self, statement: ast.Statement, compile) -> Any:
+        """The statement's plan, compiled again once the catalog has changed.
+
+        The version is read before compiling, so a DDL racing the compilation
+        leaves a plan that the next execution replaces.
+        """
+        catalog = self._engine.catalog
+        cached = statement.plan
+        if cached is None or cached[0] is not catalog or cached[1] != catalog.version:
+            version = catalog.version
+            cached = statement.plan = (catalog, version, compile(statement, catalog))
+        return cached[2]
 
     # ------------------------------------------------------------------- DDL
 
@@ -143,16 +162,17 @@ class Executor:
     def _execute_createindex(
         self, statement: ast.CreateIndex, transaction: Transaction, parameters: List[Any]
     ) -> ResultSet:
-        table = self._engine.catalog.get_table(statement.table)
+        catalog = self._engine.catalog
+        table = catalog.get_table(statement.table)
         definition = Index(
             name=statement.name,
             table=statement.table,
             columns=list(statement.columns),
             unique=statement.unique,
         )
-        table.create_index(definition)
+        catalog.alter(table.create_index, definition)
         transaction.record_undo(
-            lambda: table.drop_index(statement.name),
+            lambda: catalog.alter(table.drop_index, statement.name),
             f"undo CREATE INDEX {statement.name}",
         )
         transaction.mark_write()
@@ -169,7 +189,7 @@ class Executor:
         for table in tables:
             names = {name.lower() for name in table.indexes}
             if statement.name.lower() in names:
-                table.drop_index(statement.name)
+                catalog.alter(table.drop_index, statement.name)
                 transaction.mark_write()
                 return ResultSet(update_count=0)
         raise CatalogError(f"unknown index {statement.name!r}")
@@ -180,7 +200,8 @@ class Executor:
         transaction: Transaction,
         parameters: List[Any],
     ) -> ResultSet:
-        table = self._engine.catalog.get_table(statement.table)
+        catalog = self._engine.catalog
+        table = catalog.get_table(statement.table)
         definition = statement.column
         column = Column.from_definition(
             definition.name,
@@ -195,7 +216,7 @@ class Executor:
                 else None
             ),
         )
-        table.add_column(column)
+        catalog.alter(table.add_column, column)
         transaction.mark_write()
         return ResultSet(update_count=0)
 
@@ -248,9 +269,9 @@ class Executor:
         table = self._engine.catalog.get_table(statement.table)
         self._engine.lock_manager.lock_write(transaction.txn_id, statement.table)
         updated = 0
-        exposed = statement.table
-        for row_id, row in self._matching_rows(table, exposed, statement.where, parameters):
-            context = RowContext({exposed: row}, parameters)
+        access = self._plan(statement, compile_access)
+        for row_id, row in access.rows(Run(self._evaluator.evaluate, parameters)):
+            context = RowContext({statement.table: row}, parameters)
             changes: Dict[str, Any] = {}
             for column_name, expression in statement.assignments:
                 column = table.schema.column(column_name)
@@ -271,10 +292,8 @@ class Executor:
         table = self._engine.catalog.get_table(statement.table)
         self._engine.lock_manager.lock_write(transaction.txn_id, statement.table)
         deleted = 0
-        victims = list(
-            self._matching_rows(table, statement.table, statement.where, parameters)
-        )
-        for row_id, _row in victims:
+        access = self._plan(statement, compile_access)
+        for row_id, _row in access.rows(Run(self._evaluator.evaluate, parameters)):
             removed = table.delete_row(row_id)
             transaction.record_undo(
                 lambda rid=row_id, row=removed: table.restore_row(rid, row),
@@ -289,33 +308,25 @@ class Executor:
     def _execute_select(
         self, statement: ast.Select, transaction: Transaction, parameters: List[Any]
     ) -> ResultSet:
-        return self._run_select(statement, parameters, transaction, outer_context=None)
+        return self._run_select(statement, parameters)
 
     def _run_subquery(self, select: ast.Select, outer_context: RowContext) -> List[List[Any]]:
-        result = self._run_select(
-            select, outer_context.parameters, transaction=None, outer_context=outer_context
-        )
-        return result.rows
+        return self._run_select(select, outer_context.parameters, outer_context).rows
 
     def _run_select(
         self,
         statement: ast.Select,
         parameters: Sequence[Any],
-        transaction: Optional[Transaction],
-        outer_context: Optional[RowContext],
+        outer_context: Optional[RowContext] = None,
     ) -> ResultSet:
-        # 1. FROM / JOIN: build the stream of joined row contexts.
-        joined_rows = self._build_from_rows(statement, parameters, transaction, outer_context)
-
-        # 2. WHERE
-        if statement.where is not None:
-            joined_rows = [
-                tables
-                for tables in joined_rows
-                if self._evaluator.evaluate_predicate(
-                    statement.where, RowContext(tables, parameters, outer_context)
-                )
-            ]
+        # 1-2. FROM / JOIN / WHERE: the joined rows that pass WHERE.  Reads
+        # hold no table lock: a statement sees each row as committed when it
+        # reached it (read-committed per statement), which is what the
+        # middleware expects of its backends — write ordering is the
+        # scheduler's job, never backend read locks.
+        joined_rows = self._plan(statement, SelectPlan).rows(
+            Run(self._evaluator.evaluate, parameters, outer_context)
+        )
 
         # 3. aggregate / group by, or plain projection.  ``sources`` keeps, for
         # each output row, the data needed to evaluate ORDER BY expressions
@@ -356,106 +367,9 @@ class Executor:
         rows = self._apply_limit(statement, rows, parameters)
         return ResultSet(columns=columns, rows=rows)
 
-    # -- FROM/JOIN ------------------------------------------------------------
-
-    def _build_from_rows(
-        self,
-        statement: ast.Select,
-        parameters: Sequence[Any],
-        transaction: Optional[Transaction],
-        outer_context: Optional[RowContext],
-    ) -> List[Dict[str, Dict[str, Any]]]:
-        if statement.from_table is None:
-            return [{}]
-        base = self._scan_table(statement.from_table, transaction)
-        joined: List[Dict[str, Dict[str, Any]]] = [
-            {statement.from_table.exposed_name: row} for row in base
-        ]
-        for join in statement.joins:
-            right_rows = self._scan_table(join.table, transaction)
-            exposed = join.table.exposed_name
-            new_joined: List[Dict[str, Dict[str, Any]]] = []
-            for left_tables in joined:
-                matched = False
-                for right_row in right_rows:
-                    candidate = dict(left_tables)
-                    candidate[exposed] = right_row
-                    if join.condition is None or self._evaluator.evaluate_predicate(
-                        join.condition, RowContext(candidate, parameters, outer_context)
-                    ):
-                        new_joined.append(candidate)
-                        matched = True
-                if join.kind == "LEFT" and not matched:
-                    candidate = dict(left_tables)
-                    candidate[exposed] = {
-                        column: None
-                        for column in self._engine.catalog.get_table(
-                            join.table.name
-                        ).schema.column_names
-                    }
-                    new_joined.append(candidate)
-            joined = new_joined
-        return joined
-
-    def _scan_table(
-        self, table_ref: ast.TableRef, transaction: Optional[Transaction]
-    ) -> List[Dict[str, Any]]:
-        # Reads take a snapshot of the rows instead of holding table read
-        # locks until commit: this gives read-committed semantics per
-        # statement, which matches what the middleware expects from its
-        # backends (C-JDBC never relies on backend read locks across
-        # statements — write ordering is enforced by the scheduler).
-        table = self._engine.catalog.get_table(table_ref.name)
-        return [dict(row) for _row_id, row in table.rows()]
-
-    def _matching_rows(
-        self,
-        table: Table,
-        exposed_name: str,
-        where: Optional[ast.Expression],
-        parameters: Sequence[Any],
-    ) -> List[Tuple[int, Dict[str, Any]]]:
-        """Rows of ``table`` matching ``where``; uses a point index when easy."""
-        candidates = self._index_candidates(table, where, parameters)
-        if candidates is None:
-            candidates = list(table.rows())
-        if where is None:
-            return list(candidates)
-        matches = []
-        for row_id, row in candidates:
-            context = RowContext({exposed_name: row, table.schema.name: row}, parameters)
-            if self._evaluator.evaluate_predicate(where, context):
-                matches.append((row_id, row))
-        return matches
-
-    def _index_candidates(
-        self,
-        table: Table,
-        where: Optional[ast.Expression],
-        parameters: Sequence[Any],
-    ) -> Optional[List[Tuple[int, Dict[str, Any]]]]:
-        """Use a single-column unique/hash index for ``col = literal`` filters."""
-        if where is None:
-            return None
-        equalities = _extract_equalities(where, parameters)
-        if not equalities:
-            return None
-        for column_name, value in equalities.items():
-            index = table.find_by_index([column_name], (value,))
-            if index is not None:
-                row_ids = index.lookup((value,))
-                return [
-                    (row_id, table.get_row(row_id))
-                    for row_id in row_ids
-                    if table.get_row(row_id) is not None
-                ]
-        return None
-
     # -- projection ------------------------------------------------------------
 
-    def _projected_columns(
-        self, statement: ast.Select, sample_tables: Optional[Dict[str, Dict[str, Any]]]
-    ) -> List[Tuple[str, ast.Expression]]:
+    def _projected_columns(self, statement: ast.Select) -> List[Tuple[str, ast.Expression]]:
         """Expand ``*`` and name every output column."""
         projected: List[Tuple[str, ast.Expression]] = []
         for item in statement.items:
@@ -494,7 +408,7 @@ class Executor:
         parameters: Sequence[Any],
         outer_context: Optional[RowContext],
     ) -> Tuple[List[str], List[List[Any]], List[Any]]:
-        projected = self._projected_columns(statement, joined_rows[0] if joined_rows else None)
+        projected = self._projected_columns(statement)
         columns = [name for name, _expr in projected]
         rows = []
         sources: List[Any] = []
@@ -513,7 +427,7 @@ class Executor:
         parameters: Sequence[Any],
         outer_context: Optional[RowContext],
     ) -> Tuple[List[str], List[List[Any]], List[Any]]:
-        projected = self._projected_columns(statement, joined_rows[0] if joined_rows else None)
+        projected = self._projected_columns(statement)
         columns = [name for name, _expr in projected]
 
         # Partition rows into groups.
@@ -741,42 +655,3 @@ def _contains_aggregate(expression: Optional[ast.Expression]) -> bool:
             for condition, value in expression.whens
         ) or _contains_aggregate(expression.default)
     return False
-
-
-def _extract_equalities(
-    where: ast.Expression, parameters: Sequence[Any]
-) -> Dict[str, Any]:
-    """Collect top-level ``column = constant`` conjuncts for index lookups."""
-    equalities: Dict[str, Any] = {}
-
-    def visit(node: ast.Expression) -> None:
-        if isinstance(node, ast.BinaryOp):
-            if node.operator == "AND":
-                visit(node.left)
-                visit(node.right)
-                return
-            if node.operator == "=":
-                column, value = None, _MISSING
-                if isinstance(node.left, ast.ColumnRef):
-                    column = node.left.name
-                    value = _constant_value(node.right, parameters)
-                elif isinstance(node.right, ast.ColumnRef):
-                    column = node.right.name
-                    value = _constant_value(node.left, parameters)
-                if column is not None and value is not _MISSING:
-                    equalities[column] = value
-
-    visit(where)
-    return equalities
-
-
-_MISSING = object()
-
-
-def _constant_value(node: ast.Expression, parameters: Sequence[Any]) -> Any:
-    if isinstance(node, ast.Literal):
-        return node.value
-    if isinstance(node, ast.Parameter):
-        if node.index < len(parameters):
-            return parameters[node.index]
-    return _MISSING

@@ -9,7 +9,7 @@ can roll back aborted transactions.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import CatalogError, ConstraintViolation
 from repro.sql.schema import Column, Index, TableSchema
@@ -57,8 +57,9 @@ class HashIndex:
             if not bucket:
                 del self._entries[key]
 
-    def lookup(self, key: Tuple[Any, ...]) -> Iterable[RowId]:
-        return self._entries.get(tuple(_hashable(k) for k in key), set())
+    def lookup(self, key: Tuple[Any, ...]) -> FrozenSet[RowId]:
+        """Row ids under ``key``: a snapshot, safe to iterate beside a writer."""
+        return frozenset(self._entries.get(tuple(_hashable(k) for k in key), ()))
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._entries.values())
@@ -130,9 +131,9 @@ class Table:
 
     def add_column(self, column: Column) -> None:
         self.schema.add_column(column)
-        default = column.default
-        for row in self._rows.values():
-            row[column.name] = default
+        default = column.coerce(column.default)
+        for row_id, row in self._rows.items():
+            self._rows[row_id] = {**row, column.name: default}
 
     # -- row access ----------------------------------------------------------
 
@@ -165,36 +166,42 @@ class Table:
         row = self._complete_row(values)
         self._check_not_null(row)
         row_id = next(self._row_id_counter)
+        self._index_row(self.indexes.values(), row_id, row)
+        self._rows[row_id] = row
+        return row_id, row
+
+    def _index_row(self, indexes: Iterable[HashIndex], row_id: RowId, row: Row) -> None:
+        """Enter ``row`` into ``indexes``; a unique violation leaves all of them as they were."""
         inserted_into: List[HashIndex] = []
         try:
-            for index in self.indexes.values():
+            for index in indexes:
                 index.insert(row_id, row)
                 inserted_into.append(index)
         except ConstraintViolation:
             for index in inserted_into:
                 index.remove(row_id, row)
             raise
-        self._rows[row_id] = row
-        return row_id, row
 
     def update_row(self, row_id: RowId, changes: Row) -> Tuple[Row, Row]:
-        """Apply ``changes`` to one row; returns ``(old_row, new_row)``."""
+        """Apply ``changes`` to one row; returns ``(old_row, new_row)``.
+
+        The stored row is replaced, never modified, and only indexes whose key
+        changes are touched, new key first: a reader that takes no lock finds
+        the row under a key it keeps at every instant.
+        """
         old_row = self._rows[row_id]
         new_row = dict(old_row)
         new_row.update(changes)
         self._check_not_null(new_row)
-        for index in self.indexes.values():
-            index.remove(row_id, old_row)
-        try:
-            for index in self.indexes.values():
-                index.insert(row_id, new_row)
-        except ConstraintViolation:
-            # restore previous index state before propagating
-            for index in self.indexes.values():
-                index.remove(row_id, new_row)
-                index.insert(row_id, old_row)
-            raise
+        moved = [
+            index
+            for index in self.indexes.values()
+            if index.key_for(old_row) != index.key_for(new_row)
+        ]
+        self._index_row(moved, row_id, new_row)
         self._rows[row_id] = new_row
+        for index in moved:
+            index.remove(row_id, old_row)
         return dict(old_row), new_row
 
     def delete_row(self, row_id: RowId) -> Row:

@@ -69,6 +69,25 @@ class TestPolicies:
         policy = LeastPendingRequestsFirst()
         assert policy.choose([busy, idle]).name == "idle"
 
+    def test_least_pending_reads_each_count_once(self):
+        """Counts move under the policy's feet: a second read may match no minimum."""
+
+        class Moving:
+            def __init__(self, name, counts):
+                self.name = name
+                self._counts = iter(counts)
+
+            @property
+            def pending_requests(self):
+                return next(self._counts)  # StopIteration on a read too many
+
+        policy = LeastPendingRequestsFirst()
+        # re-read, neither backend is still at the minimum (0) the first pass found
+        first = Moving("first", [0, 2])
+        second = Moving("second", [1, 3])
+        assert policy.choose([first, second]) is first
+        assert next(first._counts) == 2  # exactly one read was taken
+
     def test_policy_factory(self):
         assert isinstance(policy_from_name("rr"), RoundRobinPolicy)
         assert isinstance(policy_from_name("weighted round robin"), WeightedRoundRobinPolicy)

@@ -295,12 +295,8 @@ class TestCostRouting:
                 self.name = name
                 self._service = service
 
-            def planner_inputs(self):
-                return {
-                    "pending_requests": 0,
-                    "pool_pressure": 0.0,
-                    "service_time_ewma": {"read_simple": self._service},
-                }
+            def planner_inputs(self, statement_class):
+                return {"read_simple": self._service}.get(statement_class), 0, 0.0
 
         slow = FakeBackend("slow", 0.5)
         fast = FakeBackend("fast", 0.001)
@@ -320,10 +316,11 @@ class TestCostRouting:
         for key in range(5):
             manager.execute("SELECT i_title FROM item WHERE i_id = ?", (key,))
         backend = vdb.get_backend("b0")
-        inputs = backend.planner_inputs()
-        assert inputs["pending_requests"] == 0
-        assert 0.0 <= inputs["pool_pressure"] <= 1.0
-        assert inputs["service_time_ewma"]["write"] > 0
+        service_time, pending_requests, pool_pressure = backend.planner_inputs("write")
+        assert pending_requests == 0
+        assert 0.0 <= pool_pressure <= 1.0
+        assert service_time > 0
+        assert backend.planner_inputs("batch")[0] is None  # nothing of that class served yet
         stats = backend.statistics()
         assert "pool_pressure" in stats
         assert stats["service_time_ewma_ms"]["write"] > 0

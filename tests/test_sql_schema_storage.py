@@ -1,5 +1,9 @@
 """Unit tests for schema objects and the storage layer (tables, indexes, undo)."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.errors import CatalogError, ConstraintViolation
@@ -146,6 +150,60 @@ class TestTableStorage:
         # the row keeps its old sku and can still be found through the index
         uq = next(index for index in table.indexes.values() if index.columns == ["sku"])
         assert set(uq.lookup(("SKU-2",))) == {row_id}
+
+    def test_update_touches_only_indexes_whose_key_changes(self):
+        table = Table(make_schema())
+        table.create_index(Index("idx_name", "items", ["name"]))
+        row_id, _ = table.insert_row({"name": "x"})
+        buckets = {name: index._entries for name, index in table.indexes.items()}
+        before = {name: dict(entries) for name, entries in buckets.items()}
+        for index in table.indexes.values():
+            index.insert = index.remove = None  # any index call would raise
+        table.update_row(row_id, {"price": 2.0})
+        assert {name: dict(entries) for name, entries in buckets.items()} == before
+        assert table.get_row(row_id)["price"] == 2.0
+
+    @pytest.mark.parametrize("columns, key", [(["id"], (1,)), (["name"], ("x",))])
+    def test_lock_free_index_read_beside_update(self, columns, key):
+        """A reader holding no lock finds a live key at every instant of an UPDATE."""
+        table = Table(make_schema())
+        table.create_index(Index("idx_name", "items", ["name"]))
+        row_id, _ = table.insert_row({"name": "x"})
+        table.insert_row({"name": "y"})
+        index = table.find_by_index(columns, key)
+        failures, stop = [], threading.Event()
+
+        def write():
+            price = 0.0
+            while not stop.is_set():
+                price += 1.0
+                table.update_row(row_id, {"price": price})
+
+        def read():
+            try:
+                deadline = time.monotonic() + 0.4
+                while time.monotonic() < deadline and not failures:
+                    found = [table.get_row(i) for i in index.lookup(key)]
+                    if len(found) != 1 or found[0] is None or found[0]["name"] != "x":
+                        failures.append(found)
+            except Exception as exc:  # e.g. RuntimeError: Set changed size during iteration
+                failures.append(exc)
+            finally:
+                stop.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write), threading.Thread(target=read)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
 
     def test_delete_and_restore(self):
         table = Table(make_schema())
