@@ -379,11 +379,12 @@ class Cluster:
         """Synchronously re-integrate a disabled backend (restore, replay, catch up).
 
         It comes back from the named checkpoint, else its own most recent
-        one, else a fresh cut of the live backends.
+        one, else a fresh cut of the live backends — for a grouped vdb with
+        none left on this controller, a state transfer from a peer controller.
         """
-        return self.virtual_database(vdb_name, controller).resynchronize_backend(
-            backend_name, checkpoint
-        )
+        vdb = self.virtual_database(vdb_name, controller)
+        vdb = next((r for r in self.replicas.values() if r.local is vdb), vdb)
+        return vdb.resynchronize_backend(backend_name, checkpoint)
 
     @property
     def virtual_database_names(self) -> List[str]:

@@ -324,7 +324,11 @@ class BackendResynchronizer:
             checkpoint = service.last_checkpoint(backend.name)
             if checkpoint is None and manager.load_balancer.raidb_level == "RAIDb-1":
                 checkpoint = service.last_checkpoint()
-        return service.catch_up(backend, checkpoint or service.cut(target=backend))
+        if checkpoint is not None:
+            return service.catch_up(backend, checkpoint)
+        # no dump fits: cut one from the live backends, for this catch-up only
+        with service.cutting(target=backend) as checkpoint:
+            return service.catch_up(backend, checkpoint)
 
     # -- monitoring --------------------------------------------------------------------
 

@@ -97,6 +97,9 @@ class AdminConsole:
                     f"{backend.total_requests} requests, "
                     f"{len(backend.tables)} tables"
                 )
+            log = vdb.statistics().get("recovery_log")
+            if log is not None:
+                lines.append("recovery log: " + ", ".join(f"{v} {k}" for k, v in log.items()))
             return "\n".join(lines)
         return "usage: show databases | show backends <vdb>"
 

@@ -24,8 +24,9 @@ and synchronizes a joining controller
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.core.backend import DatabaseBackend
 from repro.core.recovery.octopus import Octopus, PortableDump
@@ -42,6 +43,8 @@ class Checkpoint:
     dump: PortableDump
     #: backend whose table set the dump holds ("" = the whole database)
     backend_name: str
+    #: a log position at or just before its marker: what it keeps the log from
+    position: int = 0
 
     @property
     def row_count(self) -> int:
@@ -57,8 +60,42 @@ class CheckpointingService:
         self.recovery_log = log if log is not None else MemoryRecoveryLog()
         self.octopus = octopus or Octopus()
         self._checkpoints: Dict[str, Checkpoint] = {}
+        #: log positions held by :meth:`reachable_from_here`
+        self._held: List[int] = []
         self._lock = threading.Lock()
         self._counter = 0
+        self._tell_floor()
+
+    # -- what the log must keep -----------------------------------------------------
+
+    def _tell_floor(self) -> None:
+        """Tell the log the oldest position a recovery can still start from.
+
+        This service is the log's only reader: a stored checkpoint is replayed
+        from its marker, a cut in progress from the position it holds, and with
+        neither nothing recorded before now is reachable (paper §3.2: a
+        checkpoint is what bounds the log).
+        """
+        positions = self._held + [c.position for c in self._checkpoints.values()]
+        self.recovery_log.retain_from(min(positions, default=None))
+
+    @contextmanager
+    def reachable_from_here(self) -> Iterator[int]:
+        """Keep the log from its present position while the context is held.
+
+        Entered before a marker goes in, so that the marker and every write
+        after it stay readable until the cut is stored or given up.
+        """
+        with self._lock:
+            position = len(self.recovery_log)
+            self._held.append(position)
+            self._tell_floor()
+        try:
+            yield position
+        finally:
+            with self._lock:
+                self._held.remove(position)
+                self._tell_floor()
 
     # -- the checkpoint store -----------------------------------------------------
 
@@ -67,6 +104,7 @@ class CheckpointingService:
             # the dict is kept in marker order: a re-taken name moves to the end
             self._checkpoints.pop(checkpoint.name, None)
             self._checkpoints[checkpoint.name] = checkpoint
+            self._tell_floor()
 
     def get_checkpoint(self, name: str) -> Checkpoint:
         with self._lock:
@@ -113,6 +151,18 @@ class CheckpointingService:
         source: Optional[DatabaseBackend] = None,
         name: Optional[str] = None,
     ) -> Checkpoint:
+        """Cut a checkpoint (see :meth:`cutting`) and store it for later recoveries."""
+        with self.cutting(target, source, name) as checkpoint:
+            self.store_checkpoint(checkpoint)
+        return checkpoint
+
+    @contextmanager
+    def cutting(
+        self,
+        target: Optional[DatabaseBackend] = None,
+        source: Optional[DatabaseBackend] = None,
+        name: Optional[str] = None,
+    ) -> Iterator[Checkpoint]:
         """Cut a checkpoint: a log marker and a dump that agree exactly.
 
         The scheduler orders every write before any backend sees it, so its
@@ -128,27 +178,30 @@ class CheckpointingService:
         dumped inside the barrier from a live backend hosting it, which
         stays ENABLED.  A table with no live host raises
         :class:`CheckpointError` rather than restoring a stale table.
+
+        The checkpoint can be caught up from while the context is held; a
+        cut made to serve one :meth:`catch_up` ends there, and neither its
+        dump nor its stretch of the log outlives it.
         """
         name = name or self.next_checkpoint_name()
         engine = self._engine(source) if source is not None else None
-        with self.virtual_database.request_manager.scheduler.write_barrier():
-            self.recovery_log.insert_checkpoint_marker(name)
-            if source is None:
-                dump = self._dump_live_hosts(name, target)
-            else:
-                source.disable()
-                source.set_recovering()
-                source.last_known_checkpoint = name
-        if source is not None:
-            try:
-                dump = self.octopus.dump_engine(engine, name)
-            except Exception as exc:
-                source.disable()
-                raise CheckpointError(f"checkpoint of {source.name!r} failed: {exc}") from exc
-        owner = source or target
-        checkpoint = Checkpoint(name, dump, owner.name if owner is not None else "")
-        self.store_checkpoint(checkpoint)
-        return checkpoint
+        with self.reachable_from_here() as position:
+            with self.virtual_database.request_manager.scheduler.write_barrier():
+                self.recovery_log.insert_checkpoint_marker(name)
+                if source is None:
+                    dump = self._dump_live_hosts(name, target)
+                else:
+                    source.disable()
+                    source.set_recovering()
+                    source.last_known_checkpoint = name
+            if source is not None:
+                try:
+                    dump = self.octopus.dump_engine(engine, name)
+                except Exception as exc:
+                    source.disable()
+                    raise CheckpointError(f"checkpoint of {source.name!r} failed: {exc}") from exc
+            owner = source or target
+            yield Checkpoint(name, dump, owner.name if owner is not None else "", position)
 
     def _dump_live_hosts(self, name: str, target: Optional[DatabaseBackend]) -> PortableDump:
         vdb = self.virtual_database

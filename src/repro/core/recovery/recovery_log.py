@@ -183,7 +183,21 @@ class RecoveryLog:
         ]
 
     def __len__(self) -> int:
-        return len(self.entries())
+        """Entries recorded so far, retained or not: ids run from 1 without a gap."""
+        return self._next_id - 1
+
+    # -- retention ----------------------------------------------------------------------
+
+    #: entries dropped off the head: :meth:`entries` starts at this position
+    floor = 0
+
+    def retain_from(self, position: Optional[int]) -> None:
+        """No recovery will read what was recorded before ``position``.
+
+        ``None`` means nothing recorded so far, nor anything recorded until
+        the next call, can be reached.  The durable flavours keep their whole
+        history all the same: it is what they are for.
+        """
 
     # -- storage hook -----------------------------------------------------------------
 
@@ -192,24 +206,59 @@ class RecoveryLog:
 
 
 class MemoryRecoveryLog(RecoveryLog):
-    """Keeps log entries in memory."""
+    """Keeps in memory the entries a recovery can still reach (paper §3.2).
+
+    A log nobody has told otherwise keeps everything.  Once
+    :meth:`retain_from` names a floor, the head below it is dropped a block
+    at a time as entries arrive, so an append stays O(1) amortised and what
+    is held is bounded by the reachable tail plus one block.
+    """
+
+    #: unreachable entries tolerated at the head before they are dropped
+    TRIM_BLOCK = 1024
 
     def __init__(self):
         super().__init__()
+        #: the retained tail: entry ``i`` was the ``floor + i``-th recorded
         self._entries: List[LogEntry] = []
+        self._reachable_from: Optional[int] = 0
         self._lock = threading.Lock()
 
     def _append(self, entry: LogEntry) -> None:
         with self._lock:
             self._entries.append(entry)
+            self._trim()
+
+    def _trim(self) -> None:
+        reachable = self._reachable_from
+        unreachable = len(self._entries) if reachable is None else reachable - self.floor
+        if unreachable >= self.TRIM_BLOCK:
+            del self._entries[:unreachable]
+            self.floor += unreachable
+
+    def retain_from(self, position: Optional[int]) -> None:
+        with self._lock:
+            self._reachable_from = position
+            # a floor that moved up a long way (a long catch-up ended, a
+            # checkpoint's name was taken again) frees the stretch now, not
+            # at the next write
+            self._trim()
 
     def entries(self) -> List[LogEntry]:
         with self._lock:
             return list(self._entries)
 
+    def __len__(self) -> int:
+        # not the id counter: an id is allocated before its entry is appended,
+        # and a position held between the two would sit past the entry
+        with self._lock:
+            return self.floor + len(self._entries)
+
     def clear(self) -> None:
+        """Forget everything: an empty log that again keeps all it is given."""
         with self._lock:
             self._entries.clear()
+            self.floor, self._reachable_from = 0, 0
 
 
 class FileRecoveryLog(RecoveryLog):

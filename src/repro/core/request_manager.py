@@ -663,6 +663,9 @@ class RequestManager:
         }
         if self.failure_detector is not None:
             stats["failure_detector"] = self.failure_detector.statistics()
+        if self.recovery_log is not None:
+            recorded, floor = len(self.recovery_log), self.recovery_log.floor
+            stats["recovery_log"] = dict(recorded=recorded, retained=recorded - floor, floor=floor)
         if self.result_cache is not None:
             stats["cache"] = self.result_cache.statistics.as_dict()
         parsing_cache = getattr(self.request_factory, "parsing_cache", None)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.recovery.checkpoint import Checkpoint
@@ -163,32 +163,30 @@ class DistributedVirtualDatabase:
 
     # -- membership -----------------------------------------------------------------
 
-    def join_group(self, state_transfer: bool = False) -> List[str]:
+    def join_group(
+        self, state_transfer: bool = False, backends: Optional[Sequence[str]] = None
+    ) -> List[str]:
         """Join the controller group and advertise our backend configuration.
 
         With ``state_transfer=True`` (a controller joining a group that has
         been running without it) the replica first synchronizes its backends
-        from a peer: writes delivered while the snapshot is in flight are
-        buffered and replayed afterwards, so the replica converges to the
-        exact group state before serving clients (§4.1 recovery).
+        (all of them, or those named) from a peer: writes delivered while the
+        snapshot is in flight are buffered and replayed afterwards, so the
+        replica converges to the exact group state before serving clients
+        (§4.1 recovery).
         """
-        if state_transfer:
-            with self._sync_lock:
-                self._syncing = True
-                self._sync_buffer = []
+        with self._sync_lock:
+            self._syncing, self._sync_buffer = state_transfer, []
         try:
             view = self.channel.connect(self.group_name)
             peers = [name for name in view if name != self.controller_name]
             if state_transfer and peers:
-                self._bootstrap_from_peers(peers)
-            else:
-                with self._sync_lock:
-                    self._syncing = False
-        except BaseException:
+                self._bootstrap_from_peers(peers, backends)
+        finally:
+            # a completed transfer has drained the buffer and stopped buffering
+            # already; alone in the group, or failed, there is nothing to drain
             with self._sync_lock:
-                self._syncing = False
-                self._sync_buffer = []
-            raise
+                self._syncing, self._sync_buffer = False, []
         advertisement = _BackendAdvertisement(
             controller=self.controller_name,
             backends=[backend.statistics() for backend in self.local.backends],
@@ -265,7 +263,20 @@ class DistributedVirtualDatabase:
     def resynchronize_backend(
         self, backend_name: str, checkpoint_name: Optional[str] = None
     ) -> int:
-        """Re-integrate one of this controller's own backends."""
+        """Re-integrate one of this controller's own backends.
+
+        With no checkpoint stored and no local backend live to cut one from,
+        the content can only come from a peer controller: the replica rejoins
+        the group through a state transfer that restores this one backend.
+        The view change orders the transfer against the group's writes, and a
+        replica with no live backend was failing every one of them anyway.
+        """
+        stored = self.local.checkpointing_service.checkpoint_names()
+        if not (checkpoint_name or stored or self.local.request_manager.enabled_backends()):
+            self.leave_group()
+            self.join_group(state_transfer=True, backends=[backend_name])
+        # a backend the transfer enabled is left alone; alone in the group, the
+        # local attempt reports that there is nothing to cut from
         return self.local.resynchronize_backend(backend_name, checkpoint_name)
 
     def check_credentials(self, login: str, password: str) -> None:
@@ -369,7 +380,7 @@ class DistributedVirtualDatabase:
 
     # -- state transfer (joining-controller synchronization, §4.1) ----------------------
 
-    def _bootstrap_from_peers(self, peers: List[str]) -> None:
+    def _bootstrap_from_peers(self, peers: List[str], backends=None) -> None:
         """Pull a snapshot from the first peer able to serve one."""
         request = _StateTransferRequest(requester=self.controller_name)
         last_error: Optional[Exception] = None
@@ -393,7 +404,7 @@ class DistributedVirtualDatabase:
                     f"peer {peer!r} sent an empty state snapshot"
                 )
                 continue
-            self._restore_snapshot(snapshot)
+            self._restore_snapshot(snapshot, backends)
             return
         self.channel.disconnect()
         raise GroupCommunicationError(
@@ -411,10 +422,9 @@ class DistributedVirtualDatabase:
         ``_apply_lock`` can deadlock against an in-flight group delivery.
         """
         service = self.local.checkpointing_service
-        with self._apply_lock:
-            checkpoint = service.cut(
-                name=service.next_checkpoint_name(f"state-transfer-{self.controller_name}")
-            )
+        # not stored: the requester replays from its own log, nothing here reads ours again
+        name = service.next_checkpoint_name(f"state-transfer-{self.controller_name}")
+        with self._apply_lock, service.cutting(name=name) as checkpoint:
             last_sequence = self._last_applied_sequence
         snapshot = _StateTransferSnapshot(
             peer=self.controller_name,
@@ -426,19 +436,24 @@ class DistributedVirtualDatabase:
         self.channel.send_to(requester, snapshot)
         self.state_transfers_served += 1
 
-    def _restore_snapshot(self, snapshot: _StateTransferSnapshot) -> None:
-        """Catch every local backend up from a peer's cut, then drain the buffer."""
+    def _restore_snapshot(self, snapshot: _StateTransferSnapshot, backends=None) -> None:
+        """Catch the local backends (all, or those named) up from a peer's cut, then drain."""
         with self._apply_lock:
             service = self.local.checkpointing_service
             checkpoint = Checkpoint(snapshot.marker, PortableDump.from_json(snapshot.dump), "")
-            # the transfer point goes in our own log and checkpoint store:
-            # it is where catch-up replays from, now and for a later local
-            # backend re-integration
-            service.recovery_log.insert_checkpoint_marker(checkpoint.name)
-            service.store_checkpoint(checkpoint)
-            for backend in self.local.backends:
-                if self.local.backend_engine(backend.name) is not None:
-                    service.catch_up(backend, checkpoint)
+            # the transfer point goes in our own log: it is where the catch-ups
+            # replay from.  It is not stored: a local backend that fails later
+            # comes back from a cut of its live local peers or, with none,
+            # from another transfer (:meth:`resynchronize_backend`), and a
+            # dump of the whole database is not held for a recovery that
+            # would replay every write since the join
+            with service.reachable_from_here():
+                service.recovery_log.insert_checkpoint_marker(checkpoint.name)
+                for backend in self.local.backends:
+                    if backends is not None and backend.name not in backends:
+                        continue
+                    if self.local.backend_engine(backend.name) is not None:
+                        service.catch_up(backend, checkpoint)
             self._last_applied_sequence = snapshot.last_sequence
             self._finish_sync(snapshot)
 
@@ -515,15 +530,7 @@ class DistributedVirtualDatabase:
             return
         if isinstance(payload, _BackendFailureEvent):
             if payload.controller != self.controller_name:
-                self.peer_failures.append(
-                    {
-                        "controller": payload.controller,
-                        "backend": payload.backend,
-                        "kind": payload.kind,
-                        "error": payload.error,
-                        "checkpoint": payload.checkpoint,
-                    }
-                )
+                self.peer_failures.append(asdict(payload))
             return
         if isinstance(payload, _BackendAdvertisement):
             if payload.controller != self.controller_name:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable, List, Optional
 
 from repro.errors import GroupCommunicationError
@@ -25,8 +24,6 @@ class GroupChannel:
         self.group: Optional[str] = None
         self._handler: Optional[Callable[[GroupMessage], None]] = None
         self._view_handler: Optional[Callable[[ViewChange], None]] = None
-        self._delivered: List[GroupMessage] = []
-        self._lock = threading.Lock()
 
     # -- configuration --------------------------------------------------------------
 
@@ -76,15 +73,9 @@ class GroupChannel:
     # -- delivery ----------------------------------------------------------------------
 
     def _deliver(self, message: GroupMessage) -> None:
-        with self._lock:
-            self._delivered.append(message)
         if self._handler is not None:
             self._handler(message)
 
     def _view_changed(self, view: ViewChange) -> None:
         if self._view_handler is not None:
             self._view_handler(view)
-
-    def delivered_messages(self) -> List[GroupMessage]:
-        with self._lock:
-            return list(self._delivered)

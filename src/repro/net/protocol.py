@@ -39,7 +39,7 @@ import threading
 import time
 from decimal import Decimal
 from enum import IntEnum
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import repro.errors as _errors
 from repro.core.request import RequestResult
@@ -55,6 +55,9 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 RESULT_CHUNK_ROWS = 256
 
 _LENGTH = struct.Struct("!I")
+
+#: bytes asked of the socket per ``recv``
+_RECV_BYTES = 64 * 1024
 
 
 class MessageType(IntEnum):
@@ -198,10 +201,15 @@ class FrameSocket:
 
     Both ends of the protocol use this wrapper: the server counts a
     session's traffic through it and the remote driver uses it as its
-    transport.  ``recv`` takes an optional ``idle_callback`` invoked on each
-    socket timeout *between* frames (never mid-frame); whatever it raises
-    aborts the wait — the server uses this for idle-timeout and drain
-    handling without tearing down half-received frames.
+    transport.  A response leaves through :meth:`send_frames` as one
+    ``sendall`` unless it holds several row chunks, which leave one to a
+    ``sendall``, and ``recv`` decodes out of one receive buffer, so a
+    response that arrived in one segment costs one ``recv`` on the socket
+    however many frames it holds.  ``recv`` takes an optional
+    ``idle_callback`` invoked on each socket timeout *between* frames (never
+    mid-frame, never with received bytes pending); whatever it raises aborts
+    the wait — the server uses this for idle-timeout and drain handling
+    without tearing down half-received frames.
 
     ``HEARTBEAT`` frames are pure liveness: ``recv`` absorbs them (updating
     ``last_heartbeat_at`` and the optional ``on_heartbeat`` hook) and keeps
@@ -217,6 +225,8 @@ class FrameSocket:
         self.bytes_out = 0
         self.frames_in = 0
         self.frames_out = 0
+        #: ``sendall`` calls made: ``frames_out / sends`` is frames per segment
+        self.sends = 0
         self.heartbeats_in = 0
         self.heartbeats_out = 0
         #: monotonic timestamp of the last HEARTBEAT absorbed (0.0 = never)
@@ -224,53 +234,77 @@ class FrameSocket:
         #: optional callable(body) invoked for each absorbed HEARTBEAT
         self.on_heartbeat: Optional[Callable[[Dict[str, Any]], None]] = None
         self._send_lock = threading.Lock()
+        #: bytes received and not yet decoded
+        self._received = bytearray()
 
     def send(self, message_type: int, body: Optional[Mapping] = None) -> None:
-        data = encode_frame(message_type, body)
+        self.send_frames(((message_type, body),))
+
+    def send_frames(self, frames: Iterable[Tuple[int, Optional[Mapping]]]) -> None:
+        """Send ``frames`` in order, one ``RESULT_ROWS`` chunk to a ``sendall``.
+
+        Every other frame rides with a chunk (a result's header with its first,
+        the end marker with its last), so a response of at most one chunk is
+        one segment whatever else it carries.  ``frames`` is consumed lazily:
+        a result of many chunks is encoded and sent a chunk at a time, never
+        held whole.
+        """
+        pending: List[bytes] = []
+        chunks = 0
+        for message_type, body in frames:
+            chunks += message_type == MessageType.RESULT_ROWS
+            if chunks == 2:
+                self._write(pending)
+                pending, chunks = [], 1
+            pending.append(encode_frame(message_type, body))
+        self._write(pending)
+
+    def _write(self, encoded: List[bytes]) -> None:
+        data = b"".join(encoded)
+        # counted first: a peer holding the reply finds it in the counters
+        self.bytes_out += len(data)
+        self.frames_out += len(encoded)
+        self.sends += 1
         with self._send_lock:
             self.sock.sendall(data)
-        self.bytes_out += len(data)
-        self.frames_out += 1
 
     def send_heartbeat(self, body: Optional[Mapping] = None) -> None:
         """Send a one-way liveness beacon (no reply is expected)."""
         self.send(MessageType.HEARTBEAT, body)
         self.heartbeats_out += 1
 
-    def _recv_exactly(
-        self,
-        count: int,
-        idle_callback: Optional[Callable[[], None]],
-        frame_started: bool,
-    ) -> bytes:
-        chunks: List[bytes] = []
-        received = 0
-        while received < count:
+    def _next_payload(self, idle_callback: Optional[Callable[[], None]]) -> bytes:
+        """The payload of the next frame, reading the socket only when the buffer runs dry."""
+        received = self._received
+        while True:
+            if len(received) >= _LENGTH.size:
+                (length,) = _LENGTH.unpack_from(received)
+                if length == 0 or length > MAX_FRAME_BYTES:
+                    raise ProtocolError(f"invalid frame length {length}")
+                end = _LENGTH.size + length
+                if len(received) >= end:
+                    payload = bytes(received[_LENGTH.size : end])
+                    del received[:end]
+                    return payload
             try:
-                data = self.sock.recv(count - received)
+                data = self.sock.recv(_RECV_BYTES)
             except socket.timeout:
-                # Only an *idle* connection (nothing of the frame received
+                # Only an *idle* connection (nothing of a frame received
                 # yet) may be interrupted; a half-received frame keeps
                 # waiting for its remainder.
-                if idle_callback is not None and not frame_started and not chunks:
+                if idle_callback is not None and not received:
                     idle_callback()
                 continue
             if not data:
                 raise ConnectionClosed("peer closed the connection")
-            chunks.append(data)
-            received += len(data)
-        return b"".join(chunks)
+            received += data
 
     def recv(
         self, idle_callback: Optional[Callable[[], None]] = None
     ) -> Tuple[MessageType, Dict[str, Any]]:
         while True:
-            header = self._recv_exactly(_LENGTH.size, idle_callback, frame_started=False)
-            (length,) = _LENGTH.unpack(header)
-            if length == 0 or length > MAX_FRAME_BYTES:
-                raise ProtocolError(f"invalid frame length {length}")
-            payload = self._recv_exactly(length, idle_callback, frame_started=True)
-            self.bytes_in += _LENGTH.size + length
+            payload = self._next_payload(idle_callback)
+            self.bytes_in += _LENGTH.size + len(payload)
             self.frames_in += 1
             message_type, body = decode_frame_payload(payload)
             if message_type is MessageType.HEARTBEAT:

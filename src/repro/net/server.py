@@ -32,6 +32,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
+from collections import Counter
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.faults import ConnectionDropError, FaultInjector
@@ -105,12 +106,31 @@ class _Session:
         self.statements: Dict[int, object] = {}
         self._statement_ids = 0
         self.requests = 0
+        self.responses = 0
         self.errors = 0
         self.last_activity = time.monotonic()
+
+    def reply(self, frames) -> None:
+        """Send one response: its frames leave together when they fit one segment."""
+        self.responses += 1
+        self.frames.send_frames(frames)
 
     def next_statement_id(self) -> int:
         self._statement_ids += 1
         return self._statement_ids
+
+    def counts(self) -> dict:
+        """What this session adds to the server's totals."""
+        frames = self.frames
+        return {
+            "requests": self.requests,
+            "responses": self.responses,
+            "errors": self.errors,
+            "bytes_in": frames.bytes_in,
+            "bytes_out": frames.bytes_out,
+            "frames_out": frames.frames_out,
+            "sends": frames.sends,
+        }
 
     def describe(self) -> dict:
         return {
@@ -118,11 +138,9 @@ class _Session:
             "peer": f"{self.peer[0]}:{self.peer[1]}" if self.peer else "?",
             "database": self.database,
             "login": self.login,
-            "requests": self.requests,
             "open_transactions": len(self.transactions),
             "prepared_statements": len(self.statements),
-            "bytes_in": self.frames.bytes_in,
-            "bytes_out": self.frames.bytes_out,
+            **self.counts(),
         }
 
 
@@ -163,10 +181,10 @@ class ControllerServer:
         self._sessions_authenticated = 0
         self._idle_closed = 0
         self._fault_disconnects = 0
-        self._requests = 0
-        self._errors = 0
-        self._closed_bytes_in = 0
-        self._closed_bytes_out = 0
+        #: :meth:`_Session.counts` of every closed session, summed
+        self._closed: Counter = Counter(
+            requests=0, responses=0, errors=0, bytes_in=0, bytes_out=0, frames_out=0, sends=0
+        )
 
     # -- lifecycle -----------------------------------------------------------------------
 
@@ -284,12 +302,9 @@ class ControllerServer:
     def statistics(self) -> dict:
         with self._lock:
             sessions = [session.describe() for session in self._sessions.values()]
-            bytes_in = self._closed_bytes_in + sum(
-                session.frames.bytes_in for session in self._sessions.values()
-            )
-            bytes_out = self._closed_bytes_out + sum(
-                session.frames.bytes_out for session in self._sessions.values()
-            )
+            counts = Counter(self._closed)
+            for session in self._sessions.values():
+                counts.update(session.counts())
             return {
                 "address": f"{self.host}:{self.port}",
                 "running": self.is_running,
@@ -302,12 +317,7 @@ class ControllerServer:
                 "sessions_authenticated": self._sessions_authenticated,
                 "idle_closed": self._idle_closed,
                 "fault_disconnects": self._fault_disconnects,
-                "requests": self._requests
-                + sum(session.requests for session in self._sessions.values()),
-                "errors": self._errors
-                + sum(session.errors for session in self._sessions.values()),
-                "bytes_in": bytes_in,
-                "bytes_out": bytes_out,
+                **counts,
                 "active_sessions": sessions,
             }
 
@@ -324,6 +334,9 @@ class ControllerServer:
                 continue
             except OSError:
                 return  # listener closed under us: shutting down
+            # a reply is written whole; waiting for the client's ACK before
+            # sending a small one (Nagle) only adds its delayed-ACK timer
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             with self._lock:
                 self._accepted += 1
                 if self._draining or len(self._sessions) >= self.max_connections:
@@ -405,10 +418,7 @@ class ControllerServer:
         session.frames.close()
         with self._lock:
             self._sessions.pop(session.session_id, None)
-            self._closed_bytes_in += session.frames.bytes_in
-            self._closed_bytes_out += session.frames.bytes_out
-            self._requests += session.requests
-            self._errors += session.errors
+            self._closed.update(session.counts())
             self._threads = [t for t in self._threads if t.is_alive()]
 
     def _idle_callback(self, session: _Session) -> None:
@@ -425,7 +435,7 @@ class ControllerServer:
 
     def _try_send(self, session: _Session, message_type, body) -> None:
         try:
-            session.frames.send(message_type, body)
+            session.reply([(message_type, body)])
         except OSError:
             pass
 
@@ -450,10 +460,8 @@ class ControllerServer:
                 return
             except ReproError as exc:
                 session.errors += 1
-                session.frames.send(MessageType.ERROR, encode_error(exc))
-                continue
-            for reply_type, reply_body in replies:
-                session.frames.send(reply_type, reply_body)
+                replies = [(MessageType.ERROR, encode_error(exc))]
+            session.reply(replies)
             session.last_activity = time.monotonic()
 
     def _handshake(self, session: _Session) -> None:
@@ -487,14 +495,12 @@ class ControllerServer:
         session.virtual_database = virtual_database
         with self._lock:
             self._sessions_authenticated += 1
-        session.frames.send(
-            MessageType.WELCOME,
-            {
-                "controller": self.controller.name,
-                "database": virtual_database.name,
-                "protocol": PROTOCOL_VERSION,
-            },
-        )
+        welcome = {
+            "controller": self.controller.name,
+            "database": virtual_database.name,
+            "protocol": PROTOCOL_VERSION,
+        }
+        session.reply([(MessageType.WELCOME, welcome)])
 
     def _inject_faults(self, session: _Session, message_type, body) -> None:
         injector = self._fault_injector
@@ -519,7 +525,7 @@ class ControllerServer:
                 login=session.login,
                 transaction_id=body.get("transaction_id"),
             )
-            return list(result_frames(result))
+            return result_frames(result)
         if message_type is MessageType.PREPARE:
             handle = session.virtual_database.prepare(str(body.get("sql", "")))
             statement_id = session.next_statement_id()
@@ -541,7 +547,7 @@ class ControllerServer:
                 login=session.login,
                 transaction_id=body.get("transaction_id"),
             )
-            return list(result_frames(result))
+            return result_frames(result)
         if message_type is MessageType.EXECUTE_BATCH:
             handle = self._statement(session, body)
             parameter_sets = tuple(
@@ -552,7 +558,7 @@ class ControllerServer:
                 login=session.login,
                 transaction_id=body.get("transaction_id"),
             )
-            return list(result_frames(result))
+            return result_frames(result)
         if message_type is MessageType.BEGIN:
             transaction_id = session.virtual_database.begin(session.login)
             session.transactions.add(transaction_id)

@@ -9,7 +9,7 @@ can roll back aborted transactions.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.errors import CatalogError, ConstraintViolation
 from repro.sql.schema import Column, Index, TableSchema
@@ -19,11 +19,15 @@ Row = Dict[str, Any]
 
 
 class HashIndex:
-    """A (possibly unique) hash index mapping key tuples to row ids."""
+    """A (possibly unique) hash index mapping key tuples to row ids.
+
+    A key with one row — every key of a unique index — holds the bare row id;
+    only a key shared by several rows pays for a ``set``.
+    """
 
     def __init__(self, definition: Index):
         self.definition = definition
-        self._entries: Dict[Tuple[Any, ...], set] = {}
+        self._entries: Dict[Tuple[Any, ...], Union[RowId, Set[RowId]]] = {}
 
     @property
     def name(self) -> str:
@@ -42,27 +46,35 @@ class HashIndex:
 
     def insert(self, row_id: RowId, row: Row) -> None:
         key = self.key_for(row)
-        bucket = self._entries.setdefault(key, set())
-        if self.unique and bucket and None not in key:
+        bucket = self._entries.get(key)
+        if bucket is None:
+            self._entries[key] = row_id
+        elif self.unique and None not in key:
             raise ConstraintViolation(
                 f"unique index {self.name!r} violated for key {key!r}"
             )
-        bucket.add(row_id)
+        elif isinstance(bucket, set):
+            bucket.add(row_id)
+        elif bucket != row_id:
+            self._entries[key] = {bucket, row_id}
 
     def remove(self, row_id: RowId, row: Row) -> None:
         key = self.key_for(row)
         bucket = self._entries.get(key)
-        if bucket is not None:
+        if isinstance(bucket, set):
             bucket.discard(row_id)
-            if not bucket:
-                del self._entries[key]
+            if len(bucket) == 1:
+                self._entries[key] = next(iter(bucket))
+        elif bucket == row_id:
+            del self._entries[key]
 
     def lookup(self, key: Tuple[Any, ...]) -> FrozenSet[RowId]:
         """Row ids under ``key``: a snapshot, safe to iterate beside a writer."""
-        return frozenset(self._entries.get(tuple(_hashable(k) for k in key), ()))
+        bucket = self._entries.get(tuple(_hashable(k) for k in key), ())
+        return frozenset(bucket if isinstance(bucket, (set, tuple)) else (bucket,))
 
     def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._entries.values())
+        return sum(len(b) if isinstance(b, set) else 1 for b in self._entries.values())
 
 
 def _hashable(value: Any) -> Any:

@@ -44,6 +44,105 @@ class TestMemoryRecoveryLog:
         log.clear()
         assert len(log) == 0
 
+    def test_clear_after_a_trim_starts_over(self):
+        log = MemoryRecoveryLog()
+        log.retain_from(None)
+        for _ in range(log.TRIM_BLOCK + 3):
+            log.log_request("x", (), "", None)
+        assert log.floor == log.TRIM_BLOCK
+        log.clear()
+        assert (len(log), log.floor, log.entries()) == (0, 0, [])
+        for _ in range(2 * log.TRIM_BLOCK):
+            log.log_request("x", (), "", None)
+        assert len(log) == len(log.entries()) == 2 * log.TRIM_BLOCK
+
+
+class TestLogRetention:
+    """The memory log keeps what a recovery can reach, ``len`` counts what was recorded."""
+
+    @staticmethod
+    def write(log, count):
+        for _ in range(count):
+            log.log_request("UPDATE t SET n = n + 1 WHERE k = ?", (1,), "alice", None)
+
+    def test_a_log_nobody_told_otherwise_keeps_everything(self):
+        log = MemoryRecoveryLog()
+        self.write(log, 3 * log.TRIM_BLOCK)
+        assert len(log) == len(log.entries()) == 3 * log.TRIM_BLOCK
+        assert log.floor == 0
+
+    def test_unreachable_head_is_dropped_a_block_at_a_time(self):
+        log = MemoryRecoveryLog()
+        block = log.TRIM_BLOCK
+        self.write(log, 10)
+        log.retain_from(10)
+        self.write(log, 3 * block)
+        assert log.floor == 0  # ten unreachable entries are not worth a pass
+        log.retain_from(2 * block + 5)
+        assert log.floor == 2 * block + 5
+        assert [entry.log_id for entry in log.entries()][:2] == [2 * block + 6, 2 * block + 7]
+        assert len(log) == 3 * block + 10
+
+    def test_50000_writes_with_nothing_reachable_hold_at_most_a_block(self):
+        from tests.conftest import make_cluster
+
+        _controller, vdb, _engines = make_cluster("retaindb", backend_count=1)
+        log = vdb.request_manager.recovery_log
+        assert vdb.checkpointing_service.checkpoint_names() == []
+        held = []
+        for _ in range(50):
+            self.write(log, 1000)
+            held.append(len(log.entries()))
+        assert len(log) == 50_000
+        assert max(held) < log.TRIM_BLOCK
+        stats = vdb.statistics()["recovery_log"]
+        assert stats == {"recorded": 50_000, "retained": held[-1], "floor": 50_000 - held[-1]}
+
+    def test_writes_through_the_virtual_database_are_counted_not_kept(self):
+        from tests.conftest import make_cluster
+
+        _controller, vdb, _engines = make_cluster("retaindb2", backend_count=1)
+        vdb.execute("CREATE TABLE t (k INT PRIMARY KEY, n INT)")
+        vdb.execute("INSERT INTO t (k, n) VALUES (1, 0)")
+        log = vdb.request_manager.recovery_log
+        writes = log.TRIM_BLOCK + 50
+        for _ in range(writes):
+            vdb.execute("UPDATE t SET n = n + 1 WHERE k = ?", (1,))
+        assert len(log) == writes + 2
+        assert len(log.entries()) < log.TRIM_BLOCK
+        assert vdb.execute("SELECT n FROM t").scalar() == writes
+
+    def test_a_stored_checkpoint_keeps_its_tail_until_replaced(self):
+        from tests.conftest import make_cluster
+
+        _controller, vdb, _engines = make_cluster("retaindb3", backend_count=2)
+        vdb.execute("CREATE TABLE t (k INT PRIMARY KEY, n INT)")
+        log = vdb.request_manager.recovery_log
+        vdb.checkpoint_backend("backend1", name="held")
+        self.write(log, 2 * log.TRIM_BLOCK)
+        assert len(log.entries_since_checkpoint("held")) == 2 * log.TRIM_BLOCK
+        # the same name taken again moves the floor up to the new marker
+        vdb.checkpoint_backend("backend1", name="held")
+        assert log.entries_since_checkpoint("held") == []
+        assert log.floor >= 2 * log.TRIM_BLOCK
+
+    def test_durable_logs_keep_their_history(self, tmp_path):
+        log = FileRecoveryLog(str(tmp_path / "kept.jsonl"))
+        self.write(log, 5)
+        log.retain_from(None)
+        self.write(log, 5)
+        assert len(log) == len(log.entries()) == 10
+        assert log.floor == 0
+
+    def test_len_of_a_durable_log_does_not_read_it(self, tmp_path, monkeypatch):
+        """Statistics and every cut take ``len(log)``: it must not parse the file."""
+        path = str(tmp_path / "counted.jsonl")
+        self.write(FileRecoveryLog(path), 7)
+        log = FileRecoveryLog(path)  # resumes the count of what is on disk
+        self.write(log, 3)
+        monkeypatch.setattr(log, "entries", lambda: pytest.fail("len() read the log"))
+        assert len(log) == 10
+
 
 class TestFileRecoveryLog:
     def test_round_trip(self, tmp_path):

@@ -13,7 +13,8 @@ from repro.core import (
 )
 from repro.distrib import nested_backend_config
 from repro.distrib.distributed_vdb import DistributedVirtualDatabase
-from repro.errors import GroupCommunicationError
+from repro.cluster.fixture import digest_mismatches, wait_until
+from repro.errors import CheckpointError, GroupCommunicationError
 from repro.groupcomm import GroupTransport
 from repro.sql import DatabaseEngine
 
@@ -143,6 +144,176 @@ class TestJoiningControllerStateTransfer:
         assert sorted(status["members"]) == ["stxst-a", "stxst-b"]
         status_a = replica_a.group_status()
         assert status_a["state_transfers_served"] == 1
+
+
+class TestBackendReintegrationWithNoLocalDonor:
+    """A controller whose every backend is down, with no checkpoint stored,
+    gets a backend back from a peer controller.
+
+    A state transfer is not stored (it would pin the log from the join on),
+    so the one-backend controller the facade boots has nothing local to
+    restart from once that backend fails.
+    """
+
+    def _replica(self, db_name, controller_name, transport, backend_count=1):
+        controller, vdb, engines = make_cluster(db_name, backend_count=backend_count)
+        controller.name = controller_name
+        return DistributedVirtualDatabase(vdb, transport, controller_name=controller_name), engines
+
+    def _group_of_two(self, label, transport_a, transport_b=None, backend_count=1):
+        replica_a, engines_a = self._replica(label, f"{label}-a", transport_a)
+        replica_a.join_group()
+        replica_a.execute("CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(10))")
+        for key in range(5):
+            replica_a.execute("INSERT INTO t VALUES (?, ?)", (key, f"v{key}"))
+        replica_b, engines_b = self._replica(
+            label, f"{label}-b", transport_b or transport_a, backend_count
+        )
+        replica_b.join_group(state_transfer=True)
+        return replica_a, engines_a[0], replica_b, engines_b
+
+    @staticmethod
+    def _write_through(replica, keys):
+        """Write while a peer has no live backend: the origin applies, the peer reports."""
+        for key in keys:
+            with pytest.raises(GroupCommunicationError, match="delivery failed"):
+                replica.execute("INSERT INTO t VALUES (?, 'gap')", (key,))
+
+    def _assert_converged(self, *engines):
+        assert digest_mismatches({str(n): engine for n, engine in enumerate(engines)}) == []
+
+    def test_lone_backend_of_a_joined_controller_comes_back_from_a_peer(self):
+        replica_a, engine_a, replica_b, [engine_b] = self._group_of_two(
+            "lone", GroupTransport()
+        )
+        service_b = replica_b.local.checkpointing_service
+        assert service_b.checkpoint_names() == []  # the transfer left nothing behind
+        replica_b.get_backend("backend0").disable()
+        self._write_through(replica_a, range(10, 15))
+        assert engine_b.execute("SELECT COUNT(*) FROM t").scalar() == 5
+
+        replica_b.resynchronize_backend("backend0")
+
+        assert replica_b.get_backend("backend0").is_enabled
+        assert replica_a.state_transfers_served == 2
+        assert sorted(replica_a.group_members) == ["lone-a", "lone-b"]
+        self._assert_converged(engine_a, engine_b)
+        # writes flow both ways again, and nothing pins either log
+        replica_b.execute("INSERT INTO t VALUES (100, 'back')")
+        replica_a.execute("INSERT INTO t VALUES (101, 'back')")
+        assert engine_a.execute("SELECT COUNT(*) FROM t").scalar() == 12
+        self._assert_converged(engine_a, engine_b)
+        assert service_b.checkpoint_names() == []
+        log_b = replica_b.local.request_manager.recovery_log
+        for _ in range(2 * log_b.TRIM_BLOCK):
+            log_b.log_request("UPDATE t SET v = v", (), "", None)
+        assert len(log_b.entries()) < log_b.TRIM_BLOCK
+
+    def test_through_the_facade_and_the_console(self):
+        """The shape ``Cluster`` boots: two controllers, one private backend each."""
+        from repro.core.management.console import AdminConsole
+
+        cluster, [(_, replica_a, engine_a), (controller_b, replica_b, engine_b)] = (
+            make_replicated_cluster("lonefacade")
+        )
+        replica_a.execute("CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(10))")
+        for attempt, resync in enumerate(
+            [
+                lambda: cluster.resynchronize("lonefacade", "backend0", controller_b.name),
+                lambda: AdminConsole(controller_b).execute("recover lonefacade backend0"),
+            ]
+        ):
+            cluster.fault_injector("lonefacade", "backend0", controller_b.name).crash()
+            # the write that finds the crash disables the backend
+            self._write_through(replica_a, [10 * attempt])
+            assert not replica_b.get_backend("backend0").is_enabled
+            self._write_through(replica_a, [10 * attempt + 1])
+            cluster.fault_injector("lonefacade", "backend0", controller_b.name).recover()
+            resync()
+            assert replica_b.get_backend("backend0").is_enabled
+            replica_a.execute("INSERT INTO t VALUES (?, 'back')", (10 * attempt + 2,))
+            self._assert_converged(engine_a, engine_b)
+        assert engine_b.execute("SELECT COUNT(*) FROM t").scalar() == 6
+
+    def test_comes_back_over_tcp_under_a_live_writer(self):
+        import threading
+
+        from repro.groupcomm import SocketGroupTransport
+
+        options = dict(heartbeat_interval=0.05, heartbeat_threshold=3, rpc_timeout=5.0)
+        node_a = SocketGroupTransport(name="lonetcp-a", **options)
+        node_a.start()
+        node_b = SocketGroupTransport(peers=[node_a.address], name="lonetcp-b", **options)
+        node_b.start()
+        try:
+            replica_a, engine_a, replica_b, [engine_b] = self._group_of_two(
+                "lonetcp", node_a, node_b
+            )
+            replica_b.get_backend("backend0").disable()
+            stop = threading.Event()
+
+            def writer():
+                key = 1000
+                while not stop.is_set():
+                    key += 1
+                    try:
+                        replica_a.execute("INSERT INTO t VALUES (?, 'live')", (key,))
+                    except GroupCommunicationError:
+                        pass  # b has no live backend, or is between leave and join
+
+            thread = threading.Thread(target=writer)
+            thread.start()
+            try:
+                replica_b.resynchronize_backend("backend0")
+                wait_until(lambda: False, timeout=0.05)  # a few writes after the rejoin
+            finally:
+                stop.set()
+                thread.join()
+            assert replica_b.get_backend("backend0").is_enabled
+            live = "SELECT COUNT(*) FROM t WHERE v = 'live'"
+            assert engine_b.execute(live).scalar() == engine_a.execute(live).scalar() > 0
+            self._assert_converged(engine_a, engine_b)
+        finally:
+            node_a.stop()
+            node_b.stop()
+
+    def test_only_the_named_backend_is_restored(self):
+        replica_a, engine_a, replica_b, engines_b = self._group_of_two(
+            "lonetwo", GroupTransport(), backend_count=2
+        )
+        for backend in replica_b.backends:
+            backend.disable()
+        self._write_through(replica_a, range(10, 13))
+
+        replica_b.resynchronize_backend("backend1")
+        assert replica_b.get_backend("backend1").is_enabled
+        assert not replica_b.get_backend("backend0").is_enabled  # the operator's call
+        replica_a.execute("INSERT INTO t VALUES (20, 'one')")
+        # its sibling now has a live local donor: no second transfer
+        replica_b.resynchronize_backend("backend0")
+        assert replica_a.state_transfers_served == 2
+        replica_a.execute("INSERT INTO t VALUES (21, 'both')")
+        self._assert_converged(engine_a, *engines_b)
+
+    def test_a_stored_checkpoint_is_preferred_to_a_transfer(self):
+        replica_a, engine_a, replica_b, [engine_b] = self._group_of_two(
+            "lonekept", GroupTransport()
+        )
+        replica_b.local.checkpoint_backend("backend0", name="kept")
+        replica_b.get_backend("backend0").disable()
+        self._write_through(replica_a, range(10, 13))
+        assert replica_b.resynchronize_backend("backend0") == 3  # replayed from its own log
+        assert replica_a.state_transfers_served == 1
+        self._assert_converged(engine_a, engine_b)
+
+    def test_alone_in_the_group_there_is_nothing_to_come_back_from(self):
+        replica, [engine] = self._replica("lonesolo", "lonesolo-a", GroupTransport())
+        replica.join_group()
+        replica.execute("CREATE TABLE t (id INT PRIMARY KEY)")
+        replica.get_backend("backend0").disable()
+        with pytest.raises(CheckpointError, match="no live backend"):
+            replica.resynchronize_backend("backend0")
+        assert replica.group_members == ["lonesolo-a"]
 
 
 class TestMixedTopology:

@@ -1,6 +1,9 @@
 """Tests for failure detection and live backend re-integration."""
 
+import random
+import sys
 import threading
+import time
 
 import pytest
 
@@ -10,6 +13,7 @@ from repro.cluster.registry import ControllerRegistry
 from repro.core import BackendConfig, VirtualDatabaseConfig
 from repro.core.failover import FailureDetector
 from repro.core.management.console import AdminConsole
+from repro.core.recovery import MemoryRecoveryLog
 from repro.core.scheduler import (
     OptimisticTransactionLevelScheduler,
     PassThroughScheduler,
@@ -385,6 +389,175 @@ class TestOneWayBackIn:
         assert backend.is_enabled
         # named: that checkpoint; not named: the backend's own most recent
         assert backend.last_known_checkpoint == ("newer" if "{ckpt}" in command else "older")
+        assert diverged(engines) == []
+        cluster.shutdown()
+
+
+class TestReachableLog:
+    """Dropping the log's unreachable head never changes what a recovery reads."""
+
+    @staticmethod
+    def mirrored(vdb, monkeypatch, block=4):
+        """Trim eagerly, and copy every entry into a reference log that never trims."""
+        monkeypatch.setattr(MemoryRecoveryLog, "TRIM_BLOCK", block)
+        log = vdb.request_manager.recovery_log
+        reference = MemoryRecoveryLog()
+        for entry in log.entries():
+            reference._append(entry)
+        append, both = log._append, threading.Lock()
+
+        def appending(entry):
+            with both:
+                reference._append(entry)
+                append(entry)
+
+        log._append = appending
+        return log, reference
+
+    @staticmethod
+    def assert_same_tails(vdb, log, reference):
+        names = vdb.checkpointing_service.checkpoint_names()
+        for name in names:
+            assert log.entries_since_checkpoint(name) == reference.entries_since_checkpoint(name)
+        assert len(log) == len(reference)
+        return names
+
+    @pytest.mark.parametrize("seed", [3, 17, 29, 2024])
+    def test_seeded_operator_sequences_read_what_an_untrimmed_log_reads(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        cluster, vdb, engines = build_cluster(label=f"reach-{seed}", auto_resync=True)
+        log, reference = self.mirrored(vdb, monkeypatch)
+        service = vdb.checkpointing_service
+        keys = iter(range(1000, 100_000))
+        seen = set()
+
+        def write():
+            for _ in range(rng.randint(1, 9)):
+                vdb.execute("INSERT INTO kv (k, v) VALUES (?, 'w')", (next(keys),))
+
+        def cut():
+            service.cut()
+
+        def online_checkpoint():
+            name = rng.choice(["again", None])  # a name taken twice moves its marker
+            vdb.checkpoint_backend(rng.choice(["b1", "b2"]), name=name)
+
+        def catch_up():
+            backend = rng.choice(["b1", "b2"])
+            vdb.disable_backend(backend)
+            write()
+            stored = service.checkpoint_names()
+            vdb.resynchronize_backend(backend, rng.choice([None, *stored]))
+
+        def failed_online_checkpoint():
+            backend = vdb.get_backend(rng.choice(["b1", "b2"]))
+            dump_engine = service.octopus.dump_engine
+
+            def failing(engine, *args, **kwargs):
+                write()  # lands between the marker and the dump that fails
+                raise RuntimeError("dump failed")
+
+            service.octopus.dump_engine = failing
+            try:
+                with pytest.raises(CheckpointError):
+                    service.cut(source=backend)
+            finally:
+                service.octopus.dump_engine = dump_engine
+            vdb.resynchronize_backend(backend.name)
+
+        def auto_resync():
+            backend = rng.choice(["b1", "b2"])
+            vdb.fault_injector(backend).inject("error", after_n_ops=1, one_shot=True)
+            write()
+            vdb.resynchronizer.wait(timeout=10.0)
+            assert vdb.get_backend(backend).is_enabled
+
+        actions = [write, write, cut, online_checkpoint, catch_up, failed_online_checkpoint, auto_resync]
+        for _ in range(40):
+            rng.choice(actions)()
+            seen.update(self.assert_same_tails(vdb, log, reference))
+        assert all(backend.is_enabled for backend in vdb.backends)
+        assert diverged(engines) == []
+        assert seen and 0 < log.floor <= len(log) == len(reference)
+        cluster.shutdown()
+
+    def test_write_between_an_online_cuts_marker_and_its_store_is_replayed(self, monkeypatch):
+        cluster, vdb, engines = build_cluster(backends=2, label="reach-window")
+        log, reference = self.mirrored(vdb, monkeypatch, block=1)
+        service = vdb.checkpointing_service
+        dump_engine = service.octopus.dump_engine
+
+        def dumping(engine, *args, **kwargs):
+            # b1 left at the marker; nothing is stored yet, and these writes
+            # are each a block's worth
+            for key in (900, 901, 902):
+                vdb.execute("INSERT INTO kv (k, v) VALUES (?, 'window')", (key,))
+            return dump_engine(engine, *args, **kwargs)
+
+        service.octopus.dump_engine = dumping
+        checkpoint = service.checkpoint_backend(vdb.get_backend("b1"))
+        assert [entry.parameters for entry in reference.entries_since_checkpoint(checkpoint.name)] == [
+            (900,), (901,), (902,)
+        ]
+        self.assert_same_tails(vdb, log, reference)
+        assert vdb.get_backend("b1").is_enabled
+        assert diverged(engines) == []
+        cluster.shutdown()
+
+    def test_cuts_beside_concurrent_writers_always_find_their_marker(self, monkeypatch):
+        """Three writers trim the log a block of four at a time while cuts come and go."""
+        cluster, vdb, engines = build_cluster(backends=2, label="reach-stress")
+        log, reference = self.mirrored(vdb, monkeypatch)
+        service = vdb.checkpointing_service
+        stop, errors = threading.Event(), []
+
+        def writer(base):
+            try:
+                for key in range(base, base + 100_000):
+                    if stop.is_set():
+                        return
+                    vdb.execute("INSERT INTO kv (k, v) VALUES (?, 'w')", (key,))
+            except Exception as exc:  # noqa: BLE001 - reported by the main thread
+                errors.append(exc)
+
+        writers = [threading.Thread(target=writer, args=(base,)) for base in (10**6, 2 * 10**6, 3 * 10**6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in writers:
+                thread.start()
+            cuts = 0
+            deadline = time.monotonic() + 0.5
+            while time.monotonic() < deadline and not errors:
+                with service.cutting() as checkpoint:
+                    time.sleep(0.002)  # writes land, and trim, while the cut is held
+                    tail = log.entries_since_checkpoint(checkpoint.name)
+                    later = reference.entries_since_checkpoint(checkpoint.name)
+                    assert later[: len(tail)] == tail
+                cuts += 1
+        finally:
+            stop.set()
+            for thread in writers:
+                thread.join(timeout=10.0)
+            sys.setswitchinterval(interval)
+        assert errors == [] and not any(thread.is_alive() for thread in writers)
+        assert cuts > 0 and log.floor > 0 and len(log) == len(reference)
+        assert service.checkpoint_names() == []
+        assert diverged(engines) == []
+        cluster.shutdown()
+
+    def test_a_cut_made_for_one_catch_up_is_forgotten_with_it(self, monkeypatch):
+        cluster, vdb, engines = build_cluster(label="reach-transient", auto_resync=True)
+        log, _reference = self.mirrored(vdb, monkeypatch)
+        vdb.fault_injector("b2").inject("error", after_n_ops=1, one_shot=True)
+        vdb.execute("INSERT INTO kv (k, v) VALUES (950, 'x')")
+        vdb.resynchronizer.wait(timeout=10.0)
+        assert vdb.get_backend("b2").is_enabled
+        # no dump is held and the log is not pinned at the resync's marker
+        assert vdb.checkpointing_service.checkpoint_names() == []
+        for key in range(960, 980):
+            vdb.execute("INSERT INTO kv (k, v) VALUES (?, 'after')", (key,))
+        assert len(log.entries()) < log.TRIM_BLOCK
         assert diverged(engines) == []
         cluster.shutdown()
 

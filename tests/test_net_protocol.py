@@ -21,6 +21,7 @@ from repro.errors import (
 )
 from repro.net.protocol import (
     MAX_FRAME_BYTES,
+    RESULT_CHUNK_ROWS,
     ConnectionClosed,
     FrameSocket,
     MessageType,
@@ -196,6 +197,151 @@ class TestFrameSocket:
         finally:
             left.close()
             right.close()
+
+
+class _ScriptedSocket:
+    """A socket whose ``recv`` plays a script and whose ``sendall`` records.
+
+    A script item is the bytes one ``recv`` returns, or ``None`` for a timeout.
+    """
+
+    def __init__(self, script=()):
+        self.script = list(script)
+        self.recv_calls = 0
+        self.sent = []
+
+    def recv(self, _count):
+        self.recv_calls += 1
+        if not self.script:
+            return b""
+        chunk = self.script.pop(0)
+        if chunk is None:
+            raise socket.timeout()
+        return chunk
+
+    def sendall(self, data):
+        self.sent.append(bytes(data))
+
+    def close(self):
+        pass
+
+
+class TestOneSegmentPerResponse:
+    """A response is one ``sendall`` and one ``recv`` when it fits one row chunk."""
+
+    def _result(self, rows):
+        return RequestResult(
+            columns=["id", "name"],
+            rows=[[i, f"row{i}"] for i in range(rows)],
+            update_count=-1,
+            backend_name="backend0",
+            backends_executed=1,
+        )
+
+    def _decode_all(self, sent):
+        reader = FrameSocket(_ScriptedSocket([b"".join(sent)]))
+        frames = []
+        with pytest.raises(ConnectionClosed):
+            while True:
+                frames.append(reader.recv())
+        return frames, reader
+
+    @pytest.mark.parametrize("rows", [0, 1, RESULT_CHUNK_ROWS])
+    def test_result_that_fits_one_chunk_is_one_sendall(self, rows):
+        frames = FrameSocket(_ScriptedSocket())
+        result = self._result(rows)
+        frames.send_frames(result_frames(result))
+        assert len(frames.sock.sent) == 1 and frames.sends == 1
+        expected = list(result_frames(result))
+        assert frames.frames_out == len(expected)
+        assert frames.bytes_out == len(frames.sock.sent[0])
+        # frame for frame what separate sends put on the wire: same format, same bytes
+        assert frames.sock.sent[0] == b"".join(encode_frame(t, b) for t, b in expected)
+
+    def test_larger_result_streams_and_reassembles_identically(self):
+        frames = FrameSocket(_ScriptedSocket())
+        result = self._result(RESULT_CHUNK_ROWS + 1)
+        frames.send_frames(result_frames(result))
+        assert len(frames.sock.sent) > 1 and frames.sends == len(frames.sock.sent)
+        decoded, reader = self._decode_all(frames.sock.sent)
+        assert reader.sock.recv_calls == 2  # everything in one read, then end of stream
+        assert decoded[0][0] is MessageType.RESULT_HEADER
+        assert decoded[-1][0] is MessageType.RESULT_END
+        chunks = [body["rows"] for _type, body in decoded[1:-1]]
+        assert [len(chunk) for chunk in chunks] == [RESULT_CHUNK_ROWS, 1]
+        assert result_from_frames(decoded[0][1], iter(chunks)).rows == result.rows
+        assert reader.bytes_in == frames.bytes_out and reader.frames_in == frames.frames_out
+
+    def test_frames_are_consumed_lazily(self):
+        """A streamed result is never held whole: frames are pulled as they are sent."""
+        sock = _ScriptedSocket()
+        frames = FrameSocket(sock)
+        pulled_when_first_sent = []
+
+        def generate():
+            for index in range(10):
+                if sock.sent and not pulled_when_first_sent:
+                    pulled_when_first_sent.append(index)
+                yield MessageType.RESULT_ROWS, {"rows": [[index]]}
+
+        frames.send_frames(generate())
+        assert pulled_when_first_sent == [2]
+        assert frames.frames_out == 10
+
+    def test_each_segment_of_a_streamed_result_holds_one_row_chunk(self):
+        frames = FrameSocket(_ScriptedSocket())
+        frames.send_frames(result_frames(self._result(3 * RESULT_CHUNK_ROWS + 1)))
+        segments = [self._decode_all([data])[0] for data in frames.sock.sent]
+        kinds = [[message_type for message_type, _body in segment] for segment in segments]
+        rows = MessageType.RESULT_ROWS
+        assert kinds == [
+            [MessageType.RESULT_HEADER, rows], [rows], [rows], [rows, MessageType.RESULT_END]
+        ]
+
+    def test_batching_follows_the_response_not_a_frame_count(self):
+        """Frames added around one row chunk still leave in the same ``sendall``."""
+        frames = FrameSocket(_ScriptedSocket())
+        extra = [(MessageType.OK, {"n": n}) for n in range(3)]
+        frames.send_frames(extra + list(result_frames(self._result(5))) + extra)
+        assert len(frames.sock.sent) == 1 and frames.frames_out == 9
+
+    def test_frame_split_across_three_recvs(self):
+        frame = encode_frame(MessageType.EXECUTE, {"sql": "SELECT 1"})
+        sock = _ScriptedSocket([frame[:2], frame[2:9], frame[9:]])
+        assert FrameSocket(sock).recv() == (MessageType.EXECUTE, {"sql": "SELECT 1"})
+        assert sock.recv_calls == 3
+
+    def test_two_frames_in_one_recv(self):
+        first = encode_frame(MessageType.OK, {"n": 1})
+        second = encode_frame(MessageType.OK, {"n": 2})
+        sock = _ScriptedSocket([first + second])
+        frames = FrameSocket(sock)
+        assert frames.recv() == (MessageType.OK, {"n": 1})
+        assert frames.recv() == (MessageType.OK, {"n": 2})
+        assert sock.recv_calls == 1
+        assert frames.frames_in == 2 and frames.bytes_in == len(first + second)
+
+    def test_idle_callback_only_fires_with_nothing_buffered(self):
+        first = encode_frame(MessageType.OK, {"n": 1})
+        second = encode_frame(MessageType.OK, {"n": 2})
+        heartbeat = encode_frame(MessageType.HEARTBEAT, {})
+        # idle / a whole frame plus the head of the next / timeout mid-frame /
+        # its remainder / a heartbeat alone / idle again / the last frame
+        sock = _ScriptedSocket(
+            [None, first + second[:5], None, second[5:], heartbeat, None, first]
+        )
+        frames = FrameSocket(sock)
+        idle_at = []
+
+        def idle():
+            idle_at.append(sock.recv_calls)
+
+        assert frames.recv(idle_callback=idle) == (MessageType.OK, {"n": 1})
+        assert idle_at == [1]
+        assert frames.recv(idle_callback=idle) == (MessageType.OK, {"n": 2})
+        assert idle_at == [1]  # the timeout at call 3 found five bytes pending
+        assert frames.recv(idle_callback=idle) == (MessageType.OK, {"n": 1})
+        assert idle_at == [1, 6] and frames.heartbeats_in == 1
 
 
 class TestErrorFrames:

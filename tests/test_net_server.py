@@ -13,7 +13,7 @@ from repro.errors import (
     UnknownVirtualDatabaseError,
 )
 from repro.net import ControllerServer, RemoteController
-from repro.net.protocol import PROTOCOL_VERSION, FrameSocket, MessageType
+from repro.net.protocol import PROTOCOL_VERSION, RESULT_CHUNK_ROWS, FrameSocket, MessageType
 from tests.conftest import make_cluster
 
 
@@ -210,6 +210,97 @@ class TestChaosHook:
         session.close()
 
 
+class _RecordingSocket:
+    """The session's socket, counting the ``sendall`` and ``recv`` calls made on it."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.sendalls = 0
+        self.recvs = 0
+
+    def sendall(self, data):
+        self.sendalls += 1
+        return self._sock.sendall(data)
+
+    def recv(self, count):
+        data = self._sock.recv(count)  # a poll timeout raises past the count
+        self.recvs += 1
+        return data
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class TestOneSegmentPerResponse:
+    def _recorded(self, server, session):
+        """Put recorders under both ends of ``session``; returns (server's, client's)."""
+        (served,) = server._sessions.values()
+        served.frames.sock = _RecordingSocket(served.frames.sock)
+        session.frames.sock = _RecordingSocket(session.frames.sock)
+        return served.frames.sock, session.frames.sock
+
+    def test_accepted_sockets_have_nodelay(self, served_cluster):
+        server, _controller, _vdb, _engines = served_cluster
+        session = remote_session(server)
+        (served,) = server._sessions.values()
+        assert served.frames.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+        session.close()
+
+    def test_point_read_and_update_count_are_one_sendall_each(self, served_cluster):
+        server, _controller, _vdb, _engines = served_cluster
+        session = remote_session(server)
+        session.execute("CREATE TABLE t (id INT PRIMARY KEY, name VARCHAR(16))")
+        session.execute("INSERT INTO t (id, name) VALUES (1, 'one')")
+        read = session.prepare("SELECT name FROM t WHERE id = ?")
+        write = session.prepare("UPDATE t SET name = ? WHERE id = ?")
+        served, client = self._recorded(server, session)
+        before = server.statistics()
+
+        assert read.execute((1,)).rows == [["one"]]
+        assert (served.sendalls, client.sendalls, client.recvs) == (1, 1, 1)
+        # the server's recv of that request may have been entered on the bare socket
+        served_recvs = served.recvs
+        assert write.execute(("uno", 1)).update_count == 1
+        assert (served.sendalls, client.sendalls, client.recvs) == (2, 2, 2)
+        assert served.recvs == served_recvs + 1  # four socket calls for the statement
+
+        after = server.statistics()
+        assert after["responses"] - before["responses"] == 2
+        assert after["sends"] - before["sends"] == 2
+        assert after["frames_out"] - before["frames_out"] == 3 + 2  # header rows end / header end
+        session.close()
+
+    def test_result_above_one_chunk_streams(self, served_cluster):
+        server, _controller, _vdb, _engines = served_cluster
+        session = remote_session(server)
+        session.execute("CREATE TABLE t (id INT PRIMARY KEY, name VARCHAR(16))")
+        rows = [[i, f"row{i}"] for i in range(RESULT_CHUNK_ROWS + 1)]
+        session.execute_batch("INSERT INTO t (id, name) VALUES (?, ?)", rows)
+        served, _client = self._recorded(server, session)
+        assert session.execute("SELECT id, name FROM t ORDER BY id").rows == rows
+        assert served.sendalls > 1
+        session.close()
+
+    def test_cached_prepared_reads_do_not_stall(self):
+        """200 round trips: 8.8 s behind Nagle + delayed ACK, some 0.05 s without."""
+        controller, _vdb, _engines = make_cluster("nostalldb", cache_enabled=True)
+        server = ControllerServer(controller)
+        server.start()
+        try:
+            session = remote_session(server, database="nostalldb")
+            session.execute("CREATE TABLE t (id INT PRIMARY KEY, name VARCHAR(16))")
+            session.execute("INSERT INTO t (id, name) VALUES (1, 'one')")
+            read = session.prepare("SELECT name FROM t WHERE id = ?")
+            assert not read.execute((1,)).from_cache
+            started = time.perf_counter()
+            for _ in range(200):
+                assert read.execute((1,)).from_cache
+            assert time.perf_counter() - started < 2.0
+            session.close()
+        finally:
+            server.stop(drain=False)
+
+
 class TestStatistics:
     def test_counters_track_traffic(self, served_cluster):
         server, _controller, _vdb, _engines = served_cluster
@@ -221,6 +312,8 @@ class TestStatistics:
         assert stats["connections_active"] == 1
         assert stats["requests"] == 2
         assert stats["bytes_in"] > 0 and stats["bytes_out"] > 0
+        # hello, two statements: one sendall each
+        assert stats["responses"] == stats["sends"] == 3
         (active,) = stats["active_sessions"]
         assert active["database"] == "netdb"
         assert active["requests"] == 2
