@@ -17,12 +17,8 @@ from repro.bench.chaos import (
     table_digests,
 )
 from repro.bench.harness import (
-    HOTPATH_REGRESSION_TOLERANCE,
-    ROUTING_BENCH_VERSION,
     HotpathScenarioResult,
     OverheadResult,
-    check_hotpath_baseline,
-    check_routing_baseline,
     run_hotpath_microbenchmark,
     run_loadbalancer_ablation,
     run_optimization_ablation,
@@ -32,12 +28,7 @@ from repro.bench.harness import (
     run_tpcw_scalability,
     write_bench_json,
 )
-from repro.bench.scheduler_bench import (
-    SCHEDULER_BENCH_VERSION,
-    SCHEDULER_MIN_CONTENDED_READ_SPEEDUP,
-    check_scheduler_baseline,
-    run_scheduler_ablation,
-)
+from repro.bench.scheduler_bench import run_scheduler_ablation
 from repro.bench.report import (
     format_hotpath_report,
     format_rubis_table,
@@ -48,15 +39,8 @@ __all__ = [
     "CHAOS_SCENARIOS",
     "CHAOS_SMOKE_SCENARIOS",
     "ChaosResult",
-    "HOTPATH_REGRESSION_TOLERANCE",
-    "ROUTING_BENCH_VERSION",
-    "SCHEDULER_BENCH_VERSION",
-    "SCHEDULER_MIN_CONTENDED_READ_SPEEDUP",
     "HotpathScenarioResult",
     "OverheadResult",
-    "check_hotpath_baseline",
-    "check_routing_baseline",
-    "check_scheduler_baseline",
     "format_chaos_report",
     "format_hotpath_report",
     "format_rubis_table",

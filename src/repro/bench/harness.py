@@ -39,46 +39,11 @@ DEFAULT_WARMUP = 120.0
 DEFAULT_MEASUREMENT = 600.0
 
 
-# ---------------------------------------------------------------------------
-# BENCH_*.json documents: one writer, one loader for every baseline gate
-# ---------------------------------------------------------------------------
-
-
 def write_bench_json(results: dict, path: Union[str, Path]) -> Path:
-    """Write a bench run's results where its baseline gate will find them."""
+    """Write a bench run's results as indented, key-sorted JSON."""
     path = Path(path)
     path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def load_bench_document(
-    document: Union[dict, str, Path],
-    version: object,
-    label: str,
-    file_label: Optional[str] = None,
-) -> Tuple[Optional[dict], List[str]]:
-    """Resolve a results dict or a BENCH file path to a gateable document.
-
-    Returns ``(document, [])``, or ``(None, [problem])`` for a missing
-    file, invalid JSON or a ``version`` other than the harness's: a baseline
-    that cannot be compared is reported as a problem so the gate fails
-    loudly instead of silently passing.  ``label`` names the document in
-    the messages (``file_label`` where the file wording differs).
-    """
-    if not isinstance(document, dict):
-        path = Path(document)
-        if not path.exists():
-            return None, [f"{file_label or label} {str(path)!r} does not exist"]
-        try:
-            document = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            return None, [f"{file_label or label} {str(path)!r} is not valid JSON: {exc}"]
-    if document.get("version") != version:
-        return None, [
-            f"{label} version {document.get('version')!r} does not match"
-            f" harness version {version!r}; regenerate the baseline"
-        ]
-    return document, []
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +232,6 @@ def run_loadbalancer_ablation(
 # Routing ablation: cost-based planner vs read-policy routing (RAIDb-2)
 # ---------------------------------------------------------------------------
 
-#: bumped when layouts or semantics change, so stale baselines fail loudly
-ROUTING_BENCH_VERSION = 1
-
-#: gates applied by check_routing_baseline to a committed run
-ROUTING_MIN_SKEWED_SPEEDUP = 1.3
-ROUTING_MIN_UNIFORM_SPEEDUP = 0.9
-
-
 def run_routing_ablation(
     requests: int = 2400,
     slow_latency_ms: float = 2.0,
@@ -282,23 +239,23 @@ def run_routing_ablation(
 ) -> dict:
     """Cost-based routing vs read-policy routing on two RAIDb-2 layouts.
 
-    Functional ablation (real middleware, real engines) behind the committed
-    ``BENCH_routing.json`` baseline:
+    Functional ablation (real middleware, real engines):
 
     * ``uniform`` — every table replicated on all three backends, no faults.
-      Cost-based routing must not be slower than the lprf read policy
-      (its estimates all tie, so it degenerates to the same choice).
+      Cost-based routing's estimates all tie, so it degenerates to the lprf
+      read policy's choice.
     * ``skewed`` — TPC-W-style partial replication (``item`` everywhere,
       ``orders``/``order_line`` co-located on backend0+backend1) with a
       ``slow_latency_ms`` fault armed on backend0.  The lprf policy sees
-      equal pending depths and keeps landing reads on the slow host; the
-      cost model learns its EWMA service time and avoids it except for the
-      periodic exploration probe, so cost-based routing must be at least
-      :data:`ROUTING_MIN_SKEWED_SPEEDUP` times faster.
+      equal pending depths and keeps landing half the reads on the slow
+      host; the cost model learns its EWMA service time and avoids it except
+      for the periodic exploration probe.
 
-    Returns the document written to ``BENCH_routing.json``: per-layout
-    wall-clock seconds per routing mode, the cost/policy speedup and the
-    fraction of reads each mode sent to the slow backend.
+    Returns per layout and routing mode the wall-clock seconds of the timed
+    reads, the reads the backends served (``reads``; one per request when
+    every read completes), those served by a backend that ended the run
+    disabled (``reads_on_disabled``) and the fraction sent to the slow
+    backend (``slow_read_fraction``), plus the cost/policy speedup.
     """
     all_backends = ["b0", "b1", "b2"]
     layouts = {
@@ -373,6 +330,12 @@ def run_routing_ablation(
             layout_result[routing_policy] = {
                 "seconds": round(seconds, 6),
                 "reads_per_second": round(requests / seconds, 1) if seconds > 0 else 0.0,
+                "reads": total_reads,
+                "reads_on_disabled": sum(
+                    backend.total_reads - warmup_reads[backend.name]
+                    for backend in vdb.backends
+                    if not backend.is_enabled
+                ),
                 "slow_read_fraction": (
                     round(slow_reads / total_reads, 4) if total_reads else 0.0
                 ),
@@ -385,7 +348,6 @@ def run_routing_ablation(
         results[layout_name] = layout_result
     return {
         "benchmark": "routing",
-        "version": ROUTING_BENCH_VERSION,
         "config": {
             "requests": requests,
             "slow_latency_ms": slow_latency_ms,
@@ -393,41 +355,6 @@ def run_routing_ablation(
         },
         "layouts": results,
     }
-
-
-def check_routing_baseline(
-    results: Union[dict, str, Path],
-    min_skewed_speedup: float = ROUTING_MIN_SKEWED_SPEEDUP,
-    min_uniform_speedup: float = ROUTING_MIN_UNIFORM_SPEEDUP,
-) -> List[str]:
-    """Gate a routing-ablation run (or the committed baseline document).
-
-    Returns human-readable problem messages; empty means the run shows
-    cost-based routing at least ``min_skewed_speedup`` times faster than the
-    read policy on the skewed layout and no worse than ``min_uniform_speedup``
-    of it on the uniform layout.
-    """
-    results, problems = load_bench_document(
-        results, ROUTING_BENCH_VERSION, "routing baseline"
-    )
-    if results is None:
-        return problems
-    layouts = results.get("layouts", {})
-    for layout_name, minimum in (
-        ("skewed", min_skewed_speedup),
-        ("uniform", min_uniform_speedup),
-    ):
-        layout = layouts.get(layout_name)
-        if layout is None:
-            problems.append(f"layout {layout_name!r} missing from routing results")
-            continue
-        speedup = layout.get("cost_speedup", 0.0)
-        if speedup < minimum:
-            problems.append(
-                f"layout {layout_name!r}: cost-based routing speedup {speedup:.2f}x"
-                f" is below the {minimum:.2f}x gate"
-            )
-    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -483,12 +410,6 @@ def run_overhead_microbenchmark(statements: int = 2000) -> OverheadResult:
 # Hot-path micro-benchmark: parsing cache, cached reads, write invalidation
 # ---------------------------------------------------------------------------
 
-#: bumped when scenario names or semantics change, so stale baselines fail loudly
-HOTPATH_BENCH_VERSION = 3
-
-#: relative ops/s drop vs the committed baseline that fails --check-baseline
-HOTPATH_REGRESSION_TOLERANCE = 0.30
-
 #: statement shapes cycled by the parse scenario (TPC-W-like shapes: joined
 #: selects, point reads, writes with and without macros)
 _PARSE_WORKLOAD = [
@@ -533,7 +454,14 @@ def _time_loop(operation: Callable[[int], object], operations: int) -> float:
     return time.perf_counter() - start
 
 
-def _run_parse_scenarios(statements: int) -> Dict[str, HotpathScenarioResult]:
+def _run_parse_scenarios(
+    statements: int,
+) -> Tuple[Dict[str, HotpathScenarioResult], int]:
+    """Parse throughput with the parsing cache on and off.
+
+    Also returns the cache-on run's parsing-cache misses: one per distinct
+    statement shape, however many statements the loop parses.
+    """
     from repro.core.requestparser import RequestFactory
 
     workload = _PARSE_WORKLOAD
@@ -545,7 +473,9 @@ def _run_parse_scenarios(statements: int) -> Dict[str, HotpathScenarioResult]:
             lambda i, f=factory: f.create_request(workload[i % count], (i,)), statements
         )
         scenarios[label] = HotpathScenarioResult(label, statements, seconds)
-    return scenarios
+        if cache_size:
+            misses = factory.parsing_cache.statistics.misses
+    return scenarios, misses
 
 
 def _hotpath_manager(backends: int):
@@ -646,66 +576,9 @@ def _run_invalidate_index_ablation(
     return result
 
 
-def _run_pipeline_overhead_scenarios(statements: int) -> Dict[str, HotpathScenarioResult]:
-    """Cached-read throughput: execution pipeline vs the inlined hot path.
-
-    Both variants parse the statement (hitting the parsing cache) and serve
-    the read from a warm result cache on one backend.  ``cached_read_inline``
-    replays the pre-pipeline code path — schedule, cache lookup, ticket
-    release, hand-wired exactly as ``RequestManager._execute_read`` was
-    before the pipeline redesign — so the ``pipeline_overhead`` ablation
-    isolates what the composable stage chain costs on the hottest request
-    shape the controller serves.
-    """
-    manager = _hotpath_manager(1)
-    for key in range(20):
-        manager.execute("SELECT v FROM kv WHERE k = ?", (key,))
-
-    scenarios: Dict[str, HotpathScenarioResult] = {}
-    seconds = _time_loop(
-        lambda i: manager.execute("SELECT v FROM kv WHERE k = ?", (i % 20,)), statements
-    )
-    scenarios["cached_read_pipeline"] = HotpathScenarioResult(
-        "cached_read_pipeline", statements, seconds
-    )
-
-    import threading
-
-    factory = manager.request_factory
-    scheduler = manager.scheduler
-    cache = manager.result_cache
-    load_balancer = manager.load_balancer
-    backends = manager._backends
-    stats_lock = threading.Lock()
-    stats = {"requests_executed": 0}
-
-    def inline_read(index: int) -> None:
-        # the PR2-era hard-wired read path (execute_request + _execute_read),
-        # replayed as the baseline: per-request stats counter included
-        request = factory.create_request("SELECT v FROM kv WHERE k = ?", (index % 20,))
-        with stats_lock:
-            stats["requests_executed"] += 1
-        ticket = scheduler.schedule_read(request)
-        try:
-            cached = cache.get(request)
-            if cached is not None:
-                return
-            result = load_balancer.execute_read_request(request, backends)
-            cache.put(request, result)
-            manager._note_transaction_participant(request)
-        finally:
-            ticket.release()
-
-    seconds = _time_loop(inline_read, statements)
-    scenarios["cached_read_inline"] = HotpathScenarioResult(
-        "cached_read_inline", statements, seconds
-    )
-    return scenarios
-
-
 def _run_batch_insert_scenarios(
     batch_size: int, batches: int
-) -> Dict[str, HotpathScenarioResult]:
+) -> Tuple[Dict[str, HotpathScenarioResult], Dict[str, Dict[str, dict]]]:
     """Bulk-insert throughput: looped ``executemany`` vs server-side batch.
 
     Both variants insert ``batches`` groups of ``batch_size`` rows into a
@@ -716,9 +589,12 @@ def _run_batch_insert_scenarios(
     the pipeline once as a :class:`repro.core.request.BatchWriteRequest`.
     Operations are counted in *rows inserted* so the two ops/s figures are
     directly comparable; their ratio is the ``batch_speedup`` ablation.
+    Also returns each variant's per-backend ``total_batches`` and
+    ``total_batched_statements`` counters.
     """
     sql = "INSERT INTO bulk (b_id, payload) VALUES (?, ?)"
     scenarios: Dict[str, HotpathScenarioResult] = {}
+    backend_counts: Dict[str, Dict[str, dict]] = {}
     for label, batched in (("batch_insert_looped", False), ("batch_insert_server", True)):
         manager = _hotpath_manager(2)
         manager.execute("CREATE TABLE bulk (b_id INT PRIMARY KEY, payload VARCHAR(32))")
@@ -736,7 +612,14 @@ def _run_batch_insert_scenarios(
 
         seconds = _time_loop(run_batch, batches)
         scenarios[label] = HotpathScenarioResult(label, batches * batch_size, seconds)
-    return scenarios
+        backend_counts[label] = {
+            backend.name: {
+                "total_batches": backend.total_batches,
+                "total_batched_statements": backend.total_batched_statements,
+            }
+            for backend in manager.backends
+        }
+    return scenarios, backend_counts
 
 
 def run_hotpath_microbenchmark(
@@ -752,37 +635,29 @@ def run_hotpath_microbenchmark(
 ) -> dict:
     """Measure the controller hot paths and the cache ablations.
 
-    Returns the machine-readable document written to ``BENCH_hotpath.json``:
-    ops/s for statement parsing (parsing cache on/off), cached reads,
-    write+invalidate at each backend count and bulk inserts (looped vs
-    server-side batch), plus three ablations — the parsing cache speedup,
-    the invalidation-index cost vs cache size, and the server-side batching
-    speedup.
+    Returns a machine-readable document: ops/s for statement parsing
+    (parsing cache on/off), cached reads, write+invalidate at each backend
+    count and bulk inserts (looped vs server-side batch), plus three
+    ablations — the parsing cache speedup and misses, the invalidation-index
+    cost vs cache size, and the server-side batching speedup with each
+    backend's batch counters.
     """
-    scenarios: Dict[str, HotpathScenarioResult] = {}
-    scenarios.update(_run_parse_scenarios(parse_statements))
+    scenarios, parse_misses = _run_parse_scenarios(parse_statements)
     for backends in backend_counts:
         read = _run_cached_read_scenario(backends, read_statements)
         scenarios[read.name] = read
         write = _run_write_invalidate_scenario(backends, write_statements)
         scenarios[write.name] = write
-    scenarios.update(_run_pipeline_overhead_scenarios(read_statements))
-    scenarios.update(_run_batch_insert_scenarios(batch_size, batch_count))
+    batch_scenarios, backend_batches = _run_batch_insert_scenarios(
+        batch_size, batch_count
+    )
+    scenarios.update(batch_scenarios)
 
     index_ablation = _run_invalidate_index_ablation(
         invalidate_cache_sizes, invalidate_tables, invalidate_writes
     )
     parse_on = scenarios["parse_cache_on"].ops_per_second
     parse_off = scenarios["parse_cache_off"].ops_per_second
-    pipeline_ops = scenarios["cached_read_pipeline"].ops_per_second
-    inline_ops = scenarios["cached_read_inline"].ops_per_second
-    pipeline_overhead = {
-        "pipeline_ops_per_second": round(pipeline_ops, 1),
-        "inline_ops_per_second": round(inline_ops, 1),
-        "overhead_pct": (
-            round((inline_ops - pipeline_ops) / inline_ops * 100.0, 2) if inline_ops else 0.0
-        ),
-    }
     looped_ops = scenarios["batch_insert_looped"].ops_per_second
     server_ops = scenarios["batch_insert_server"].ops_per_second
     batch_ablation = {
@@ -791,10 +666,10 @@ def run_hotpath_microbenchmark(
         "looped_rows_per_second": round(looped_ops, 1),
         "server_rows_per_second": round(server_ops, 1),
         "speedup": round(server_ops / looped_ops, 2) if looped_ops else 0.0,
+        "backends": backend_batches,
     }
     return {
         "benchmark": "hotpath",
-        "version": HOTPATH_BENCH_VERSION,
         "config": {
             "parse_statements": parse_statements,
             "read_statements": read_statements,
@@ -806,46 +681,8 @@ def run_hotpath_microbenchmark(
         "scenarios": {name: result.as_dict() for name, result in scenarios.items()},
         "ablations": {
             "parse_cache_speedup": round(parse_on / parse_off, 2) if parse_off else 0.0,
+            "parse_cache_misses": parse_misses,
             "invalidate_index_vs_scan": index_ablation,
-            "pipeline_overhead": pipeline_overhead,
             "batch_speedup": batch_ablation,
         },
     }
-
-
-def check_hotpath_baseline(
-    results: dict,
-    baseline: Union[dict, str, Path],
-    tolerance: float = HOTPATH_REGRESSION_TOLERANCE,
-) -> List[str]:
-    """Compare a hot-path run against a committed baseline.
-
-    Returns a list of human-readable regression messages; empty means the
-    run is within ``tolerance`` (relative ops/s drop) of the baseline for
-    every scenario.  A missing or structurally incompatible baseline is
-    reported as a regression so the gate fails loudly instead of silently
-    passing.
-    """
-    baseline, problems = load_bench_document(
-        baseline, results.get("version"), "baseline", file_label="baseline file"
-    )
-    if baseline is None:
-        return problems
-    current_scenarios = results.get("scenarios", {})
-    for name, baseline_scenario in sorted(baseline.get("scenarios", {}).items()):
-        current = current_scenarios.get(name)
-        if current is None:
-            problems.append(f"scenario {name!r} present in baseline but not in this run")
-            continue
-        reference = baseline_scenario.get("ops_per_second", 0.0)
-        measured = current.get("ops_per_second", 0.0)
-        if reference <= 0:
-            continue
-        drop = (reference - measured) / reference
-        if drop > tolerance:
-            problems.append(
-                f"scenario {name!r} regressed {drop:.0%} vs baseline"
-                f" ({measured:.0f} ops/s now vs {reference:.0f} ops/s baseline,"
-                f" tolerance {tolerance:.0%})"
-            )
-    return problems

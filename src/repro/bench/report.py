@@ -76,15 +76,10 @@ def format_hotpath_report(results: Dict) -> str:
         )
     ablations = results.get("ablations", {})
     lines.append("")
-    lines.append(f"parsing cache speedup (on vs off): {ablations.get('parse_cache_speedup')}x")
-    pipeline = ablations.get("pipeline_overhead", {})
-    if pipeline:
-        lines.append(
-            "pipeline overhead on cached reads (vs inlined hot path):"
-            f" {pipeline['overhead_pct']}%"
-            f" ({pipeline['pipeline_ops_per_second']:,.0f} vs"
-            f" {pipeline['inline_ops_per_second']:,.0f} ops/s)"
-        )
+    lines.append(
+        f"parsing cache speedup (on vs off): {ablations.get('parse_cache_speedup')}x"
+        f" ({ablations.get('parse_cache_misses')} misses with the cache on)"
+    )
     batch = ablations.get("batch_speedup", {})
     if batch:
         lines.append(

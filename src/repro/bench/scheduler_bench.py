@@ -12,36 +12,22 @@ the measurement instead of in-memory statement cost.  Dedicated readers
 are the point of the design: their completion rate measures read blocking
 directly, instead of being diluted by the same thread queueing on writes.
 
-The committed ``BENCH_scheduler.json`` baseline is gated by
-:func:`check_scheduler_baseline`: in the contended cell (half the clients
-writing, hot skew) the MVCC scheduler's read throughput must stay at
-least :data:`SCHEDULER_MIN_CONTENDED_READ_SPEEDUP` times the pessimistic
-scheduler's — the whole point of non-blocking reads.
+Each cell also carries the scheduler's own ``read_wait``/``write_wait``
+counters, so whether readers blocked is a count, not a throughput ratio:
+pessimistic readers wait behind every write, the non-blocking-read
+schedulers (passthrough, optimistic, mvcc) do not.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from pathlib import Path
 from random import Random
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
-from repro.bench.harness import load_bench_document
 from repro.cluster.fixture import boot, descriptor, seed_kv
 from repro.core.scheduler import canonical_scheduler_name
 from repro.errors import CJDBCError
-
-#: bumped when the workload or document layout changes, so stale baselines
-#: fail loudly instead of gating the wrong numbers
-SCHEDULER_BENCH_VERSION = 1
-
-#: contended-cell gate: mvcc read throughput vs pessimistic
-SCHEDULER_MIN_CONTENDED_READ_SPEEDUP = 1.3
-
-#: the cell the speedup gate reads (half the clients writing a hot table
-#: is where blocking readers hurts most)
-_CONTENDED_CELL = "r2w2_hot"
 
 _SCHEDULERS = ("passthrough", "optimistic", "pessimistic", "table_lock", "mvcc")
 _TABLES = 4
@@ -173,10 +159,8 @@ def run_scheduler_ablation(
 
     ``mixes`` is a sequence of ``(readers, writers)`` thread splits; each
     combined with each skew makes one cell (named ``r{readers}w{writers}_
-    {skew}``).  Returns the document committed as ``BENCH_scheduler.json``:
-    per-scheduler throughput and wait accounting for every cell, plus the
-    contended-cell read-throughput speedup of mvcc over pessimistic that
-    the baseline gate checks.
+    {skew}``).  Returns per-scheduler throughput and wait accounting for
+    every cell.
     """
     selected = [
         canonical_scheduler_name(name) for name in (schedulers or _SCHEDULERS)
@@ -197,9 +181,8 @@ def run_scheduler_ablation(
                 )
                 for scheduler in selected
             }
-    results = {
+    return {
         "benchmark": "scheduler",
-        "version": SCHEDULER_BENCH_VERSION,
         "config": {
             "schedulers": selected,
             "mixes": [list(mix) for mix in mixes],
@@ -212,71 +195,6 @@ def run_scheduler_ablation(
         },
         "cells": cells,
     }
-    contended = cells.get(_CONTENDED_CELL, {})
-    if "mvcc" in contended and "pessimistic" in contended:
-        blocking = contended["pessimistic"]["read_ops_per_second"]
-        results["contended_read_speedup"] = (
-            round(contended["mvcc"]["read_ops_per_second"] / blocking, 2)
-            if blocking > 0
-            else 0.0
-        )
-    return results
 
 
-def check_scheduler_baseline(
-    results: Union[dict, str, Path],
-    min_contended_read_speedup: float = SCHEDULER_MIN_CONTENDED_READ_SPEEDUP,
-) -> List[str]:
-    """Gate a scheduler-ablation run (or the committed baseline document).
-
-    Returns human-readable problem messages; empty means every expected
-    cell is present with real traffic and mvcc's contended read throughput
-    clears the gate over pessimistic.
-    """
-    results, problems = load_bench_document(
-        results, SCHEDULER_BENCH_VERSION, "scheduler baseline"
-    )
-    if results is None:
-        return problems
-    cells = results.get("cells", {})
-    expected = set(results.get("config", {}).get("schedulers", _SCHEDULERS))
-    for cell_name, per_scheduler in sorted(cells.items()):
-        missing = expected - set(per_scheduler)
-        if missing:
-            problems.append(
-                f"cell {cell_name!r} is missing scheduler(s):"
-                f" {', '.join(sorted(missing))}"
-            )
-        for scheduler, cell in sorted(per_scheduler.items()):
-            if cell.get("operations", 0) <= 0:
-                problems.append(
-                    f"cell {cell_name!r} ran no operations under {scheduler!r}"
-                )
-            if cell.get("errors", 0):
-                problems.append(
-                    f"cell {cell_name!r} leaked {cell['errors']} client errors"
-                    f" under {scheduler!r}"
-                )
-    if _CONTENDED_CELL not in cells:
-        problems.append(f"contended cell {_CONTENDED_CELL!r} missing from results")
-        return problems
-    speedup = results.get("contended_read_speedup")
-    if speedup is None:
-        problems.append(
-            "contended_read_speedup missing (mvcc or pessimistic not benchmarked)"
-        )
-    elif speedup < min_contended_read_speedup:
-        problems.append(
-            f"contended read speedup {speedup:.2f}x (mvcc vs pessimistic in"
-            f" {_CONTENDED_CELL!r}) is below the"
-            f" {min_contended_read_speedup:.2f}x gate"
-        )
-    return problems
-
-
-__all__ = [
-    "SCHEDULER_BENCH_VERSION",
-    "SCHEDULER_MIN_CONTENDED_READ_SPEEDUP",
-    "check_scheduler_baseline",
-    "run_scheduler_ablation",
-]
+__all__ = ["run_scheduler_ablation"]

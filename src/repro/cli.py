@@ -18,8 +18,6 @@ import sys
 from typing import List, Optional
 
 from repro.bench import (
-    HOTPATH_REGRESSION_TOLERANCE,
-    check_hotpath_baseline,
     format_hotpath_report,
     format_rubis_table,
     format_scalability_table,
@@ -114,22 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out",
         default=None,
         metavar="FILE",
-        help="write the machine-readable results to FILE (e.g. BENCH_hotpath.json)",
-    )
-    hotpath.add_argument(
-        "--check-baseline",
-        default=None,
-        metavar="FILE",
-        help="fail (exit 1) if any scenario regresses more than the tolerance"
-        " vs this baseline",
-    )
-    hotpath.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="relative ops/s drop tolerated by --check-baseline"
-        f" (default {HOTPATH_REGRESSION_TOLERANCE:g}; raise on noisy CI runners)",
+        help="write the machine-readable results to FILE",
     )
     hotpath.add_argument(
         "--scale",
@@ -221,9 +204,6 @@ def _run_ablation_lb() -> str:
 
 
 def _run_bench_hotpath(args: argparse.Namespace, stdout) -> int:
-    if args.tolerance is not None and not args.check_baseline:
-        print("--tolerance has no effect without --check-baseline", file=stdout)
-        return 2
     scale = max(args.scale, 0.001)
     results = run_hotpath_microbenchmark(
         parse_statements=max(int(20000 * scale), 10),
@@ -231,7 +211,7 @@ def _run_bench_hotpath(args: argparse.Namespace, stdout) -> int:
         write_statements=max(int(1200 * scale), 10),
         # scale the ablation's cache fills too: they dominate quick-run setup
         # time, and the sizes only appear in the ablation section, so the
-        # scenario names compared by --check-baseline stay stable
+        # scenario names stay the same at every scale
         invalidate_cache_sizes=tuple(
             max(int(size * scale), 10) for size in (250, 1000, 4000)
         ),
@@ -244,19 +224,6 @@ def _run_bench_hotpath(args: argparse.Namespace, stdout) -> int:
     if args.out:
         path = write_bench_json(results, args.out)
         print(f"\nresults written to {path}", file=stdout)
-    if args.check_baseline:
-        # the tolerance default lives on check_hotpath_baseline; only an
-        # explicit --tolerance overrides it
-        tolerance_kwargs = {} if args.tolerance is None else {"tolerance": args.tolerance}
-        problems = check_hotpath_baseline(
-            results, args.check_baseline, **tolerance_kwargs
-        )
-        if problems:
-            print("\nBASELINE CHECK FAILED:", file=stdout)
-            for problem in problems:
-                print(f"  - {problem}", file=stdout)
-            return 1
-        print(f"\nbaseline check OK ({args.check_baseline})", file=stdout)
     return 0
 
 

@@ -57,9 +57,7 @@ stages and a transparent authentication manager the six chains are::
 **schedule** in all six).  There is one mechanism, not a general chain plus
 a special-cased copy: tracing, a custom stage list or an enforcing login
 check change which closures are in a chain, never which code path runs.
-Steady-state execution allocates nothing beyond the context object; what
-the chain costs against a hand-inlined read path is measured by
-``bench-hotpath``'s ``pipeline_overhead`` ablation.
+Steady-state execution allocates nothing beyond the context object.
 
 Interceptors are declaratively configurable: a cluster descriptor's
 ``interceptors:`` section names built-ins from :data:`BUILTIN_INTERCEPTORS`
