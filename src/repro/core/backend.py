@@ -292,7 +292,8 @@ class DatabaseBackend:
             connection = self._connection_for_transaction(request.transaction_id)
             return self._execute_on(connection, request)
         except DatabaseError as exc:
-            self.failures += 1
+            with self._counters_lock:
+                self.failures += 1
             raise BackendError(f"backend {self.name!r}: {exc}") from exc
         finally:
             self._request_finished(statement_class, time.perf_counter() - started)
@@ -320,7 +321,8 @@ class DatabaseBackend:
             connection = self._connection_for_transaction(request.transaction_id)
             return self._execute_batch_on(connection, request)
         except DatabaseError as exc:
-            self.failures += 1
+            with self._counters_lock:
+                self.failures += 1
             raise BackendError(f"backend {self.name!r}: {exc}") from exc
         finally:
             self._request_finished(BATCH, time.perf_counter() - started)
@@ -389,7 +391,8 @@ class DatabaseBackend:
             self._fault("commit")
             connection.commit()
         except DatabaseError as exc:
-            self.failures += 1
+            with self._counters_lock:
+                self.failures += 1
             raise BackendError(f"backend {self.name!r} commit failed: {exc}") from exc
         finally:
             self._restore_autocommit(connection)
@@ -405,7 +408,8 @@ class DatabaseBackend:
             self._fault("rollback")
             connection.rollback()
         except DatabaseError as exc:
-            self.failures += 1
+            with self._counters_lock:
+                self.failures += 1
             raise BackendError(f"backend {self.name!r} rollback failed: {exc}") from exc
         finally:
             self._restore_autocommit(connection)

@@ -85,7 +85,9 @@ class FailureDetector:
             if listener in self._listeners:
                 self._listeners.remove(listener)
 
-    # -- failure reports (called from load-balancer worker threads) ---------------------
+    # -- failure reports ----------------------------------------------------------------
+    # Called from the request's own thread, or from a load-balancer writer thread
+    # when an early response left stragglers running.
 
     def record_write_failure(self, backend: DatabaseBackend, exc: Exception) -> bool:
         """A write/batch/commit/abort failed on ``backend``: disable it."""

@@ -3,17 +3,24 @@
 Writes, commits and aborts are sent to every backend concerned; the
 *wait-for-completion* policy (paper §2.4.4, "early response") decides when
 the result is returned to the client: after the first backend completes,
-after a majority, or after all of them.  When responding early the remaining
-executions continue on background threads, and the per-transaction
-connection mapping in :class:`repro.core.backend.DatabaseBackend` guarantees
-that a later statement of the same transaction executes after the earlier
-ones on each backend (the ordering guarantee called out in the paper).
+after a majority, or after all of them.
+
+When the answer needs every target (``all``, or a single target) the
+broadcast runs each target in the caller's thread, in order: the backends
+are in-process engines sharing one GIL, so worker threads would overlap
+nothing and add a hand-off per backend.  Only an early response (``first``
+/ ``majority`` over several targets) uses the writer pool, because only
+there do the remaining executions continue after the client is answered;
+the per-transaction connection mapping in
+:class:`repro.core.backend.DatabaseBackend` guarantees that a later
+statement of the same transaction executes after the earlier ones on each
+backend (the ordering guarantee called out in the paper).
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence
@@ -22,6 +29,10 @@ from repro.core.backend import DatabaseBackend
 from repro.core.loadbalancer.policies import LeastPendingRequestsFirst, ReadPolicy
 from repro.core.request import AbstractRequest, RequestResult
 from repro.errors import BackendError, NoMoreBackendError
+
+#: worker threads for early-response broadcasts, the only ones run off the
+#: caller's thread (created on first use)
+_WRITER_THREADS = 16
 
 
 class WaitForCompletion(Enum):
@@ -55,12 +66,11 @@ class AbstractLoadBalancer:
         self,
         read_policy: Optional[ReadPolicy] = None,
         wait_for_completion: WaitForCompletion = WaitForCompletion.ALL,
-        max_writer_threads: int = 16,
     ):
         self.read_policy = read_policy or LeastPendingRequestsFirst()
         self.wait_for_completion = wait_for_completion
         self._executor = ThreadPoolExecutor(
-            max_workers=max_writer_threads, thread_name_prefix="cjdbc-writer"
+            max_workers=_WRITER_THREADS, thread_name_prefix="cjdbc-writer"
         )
         #: installed by the request manager; when a ``cost``-policy plan is
         #: executed, reads are chosen by live cost instead of the read policy
@@ -220,7 +230,7 @@ class AbstractLoadBalancer:
 
         Each backend receives *one* task that checks out a single connection
         and executes every parameter set on it — the per-statement broadcast
-        overhead (thread hop, connection checkout, counters) is paid once per
+        overhead (connection checkout, counters) is paid once per
         backend per batch instead of once per row.
         """
         targets = self._planned_targets(plan, backends)
@@ -282,23 +292,25 @@ class AbstractLoadBalancer:
                     first_result.append(result)
             return result
 
-        if len(targets) == 1:
-            # Fast path: no thread hop for single-backend virtual databases.
-            # run() routes the failure through on_backend_failure exactly
-            # like the multi-backend path before the BackendError is raised.
-            try:
-                run(targets[0])
-            except Exception as exc:
-                raise BackendError(
-                    f"write failed on every backend: {failures}"
-                ) from exc
+        required = self._required_successes(len(targets))
+        if required == len(targets):
+            # The answer needs every target: run them in this thread, in
+            # order.  run() routes each failure through on_backend_failure;
+            # a failed target does not stop the later ones, and only a
+            # broadcast with no success at all raises.
+            error = None
+            for backend in targets:
+                try:
+                    run(backend)
+                except Exception as exc:  # noqa: BLE001 - reported by run()
+                    error = exc
+            if not successes:
+                raise BackendError(f"write failed on every backend: {failures}") from error
             return self._snapshot_outcome(successes, failures, first_result)
 
-        futures: Dict[Future, DatabaseBackend] = {
-            self._executor.submit(run, backend): backend for backend in targets
-        }
-        required = self._required_successes(len(targets))
-        pending = set(futures)
+        # Early response: stragglers keep running on the pool after the
+        # caller is answered.
+        pending = {self._executor.submit(run, backend) for backend in targets}
         while pending:
             done, pending = wait(pending, return_when=FIRST_COMPLETED)
             with state_lock:

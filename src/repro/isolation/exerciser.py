@@ -112,9 +112,13 @@ class _ProbeBed:
 
 
 def probe_dirty_read(iso: _ProbeBed, seed: int, scale: float) -> dict:
-    """One write delayed on b0; do reads see its value before the ack?"""
+    """One write delayed on b1; do reads see its value before the ack?
+
+    The delay goes on b1, the replica an in-order broadcast reaches last, so
+    the write has already landed on b0 while it waits.
+    """
     window = max(0.12 * scale, 0.06)
-    iso.injector("b0", seed).inject(
+    iso.injector("b1", seed).inject(
         "latency", latency_ms=window * 1000, match_sql="UPDATE kv", operations=("execute",)
     )
     history = History()
@@ -157,7 +161,8 @@ def probe_non_repeatable_read(iso: _ProbeBed, seed: int, scale: float) -> dict:
     """Do round-robin reads go new→old while a write is half-propagated?"""
     iso.manager.execute("UPDATE kv SET v = ? WHERE k = ?", ("nrr-old", 1))
     window = max(0.12 * scale, 0.06)
-    iso.injector("b0", seed).inject(
+    # delayed on b1, reached last, as in probe_dirty_read
+    iso.injector("b1", seed).inject(
         "latency", latency_ms=window * 1000, match_sql="nrr-new", operations=("execute",)
     )
     history = History()

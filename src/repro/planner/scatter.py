@@ -8,8 +8,10 @@ partitions.  The classic balancer rejects such reads
 carries it out:
 
 * **scatter** — one per-table fragment (``SELECT * FROM <table>``) runs on
-  the backend the plan bound it to (the cheapest host of that table),
-  fanned out concurrently on the balancer's broadcast executor;
+  the backend the plan bound it to (the cheapest host of that table), one
+  after another in the caller's thread: the answer needs every fragment,
+  and the in-process engines share one GIL, so threads would overlap
+  nothing;
 * **gather** — fragment rows are loaded into a scratch in-memory
   :class:`repro.sql.engine.DatabaseEngine` under their original table
   names (column types inferred from the fragment values);
@@ -25,7 +27,7 @@ execution implements all three uniformly.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 from repro.core.request import RequestResult, SelectRequest
 from repro.errors import NoMoreBackendError
@@ -90,23 +92,12 @@ class ScatterGatherExecutor:
         """Scatter the plan's fragments, gather rows, merge with the real SQL."""
         fragments = plan.fragments
         backends = [self._backend_for(fragment) for fragment in fragments]
-        fragment_requests = [
-            SelectRequest(sql=fragment.sql, tables=(fragment.table,))
-            for fragment in fragments
+        results = [
+            backend.execute_request(
+                SelectRequest(sql=fragment.sql, tables=(fragment.table,))
+            )
+            for fragment, backend in zip(fragments, backends)
         ]
-        executor = getattr(self._manager.load_balancer, "_executor", None)
-        results: List[RequestResult]
-        if executor is not None and len(fragments) > 1:
-            futures = [
-                executor.submit(backend.execute_request, fragment_request)
-                for backend, fragment_request in zip(backends, fragment_requests)
-            ]
-            results = [future.result() for future in futures]
-        else:
-            results = [
-                backend.execute_request(fragment_request)
-                for backend, fragment_request in zip(backends, fragment_requests)
-            ]
 
         scratch = DatabaseEngine(f"scatter-{request.request_id}")
         for fragment, fragment_result in zip(fragments, results):

@@ -1,5 +1,8 @@
 """Tests for backends, connection managers and the authentication manager."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.authentication import AuthenticationManager
@@ -160,6 +163,32 @@ class TestDatabaseBackend:
         with pytest.raises(BackendError):
             backend.execute_request(factory.create_request("SELECT * FROM missing_table"))
         assert backend.failures == 1
+
+    def test_concurrent_failures_are_counted_exactly(self):
+        """Several threads failing on one backend under a tiny switch
+        interval: the failure counter loses no increment."""
+        backend, _ = make_backend()
+        backend.enable()
+        failing = RequestFactory().create_request("SELECT * FROM missing_table")
+        threads, per_thread = 4, 200
+
+        def fail_repeatedly():
+            for _ in range(per_thread):
+                with pytest.raises(BackendError):
+                    backend.execute_request(failing)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=fail_repeatedly) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert backend.failures == threads * per_thread
+        assert backend.pending_requests == 0
 
     def test_disable_aborts_transactions(self):
         backend, engine = make_backend()

@@ -1,5 +1,7 @@
 """Tests for load-balancing policies and the RAIDb load balancers."""
 
+import threading
+
 import pytest
 
 from repro.core.backend import DatabaseBackend
@@ -14,6 +16,7 @@ from repro.core.loadbalancer import (
     WeightedRoundRobinPolicy,
     policy_from_name,
 )
+from repro.core.request import RequestResult
 from repro.core.requestparser import RequestFactory
 from repro.errors import BackendError, NoMoreBackendError, NotReplicatedError
 from repro.sql import DatabaseEngine, DatabaseMetaData, dbapi
@@ -418,6 +421,109 @@ class TestBroadcastSemantics:
             )
         assert reported == ["solo"]
         balancer.shutdown()
+
+
+class TestInThreadBroadcast:
+    """A broadcast whose answer needs every target runs in the caller's thread."""
+
+    @staticmethod
+    def _writer_threads():
+        return {t for t in threading.enumerate() if t.name.startswith("cjdbc-writer")}
+
+    @staticmethod
+    def _record_threads(backends, attribute, seen):
+        for backend in backends:
+
+            def recorded(*args, _inner=getattr(backend, attribute), _name=backend.name):
+                seen.append((_name, threading.get_ident()))
+                return _inner(*args)
+
+            setattr(backend, attribute, recorded)
+
+    def test_write_batch_and_commit_run_every_target_on_the_callers_thread(self):
+        before = self._writer_threads()
+        backends = [make_backend(f"it{i}", tables=("kv",))[0] for i in range(3)]
+        balancer = RAIDb1LoadBalancer(wait_for_completion=WaitForCompletion.ALL)
+        seen = []
+        for attribute in ("execute_request", "execute_batch", "commit"):
+            self._record_threads(backends, attribute, seen)
+        write = factory.create_request(
+            "INSERT INTO kv (id, v) VALUES (1, 'x')", transaction_id=11
+        )
+        assert balancer.execute_write_request(write, backends).backends_executed == 3
+        batch = factory.create_batch_request(
+            "INSERT INTO kv (id, v) VALUES (?, ?)", [(2, "y"), (3, "z")], transaction_id=11
+        )
+        assert balancer.execute_batch_request(batch, backends).backends_executed == 3
+        commit = balancer.broadcast_transaction_operation(
+            backends, lambda backend: backend.commit(11)
+        )
+        assert commit.backends_executed == 3
+        caller = threading.get_ident()
+        # three operations, each on every target in order, all on this thread
+        assert seen == [(f"it{i}", caller) for _ in range(3) for i in range(3)]
+        assert self._writer_threads() <= before
+        balancer.shutdown()
+
+    def test_failure_on_the_first_target_still_runs_the_later_ones(self):
+        balancer = RAIDb1LoadBalancer()
+        reported, ran = [], []
+        balancer.on_backend_failure = lambda backend, exc: reported.append(backend.name)
+
+        def operation(backend):
+            ran.append(backend.name)
+            if backend.name == "a":
+                raise RuntimeError("boom")
+            return RequestResult(update_count=1)
+
+        outcome = balancer.broadcast_transaction_operation(
+            [_StubBackend(name) for name in "abc"], operation
+        )
+        assert ran == ["a", "b", "c"]
+        assert outcome.successes == ["b", "c"]
+        assert set(outcome.failures) == {"a"}
+        assert reported == ["a"]
+        balancer.shutdown()
+
+    def test_every_target_failing_raises_chained_from_a_failure(self):
+        balancer = RAIDb1LoadBalancer()
+        reported = []
+        balancer.on_backend_failure = lambda backend, exc: reported.append(backend.name)
+        errors = {name: RuntimeError(f"boom {name}") for name in "abc"}
+
+        def operation(backend):
+            raise errors[backend.name]
+
+        with pytest.raises(BackendError, match="every backend") as raised:
+            balancer.broadcast_transaction_operation(
+                [_StubBackend(name) for name in "abc"], operation
+            )
+        assert any(raised.value.__cause__ is error for error in errors.values())
+        assert reported == ["a", "b", "c"]
+        balancer.shutdown()
+
+    def test_first_answers_before_a_slow_target_finishes(self):
+        balancer = RAIDb1LoadBalancer(wait_for_completion=WaitForCompletion.FIRST)
+        release = threading.Event()
+        threads = {}
+
+        def operation(backend):
+            threads[backend.name] = threading.get_ident()
+            if backend.name == "slow":
+                release.wait(5.0)
+            return RequestResult(update_count=1)
+
+        try:
+            outcome = balancer.broadcast_transaction_operation(
+                [_StubBackend("fast"), _StubBackend("slow")], operation
+            )
+            assert outcome.successes == ["fast"]
+            assert not release.is_set()
+            # an early response is the one case that still uses the pool
+            assert threading.get_ident() not in threads.values()
+        finally:
+            release.set()
+            balancer.shutdown()
 
 
 class TestReadFailover:

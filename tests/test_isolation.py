@@ -98,6 +98,13 @@ class TestAnomalyProbes:
         result = run_isolation_probe("pessimistic", "lost_update", seed=7, scale=0.5)
         assert result["status"] == "prevented"
 
+    @pytest.mark.parametrize("anomaly", ["dirty_read", "non_repeatable_read"])
+    def test_optimistic_observes_half_propagated_write(self, anomaly):
+        """The probe's delay sits on the replica the broadcast reaches last,
+        so the window it claims to test is open however the write is applied."""
+        result = run_isolation_probe("optimistic", anomaly, seed=7, scale=0.5)
+        assert result["status"] == "observed", result
+
     def test_mvcc_detects_seeded_ww_conflict(self):
         result = run_isolation_probe("mvcc", "ww_conflict", seed=7, scale=0.5)
         assert result["status"] == "prevented"
