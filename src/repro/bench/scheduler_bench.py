@@ -26,10 +26,9 @@ from random import Random
 from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.fixture import boot, descriptor, seed_kv
-from repro.core.scheduler import canonical_scheduler_name
+from repro.core.scheduler import SCHEDULER_NAMES, canonical_scheduler_name
 from repro.errors import CJDBCError
 
-_SCHEDULERS = ("passthrough", "optimistic", "pessimistic", "table_lock", "mvcc")
 _TABLES = 4
 _ROWS_PER_TABLE = 32
 
@@ -163,7 +162,7 @@ def run_scheduler_ablation(
     every cell.
     """
     selected = [
-        canonical_scheduler_name(name) for name in (schedulers or _SCHEDULERS)
+        canonical_scheduler_name(name) for name in (schedulers or SCHEDULER_NAMES)
     ]
     cells: Dict[str, Dict[str, dict]] = {}
     for readers, writers in mixes:

@@ -45,8 +45,8 @@ from repro.core.pipeline import build_interceptors
 from repro.core.recovery.recovery_log import FileRecoveryLog, MemoryRecoveryLog
 from repro.core.request_manager import RequestManager
 from repro.core.requestparser import RequestFactory
-from repro.core.scheduler import build_scheduler
-from repro.core.schema import Key, fail, key, parse_value
+from repro.core.scheduler import build_scheduler, parse_scheduler
+from repro.core.schema import Key, key, parse_value
 from repro.core.virtualdb import VirtualDatabase
 from repro.errors import ConfigurationError
 from repro.planner import RoutingConfig, RoutingWeights
@@ -135,11 +135,8 @@ def _recovery_log_builder(spec: str) -> Callable:
 
 
 def _scheduler_option(value: Any, where: str) -> Any:
-    """The ``scheduler:`` knob, validated by the scheduler factory itself."""
-    try:
-        build_scheduler(value)
-    except ConfigurationError as exc:
-        fail(where, str(exc))
+    """The ``scheduler:`` knob, validated by the scheduler's own schema section."""
+    parse_scheduler(value, where)
     return dict(value) if isinstance(value, Mapping) else value
 
 

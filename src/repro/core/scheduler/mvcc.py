@@ -19,12 +19,12 @@ rejected statement performed no work, so the error is retryable: the client
 rolls back and re-runs the transaction
 (:meth:`repro.core.retry.RetryPolicy.is_retryable`).
 
-Writes stay totally ordered through one mutex — replicas still apply every
-update in the same order (§2.4.1) — but the scheduler never makes a read
-wait for a write.  Consequently a read may observe a half-propagated write
-on a lagging replica; the isolation exerciser documents this honestly in
-the scheduler×anomaly matrix.  Classic snapshot-isolation write skew
-(disjoint write sets) is admitted by design.
+Writes keep the optimistic lock plans (:mod:`repro.core.scheduler.base`):
+replicas still apply every update in the same order (§2.4.1), but the
+scheduler never makes a read wait for a write.  Consequently a read may
+observe a half-propagated write on a lagging replica; the isolation
+exerciser documents this honestly in the scheduler×anomaly matrix.  Classic
+snapshot-isolation write skew (disjoint write sets) is admitted by design.
 """
 
 from __future__ import annotations
@@ -36,23 +36,11 @@ from repro.core.request import AbstractRequest, CommitRequest, RollbackRequest
 from repro.core.scheduler.base import AbstractScheduler, SchedulerTicket
 from repro.errors import SerializationConflictError
 
-#: supported ``conflict_policy`` values: abort the later writer, or only
-#: count conflicts without aborting (for measuring conflict rates)
-CONFLICT_POLICIES = ("first_committer_wins", "detect_only")
-
-
 class MVCCScheduler(AbstractScheduler):
     """Snapshot scheduler: non-blocking reads, versioned first-committer-wins."""
 
-    def __init__(self, conflict_policy: str = "first_committer_wins"):
+    def __init__(self):
         super().__init__()
-        if conflict_policy not in CONFLICT_POLICIES:
-            raise ValueError(
-                f"unknown conflict_policy {conflict_policy!r}"
-                f" (expected one of: {', '.join(CONFLICT_POLICIES)})"
-            )
-        self.conflict_policy = conflict_policy
-        self._write_mutex = threading.Lock()
         self._state = threading.Lock()
         #: bumped once per committed writing transaction / autocommit write
         self.committed_version = 0
@@ -89,15 +77,13 @@ class MVCCScheduler(AbstractScheduler):
             committed_at = self._table_versions.get(table, 0)
             if committed_at > snapshot:
                 self.conflicts_detected += 1
-                if self.conflict_policy == "detect_only":
-                    return
                 raise SerializationConflictError(
                     f"transaction {transaction_id} (snapshot v{snapshot}) conflicts"
                     f" with a commit to table {table!r} at v{committed_at}:"
                     " first committer wins — roll back and retry"
                 )
 
-    # -- scheduler hooks ---------------------------------------------------------
+    # -- validation before the locks, version bookkeeping before their release ---
 
     def schedule_read(self, request: AbstractRequest) -> SchedulerTicket:
         ticket = super().schedule_read(request)
@@ -105,36 +91,26 @@ class MVCCScheduler(AbstractScheduler):
             ticket.snapshot_version = self._snapshot(request.transaction_id)
         return ticket
 
-    def _acquire_read(self, request: AbstractRequest) -> None:
-        return None  # reads never block
-
-    def _acquire_write(self, request: Optional[AbstractRequest]) -> None:
-        if request is not None:
-            transaction_id = request.transaction_id
+    def schedule_write(self, request: AbstractRequest) -> SchedulerTicket:
+        transaction_id = request.transaction_id
+        if transaction_id is not None and not isinstance(request, RollbackRequest):
             with self._state:
-                if transaction_id is not None and not isinstance(
-                    request, RollbackRequest
-                ):
-                    if isinstance(request, CommitRequest):
-                        # final validation: tables written before a competing
-                        # commit happened are caught here
-                        self._check_conflicts(
-                            transaction_id, self._txn_writes.get(transaction_id, set())
-                        )
-                    else:
-                        tables = self._tables(request)
-                        self._check_conflicts(transaction_id, tables)
-                        if tables:
-                            self._txn_writes.setdefault(
-                                transaction_id, set()
-                            ).update(tables)
-        self._write_mutex.acquire()
+                if isinstance(request, CommitRequest):
+                    # final validation: tables written before a competing
+                    # commit happened are caught here
+                    self._check_conflicts(
+                        transaction_id, self._txn_writes.get(transaction_id, set())
+                    )
+                else:
+                    tables = self._tables(request)
+                    self._check_conflicts(transaction_id, tables)
+                    if tables:
+                        self._txn_writes.setdefault(transaction_id, set()).update(tables)
+        return super().schedule_write(request)
 
-    def _release_read(self, request: AbstractRequest) -> None:
-        return None
-
-    def _release_write(self, request: Optional[AbstractRequest]) -> None:
-        if request is not None:
+    def _release(self, ticket: SchedulerTicket) -> None:
+        if ticket.order:
+            request = ticket.request
             transaction_id = request.transaction_id
             with self._state:
                 if transaction_id is None:
@@ -149,7 +125,7 @@ class MVCCScheduler(AbstractScheduler):
                 elif isinstance(request, RollbackRequest):
                     self._txn_writes.pop(transaction_id, None)
                     self._txn_start.pop(transaction_id, None)
-        self._write_mutex.release()
+        super()._release(ticket)
 
     def _commit_tables(self, tables: Set[str]) -> None:
         """Advance the committed version over ``tables`` (holds ``_state``)."""
@@ -163,7 +139,6 @@ class MVCCScheduler(AbstractScheduler):
         stats = super().statistics()
         with self._state:
             stats["mvcc"] = {
-                "conflict_policy": self.conflict_policy,
                 "committed_version": self.committed_version,
                 "conflicts_detected": self.conflicts_detected,
                 "active_transactions": len(self._txn_start),

@@ -22,7 +22,6 @@ from repro.isolation.checker import (
 )
 from repro.isolation.exerciser import (
     ANOMALIES,
-    ISOLATION_SCHEDULERS,
     PROBES,
     run_isolation_matrix,
     run_isolation_probe,
@@ -31,7 +30,6 @@ from repro.isolation.exerciser import (
 
 __all__ = [
     "ANOMALIES",
-    "ISOLATION_SCHEDULERS",
     "PROBES",
     "History",
     "HistoryEvent",

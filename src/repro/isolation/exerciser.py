@@ -42,12 +42,9 @@ from random import Random
 from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.fixture import boot, descriptor, digest_mismatches, seed_kv
-from repro.core.scheduler import canonical_scheduler_name
+from repro.core.scheduler import SCHEDULER_NAMES, canonical_scheduler_name
 from repro.errors import CJDBCError, SerializationConflictError
 from repro.isolation.checker import History, backward_transitions, cell, dirty_reads
-
-#: the scheduler variants the matrix compares
-ISOLATION_SCHEDULERS = ("passthrough", "optimistic", "pessimistic", "table_lock", "mvcc")
 
 #: a client-side read slower than this during a probe counts as blocked —
 #: an unblocked in-memory read is microseconds, a read parked behind a
@@ -409,7 +406,7 @@ def run_isolation_matrix(
     """The scheduler×anomaly matrix: every probe against every scheduler."""
     selected = [
         canonical_scheduler_name(name)
-        for name in (schedulers if schedulers else ISOLATION_SCHEDULERS)
+        for name in (schedulers if schedulers else SCHEDULER_NAMES)
     ]
     return {
         "version": 1,
@@ -502,7 +499,6 @@ def run_random_mix(
 
 __all__ = [
     "ANOMALIES",
-    "ISOLATION_SCHEDULERS",
     "PROBES",
     "run_isolation_matrix",
     "run_isolation_probe",

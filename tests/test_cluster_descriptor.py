@@ -576,11 +576,11 @@ class TestSchedulerSection:
         assert scheduler.lock_timeout == 1.5
 
     def test_scheduler_mapping_options_flow_through(self):
-        cluster = load_cluster(
-            self._descriptor(scheduler={"name": "mvcc", "conflict_policy": "detect_only"})
-        )
+        from repro.core.scheduler import MVCCScheduler
+
+        cluster = load_cluster(self._descriptor(scheduler={"name": "snapshot"}))
         scheduler = cluster.virtual_database("sdb").request_manager.scheduler
-        assert scheduler.conflict_policy == "detect_only"
+        assert isinstance(scheduler, MVCCScheduler)
 
     def test_aliases_are_accepted(self):
         spec = parse_descriptor(
@@ -591,19 +591,19 @@ class TestSchedulerSection:
     @pytest.mark.parametrize(
         "scheduler, message",
         [
-            ("fifo", r"scheduler: unknown scheduler 'fifo'"),
-            (17, r"scheduler: expected a scheduler name or an options mapping"),
-            ({"lock_timeout": 1.0}, r"scheduler: .*needs a 'name' key"),
-            ({"name": "mvcc", "lock_timeout": 1.0}, r"lock_timeout only applies"),
+            ("fifo", r"scheduler\.name: expected one of: .*, got 'fifo'"),
+            (17, r"scheduler: expected a mapping, got 17"),
+            ({"lock_timeout": 1.0}, r"scheduler: missing required key 'name'"),
+            ({"name": "mvcc", "lock_timeout": 1.0}, r"scheduler: lock_timeout only applies"),
             (
                 {"name": "table_lock", "conflict_policy": "detect_only"},
-                r"conflict_policy only applies",
+                r"scheduler: unknown key 'conflict_policy'",
             ),
             ({"name": "table_lock", "granularity": "row"}, r"scheduler: unknown key"),
-            ({"name": "table_lock", "lock_timeout": -2}, r"lock_timeout must be"),
+            ({"name": "table_lock", "lock_timeout": -2}, r"scheduler\.lock_timeout: must be > 0"),
             (
                 {"name": "mvcc", "conflict_policy": "last_write_wins"},
-                r"unknown conflict_policy",
+                r"scheduler: unknown key 'conflict_policy'",
             ),
         ],
     )

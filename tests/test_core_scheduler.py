@@ -83,7 +83,7 @@ class TestWriteSerialization:
         [
             OptimisticTransactionLevelScheduler,
             PessimisticTransactionLevelScheduler,
-            # mvcc keeps the single write mutex; table_lock serializes only
+            # mvcc writes lock "*" exclusively; table_lock serializes only
             # same-table writes — here every write touches table "t"
             TableLockScheduler,
             MVCCScheduler,

@@ -154,7 +154,7 @@ ACCEPTED = {
     ),
     "scheduler": (
         _vdb(scheduler={"name": "mvcc", **BOGUS}),
-        {"name", "lock_timeout", "conflict_policy"},
+        {"name", "lock_timeout"},
     ),
 }
 

@@ -12,10 +12,10 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.scheduler import SCHEDULER_NAMES
 from repro.errors import CJDBCError
 from repro.isolation import (
     ANOMALIES,
-    ISOLATION_SCHEDULERS,
     History,
     backward_transitions,
     cell,
@@ -138,7 +138,7 @@ class TestMatrix:
             assert anomaly in rendered
 
     def test_default_schedulers_are_the_five_variants(self):
-        assert ISOLATION_SCHEDULERS == (
+        assert SCHEDULER_NAMES == (
             "passthrough", "optimistic", "pessimistic", "table_lock", "mvcc",
         )
 

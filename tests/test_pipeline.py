@@ -15,6 +15,7 @@ Covers the composable execution pipeline of :mod:`repro.core.pipeline`:
 """
 
 import io
+import threading
 
 import pytest
 
@@ -38,7 +39,7 @@ from repro.core.pipeline import (
     default_stages,
 )
 from repro.core.recovery import MemoryRecoveryLog
-from repro.core.request import RequestResult
+from repro.core.request import RequestResult, WriteRequest
 from repro.core.request_manager import RequestManager
 from repro.core.scheduler import (
     OptimisticTransactionLevelScheduler,
@@ -78,6 +79,19 @@ def make_manager(scheduler=None, cache=True, backends=2, interceptors=()):
     manager.execute("CREATE TABLE kv (k INT PRIMARY KEY, v VARCHAR(20))")
     manager.execute("INSERT INTO kv (k, v) VALUES (1, 'one')")
     return manager, engines
+
+
+def write_granted_at_once(scheduler):
+    """True when a write ticket is granted without waiting: no ticket leaked."""
+    granted = threading.Event()
+
+    def writer():
+        request = WriteRequest(sql="UPDATE kv SET v = 'w'", tables=("kv",))
+        scheduler.schedule_write(request).release()
+        granted.set()
+
+    threading.Thread(target=writer, daemon=True).start()
+    return granted.wait(timeout=1.0)
 
 
 class RecordingInterceptor(Interceptor):
@@ -234,7 +248,7 @@ class TestTicketRelease:
             engine.catalog.drop_table("kv")
         with pytest.raises(BackendError):
             manager.execute("SELECT v FROM kv WHERE k = 1")
-        assert manager.scheduler._active_readers == 0
+        assert write_granted_at_once(manager.scheduler)
         # a subsequent write can still drain readers and proceed
         manager.execute("CREATE TABLE kv2 (k INT PRIMARY KEY)")
 
@@ -670,7 +684,7 @@ class TestPerCategoryChains:
         for category, attempt in attempts.items():
             with pytest.raises(BackendError, match=f"{category} blew up"):
                 attempt()
-            assert manager.scheduler._active_readers == 0, category
+            assert write_granted_at_once(manager.scheduler), category
             assert manager.scheduler.pending_writes == 0, category
 
 

@@ -2,6 +2,7 @@
 the cross-variant guarantees (writer starvation, wait accounting, barriers,
 conflict retry)."""
 
+import sys
 import threading
 import time
 
@@ -17,8 +18,10 @@ from repro.core.request import (
     SelectRequest,
     WriteRequest,
 )
+from repro.core.requestparser import RequestFactory
 from repro.core.retry import RetryPolicy
 from repro.core.scheduler import (
+    SCHEDULER_NAMES,
     MVCCScheduler,
     OptimisticTransactionLevelScheduler,
     PassThroughScheduler,
@@ -182,6 +185,156 @@ class TestTableLockScheduler:
         table_writer.release()
 
 
+def take(scheduler, kind):
+    """Acquire one ticket of ``kind``; return the callable that releases it."""
+    if kind == "barrier":
+        barrier = scheduler.write_barrier()
+        barrier.__enter__()
+        return lambda: barrier.__exit__(None, None, None)
+    request = {
+        "read": lambda: read(tables=("a",)),
+        "write": lambda: write(tables=("a",)),
+        "commit": lambda: CommitRequest(sql="commit", transaction_id=9),
+        # the parser names no table for DROP INDEX
+        "no_table_write": lambda: RequestFactory().create_request("DROP INDEX i"),
+    }[kind]()
+    if kind == "read":
+        return scheduler.schedule_read(request).release
+    return scheduler.schedule_write(request).release
+
+
+KINDS = ("read", "write", "commit", "barrier", "no_table_write")
+_ORDERED = {frozenset((a, b)) for a in KINDS[1:] for b in KINDS[1:]}
+
+#: scheduler -> the pairs of ticket kinds that block each other
+CONFLICTS = {
+    "passthrough": {frozenset(("barrier",))},
+    "optimistic": _ORDERED,
+    "pessimistic": _ORDERED | {frozenset(("read", kind)) for kind in KINDS[1:]},
+    "table_lock": {
+        frozenset(pair)
+        for pair in [
+            ("read", "write"),
+            ("write", "write"),
+            ("write", "barrier"),
+            ("write", "no_table_write"),
+            ("commit", "barrier"),
+            ("commit", "no_table_write"),
+            ("barrier", "barrier"),
+            ("barrier", "no_table_write"),
+            ("no_table_write", "no_table_write"),
+        ]
+    },
+    "mvcc": _ORDERED,
+}
+
+
+class TestLockPlans:
+    """Which held ticket makes which new ticket wait, variant by variant."""
+
+    @pytest.mark.parametrize("name", SCHEDULER_NAMES)
+    def test_blocking_pairs(self, name):
+        expected = {
+            (held, new)
+            for held in KINDS
+            for new in KINDS
+            if frozenset((held, new)) in CONFLICTS[name]
+        }
+        # one fresh scheduler per (held, new) pair, all pairs at once
+        started = time.monotonic()
+        cases = []
+        for held in KINDS:
+            for new in KINDS:
+                scheduler = build_scheduler(name)
+                release_held = take(scheduler, held)
+                done = threading.Event()
+
+                def second(scheduler=scheduler, new=new, done=done):
+                    take(scheduler, new)()
+                    done.set()
+
+                run_in_thread(second)
+                cases.append((held, new, release_held, done))
+        for held, new, _, done in cases:
+            if (held, new) not in expected:
+                done.wait(timeout=1.0)
+        time.sleep(max(0.0, 0.1 - (time.monotonic() - started)))
+        blocked = {(held, new) for held, new, _, done in cases if not done.is_set()}
+        for _, _, release_held, _ in cases:
+            release_held()
+        assert all(done.wait(timeout=1.0) for *_, done in cases), "a ticket never got in"
+        assert blocked == expected
+
+    @pytest.mark.parametrize("name", ["pessimistic", "table_lock"])
+    def test_lock_table_under_thread_churn(self, name):
+        """More threads than cores and a short switch interval: a write never
+        overlaps another ticket on its table, and nothing stays locked."""
+        scheduler = build_scheduler(name)
+        guard = threading.Lock()
+        holders = {"t": [0, 0], "u": [0, 0]}  # table -> [readers, writers]
+        violations = []
+        stop = threading.Event()
+
+        def client(index):
+            table = ("t", "u")[index % 2]
+            writes = index % 3 == 0
+            while not stop.is_set():
+                ticket = (
+                    scheduler.schedule_write(write(tables=(table,)))
+                    if writes
+                    else scheduler.schedule_read(read(tables=(table,)))
+                )
+                with guard:
+                    holders[table][writes] += 1
+                    readers, writers = holders[table]
+                    if writers > 1 or (writers and readers):
+                        violations.append((table, readers, writers))
+                with guard:
+                    holders[table][writes] -= 1
+                ticket.release()
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            clients = [
+                threading.Thread(target=client, args=(index,), daemon=True)
+                for index in range(8)
+            ]
+            for thread in clients:
+                thread.start()
+            time.sleep(0.5)
+            stop.set()
+            for thread in clients:
+                thread.join(timeout=5.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in clients)
+        assert violations == []
+        assert scheduler.pending_writes == 0
+        assert scheduler.statistics()["writes_scheduled"] > 0
+        with scheduler.write_barrier():  # nothing left holding "*"
+            pass
+        assert scheduler.statistics()["write_wait"]["max_seconds"] < 5.0
+
+    def test_write_with_no_parsed_table_is_ordered_against_ddl(self):
+        """``DROP INDEX i`` names no table; it must still wait for ``CREATE
+        INDEX i ON kv (v)`` under ``table_lock``, or replicas could apply the
+        pair in different orders and end with different schemas."""
+        scheduler = TableLockScheduler()
+        factory = RequestFactory()
+        create = scheduler.schedule_write(factory.create_request("CREATE INDEX i ON kv (v)"))
+        done = threading.Event()
+
+        def drop():
+            scheduler.schedule_write(factory.create_request("DROP INDEX i")).release()
+            done.set()
+
+        run_in_thread(drop)
+        assert not done.wait(timeout=0.1), "DROP INDEX overlapped CREATE INDEX"
+        create.release()
+        assert done.wait(timeout=1.0)
+
+
 class TestMVCCScheduler:
     def test_reads_never_block_during_write(self):
         scheduler = MVCCScheduler()
@@ -246,17 +399,6 @@ class TestMVCCScheduler:
         assert stats["active_transactions"] == 0
         # the rolled-back transaction never became a committed version
         assert stats["committed_version"] == 1
-
-    def test_detect_only_policy_counts_without_aborting(self):
-        scheduler = MVCCScheduler(conflict_policy="detect_only")
-        scheduler.schedule_read(read(transaction_id=1)).release()
-        scheduler.schedule_write(write()).release()
-        scheduler.schedule_write(write(transaction_id=1)).release()
-        assert scheduler.statistics()["mvcc"]["conflicts_detected"] == 1
-
-    def test_invalid_conflict_policy_rejected(self):
-        with pytest.raises(ValueError):
-            MVCCScheduler(conflict_policy="last_writer_wins")
 
 
 class TestWriterStarvation:
@@ -582,8 +724,6 @@ class TestFactoryAndDescription:
         assert isinstance(build_scheduler("snapshot"), MVCCScheduler)
         built = build_scheduler({"name": "table_lock", "lock_timeout": 2.5})
         assert built.lock_timeout == 2.5
-        detect = build_scheduler({"name": "mvcc", "conflict_policy": "detect_only"})
-        assert detect.conflict_policy == "detect_only"
 
     def test_build_scheduler_rejects_bad_specs(self):
         with pytest.raises(ConfigurationError):
@@ -598,6 +738,8 @@ class TestFactoryAndDescription:
             build_scheduler({"name": "table_lock", "granularity": "row"})
         with pytest.raises(ConfigurationError):
             build_scheduler({"name": "table_lock", "lock_timeout": -1})
+        with pytest.raises(ConfigurationError, match=r"unknown key 'conflict_policy'"):
+            build_scheduler({"name": "mvcc", "conflict_policy": "first_committer_wins"})
 
     def test_canonical_names_and_aliases(self):
         assert canonical_scheduler_name("TableLock") == "table_lock"
