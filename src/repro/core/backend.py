@@ -171,11 +171,6 @@ class DatabaseBackend:
         with self._state_lock:
             self._tables = {name.lower() for name in names}
 
-    def set_static_schema(self, tables: Iterable[str]) -> None:
-        with self._state_lock:
-            self._tables = {t.lower() for t in tables}
-            self._static_schema = True
-
     def note_ddl(self, request: AbstractRequest) -> None:
         """Update the known schema after a CREATE/DROP statement."""
         sql = request.sql.lstrip().upper()

@@ -143,8 +143,8 @@ def _scheduler_option(value: Any, where: str) -> Any:
 def _interceptor_specs(value: Any, where: str) -> List[Any]:
     """The ``interceptors:`` list, validated by actually building every entry.
 
-    The raw specs are kept; the virtual database materializes them again at
-    boot.
+    The raw specs are kept; the request manager's pipeline materializes them
+    again at boot.
     """
     specs = parse_value(Key(list), value, where)
     build_interceptors(specs, where=where)
@@ -281,6 +281,8 @@ def build_virtual_database(config: VirtualDatabaseConfig) -> VirtualDatabase:
         recovery_log=_recovery_log_builder(config.recovery_log)(),
         request_factory=RequestFactory(parsing_cache_size=config.parsing_cache_size),
         lazy_transaction_begin=config.lazy_transaction_begin,
+        interceptors=config.interceptors,
+        read_error_threshold=config.read_error_threshold,
         routing=RoutingConfig(
             policy=config.routing_policy.lower(),
             scatter_gather=config.routing_scatter_gather,
@@ -296,8 +298,6 @@ def build_virtual_database(config: VirtualDatabaseConfig) -> VirtualDatabase:
         request_manager=request_manager,
         authentication_manager=authentication,
         group_name=config.group_name,
-        interceptors=config.interceptors,
-        read_error_threshold=config.read_error_threshold,
         auto_resync=config.auto_resync,
     )
     # Attach backends through the public assembly path so engine registration

@@ -145,9 +145,6 @@ class FailureDetector:
             listeners = list(self._listeners)
         try:
             backend.disable()
-            on_disabled = self.request_manager.on_backend_disabled
-            if on_disabled is not None:
-                on_disabled(backend, exc)
             for listener in listeners:
                 listener(backend, exc, event)
         finally:

@@ -4,9 +4,10 @@ The paper describes the C-JDBC controller as a stack of cooperating stages —
 scheduler, query result cache, load balancer, recovery log (§2.4, Figure 1).
 This module makes that stack *explicit*: every client request flows through
 an ordered chain of :class:`Stage` objects as a :class:`RequestContext`, and
-cross-cutting concerns (tracing, metrics, slow-query logging, rate limiting)
-attach as :class:`Interceptor` objects that wrap the whole chain with
-before/after hooks, observe the context, or short-circuit execution.
+cross-cutting concerns (metrics, tracing, slow-query logging, rate limiting)
+are :class:`Interceptor` objects — stages with ``before``/``after`` hooks
+that sit outside the stages in the same chain, observe the context, or
+short-circuit execution.
 
 Stage order (each request category runs only the stages that do something
 for it — see the table below)::
@@ -39,31 +40,35 @@ for it — see the table below)::
   RAIDb-2 partitions), broadcast for writes — or broadcasts demarcation to
   the participating backends.
 
-The stage list is *compiled once per request category*: each stage
-contributes a closure wrapping the next, or nothing at all when it has no
-work for that category, and :meth:`Pipeline.execute` looks the request's
-category up by class and calls that category's chain.  With the default
-stages and a transparent authentication manager the six chains are::
+The interceptor list and the stage list are *compiled once per request
+category* into one closure chain, interceptors outermost: each contributes
+a closure wrapping the next, or nothing at all when it has no work for that
+category, and :meth:`Pipeline.execute` looks the request's category up by
+class, stamps the clocks when an interceptor asked for timing, and calls
+that category's chain.  With the default stages, a transparent
+authentication manager and only the built-in ``metrics`` interceptor the
+six chains are::
 
-    read            schedule ─ cache-lookup ─ plan ─ load-balance
-    write, batch    schedule ─ recovery-log ─ cache-invalidate ─ plan
-                        ─ load-balance
-    begin           transaction ─ recovery-log ─ load-balance
+    read            metrics ─ schedule ─ cache-lookup ─ plan ─ load-balance
+    write, batch    metrics ─ schedule ─ recovery-log ─ cache-invalidate
+                        ─ plan ─ load-balance
+    begin           metrics ─ transaction ─ recovery-log ─ load-balance
                         (schedule first when lazy begin is off)
-    commit,         classify ─ schedule ─ transaction ─ recovery-log
-      rollback          ─ load-balance
+    commit,         metrics ─ classify ─ schedule ─ transaction
+      rollback          ─ recovery-log ─ load-balance
 
 (an enforcing authentication manager puts **authenticate** in front of
-**schedule** in all six).  There is one mechanism, not a general chain plus
-a special-cased copy: tracing, a custom stage list or an enforcing login
-check change which closures are in a chain, never which code path runs.
-Steady-state execution allocates nothing beyond the context object.
+**schedule** in all six).  There is one mechanism: tracing, an extra
+interceptor, a custom stage list or an enforcing login check change which
+closures are in a chain, never which code path runs.  Steady-state
+execution allocates nothing beyond the context object.
 
 Interceptors are declaratively configurable: a cluster descriptor's
 ``interceptors:`` section names built-ins from :data:`BUILTIN_INTERCEPTORS`
 (``tracing``, ``slow_query_log``, ``metrics``, ``rate_limit``) with their
-options; :func:`build_interceptor` validates names and options so
-``check-config`` can reject typos before a cluster boots.
+options; :func:`build_interceptor` parses each entry with the built-in's
+:mod:`repro.core.schema` ``Options`` section so ``check-config`` can reject
+typos before a cluster boots.
 """
 
 from __future__ import annotations
@@ -72,17 +77,8 @@ import threading
 import time
 import weakref
 from collections import deque
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.core.request import (
     AbstractRequest,
@@ -96,6 +92,7 @@ from repro.core.request import (
     SelectRequest,
     WriteRequest,
 )
+from repro.core.schema import Key, key, parse_section, parse_value
 from repro.errors import CJDBCError, ConfigurationError, RateLimitExceededError
 
 #: request categories flowed through the pipeline (string constants rather
@@ -143,7 +140,7 @@ class RequestContext:
     when a stage actually sets it.
     """
 
-    #: one of CATEGORIES, set by Pipeline.execute once the before hooks pass
+    #: one of CATEGORIES, set by Pipeline.execute before the chain runs
     category: Optional[str] = None
     result: Optional[RequestResult] = None
     error: Optional[BaseException] = None
@@ -479,23 +476,27 @@ def default_stages(authentication_manager=None) -> List[Stage]:
 # ---------------------------------------------------------------------------
 
 
-class Interceptor:
-    """A cross-cutting hook wrapped around the whole stage chain.
+class Interceptor(Stage):
+    """A cross-cutting hook: a stage with ``before``/``after`` methods.
 
-    ``before`` runs on the way in (interceptor order); returning a
-    :class:`RequestResult` short-circuits everything below, and raising
+    Interceptors compile into the same per-category chain as the stages,
+    outside all of them, so by the time ``before`` runs ``context.category``
+    is known.  ``before`` runs on the way in (interceptor order); returning
+    a :class:`RequestResult` short-circuits everything below, and raising
     rejects the request.  ``after`` runs on the way out in reverse order,
-    whatever happened below — success, cache short-circuit or error (the
-    error, if any, is on ``context.error``) — for every interceptor *at or
-    before the one that ended execution*: when an interceptor's ``before``
-    rejects or short-circuits, interceptors positioned after it were never
-    entered and their ``after`` hooks are skipped, exactly like stages below
-    a short-circuit (so order interceptors that must see every request,
-    e.g. audit, before gating ones like ``rate_limit``).  Set
-    :attr:`needs_timing` to make the pipeline stamp
+    in a ``finally``, whatever happened below — success, cache
+    short-circuit or error (the error, if any, is on ``context.error``).
+    An interceptor below one that rejected or short-circuited was never
+    entered, so its ``after`` does not run, exactly like stages below a
+    short-circuit (order interceptors that must see every request, e.g.
+    audit, before gating ones like ``rate_limit``).  An ``after`` hook that
+    raises never replaces the request's own error; on a clean request its
+    error propagates through the outer interceptors' ``after`` hooks.
+
+    Set :attr:`needs_timing` to make the pipeline stamp
     ``context.started_at``/``finished_at`` (so ``context.duration`` is
-    meaningful), and :attr:`needs_stage_timings` to additionally record
-    per-stage durations in ``context.stage_timings``.
+    meaningful in ``after``), and :attr:`needs_stage_timings` to
+    additionally record per-stage durations in ``context.stage_timings``.
     """
 
     name = "interceptor"
@@ -503,6 +504,11 @@ class Interceptor:
     needs_timing = False
     #: request True to additionally get per-stage timings (implies timing)
     needs_stage_timings = False
+
+    @dataclass
+    class Options:
+        """The descriptor options of a built-in (a :mod:`repro.core.schema`
+        section whose fields are constructor keyword arguments)."""
 
     def before(self, context: RequestContext) -> Optional[RequestResult]:
         return None
@@ -513,13 +519,49 @@ class Interceptor:
     def statistics(self) -> dict:
         return {}
 
+    def compile(self, manager, category: str, proceed: Handler) -> Handler:
+        # hooks left at the base no-op cost nothing per request
+        cls = type(self)
+        before = self.before if cls.before is not Interceptor.before else None
+        after = self.after if cls.after is not Interceptor.after else None
+        if before is None and after is None:
+            return proceed
+        clocked = self.needs_timing or self.needs_stage_timings
+        name = self.name
+
+        def intercept(context: RequestContext) -> None:
+            try:
+                early = None if before is None else before(context)
+                if early is None:
+                    proceed(context)
+                else:
+                    context.result = early
+                    context.short_circuited_by = name
+            except BaseException as exc:
+                if context.error is None:
+                    context.error = exc
+                raise
+            finally:
+                if clocked:
+                    context.finished_at = time.perf_counter()
+                if after is not None:
+                    try:
+                        after(context)
+                    except Exception:
+                        if context.error is None:
+                            raise
+
+        return intercept
+
 
 class MetricsInterceptor(Interceptor):
     """Per-request-type counters: the controller's primary request metrics.
 
-    Replaces the old single ``requests_executed`` counter with a breakdown
-    by category plus cache hits and errors; totals are derived, never
-    double-counted.
+    Every pipeline installs one, first, so it sees every request, including
+    those rejected or short-circuited by the interceptors after it.  The
+    breakdown is by category plus cache hits and errors; the total is the
+    sum of the categories, never double-counted.  It compiles to one closure
+    that counts inline, so a request pays no hook call for it.
 
     The counters are *thread-striped*: each thread increments its own
     per-thread dict (no lock, no contention on the hot path) and readers
@@ -539,19 +581,8 @@ class MetricsInterceptor(Interceptor):
         COMMIT: "commits",
         ROLLBACK: "rollbacks",
     }
-    _FIELDS = (
-        "reads",
-        "writes",
-        "batches",
-        "begins",
-        "commits",
-        "rollbacks",
-        #: requests served by an interceptor's before-hook short-circuit,
-        #: never classified into a category (still part of the total)
-        "intercepted",
-        "cache_hits",
-        "errors",
-    )
+    _TOTAL_FIELDS = tuple(_COUNTER_BY_CATEGORY.values())
+    _FIELDS = (*_TOTAL_FIELDS, "cache_hits", "errors")
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -582,21 +613,29 @@ class MetricsInterceptor(Interceptor):
             for field in self._FIELDS:
                 self._retired[field] += stripe[field]
 
-    def after(self, context: RequestContext) -> None:
-        try:
-            counters = self._local.counters
-        except AttributeError:
-            counters = self._stripe()
-        counter = self._COUNTER_BY_CATEGORY.get(context.category)
-        if counter is not None:
-            counters[counter] += 1
-        elif context.error is None:
-            # served by an interceptor before classification could run
-            counters["intercepted"] += 1
-        if context.cache_verdict == "hit":
-            counters["cache_hits"] += 1
-        if context.error is not None:
-            counters["errors"] += 1
+    def compile(self, manager, category: str, proceed: Handler) -> Handler:
+        counter = self._COUNTER_BY_CATEGORY[category]
+        local, stripe = self._local, self._stripe
+
+        def metrics(context: RequestContext) -> None:
+            try:
+                proceed(context)
+            except BaseException as exc:
+                if context.error is None:
+                    context.error = exc
+                raise
+            finally:
+                try:
+                    counters = local.counters
+                except AttributeError:
+                    counters = stripe()
+                counters[counter] += 1
+                if context.cache_verdict == "hit":
+                    counters["cache_hits"] += 1
+                if context.error is not None:
+                    counters["errors"] += 1
+
+        return metrics
 
     @property
     def counters(self) -> Dict[str, int]:
@@ -608,16 +647,6 @@ class MetricsInterceptor(Interceptor):
             for field in self._FIELDS:
                 totals[field] += stripe[field]
         return totals
-
-    _TOTAL_FIELDS = (
-        "reads",
-        "writes",
-        "batches",
-        "begins",
-        "commits",
-        "rollbacks",
-        "intercepted",
-    )
 
     @property
     def total_requests(self) -> int:
@@ -642,9 +671,11 @@ class TracingInterceptor(Interceptor):
     needs_timing = True
     needs_stage_timings = True
 
-    def __init__(self, max_traces: int = 128):
-        if max_traces < 1:
-            raise ConfigurationError("tracing: max_traces must be >= 1")
+    @dataclass
+    class Options:
+        max_traces: int = key(int, 128, minimum=1)
+
+    def __init__(self, max_traces: int = Options.max_traces):
         self.max_traces = max_traces
         self._lock = threading.Lock()
         self._traces: deque = deque(maxlen=max_traces)
@@ -686,11 +717,16 @@ class SlowQueryLogInterceptor(Interceptor):
     name = "slow_query_log"
     needs_timing = True
 
-    def __init__(self, threshold_ms: float = 100.0, max_entries: int = 64):
-        if threshold_ms < 0:
-            raise ConfigurationError("slow_query_log: threshold_ms must be >= 0")
-        if max_entries < 1:
-            raise ConfigurationError("slow_query_log: max_entries must be >= 1")
+    @dataclass
+    class Options:
+        threshold_ms: float = key(float, 100.0, minimum=0)
+        max_entries: int = key(int, 64, minimum=1)
+
+    def __init__(
+        self,
+        threshold_ms: float = Options.threshold_ms,
+        max_entries: int = Options.max_entries,
+    ):
         self.threshold_seconds = threshold_ms / 1000.0
         self.max_entries = max_entries
         self._lock = threading.Lock()
@@ -737,17 +773,19 @@ class RateLimitInterceptor(Interceptor):
 
     name = "rate_limit"
 
+    @dataclass
+    class Options:
+        max_requests: int = key(int, 1000, minimum=1)
+        window_seconds: float = key(float, 1.0, exclusive_minimum=0)
+        per_login: bool = key(bool, True)
+
     def __init__(
         self,
-        max_requests: int = 1000,
-        window_seconds: float = 1.0,
-        per_login: bool = True,
+        max_requests: int = Options.max_requests,
+        window_seconds: float = Options.window_seconds,
+        per_login: bool = Options.per_login,
         clock: Optional[Callable[[], float]] = None,
     ):
-        if max_requests < 1:
-            raise ConfigurationError("rate_limit: max_requests must be >= 1")
-        if window_seconds <= 0:
-            raise ConfigurationError("rate_limit: window_seconds must be > 0")
         self.max_requests = max_requests
         self.window_seconds = float(window_seconds)
         self.per_login = per_login
@@ -765,14 +803,16 @@ class RateLimitInterceptor(Interceptor):
     #: forever; every N admissions, fully-expired windows are dropped
     _SWEEP_EVERY = 1024
 
-    def before(self, context: RequestContext) -> Optional[RequestResult]:
-        request = context.request
+    def compile(self, manager, category: str, proceed: Handler) -> Handler:
         # demarcation of already-admitted work is never gated: a client over
         # budget must still be able to commit or roll back its transaction
         # (blocking those would strand backend transactions for the window)
-        if isinstance(request, (CommitRequest, RollbackRequest)):
-            return None
-        key = request.login if self.per_login else "*"
+        if category is COMMIT or category is ROLLBACK:
+            return proceed
+        return super().compile(manager, category, proceed)
+
+    def before(self, context: RequestContext) -> Optional[RequestResult]:
+        key = context.request.login if self.per_login else "*"
         now = self._clock()
         horizon = now - self.window_seconds
         with self._lock:
@@ -814,28 +854,87 @@ class RateLimitInterceptor(Interceptor):
 
 
 # ---------------------------------------------------------------------------
+# declarative interceptor construction (descriptor `interceptors:` section)
+# ---------------------------------------------------------------------------
+
+#: name -> built-in interceptor class; its ``Options`` section declares the
+#: descriptor options it accepts
+BUILTIN_INTERCEPTORS: Dict[str, type] = {
+    builtin.name: builtin
+    for builtin in (
+        MetricsInterceptor,
+        TracingInterceptor,
+        SlowQueryLogInterceptor,
+        RateLimitInterceptor,
+    )
+}
+
+InterceptorSpec = Union[str, Mapping, Interceptor]
+
+_ENTRY = Key(dict, message="expected an interceptor name or mapping")
+_NAME = Key(
+    str,
+    choices=tuple(BUILTIN_INTERCEPTORS),
+    resolve=lambda name: tuple(BUILTIN_INTERCEPTORS).index(name.lower()),
+)
+
+
+def build_interceptor(spec: InterceptorSpec, where: str = "interceptors") -> Interceptor:
+    """Materialize one interceptor from a descriptor entry.
+
+    Accepts a bare built-in name (``"tracing"``), a mapping with a ``name``
+    and options (``{"name": "slow_query_log", "threshold_ms": 50}``) or an
+    already-constructed :class:`Interceptor` (programmatic configs).  The
+    options are parsed by the built-in's ``Options`` section, so a bad entry
+    is a :class:`ConfigurationError` naming its path under ``where``.
+    """
+    if isinstance(spec, Interceptor):
+        return spec
+    options = parse_value(_ENTRY, {"name": spec} if isinstance(spec, str) else spec, where)
+    name = parse_value(_NAME, options.pop("name", None), where)
+    builtin = BUILTIN_INTERCEPTORS[name.lower()]
+    return builtin(**vars(parse_section(builtin.Options, options, f"{where}.{name}")))
+
+
+def build_interceptors(
+    specs: Sequence[InterceptorSpec], where: str = "interceptors"
+) -> List[Interceptor]:
+    """Materialize a whole ``interceptors:`` list, pinpointing bad entries."""
+    return [
+        build_interceptor(spec, where=f"{where}[{index}]") for index, spec in enumerate(specs)
+    ]
+
+
+# ---------------------------------------------------------------------------
 # the pipeline
 # ---------------------------------------------------------------------------
 
 
 class Pipeline:
-    """An ordered stage list, compiled into one chain per request category,
-    wrapped by an ordered interceptor list."""
+    """Interceptors and stages, compiled into one chain per request category.
+
+    The pipeline installs its :class:`MetricsInterceptor` itself, first; a
+    ``"metrics"`` entry (or instance) among ``interceptors`` resolves to it.
+    """
 
     def __init__(
         self,
         manager,
         stages: Optional[Sequence[Stage]] = None,
-        interceptors: Sequence[Interceptor] = (),
+        interceptors: Sequence[InterceptorSpec] = (),
     ):
         self._manager = manager
         self.stages: List[Stage] = list(stages) if stages is not None else default_stages()
-        self._interceptors: List[Interceptor] = []
         self._lock = threading.Lock()
-        for interceptor in interceptors:
-            _check_interceptor(interceptor)
-            self._check_duplicate_name(interceptor)
-            self._interceptors.append(interceptor)
+        built = build_interceptors(interceptors)
+        self.metrics: MetricsInterceptor = next(
+            (i for i in built if isinstance(i, MetricsInterceptor)), None
+        ) or MetricsInterceptor()
+        self._interceptors: List[Interceptor] = [self.metrics]
+        for interceptor in built:
+            if interceptor is not self.metrics:
+                self._check_duplicate_name(interceptor)
+                self._interceptors.append(interceptor)
         self._recompile()
 
     # -- composition ---------------------------------------------------------------
@@ -857,8 +956,9 @@ class Pipeline:
         for interceptor in self.interceptors:
             if interceptor.name == name:
                 return interceptor
-        known = ", ".join(self.interceptor_names) or "none installed"
-        raise ConfigurationError(f"no interceptor {name!r} in pipeline ({known})")
+        raise ConfigurationError(
+            f"no interceptor {name!r} in pipeline ({', '.join(self.interceptor_names)})"
+        )
 
     def has_interceptor(self, name: str) -> bool:
         return any(i.name == name for i in self.interceptors)
@@ -870,8 +970,11 @@ class Pipeline:
                 f" (names identify interceptors for lookup and removal)"
             )
 
-    def add_interceptor(self, interceptor: Interceptor, index: Optional[int] = None) -> None:
-        _check_interceptor(interceptor)
+    def add_interceptor(
+        self, spec: InterceptorSpec, index: Optional[int] = None
+    ) -> Interceptor:
+        """Install an interceptor (instance, built-in name or spec mapping)."""
+        interceptor = build_interceptor(spec)
         with self._lock:
             self._check_duplicate_name(interceptor)
             if index is None:
@@ -879,24 +982,17 @@ class Pipeline:
             else:
                 self._interceptors.insert(index, interceptor)
         self._recompile()
+        return interceptor
 
     def remove_interceptor(self, name: str) -> Interceptor:
+        interceptor = self.interceptor(name)
+        if interceptor is self.metrics:
+            raise ConfigurationError(
+                "the metrics interceptor is built in and cannot be removed"
+                " (requests_executed and statistics depend on it)"
+            )
         with self._lock:
-            for index, interceptor in enumerate(self._interceptors):
-                if interceptor.name == name:
-                    if interceptor is getattr(self._manager, "metrics", None):
-                        raise ConfigurationError(
-                            "the metrics interceptor is built in and cannot be"
-                            " removed (requests_executed and statistics depend"
-                            " on it)"
-                        )
-                    del self._interceptors[index]
-                    break
-            else:
-                known = ", ".join(i.name for i in self._interceptors) or "none installed"
-                raise ConfigurationError(
-                    f"no interceptor {name!r} in pipeline ({known})"
-                )
+            self._interceptors.remove(interceptor)
         self._recompile()
         return interceptor
 
@@ -908,13 +1004,11 @@ class Pipeline:
         self._recompile()
 
     def _recompile(self) -> None:
-        """Rebuild the per-category handler chains and interceptor hook tables.
+        """Rebuild the per-category chains: interceptors outermost, then stages.
 
-        Each category gets its own chain holding only the stages that do
-        something for it.  Hooks are filtered at compile time — an
-        interceptor that does not override ``before`` (or ``after``) costs
-        nothing per request — and wall clocks are only read when some
-        interceptor asked for timing.
+        Each category's chain holds only the interceptors and stages that do
+        something for it.  Wall clocks are only read when some interceptor
+        asked for timing, and only stages get a ``stage_timings`` span.
         """
         with self._lock:
             interceptors = self._interceptors
@@ -923,86 +1017,37 @@ class Pipeline:
             chains: Dict[str, Handler] = {}
             for category in CATEGORIES:
                 handler: Handler = _noop_handler
-                for stage in reversed(self.stages):
-                    compiled = stage.compile(self._manager, category, handler)
-                    if timed and compiled is not handler:
-                        compiled = _timed_handler(stage.name, compiled)
+                for link in reversed([*interceptors, *self.stages]):
+                    compiled = link.compile(self._manager, category, handler)
+                    if timed and compiled is not handler and not isinstance(link, Interceptor):
+                        compiled = _timed_handler(link.name, compiled)
                     handler = compiled
                 chains[category] = handler
-            #: (position, name, bound hook) for interceptors overriding before
-            befores = tuple(
-                (position, interceptor.name, interceptor.before)
-                for position, interceptor in enumerate(interceptors)
-                if type(interceptor).before is not Interceptor.before
-            )
-            #: (position, bound hook) in reverse order for overridden afters
-            afters = tuple(
-                (position, interceptor.after)
-                for position, interceptor in reversed(list(enumerate(interceptors)))
-                if type(interceptor).after is not Interceptor.after
-            )
             # one atomically-swapped snapshot of everything execute() needs:
-            # an in-flight request must never see a half-recompiled mixture
-            # of old and new hook tables when interceptors change at runtime
-            self._compiled = (clocked, timed, chains, befores, afters, len(interceptors))
+            # an in-flight request never sees a half-recompiled mixture
+            self._compiled = (clocked, timed, chains)
 
     # -- execution -----------------------------------------------------------------
 
     def execute(self, context: RequestContext) -> RequestContext:
-        """Run one request through interceptors and stages.
+        """Classify the request and run its category's chain.
 
-        Interceptor ``before`` hooks run in order (any may short-circuit by
-        returning a result, or reject by raising); the request is then
-        classified and its category's stage chain runs; ``after`` hooks then
-        run in reverse order whatever happened — for every interceptor whose
-        ``before`` was reached — and the error, if any, is on the context and
-        propagates after the last hook.
+        Errors propagate; the interceptors have recorded them on
+        ``context.error`` on the way out.
         """
-        clocked, timed, chains, befores, afters, full_barrier = self._compiled
+        clocked, timed, chains = self._compiled
+        request = context.request
+        try:
+            category = _CATEGORY_BY_CLASS[type(request)]
+        except KeyError:
+            category = _CATEGORY_BY_TYPE[request.request_type]
+        context.category = category
         if clocked:
             context.started_at = time.perf_counter()
             if timed:
                 context.stage_timings = {}
-        # afters run for interceptor positions <= barrier: everything when
-        # the chain is reached, only the attempted prefix when a before
-        # raises or short-circuits
-        barrier = full_barrier
-        try:
-            for position, name, before in befores:
-                barrier = position
-                early = before(context)
-                if early is not None:
-                    context.result = early
-                    context.short_circuited_by = name
-                    return context
-            barrier = full_barrier
-            request = context.request
-            try:
-                category = _CATEGORY_BY_CLASS[type(request)]
-            except KeyError:
-                category = _CATEGORY_BY_TYPE[request.request_type]
-            context.category = category
-            chains[category](context)
-            return context
-        except BaseException as exc:
-            context.error = exc
-            raise
-        finally:
-            if clocked:
-                context.finished_at = time.perf_counter()
-            hook_error: Optional[BaseException] = None
-            for position, after in afters:
-                if position > barrier:
-                    continue
-                try:
-                    after(context)
-                except BaseException as exc:  # noqa: BLE001 - isolated per hook
-                    if hook_error is None:
-                        hook_error = exc
-            # a failing hook must not mask the request's own error, and must
-            # not stop outer hooks; re-raise only on an otherwise-clean request
-            if hook_error is not None and context.error is None:
-                raise hook_error
+        chains[category](context)
+        return context
 
     # -- monitoring ----------------------------------------------------------------
 
@@ -1033,90 +1078,6 @@ def _timed_handler(name: str, handler: Handler) -> Handler:
                 timings[name] = time.perf_counter() - start
 
     return timed
-
-
-def _check_interceptor(interceptor: Interceptor) -> Interceptor:
-    if not isinstance(interceptor, Interceptor):
-        raise ConfigurationError(
-            f"expected an Interceptor instance, got {type(interceptor).__name__}"
-        )
-    return interceptor
-
-
-# ---------------------------------------------------------------------------
-# declarative interceptor construction (descriptor `interceptors:` section)
-# ---------------------------------------------------------------------------
-
-#: name -> (constructor, allowed option keys)
-BUILTIN_INTERCEPTORS: Dict[str, Tuple[Callable[..., Interceptor], frozenset]] = {
-    "metrics": (MetricsInterceptor, frozenset()),
-    "tracing": (TracingInterceptor, frozenset({"max_traces"})),
-    "slow_query_log": (
-        SlowQueryLogInterceptor,
-        frozenset({"threshold_ms", "max_entries"}),
-    ),
-    "rate_limit": (
-        RateLimitInterceptor,
-        frozenset({"max_requests", "window_seconds", "per_login"}),
-    ),
-}
-
-InterceptorSpec = Union[str, Mapping, Interceptor]
-
-
-def build_interceptor(spec: InterceptorSpec, where: str = "interceptors") -> Interceptor:
-    """Materialize one interceptor from a descriptor entry.
-
-    Accepts a bare built-in name (``"tracing"``), a mapping with a ``name``
-    and options (``{"name": "slow_query_log", "threshold_ms": 50}``) or an
-    already-constructed :class:`Interceptor` (programmatic configs).  Raises
-    :class:`ConfigurationError` naming ``where`` for unknown names, unknown
-    options and bad option values.
-    """
-    if isinstance(spec, Interceptor):
-        return spec
-    if isinstance(spec, str):
-        name, options = spec, {}
-    elif isinstance(spec, Mapping):
-        options = dict(spec)
-        name = options.pop("name", None)
-        if not isinstance(name, str) or not name.strip():
-            raise ConfigurationError(
-                f"{where}: an interceptor mapping needs a non-empty 'name' key"
-            )
-    else:
-        raise ConfigurationError(
-            f"{where}: expected an interceptor name or mapping,"
-            f" got {type(spec).__name__}"
-        )
-    builder = BUILTIN_INTERCEPTORS.get(name.lower())
-    if builder is None:
-        known = ", ".join(sorted(BUILTIN_INTERCEPTORS))
-        raise ConfigurationError(
-            f"{where}: unknown interceptor {name!r} (built-ins: {known})"
-        )
-    constructor, allowed = builder
-    unknown = sorted(set(options) - allowed)
-    if unknown:
-        expected = ", ".join(sorted(allowed)) or "no options"
-        raise ConfigurationError(
-            f"{where}.{name}: unknown option{'s' if len(unknown) > 1 else ''}"
-            f" {', '.join(map(repr, unknown))} (expected: {expected})"
-        )
-    try:
-        return constructor(**options)
-    except TypeError as exc:
-        raise ConfigurationError(f"{where}.{name}: {exc}") from exc
-
-
-def build_interceptors(
-    specs: Sequence[InterceptorSpec], where: str = "interceptors"
-) -> List[Interceptor]:
-    """Materialize a whole ``interceptors:`` list, pinpointing bad entries."""
-    interceptors = []
-    for index, spec in enumerate(specs):
-        interceptors.append(build_interceptor(spec, where=f"{where}[{index}]"))
-    return interceptors
 
 
 __all__ = [

@@ -2,7 +2,6 @@
 
 from repro.core.recovery.octopus import Octopus, PortableDump
 from repro.core.recovery.recovery_log import (
-    DatabaseRecoveryLog,
     FileRecoveryLog,
     LogEntry,
     MemoryRecoveryLog,
@@ -12,7 +11,6 @@ from repro.core.recovery.checkpoint import CheckpointingService
 
 __all__ = [
     "CheckpointingService",
-    "DatabaseRecoveryLog",
     "FileRecoveryLog",
     "LogEntry",
     "MemoryRecoveryLog",

@@ -261,8 +261,7 @@ class CheckpointingService:
             manager.replay_log_entries(backend, delta)
             manager.settle_replayed_transactions(backend)
             backend.enable()
-            if manager.failure_detector is not None:
-                manager.failure_detector.note_backend_recovered(backend)
+            manager.failure_detector.note_backend_recovered(backend)
         return len(tail) + len(delta)
 
     # -- the operator's online checkpoint ------------------------------------------------

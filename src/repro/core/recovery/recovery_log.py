@@ -5,22 +5,18 @@ commit, abort and update statement.  A log entry consists of the user
 identification, the transaction identifier, and the SQL statement.  The log
 can be stored in a flat file, but also in a database using JDBC."
 
-Three storage flavours are provided:
+Two storage flavours are provided:
 
 * :class:`MemoryRecoveryLog` — in-process list, used by most tests;
-* :class:`FileRecoveryLog` — JSON-lines flat file;
-* :class:`DatabaseRecoveryLog` — stores entries through any DB-API
-  connection factory.  Handing it a connection factory that goes through the
-  C-JDBC driver to a fault-tolerant virtual database reproduces the
-  "fault-tolerant recovery log" configuration of Figure 2.
+* :class:`FileRecoveryLog` — JSON-lines flat file.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, List, Optional
+from dataclasses import asdict, dataclass
+from typing import List, Optional
 
 from repro.core.request import freeze_parameter_sets
 
@@ -285,91 +281,3 @@ class FileRecoveryLog(RecoveryLog):
         except FileNotFoundError:
             return []
 
-
-class DatabaseRecoveryLog(RecoveryLog):
-    """Stores entries in a database reached through a DB-API connection factory.
-
-    The factory may produce connections to a plain engine or to a C-JDBC
-    virtual database (through :mod:`repro.core.driver`), which is how the
-    paper builds a fault-tolerant recovery log (Figure 2).
-    """
-
-    TABLE = "recovery_log"
-
-    def __init__(self, connection_factory: Callable[[], object]):
-        super().__init__()
-        self._factory = connection_factory
-        self._lock = threading.Lock()
-        self._ensure_table()
-        existing = self.entries()
-        if existing:
-            self._next_id = max(entry.log_id for entry in existing) + 1
-
-    def _ensure_table(self) -> None:
-        connection = self._factory()
-        try:
-            cursor = connection.cursor()
-            cursor.execute(
-                f"CREATE TABLE IF NOT EXISTS {self.TABLE} ("
-                " log_id INT PRIMARY KEY,"
-                " login VARCHAR(64),"
-                " transaction_id BIGINT,"
-                " sql_text TEXT,"
-                " parameters TEXT,"
-                " entry_type VARCHAR(16),"
-                " checkpoint_name VARCHAR(128))"
-            )
-            connection.commit()
-        finally:
-            connection.close()
-
-    def _append(self, entry: LogEntry) -> None:
-        with self._lock:
-            connection = self._factory()
-            try:
-                cursor = connection.cursor()
-                cursor.execute(
-                    f"INSERT INTO {self.TABLE} (log_id, login, transaction_id, sql_text,"
-                    " parameters, entry_type, checkpoint_name) VALUES (?, ?, ?, ?, ?, ?, ?)",
-                    (
-                        entry.log_id,
-                        entry.login,
-                        entry.transaction_id,
-                        entry.sql,
-                        json.dumps(list(entry.parameters), default=str),
-                        entry.entry_type,
-                        entry.checkpoint_name,
-                    ),
-                )
-                connection.commit()
-            finally:
-                connection.close()
-
-    def entries(self) -> List[LogEntry]:
-        connection = self._factory()
-        try:
-            cursor = connection.cursor()
-            cursor.execute(
-                f"SELECT log_id, login, transaction_id, sql_text, parameters,"
-                f" entry_type, checkpoint_name FROM {self.TABLE} ORDER BY log_id"
-            )
-            rows = cursor.fetchall()
-        finally:
-            connection.close()
-        entries = []
-        for row in rows:
-            entry_type = row[5] or "write"
-            entries.append(
-                LogEntry(
-                    log_id=row[0],
-                    login=row[1] or "",
-                    transaction_id=row[2],
-                    sql=row[3] or "",
-                    parameters=_freeze_parameters(
-                        entry_type, json.loads(row[4] or "[]")
-                    ),
-                    entry_type=entry_type,
-                    checkpoint_name=row[6],
-                )
-            )
-        return entries

@@ -36,14 +36,9 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.backend import DatabaseBackend
 from repro.core.cache import ResultCache
+from repro.core.failover import FailureDetector
 from repro.core.loadbalancer.base import AbstractLoadBalancer
-from repro.core.pipeline import (
-    InterceptorSpec,
-    MetricsInterceptor,
-    Pipeline,
-    RequestContext,
-    build_interceptors,
-)
+from repro.core.pipeline import InterceptorSpec, Pipeline, RequestContext
 from repro.core.recovery.recovery_log import RecoveryLog
 from repro.core.request import (
     AbstractRequest,
@@ -161,6 +156,7 @@ class RequestManager:
         lazy_transaction_begin: bool = True,
         interceptors: Sequence[InterceptorSpec] = (),
         routing: Optional[RoutingConfig] = None,
+        read_error_threshold: int = 3,
     ):
         from repro.core.loadbalancer import RAIDb1LoadBalancer  # avoid import cycle
 
@@ -194,14 +190,12 @@ class RequestManager:
         self.scatter_executor = ScatterGatherExecutor(self)
         self.load_balancer.cost_estimator = self.planner.cost_estimator
         self.load_balancer.on_placement_change = self.planner.invalidate
-        #: optional listener invoked with the disabled backend (used by the
-        #: virtual database to log and by tests to observe failover)
-        self.on_backend_disabled: Optional[Callable[[DatabaseBackend, Exception], None]] = None
-        #: optional :class:`repro.core.failover.FailureDetector` owning the
-        #: disable decision; installed by the virtual database.  Without one
-        #: the manager falls back to the paper's bare rule: any write-path
-        #: failure disables the backend immediately.
-        self.failure_detector = None
+        #: owns the disable decision: a write-path failure disables the
+        #: backend at once (the paper's rule), read failures count against
+        #: the threshold; observers subscribe with ``add_listener``
+        self.failure_detector = FailureDetector(
+            self, read_error_threshold=read_error_threshold
+        )
         # statistics
         self.transactions_started = 0
         self.transactions_committed = 0
@@ -213,20 +207,10 @@ class RequestManager:
         #: bucket label -> number of batches whose size fell in the bucket
         self._batch_histogram: Dict[str, int] = {}
         self._stats_lock = threading.Lock()
-        # the execution pipeline; the metrics interceptor is always installed
-        # (it carries the per-request-type counters behind requests_executed)
-        built = build_interceptors(interceptors)
-        self.metrics = next(
-            (i for i in built if isinstance(i, MetricsInterceptor)), None
-        )
-        if self.metrics is None:
-            self.metrics = MetricsInterceptor()
-        else:
-            built.remove(self.metrics)
-        # metrics always sits first so its after hook runs for every request,
-        # including those rejected by interceptors further down the list
-        built.insert(0, self.metrics)
-        self.pipeline = Pipeline(self, interceptors=built)
+        # the execution pipeline, with its built-in metrics interceptor (the
+        # per-request-type counters behind requests_executed)
+        self.pipeline = Pipeline(self, interceptors=interceptors)
+        self.metrics = self.pipeline.metrics
 
     # -- backend management ----------------------------------------------------------
 
@@ -283,21 +267,13 @@ class RequestManager:
 
     def _handle_backend_failure(self, backend: DatabaseBackend, exc: Exception) -> None:
         """Disable a backend that failed a write/commit/abort (paper §2.4.1)."""
-        detector = self.failure_detector
-        if detector is not None:
-            # the detector inserts the failover marker, disables, notifies
-            # on_backend_disabled and kicks off resynchronization
-            detector.record_write_failure(backend, exc)
-            return
-        backend.disable()
-        if self.on_backend_disabled is not None:
-            self.on_backend_disabled(backend, exc)
+        # the detector inserts the failover marker, disables and notifies
+        # its listeners (which may kick off resynchronization)
+        self.failure_detector.record_write_failure(backend, exc)
 
     def _handle_backend_read_failure(self, backend: DatabaseBackend, exc: Exception) -> None:
         """Count a read failure against the detector's error threshold."""
-        detector = self.failure_detector
-        if detector is not None:
-            detector.record_read_failure(backend, exc)
+        self.failure_detector.record_read_failure(backend, exc)
 
     # -- statement entry point ----------------------------------------------------------
 
@@ -660,9 +636,8 @@ class RequestManager:
             "planner": self.planner.statistics(),
             "scatter_gather": self.scatter_executor.statistics(),
             "backends": [backend.statistics() for backend in self._backends],
+            "failure_detector": self.failure_detector.statistics(),
         }
-        if self.failure_detector is not None:
-            stats["failure_detector"] = self.failure_detector.statistics()
         if self.recovery_log is not None:
             recorded, floor = len(self.recovery_log), self.recovery_log.floor
             stats["recovery_log"] = dict(recorded=recorded, retained=recorded - floor, floor=floor)

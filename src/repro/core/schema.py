@@ -106,10 +106,8 @@ def check_keys(mapping: Mapping, allowed: Iterable[str], where: str) -> None:
     allowed = set(allowed)
     unknown = set(mapping) - allowed
     if unknown:
-        fail(
-            where,
-            f"unknown {quoted('key', unknown)} (expected one of: {', '.join(sorted(allowed))})",
-        )
+        expected = f"expected one of: {', '.join(sorted(allowed))}" if allowed else "takes no keys"
+        fail(where, f"unknown {quoted('key', unknown)} ({expected})")
 
 
 def parse_section(cls: type, mapping: Any, where: str) -> Any:

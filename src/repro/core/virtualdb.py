@@ -5,33 +5,24 @@ A virtual database groups an authentication manager, a request manager
 database backends.  It also owns the checkpointing service used to take
 backend snapshots and to re-integrate failed or new backends.
 
-The virtual database is where the execution pipeline is *assembled*: it
-points the pipeline's authenticate stage at its authentication manager and
-installs the interceptors declared by the cluster descriptor (or passed
-programmatically), so cross-cutting behaviour is composed here rather than
-hard-wired into the request manager.
+The virtual database points the execution pipeline's authenticate stage at
+its authentication manager; the interceptors declared by the cluster
+descriptor are installed by the request manager that owns the pipeline.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.authentication import AuthenticationManager
 from repro.core.backend import DatabaseBackend
-from repro.core.failover import BackendResynchronizer, FailureDetector
+from repro.core.failover import BackendResynchronizer
 from repro.core.faults import FaultInjector
-from repro.core.pipeline import (
-    Interceptor,
-    InterceptorSpec,
-    MetricsInterceptor,
-    Pipeline,
-    build_interceptors,
-)
+from repro.core.pipeline import Interceptor, InterceptorSpec, Pipeline
 from repro.core.recovery.checkpoint import CheckpointingService
 from repro.core.request import RequestResult
 from repro.core.request_manager import RequestManager
-from repro.errors import AuthenticationError, CJDBCError
 from repro.sql.engine import DatabaseEngine
 
 
@@ -44,9 +35,6 @@ class VirtualDatabase:
         request_manager: RequestManager,
         authentication_manager: Optional[AuthenticationManager] = None,
         group_name: Optional[str] = None,
-        interceptors: Sequence[InterceptorSpec] = (),
-        failure_detector: Optional[FailureDetector] = None,
-        read_error_threshold: int = 3,
         auto_resync: bool = False,
     ):
         self.name = name
@@ -54,26 +42,14 @@ class VirtualDatabase:
         self.authentication_manager = authentication_manager or AuthenticationManager(
             transparent=True
         )
-        # assemble the execution pipeline: authenticate against this vdb's
-        # manager and install the declaratively configured interceptors
         request_manager.pipeline.use_authentication_manager(self.authentication_manager)
-        for interceptor in build_interceptors(interceptors):
-            if isinstance(interceptor, MetricsInterceptor) and (
-                request_manager.pipeline.has_interceptor(MetricsInterceptor.name)
-            ):
-                # metrics is always installed implicitly; a descriptor listing
-                # it is a statement of intent, not a second copy
-                continue
-            request_manager.pipeline.add_interceptor(interceptor)
         self.checkpointing_service = CheckpointingService(self)
-        # failure detection & self-healing: the detector owns the disable
-        # decision (write failures disable immediately, read failures count
-        # against a threshold); the resynchronizer re-integrates disabled
-        # backends from the recovery log while the cluster keeps serving
-        self.failure_detector = failure_detector or FailureDetector(
-            request_manager, read_error_threshold=read_error_threshold
-        )
-        request_manager.failure_detector = self.failure_detector
+        # failure detection & self-healing: the request manager's detector
+        # owns the disable decision (write failures disable immediately,
+        # read failures count against a threshold); the resynchronizer
+        # re-integrates disabled backends from the recovery log while the
+        # cluster keeps serving
+        self.failure_detector = request_manager.failure_detector
         self.resynchronizer = BackendResynchronizer(self)
         self._auto_resync = False
         if auto_resync:
@@ -259,9 +235,7 @@ class VirtualDatabase:
 
     def add_interceptor(self, interceptor: InterceptorSpec) -> Interceptor:
         """Install an interceptor (instance, built-in name or spec mapping)."""
-        built = build_interceptors([interceptor])[0]
-        self.pipeline.add_interceptor(built)
-        return built
+        return self.pipeline.add_interceptor(interceptor)
 
     def remove_interceptor(self, name: str) -> Interceptor:
         return self.pipeline.remove_interceptor(name)

@@ -27,7 +27,6 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.core.recovery.checkpoint import Checkpoint
 from repro.core.recovery.octopus import PortableDump
 from repro.core.request import RequestResult, freeze_parameter_sets
-from repro.core.requestparser import RequestFactory
 from repro.core.virtualdb import VirtualDatabase
 from repro.errors import CJDBCError, GroupCommunicationError
 from repro.groupcomm.channel import GroupChannel
@@ -129,7 +128,6 @@ class DistributedVirtualDatabase:
         self.channel = GroupChannel(transport, controller_name)
         self.channel.set_message_handler(self._on_message)
         self.channel.set_view_handler(self._on_view_change)
-        self._request_factory = RequestFactory()
         self._lock = threading.RLock()
         #: results of locally applied commands, keyed by message id, so the
         #: originating controller can return its own execution result
@@ -157,9 +155,7 @@ class DistributedVirtualDatabase:
         #: peer we bootstrapped our state from (None = started fresh)
         self.state_synced_from: Optional[str] = None
         # multicast our own failure detector's disable events to the group
-        detector = getattr(virtual_database, "failure_detector", None)
-        if detector is not None:
-            detector.add_listener(self._on_local_backend_disabled)
+        virtual_database.failure_detector.add_listener(self._on_local_backend_disabled)
 
     # -- membership -----------------------------------------------------------------
 
@@ -199,12 +195,7 @@ class DistributedVirtualDatabase:
 
     def close(self) -> None:
         """Detach from the group and the local failure detector."""
-        detector = getattr(self.local, "failure_detector", None)
-        if detector is not None:
-            try:
-                detector.remove_listener(self._on_local_backend_disabled)
-            except (ValueError, CJDBCError):  # pragma: no cover - best effort
-                pass
+        self.local.failure_detector.remove_listener(self._on_local_backend_disabled)
         if self.channel.connected:
             try:
                 self.leave_group()
@@ -289,12 +280,14 @@ class DistributedVirtualDatabase:
         login: str = "",
         transaction_id: Optional[int] = None,
     ) -> RequestResult:
-        request = self._request_factory.create_request(
+        manager = self.local.request_manager
+        request = manager.request_factory.create_request(
             sql, parameters, login=login, transaction_id=transaction_id
         )
         if request.is_read_only:
             # Reads stay local: each controller load-balances over its own backends.
-            return self.local.execute(sql, parameters, login=login, transaction_id=transaction_id)
+            return manager.execute_request(request)
+        # the macro-rewritten text, so every replica applies the same NOW()/RAND()
         command = _WriteCommand(
             kind="execute",
             sql=request.sql,
@@ -325,7 +318,7 @@ class DistributedVirtualDatabase:
         # validate up front (non-writes and empty batches must fail on the
         # caller, not asynchronously on every group member) without building
         # a throwaway request — the template check is enough
-        self._request_factory.get_template(sql).require_batchable()
+        self.local.request_manager.request_factory.get_template(sql).require_batchable()
         parameter_sets = freeze_parameter_sets(parameter_sets)
         if not parameter_sets:
             raise CJDBCError("a batch needs at least one parameter set")

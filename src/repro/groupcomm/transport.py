@@ -125,9 +125,6 @@ class GroupTransport:
             for survivor in list(self._wire.values()):
                 survivor._report_suspect(group, node.address)
 
-    def heal_member(self, member: str) -> None:
-        """Nothing to heal: a failed member comes back by joining again."""
-
     def partition(self, sender: str, receiver: str) -> None:
         """Drop messages from ``sender`` to ``receiver`` (one direction)."""
         self.node(receiver).partition(sender, receiver)

@@ -27,10 +27,6 @@ class PlacementMap:
         """Backends hosting ``table`` (dynamic schema view)."""
         return [backend for backend in self.backends if backend.has_tables((table,))]
 
-    def co_located(self, tables: Sequence[str]) -> List:
-        """Backends hosting *all* of ``tables`` — the single-read candidates."""
-        return [backend for backend in self.backends if backend.has_tables(tables)]
-
     def cover(self, tables: Sequence[str]) -> Dict[str, List]:
         """Per-table host lists for a scatter-gather read.
 

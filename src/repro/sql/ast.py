@@ -101,10 +101,6 @@ class FunctionCall(Expression):
     args: List[Expression] = field(default_factory=list)
     distinct: bool = False
 
-    @property
-    def upper_name(self) -> str:
-        return self.name.upper()
-
 
 @dataclass
 class CaseExpression(Expression):
@@ -191,13 +187,6 @@ class Select(Statement):
     # where the executor keeps the compiled access plan (:mod:`repro.sql.plan`),
     # here and on Update/Delete; it is no part of the statement's value
     plan: Any = field(default=None, compare=False, repr=False)
-
-    def referenced_tables(self) -> List[str]:
-        tables = []
-        if self.from_table is not None:
-            tables.append(self.from_table.name)
-        tables.extend(join.table.name for join in self.joins)
-        return tables
 
 
 @dataclass

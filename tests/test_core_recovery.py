@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.recovery import (
-    DatabaseRecoveryLog,
     FileRecoveryLog,
     MemoryRecoveryLog,
     Octopus,
@@ -173,29 +172,6 @@ class TestFileRecoveryLog:
             entry.parameter_sets
 
 
-class TestDatabaseRecoveryLog:
-    def test_entries_stored_through_dbapi(self):
-        engine = DatabaseEngine("logdb")
-        log = DatabaseRecoveryLog(lambda: dbapi.connect(engine))
-        log.log_begin("alice", 1)
-        log.log_request("INSERT INTO app VALUES (1)", (), "alice", 1)
-        log.log_commit("alice", 1)
-        log.insert_checkpoint_marker("cp1")
-        assert engine.execute("SELECT COUNT(*) FROM recovery_log").scalar() == 4
-        entries = log.entries()
-        assert entries[1].sql == "INSERT INTO app VALUES (1)"
-        assert log.checkpoint_names() == ["cp1"]
-
-    def test_log_survives_new_instance(self):
-        engine = DatabaseEngine("logdb2")
-        first = DatabaseRecoveryLog(lambda: dbapi.connect(engine))
-        first.log_request("a", (), "", None)
-        second = DatabaseRecoveryLog(lambda: dbapi.connect(engine))
-        entry = second.log_request("b", (), "", None)
-        assert entry.log_id == 2
-        assert [e.sql for e in second.entries()] == ["a", "b"]
-
-
 class TestOctopus:
     def build_source(self):
         engine = DatabaseEngine("source")
@@ -348,20 +324,13 @@ class TestCheckpointingWithVirtualDatabase:
         ]
         assert ids == [1, 2]
 
-    def test_batch_log_entry_round_trips_through_file_and_database_logs(self, tmp_path):
+    def test_batch_log_entry_round_trips_through_file_log(self, tmp_path):
         sets = ((1, "a"), (2, "b"))
         file_log = FileRecoveryLog(str(tmp_path / "batch.jsonl"))
         file_log.log_batch("INSERT INTO t VALUES (?, ?)", sets, "alice", 7)
         reloaded = FileRecoveryLog(str(tmp_path / "batch.jsonl")).entries()[0]
         assert reloaded.entry_type == "batch"
         assert reloaded.parameter_sets == sets
-
-        engine = DatabaseEngine("batchlogdb")
-        db_log = DatabaseRecoveryLog(lambda: dbapi.connect(engine))
-        db_log.log_batch("INSERT INTO t VALUES (?, ?)", sets, "alice", 7)
-        stored = DatabaseRecoveryLog(lambda: dbapi.connect(engine)).entries()[0]
-        assert stored.entry_type == "batch"
-        assert stored.parameter_sets == sets
 
     def test_disable_with_checkpoint(self):
         from tests.conftest import make_cluster

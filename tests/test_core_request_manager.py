@@ -162,7 +162,9 @@ class TestBackendManagement:
     def test_failed_backend_is_disabled_and_listener_notified(self, manager):
         request_manager, engines = manager
         disabled = []
-        request_manager.on_backend_disabled = lambda backend, exc: disabled.append(backend.name)
+        request_manager.failure_detector.add_listener(
+            lambda backend, exc, event: disabled.append(backend.name)
+        )
         # sabotage backend1
         engines[1].catalog.drop_table("kv")
         request_manager.execute("INSERT INTO kv (k, v) VALUES (20, 'x')")

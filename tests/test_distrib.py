@@ -113,6 +113,26 @@ class TestHorizontalScalability:
         assert statement.execute().scalar() == 1
         assert replica_b.local.backends[0].total_reads == local_reads_before + 1
 
+    def test_origin_parses_replicated_writes_in_its_own_parsing_cache(self):
+        (_, replica_a, engine_a), (_, replica_b, engine_b), _ = build_replicated_pair()
+        replica_a.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+
+        def lookups(replica):
+            stats = replica.local.request_manager.statistics()["parsing_cache"]
+            return stats["hits"] + stats["misses"]
+
+        origin_before, peer_before = lookups(replica_a), lookups(replica_b)
+        replica_a.execute("INSERT INTO t VALUES (1, RAND() * 1000000)")
+        # the origin classifies the statement and applies its rewritten text:
+        # two lookups in the one cache its statistics report; the peer parses
+        # the rewritten text once
+        assert lookups(replica_a) == origin_before + 2
+        assert lookups(replica_b) == peer_before + 1
+        assert not hasattr(replica_a, "_request_factory")
+        # every replica applied the same RAND() value
+        select = "SELECT v FROM t WHERE id = 1"
+        assert engine_a.execute(select).scalar() == engine_b.execute(select).scalar()
+
     def test_peer_backend_advertisement(self):
         (_, replica_a, _), (_, replica_b, _), _ = build_replicated_pair()
         assert set(replica_a.peer_backends) == {replica_b.controller_name}

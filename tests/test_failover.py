@@ -65,8 +65,8 @@ class TestFailureDetector:
     def test_on_backend_disabled_listener_still_fires(self):
         cluster, vdb, _ = build_cluster(label="fd-listener")
         disabled = []
-        vdb.request_manager.on_backend_disabled = (
-            lambda backend, exc: disabled.append(backend.name)
+        vdb.request_manager.failure_detector.add_listener(
+            lambda backend, exc, event: disabled.append(backend.name)
         )
         vdb.fault_injector("b2").crash()
         vdb.execute("INSERT INTO kv (k, v) VALUES (101, 'x')")

@@ -468,18 +468,35 @@ class TestDeclarativeConfiguration:
         assert built.max_requests == 3
 
     def test_unknown_interceptor_name_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown interceptor 'tracer'"):
+        with pytest.raises(ConfigurationError, match="expected one of: .*, got 'tracer'"):
             build_interceptor("tracer")
 
     def test_unknown_option_rejected_with_position(self):
         with pytest.raises(
-            ConfigurationError, match=r"interceptors\[1\].tracing: unknown option"
+            ConfigurationError, match=r"interceptors\[1\].tracing: unknown key"
         ):
             build_interceptors(["metrics", {"name": "tracing", "max_spans": 3}])
 
     def test_bad_option_value_rejected(self):
         with pytest.raises(ConfigurationError, match="max_traces"):
             build_interceptor({"name": "tracing", "max_traces": 0})
+
+    @pytest.mark.parametrize(
+        "name, option, value",
+        [
+            ("tracing", "max_traces", 0),
+            ("slow_query_log", "threshold_ms", -1),
+            ("slow_query_log", "max_entries", 0),
+            ("rate_limit", "max_requests", 0),
+            ("rate_limit", "window_seconds", 0),
+            ("rate_limit", "per_login", "yes"),
+        ],
+    )
+    def test_bad_option_value_rejected_at_its_path(self, name, option, value):
+        with pytest.raises(
+            ConfigurationError, match=rf"interceptors\[0\]\.{name}\.{option}: .*got"
+        ):
+            build_interceptors([{"name": name, option: value}])
 
     def test_descriptor_validates_interceptors_section(self):
         descriptor = {
@@ -489,7 +506,7 @@ class TestDeclarativeConfiguration:
         }
         with pytest.raises(
             ConfigurationError,
-            match=r"virtual_databases\[0\].interceptors\[0\]: unknown interceptor",
+            match=r"virtual_databases\[0\].interceptors\[0\]: expected one of",
         ):
             repro.load_descriptor(descriptor)
 
@@ -501,7 +518,7 @@ class TestDeclarativeConfiguration:
         )
         out = io.StringIO()
         assert cli_main(["check-config", str(config)], stdout=out) == 1
-        assert "unknown option" in out.getvalue()
+        assert "unknown key 'threshold'" in out.getvalue()
 
     def test_check_config_prints_interceptor_chain(self, tmp_path):
         config = tmp_path / "good.json"
@@ -922,15 +939,19 @@ class TestRegistryCompleteness:
         manager.commit(transaction_id, "alice")
         assert manager.active_transactions == []
 
-    def test_short_circuited_requests_counted_as_intercepted(self):
+    def test_short_circuited_read_counted_as_read(self):
+        """Interceptors run once the category is known, so a request an
+        interceptor answers is counted under its category."""
         journal = []
         manager, _ = make_manager()
         manager.pipeline.add_interceptor(
             RecordingInterceptor("gate", journal, short_circuit=True)
         )
+        before = manager.metrics.counters
         before_total = manager.requests_executed
         manager.execute("SELECT v FROM kv WHERE k = 1")
-        assert manager.metrics.counters["intercepted"] == 1
+        assert manager.metrics.counters["reads"] == before["reads"] + 1
+        assert "intercepted" not in manager.metrics.counters
         assert manager.requests_executed == before_total + 1
 
     def test_result_copies_preserve_transaction_id(self):
