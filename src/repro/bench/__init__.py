@@ -17,20 +17,14 @@ from repro.bench.chaos import (
     table_digests,
 )
 from repro.bench.harness import (
-    HotpathScenarioResult,
-    OverheadResult,
-    run_hotpath_microbenchmark,
     run_loadbalancer_ablation,
     run_optimization_ablation,
-    run_overhead_microbenchmark,
     run_rubis_cache_experiment,
     run_routing_ablation,
     run_tpcw_scalability,
-    write_bench_json,
 )
 from repro.bench.scheduler_bench import run_scheduler_ablation
 from repro.bench.report import (
-    format_hotpath_report,
     format_rubis_table,
     format_scalability_table,
 )
@@ -39,22 +33,16 @@ __all__ = [
     "CHAOS_SCENARIOS",
     "CHAOS_SMOKE_SCENARIOS",
     "ChaosResult",
-    "HotpathScenarioResult",
-    "OverheadResult",
     "format_chaos_report",
-    "format_hotpath_report",
     "format_rubis_table",
     "format_scalability_table",
     "run_chaos_scenario",
     "run_chaos_suite",
-    "run_hotpath_microbenchmark",
     "run_loadbalancer_ablation",
     "run_optimization_ablation",
-    "run_overhead_microbenchmark",
     "run_routing_ablation",
     "run_rubis_cache_experiment",
     "run_scheduler_ablation",
     "run_tpcw_scalability",
     "table_digests",
-    "write_bench_json",
 ]

@@ -63,54 +63,6 @@ def format_scalability_table(
     return "\n".join(lines)
 
 
-def format_hotpath_report(results: Dict) -> str:
-    """Human-readable rendering of a ``run_hotpath_microbenchmark`` document."""
-    lines = [
-        "Controller hot-path micro-benchmark (ops/s, higher is better)",
-        f"{'scenario':34} {'ops/s':>12} {'operations':>12}",
-        "-" * 60,
-    ]
-    for name, scenario in sorted(results.get("scenarios", {}).items()):
-        lines.append(
-            f"{name:34} {scenario['ops_per_second']:>12,.0f} {scenario['operations']:>12}"
-        )
-    ablations = results.get("ablations", {})
-    lines.append("")
-    lines.append(
-        f"parsing cache speedup (on vs off): {ablations.get('parse_cache_speedup')}x"
-        f" ({ablations.get('parse_cache_misses')} misses with the cache on)"
-    )
-    batch = ablations.get("batch_speedup", {})
-    if batch:
-        lines.append(
-            f"server-side batching speedup ({batch['batch_size']}-row batches,"
-            f" vs looped executemany): {batch['speedup']}x"
-            f" ({batch['server_rows_per_second']:,.0f} vs"
-            f" {batch['looped_rows_per_second']:,.0f} rows/s)"
-        )
-    index = ablations.get("invalidate_index_vs_scan", {})
-    if index:
-        lines.append(
-            "write-invalidate cost vs cache size"
-            f" ({index['tables']} tables, writes touching an uncached table):"
-        )
-        lines.append(
-            f"  {'cache size':>10} {'indexed ops/s':>15} {'full scan ops/s':>17}"
-        )
-        for size, indexed, scan in zip(
-            index["cache_sizes"],
-            index["indexed_ops_per_second"],
-            index["full_scan_ops_per_second"],
-        ):
-            lines.append(f"  {size:>10} {indexed:>15,.0f} {scan:>17,.0f}")
-        lines.append(
-            "  slowdown largest/smallest cache:"
-            f" indexed {index['indexed_slowdown_largest_vs_smallest']}x,"
-            f" full scan {index['full_scan_slowdown_largest_vs_smallest']}x"
-        )
-    return "\n".join(lines)
-
-
 def format_rubis_table(results: Dict[str, SimulationResult]) -> str:
     """Table 1 layout: one column per cache configuration."""
     order = ("none", "coherent", "relaxed")

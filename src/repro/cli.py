@@ -18,15 +18,11 @@ import sys
 from typing import List, Optional
 
 from repro.bench import (
-    format_hotpath_report,
     format_rubis_table,
     format_scalability_table,
-    run_hotpath_microbenchmark,
     run_loadbalancer_ablation,
-    run_overhead_microbenchmark,
     run_rubis_cache_experiment,
     run_tpcw_scalability,
-    write_bench_json,
 )
 
 
@@ -54,7 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     table1.add_argument("--measurement", type=float, default=600.0)
 
     subparsers.add_parser("ablation-lb", help="load-balancing policy ablation")
-    subparsers.add_parser("overhead", help="middleware overhead micro-benchmark")
 
     chaos = subparsers.add_parser(
         "chaos",
@@ -101,24 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     isolation.add_argument(
         "--json", action="store_true", dest="as_json", help="print the raw matrix as JSON"
-    )
-
-    hotpath = subparsers.add_parser(
-        "bench-hotpath",
-        help="controller hot-path micro-benchmark (parsing cache, cached reads,"
-        " write invalidation)",
-    )
-    hotpath.add_argument(
-        "--out",
-        default=None,
-        metavar="FILE",
-        help="write the machine-readable results to FILE",
-    )
-    hotpath.add_argument(
-        "--scale",
-        type=float,
-        default=1.0,
-        help="scale every iteration count (use < 1 for a quick run)",
     )
 
     console = subparsers.add_parser(
@@ -203,30 +180,6 @@ def _run_ablation_lb() -> str:
     return "\n".join(lines)
 
 
-def _run_bench_hotpath(args: argparse.Namespace, stdout) -> int:
-    scale = max(args.scale, 0.001)
-    results = run_hotpath_microbenchmark(
-        parse_statements=max(int(20000 * scale), 10),
-        read_statements=max(int(5000 * scale), 10),
-        write_statements=max(int(1200 * scale), 10),
-        # scale the ablation's cache fills too: they dominate quick-run setup
-        # time, and the sizes only appear in the ablation section, so the
-        # scenario names stay the same at every scale
-        invalidate_cache_sizes=tuple(
-            max(int(size * scale), 10) for size in (250, 1000, 4000)
-        ),
-        invalidate_writes=max(int(300 * scale), 5),
-        # keep the 100-row batch shape (it defines the ablation); scale how
-        # many batches run so quick runs stay quick
-        batch_count=max(int(10 * scale), 1),
-    )
-    print(format_hotpath_report(results), file=stdout)
-    if args.out:
-        path = write_bench_json(results, args.out)
-        print(f"\nresults written to {path}", file=stdout)
-    return 0
-
-
 def _run_chaos(args: argparse.Namespace, stdout) -> int:
     from repro.bench import CHAOS_SCENARIOS, format_chaos_report, run_chaos_suite
     from repro.errors import CJDBCError
@@ -260,15 +213,6 @@ def _run_isolation(args: argparse.Namespace, stdout) -> int:
     else:
         print(format_isolation_matrix(matrix), file=stdout)
     return 0
-
-
-def _run_overhead() -> str:
-    result = run_overhead_microbenchmark()
-    return (
-        f"direct access: {result.direct_seconds:.3f}s, through C-JDBC: "
-        f"{result.middleware_seconds:.3f}s ({result.overhead_factor:.2f}x) "
-        f"for {result.statements} point reads"
-    )
 
 
 #: the descriptor behind the demo console — the same document could live in
@@ -496,11 +440,6 @@ def main(argv: Optional[List[str]] = None, stdout=None) -> int:
     if args.command == "ablation-lb":
         print(_run_ablation_lb(), file=stdout)
         return 0
-    if args.command == "overhead":
-        print(_run_overhead(), file=stdout)
-        return 0
-    if args.command == "bench-hotpath":
-        return _run_bench_hotpath(args, stdout)
     if args.command == "chaos":
         return _run_chaos(args, stdout)
     if args.command == "isolation":

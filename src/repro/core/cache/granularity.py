@@ -61,9 +61,10 @@ class FullScanTableGranularity(TableGranularity):
     """Table granularity with the inverted invalidation index opted out.
 
     Identical invalidation decisions to :class:`TableGranularity`, but every
-    write scans the whole cache — the pre-index code path.  Used by the
-    hot-path benchmark ablation and the index-equivalence tests as the
-    reference implementation; not intended for production configurations.
+    write scans the whole cache — the pre-index code path.  Used as the
+    reference implementation by the invalidation rows of the call-count
+    table and by the index-equivalence tests; not intended for production
+    configurations.
     """
 
     name = "table-fullscan"

@@ -222,10 +222,15 @@ class RequestResult:
         )
 
     def checkout(self) -> "RequestResult":
-        """A per-client view of a frozen master copy (rows shared, container not)."""
-        return dataclasses.replace(
-            self, columns=list(self.columns), rows=list(self.rows)
-        )
+        """A per-client view of a frozen master copy (rows shared, container not).
+
+        Copies the instance dict, so every field is carried (incl. any added
+        later) without the three Python calls of ``dataclasses.replace`` on
+        every cache hit.
+        """
+        view = object.__new__(type(self))
+        view.__dict__.update(self.__dict__, columns=list(self.columns), rows=list(self.rows))
+        return view
 
     def __len__(self) -> int:
         return len(self.rows)

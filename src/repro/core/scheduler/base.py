@@ -166,7 +166,8 @@ class AbstractScheduler:
     def schedule_read(self, request: AbstractRequest) -> SchedulerTicket:
         plan = self._read_plan(request)
         started = time.perf_counter()
-        self._acquire(plan)
+        if plan:
+            self._acquire(plan)
         waited = time.perf_counter() - started
         with self._order_lock:
             self.reads_scheduled += 1
@@ -177,7 +178,8 @@ class AbstractScheduler:
         """Schedule a write / commit / abort.  Blocks until it may proceed."""
         plan = self._write_plan(request)
         started = time.perf_counter()
-        self._acquire(plan)
+        if plan:
+            self._acquire(plan)
         waited = time.perf_counter() - started
         with self._order_lock:
             self.writes_scheduled += 1
@@ -216,13 +218,13 @@ class AbstractScheduler:
         if ticket.order:
             with self._order_lock:
                 self.pending_writes = max(0, self.pending_writes - 1)
-        self._release_plan(ticket.plan)
+        if ticket.plan:
+            self._release_plan(ticket.plan)
 
     # -- the lock table -------------------------------------------------------------
 
     def _acquire(self, plan: LockPlan) -> None:
-        if not plan:
-            return
+        """Take every lock of a non-empty ``plan``, in order."""
         deadline = None if self.lock_timeout is None else time.monotonic() + self.lock_timeout
         blocked = False
         held = 0
@@ -278,11 +280,10 @@ class AbstractScheduler:
             raise LockTimeoutError(f"lock on {key!r} not acquired within {self.lock_timeout}s")
 
     def _release_plan(self, plan: LockPlan) -> None:
-        if plan:
-            with self._mutex:
-                self._release_held(plan)
-                if self._waiters:
-                    self._condition.notify_all()
+        with self._mutex:
+            self._release_held(plan)
+            if self._waiters:
+                self._condition.notify_all()
 
     def _release_held(self, held: Sequence[Tuple[str, bool]]) -> None:
         """Release (key, exclusive) pairs; caller holds the mutex."""

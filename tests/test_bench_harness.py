@@ -6,7 +6,6 @@ from repro.bench import (
     format_rubis_table,
     format_scalability_table,
     run_loadbalancer_ablation,
-    run_overhead_microbenchmark,
     run_rubis_cache_experiment,
     run_tpcw_scalability,
 )
@@ -74,7 +73,7 @@ class TestRUBiSCacheHarness:
         assert "C-JDBC CPU load" in text
 
 
-class TestAblationsAndOverhead:
+class TestLoadBalancerAblation:
     def test_loadbalancer_ablation_prefers_fast_backends(self):
         fractions = run_loadbalancer_ablation(requests=600, backends=3)
         assert set(fractions) == {"rr", "wrr", "lprf"}
@@ -82,12 +81,3 @@ class TestAblationsAndOverhead:
         # weighted round robin sends it less than its fair share
         assert fractions["rr"] == pytest.approx(1 / 3, abs=0.05)
         assert fractions["wrr"] < fractions["rr"]
-
-    def test_overhead_microbenchmark(self):
-        result = run_overhead_microbenchmark(statements=300)
-        assert result.statements == 300
-        assert result.direct_seconds > 0
-        assert result.middleware_seconds > 0
-        # going through the controller costs something but stays within an
-        # order of magnitude of direct access for point reads
-        assert result.overhead_factor < 20

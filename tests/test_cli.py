@@ -11,7 +11,7 @@ class TestParser:
     def test_all_commands_registered(self):
         parser = build_parser()
         text = parser.format_help()
-        for command in ("figure10", "figure11", "figure12", "table1", "console", "overhead"):
+        for command in ("figure10", "figure11", "figure12", "table1", "console"):
             assert command in text
 
     def test_no_command_prints_help(self):
@@ -43,11 +43,6 @@ class TestExperimentsViaCLI:
         code = main(["table1", "--clients", "120", "--measurement", "120"], stdout=out)
         assert code == 0
         assert "Throughput (rq/min)" in out.getvalue()
-
-    def test_overhead_command(self):
-        out = io.StringIO()
-        assert main(["overhead"], stdout=out) == 0
-        assert "through C-JDBC" in out.getvalue()
 
 
 class TestChaosCommand:
@@ -299,37 +294,6 @@ class TestConfigCommands:
             " expected one of: lprf, rr, wrr, got 'zzz'"
         )
         assert completed.stderr == ""
-
-
-class TestBenchHotpathCommand:
-    def test_registered_in_help(self):
-        assert "bench-hotpath" in build_parser().format_help()
-
-    def test_quick_run_writes_json(self, tmp_path):
-        import json
-
-        out_path = tmp_path / "hotpath.json"
-        out = io.StringIO()
-        code = main(
-            ["bench-hotpath", "--scale", "0.005", "--out", str(out_path)], stdout=out
-        )
-        assert code == 0
-        text = out.getvalue()
-        assert "parsing cache speedup" in text
-        assert f"results written to {out_path}" in text
-        document = json.loads(out_path.read_text())
-        assert document["benchmark"] == "hotpath"
-        assert "parse_cache_on" in document["scenarios"]
-        assert {"parse_cache_misses", "invalidate_index_vs_scan", "batch_speedup"} <= set(
-            document["ablations"]
-        )
-
-    def test_check_baseline_is_rejected(self, capsys):
-        # there is no committed baseline to compare against any more
-        with pytest.raises(SystemExit) as excinfo:
-            main(["bench-hotpath", "--check-baseline", "baseline.json"])
-        assert excinfo.value.code == 2
-        assert "--check-baseline" in capsys.readouterr().err
 
 
 class TestServeCommand:

@@ -1,32 +1,159 @@
-"""Call budgets for the request hot path.
+"""Per-operation counts for the request hot path, pinned in one table.
 
-Counts the Python function calls (``sys.setprofile`` ``call`` events) one
-operation makes through :meth:`RequestManager.execute` on a 3-backend
-manager with a result cache and a memory recovery log.  The budgets are the
-counts measured on CPython 3.11; a change that lengthens the hot path fails
-here with the per-function difference, whatever the machine's speed.
+Each row of :data:`BUDGETS` is one operation and its exact cost on CPython
+3.11, measured in-process with ``sys.setprofile``:
+
+* ``calls`` — Python function calls (``call`` events);
+* ``sql`` — the part of ``calls`` whose frame lives under ``repro/sql/``
+  (the engine); ``calls - sql`` is what the middleware spent;
+* ``locks`` — lock operations: ``c_call`` events for ``acquire`` or
+  ``__exit__`` on a ``_thread.lock``/``RLock``.  CPython 3.11 emits no event
+  for a ``with`` block's ``__enter__``, so a ``with lock:`` counts once (its
+  exit), as does an explicit ``acquire()``.
+
+The first five rows are the canonical operations; the others restate the
+hot-path ablations (parsing cache on/off per statement shape, indexed vs
+full-scan cache invalidation per cache size, server batch vs a looped
+``executemany``) as counts.  Each row is measured twice in one process and
+the two measurements must agree, so a count that depends on timing or on
+the host fails here rather than in the table.  A row that moves fails with
+its per-function counts; when the change is intended, update the table.
+
+Print the measured table with ``PYTHONPATH=src python tests/test_op_budget.py``.
 """
 
+import gc
+import itertools
 import sys
+import _thread
 from collections import Counter
+from typing import Callable, Dict, NamedTuple
 
 import pytest
 
+from repro.cluster.fixture import boot, descriptor
 from repro.core.backend import DatabaseBackend
-from repro.core.cache import ResultCache
+from repro.core.cache import FullScanTableGranularity, ResultCache, TableGranularity
 from repro.core.recovery import MemoryRecoveryLog
+from repro.core.request import RequestResult, SelectRequest, WriteRequest
 from repro.core.request_manager import RequestManager
+from repro.core.requestparser import RequestFactory
 from repro.sql import DatabaseEngine, DatabaseMetaData, dbapi
 
-#: calls per operation, measured after one warm-up of the same statement
-CACHED_READ_BUDGET = 28
-REPLICATED_WRITE_BUDGET = 381
+
+class Count(NamedTuple):
+    calls: int
+    sql: int
+    locks: int
+
+
+#: statement shapes of the parsing rows (TPC-W-like: joined selects, point
+#: reads, writes with and without macros)
+_PARSE_WORKLOAD = {
+    "item by id": "SELECT * FROM item WHERE i_id = ?",
+    "items by subject": "SELECT i_title, i_cost FROM item WHERE i_subject = ? ORDER BY i_pub_date",
+    "item join author": "SELECT * FROM item JOIN author ON item.i_a_id = author.a_id"
+    " WHERE a_lname = ?",
+    "orders left join": "SELECT o.o_id, ol.ol_qty FROM orders o LEFT JOIN order_line ol"
+    " ON o.o_id = ol.ol_o_id WHERE o.o_c_id = ?",
+    "cart line count": "SELECT COUNT(*) FROM shopping_cart_line WHERE scl_sc_id = ?",
+    "insert cart line": "INSERT INTO shopping_cart_line (scl_sc_id, scl_i_id, scl_qty)"
+    " VALUES (?, ?, ?)",
+    "update stock": "UPDATE item SET i_stock = i_stock - ? WHERE i_id = ?",
+    "update cart NOW()": "UPDATE shopping_cart SET sc_time = NOW() WHERE sc_id = ?",
+    "delete cart lines": "DELETE FROM shopping_cart_line WHERE scl_sc_id = ?",
+    "insert order NOW()": "INSERT INTO orders (o_c_id, o_date, o_total) VALUES (?, NOW(), ?)",
+}
+
+#: cache sizes of the invalidation rows; entries spread over 50 tables
+_CACHE_SIZES = (250, 1000, 4000)
+
+#: the pinned counts, CPython 3.11: (calls, of them under repro/sql/, lock ops)
+BUDGETS: Dict[str, Count] = {
+    # the five canonical operations, each after a warm-up of the same statement
+    "cached read": Count(23, 0, 4),  # 3-replica manager, result cache hit
+    "PK read, no cache": Count(149, 76, 18),  # engine (sql) vs middleware calls
+    "3-replica UPDATE": Count(381, 237, 56),  # autocommit, result cache, memory log
+    "replicated prepared UPDATE": Count(457, 159, 73),  # 2 controllers x 1 backend
+    "100-row batch": Count(16541, 13530, 2139),  # one execute_batch, 3 replicas
+    # server batch vs the client loop it replaces
+    "100-row looped executemany": Count(30802, 17100, 5600),
+    # parsing cache on vs off, per statement shape (NOW() is rewritten per call)
+    "parse, cache on: item by id": Count(7, 0, 2),
+    "parse, cache off: item by id": Count(64, 34, 1),
+    "parse, cache on: items by subject": Count(7, 0, 2),
+    "parse, cache off: items by subject": Count(94, 54, 1),
+    "parse, cache on: item join author": Count(7, 0, 2),
+    "parse, cache off: item join author": Count(121, 69, 1),
+    "parse, cache on: orders left join": Count(7, 0, 2),
+    "parse, cache off: orders left join": Count(181, 107, 1),
+    "parse, cache on: cart line count": Count(7, 0, 2),
+    "parse, cache off: cart line count": Count(78, 42, 1),
+    "parse, cache on: insert cart line": Count(7, 0, 2),
+    "parse, cache off: insert cart line": Count(116, 57, 1),
+    "parse, cache on: update stock": Count(7, 0, 2),
+    "parse, cache off: update stock": Count(92, 45, 1),
+    "parse, cache on: update cart NOW()": Count(50, 24, 2),
+    "parse, cache off: update cart NOW()": Count(129, 69, 1),
+    "parse, cache on: delete cart lines": Count(7, 0, 2),
+    "parse, cache off: delete cart lines": Count(69, 32, 1),
+    "parse, cache on: insert order NOW()": Count(67, 33, 2),
+    "parse, cache off: insert order NOW()": Count(180, 96, 1),
+    # one write on a table that caches nothing: indexed vs full-scan candidates
+    "invalidate, indexed: 250": Count(3, 0, 1),
+    "invalidate, full scan: 250": Count(1003, 0, 1),
+    "invalidate, indexed: 1000": Count(3, 0, 1),
+    "invalidate, full scan: 1000": Count(4003, 0, 1),
+    "invalidate, indexed: 4000": Count(3, 0, 1),
+    "invalidate, full scan: 4000": Count(16003, 0, 1),
+}
 
 READ = "SELECT v FROM kv WHERE k = ?"
 WRITE = "UPDATE kv SET v = ? WHERE k = ?"
+INSERT = "INSERT INTO kv (k, v) VALUES (?, ?)"
+BATCH_ROWS = 100
+
+_LOCK_TYPES = (_thread.LockType, _thread.RLock)
 
 
-def make_manager(backends=3):
+class Measurement(NamedTuple):
+    count: Count
+    #: Python calls keyed by ``path:function`` (path relative to ``repro/``)
+    calls: Counter
+
+
+def measure(operation: Callable[[], object]) -> Measurement:
+    """Count what one ``operation()`` costs in this thread."""
+    calls = Counter()
+    locks = 0
+
+    def profile(frame, event, arg):
+        nonlocal locks
+        if event == "call":
+            path = frame.f_code.co_filename
+            _, in_repro, inner = path.rpartition("/repro/")
+            path = inner if in_repro else path.rpartition("/")[2]
+            calls[f"{path}:{frame.f_code.co_name}"] += 1
+        elif (
+            event == "c_call"
+            and arg.__name__ in ("acquire", "__exit__")
+            and isinstance(getattr(arg, "__self__", None), _LOCK_TYPES)
+        ):
+            locks += 1
+
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        operation()
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    sql = sum(count for name, count in calls.items() if name.startswith("sql/"))
+    return Measurement(Count(sum(calls.values()), sql, locks), calls)
+
+
+def make_manager(backends=3, cache=True):
     members = []
     for index in range(backends):
         engine = DatabaseEngine(f"budget-{id(members)}-{index}")
@@ -38,47 +165,160 @@ def make_manager(backends=3):
         backend.enable()
         members.append(backend)
     manager = RequestManager(
-        backends=members, result_cache=ResultCache(), recovery_log=MemoryRecoveryLog()
+        backends=members,
+        result_cache=ResultCache() if cache else None,
+        recovery_log=MemoryRecoveryLog(),
     )
     manager.execute("CREATE TABLE kv (k INT PRIMARY KEY, v VARCHAR(20))")
-    manager.execute("INSERT INTO kv (k, v) VALUES (1, 'one')")
+    manager.execute(INSERT, (1, "one"))
     return manager
 
 
-def count_calls(operation):
-    """Python calls made by ``operation()``, keyed by ``file:function``."""
-    calls = Counter()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            code = frame.f_code
-            calls[f"{code.co_filename.rsplit('/', 1)[-1]}:{code.co_name}"] += 1
-
-    sys.setprofile(profile)
-    try:
-        operation()
-    finally:
-        sys.setprofile(None)
-    return calls
+# -- one setup per row: builds the fixture, returns the measured operation ------
 
 
-def assert_within_budget(calls, budget):
-    total = sum(calls.values())
-    detail = "\n".join(f"  {count:4d}  {name}" for name, count in calls.most_common())
-    assert total <= budget, f"{total} calls > budget {budget}:\n{detail}"
+def _cached_read():
+    manager = make_manager()
+    for _ in range(2):  # a miss that fills the cache, then a first hit
+        manager.execute(READ, (1,))
+    return lambda: manager.execute(READ, (1,))
 
 
-@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="budgets measured on CPython 3.11")
-class TestCallBudget:
-    def test_warm_cached_point_read(self):
-        manager = make_manager()
-        for _ in range(2):  # a miss that fills the cache, then a first hit
-            manager.execute(READ, (1,))
-        calls = count_calls(lambda: manager.execute(READ, (1,)))
-        assert_within_budget(calls, CACHED_READ_BUDGET)
+def _pk_read():
+    manager = make_manager(cache=False)
+    for _ in manager.backends:  # each backend compiles its plan on its first read
+        manager.execute(READ, (1,))
+    return lambda: manager.execute(READ, (1,))
 
-    def test_three_replica_autocommit_write(self):
-        manager = make_manager()
-        manager.execute(WRITE, ("warm", 1))
-        calls = count_calls(lambda: manager.execute(WRITE, ("two", 1)))
-        assert_within_budget(calls, REPLICATED_WRITE_BUDGET)
+
+def _update():
+    manager = make_manager()
+    manager.execute(WRITE, ("warm", 1))
+    return lambda: manager.execute(WRITE, ("next", 1))
+
+
+def _replicated_prepared_update():
+    cluster = boot(descriptor("budget", 1, controllers=2, group_name="budget-group"))
+    connection = cluster.connect(cluster.name, "bench", "bench")
+    connection.execute("CREATE TABLE kv (k INT PRIMARY KEY, v VARCHAR(20))")
+    connection.execute(INSERT, (1, "one"))
+    statement = connection.prepare(WRITE)
+    statement.execute(("warm", 1))
+    return lambda: statement.execute(("next", 1))
+
+
+def _batches(batched):
+    manager = make_manager()
+    keys = itertools.count(1000, BATCH_ROWS)
+
+    def insert_rows():
+        base = next(keys)
+        rows = [(base + offset, f"row-{offset}") for offset in range(BATCH_ROWS)]
+        if batched:
+            manager.execute_batch(INSERT, rows)
+        else:
+            for row in rows:
+                manager.execute(INSERT, row)
+
+    insert_rows()
+    return insert_rows
+
+
+def _parse(sql, cache_size):
+    factory = RequestFactory(parsing_cache_size=cache_size)
+    factory.create_request(sql, (1,))
+    return lambda: factory.create_request(sql, (1,))
+
+
+def _invalidate(granularity, size):
+    cache = ResultCache(granularity=granularity, max_entries=size)
+    for index in range(size):
+        table = f"table{index % 50}"
+        cache.put(
+            SelectRequest(
+                sql=f"SELECT * FROM {table} WHERE id = ?", tables=(table,), parameters=(index,)
+            ),
+            RequestResult(columns=["id"], rows=[[index]]),
+        )
+    # the write hits a table that caches nothing: no entry is dropped, so
+    # the row isolates the cost of choosing the candidates
+    write = WriteRequest(sql="UPDATE uncached SET x = 1", tables=("uncached",))
+    return lambda: cache.invalidate(write)
+
+
+SETUPS: Dict[str, Callable[[], Callable[[], object]]] = {
+    "cached read": _cached_read,
+    "PK read, no cache": _pk_read,
+    "3-replica UPDATE": _update,
+    "replicated prepared UPDATE": _replicated_prepared_update,
+    "100-row batch": lambda: _batches(batched=True),
+    "100-row looped executemany": lambda: _batches(batched=False),
+}
+for _label, _sql in _PARSE_WORKLOAD.items():
+    SETUPS[f"parse, cache on: {_label}"] = lambda sql=_sql: _parse(sql, 1024)
+    SETUPS[f"parse, cache off: {_label}"] = lambda sql=_sql: _parse(sql, 0)
+for _size in _CACHE_SIZES:
+    SETUPS[f"invalidate, indexed: {_size}"] = lambda size=_size: _invalidate(
+        TableGranularity(), size
+    )
+    SETUPS[f"invalidate, full scan: {_size}"] = lambda size=_size: _invalidate(
+        FullScanTableGranularity(), size
+    )
+
+
+def measure_row(row):
+    """The row's two measurements in this process."""
+    operation = SETUPS[row]()
+    return measure(operation), measure(operation)
+
+
+def format_row(row, count):
+    return f"{row:44} {count.calls:>7,} {count.sql:>7,} {count.locks:>6,}"
+
+
+def format_calls(measurement):
+    return "\n".join(
+        f"  {count:6d}  {name}" for name, count in sorted(measurement.calls.items())
+    )
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="counts measured on CPython 3.11")
+class TestCountTable:
+    def test_every_row_has_a_setup(self):
+        assert list(BUDGETS) == list(SETUPS)
+
+    @pytest.mark.parametrize("row", list(SETUPS))
+    def test_row(self, row):
+        first, second = measure_row(row)
+        print(format_row(row, first.count))
+        assert first == second, (
+            f"{row}: two measurements differ, {first.count} vs {second.count}\n"
+            f"first:\n{format_calls(first)}\nsecond:\n{format_calls(second)}"
+        )
+        assert first.count == BUDGETS[row], (
+            f"{row}: measured {first.count}, table {BUDGETS[row]}\n{format_calls(first)}"
+        )
+
+    def test_cached_read_stays_off_the_backends(self):
+        first, _ = measure_row("cached read")
+        assert not [
+            name for name in first.calls if name.startswith(("core/backend.py", "sql/"))
+        ], format_calls(first)
+
+    def test_the_table_keeps_the_ablation_claims(self):
+        for label in _PARSE_WORKLOAD:
+            assert (
+                BUDGETS[f"parse, cache on: {label}"].calls
+                < BUDGETS[f"parse, cache off: {label}"].calls
+            )
+        indexed = [BUDGETS[f"invalidate, indexed: {size}"] for size in _CACHE_SIZES]
+        scan = [BUDGETS[f"invalidate, full scan: {size}"].calls for size in _CACHE_SIZES]
+        assert len(set(indexed)) == 1  # flat in the cache size
+        assert all(calls > size for calls, size in zip(scan, _CACHE_SIZES))
+        assert BUDGETS["100-row batch"].calls < BUDGETS["100-row looped executemany"].calls
+
+
+if __name__ == "__main__":
+    print(f"{'operation':44} {'calls':>7} {'sql':>7} {'locks':>6}")
+    for _row in SETUPS:
+        print(format_row(_row, measure_row(_row)[0].count))
