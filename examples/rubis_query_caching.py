@@ -5,14 +5,14 @@ just for the query result cache.  This example boots three descriptor-driven
 configurations (no cache, coherent cache, relaxed cache with a 60 s
 staleness limit — the relaxation rule is part of the descriptor), loads a
 small RUBiS auction database, runs the bidding mix through each and prints
-the cache statistics, then regenerates the paper's Table 1 with the
-calibrated performance model.
+the cache statistics.  ``tests/test_op_budget.py`` counts the same three runs
+(Python calls in the engine and in the middleware) as the reproduction of
+the paper's Table 1.
 
 Run with:  python examples/rubis_query_caching.py
 """
 
 import repro
-from repro.bench import format_rubis_table, run_rubis_cache_experiment
 from repro.workloads.rubis import BIDDING_MIX, RUBISDataGenerator, RUBiSInteractions
 from repro.workloads.rubis.schema import RUBISScale, create_schema
 
@@ -64,10 +64,6 @@ def main() -> None:
     print("  no cache       :", run_functional(cache_enabled=False, relaxed=False))
     print("  coherent cache :", run_functional(cache_enabled=True, relaxed=False))
     print("  relaxed cache  :", run_functional(cache_enabled=True, relaxed=True))
-
-    print("\nregenerating Table 1 with the calibrated performance model (450 clients)...")
-    results = run_rubis_cache_experiment(clients=450, warmup=60, measurement=300)
-    print(format_rubis_table(results))
 
 
 if __name__ == "__main__":

@@ -1,11 +1,8 @@
-"""Experiment drivers for every figure and table of the paper.
+"""Experiment drivers for the paper's figures and the ablations.
 
 * :func:`run_tpcw_scalability` — Figures 10, 11 and 12: maximum throughput in
   SQL requests per minute as a function of the number of backends, for the
   single-database baseline, full replication and partial replication;
-* :func:`run_rubis_cache_experiment` — Table 1: RUBiS bidding mix with 450
-  clients on a single backend, without cache / with a coherent cache / with a
-  relaxed (60 s staleness) cache;
 * :func:`run_optimization_ablation` — ablation of the §2.4.4 optimisations
   (early response, lazy transaction begin is exercised functionally in the
   test suite);
@@ -13,6 +10,9 @@
   least pending requests first under heterogeneous backend speeds;
 * :func:`run_routing_ablation` — cost-based planner vs read-policy routing
   on two RAIDb-2 layouts.
+
+Table 1 (RUBiS query result caching) is counted on the real middleware by
+``tests/test_op_budget.py``.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from typing import Dict, List, Optional
 from repro.cluster.fixture import boot, descriptor, seed_kv
 from repro.simulation import ClusterSimulation, SimulationConfig, SimulationResult
 from repro.simulation.cluster import tpcw_partial_placement
-from repro.planner.costmodel import RUBIS_COST_MODEL, TPCW_COST_MODEL, CostModel
-from repro.workloads.rubis import BIDDING_MIX, RUBIS_INTERACTIONS
+from repro.planner.costmodel import TPCW_COST_MODEL, CostModel
 from repro.workloads.tpcw import INTERACTIONS
 from repro.workloads.tpcw.mixes import mix_by_name
 
@@ -105,40 +104,6 @@ def tpcw_speedups(series: Dict[str, List[SimulationResult]]) -> Dict[str, float]
         for replication in ("full", "partial")
         if series.get(replication)
     }
-
-
-# ---------------------------------------------------------------------------
-# Table 1: RUBiS query result caching
-# ---------------------------------------------------------------------------
-
-
-def run_rubis_cache_experiment(
-    clients: int = 450,
-    staleness_seconds: float = 60.0,
-    cost_model: Optional[CostModel] = None,
-    warmup: float = DEFAULT_WARMUP,
-    measurement: float = DEFAULT_MEASUREMENT,
-) -> Dict[str, SimulationResult]:
-    """Reproduce Table 1: no cache vs coherent cache vs relaxed cache."""
-    model = cost_model or RUBIS_COST_MODEL
-    results: Dict[str, SimulationResult] = {}
-    for cache_mode in ("none", "coherent", "relaxed"):
-        results[cache_mode] = ClusterSimulation(
-            SimulationConfig(
-                interactions=RUBIS_INTERACTIONS,
-                mix=BIDDING_MIX,
-                backends=1,
-                replication="single",
-                cache_mode=cache_mode,
-                cache_staleness_seconds=staleness_seconds,
-                clients=clients,
-                warmup=warmup,
-                measurement=measurement,
-                cost_model=model,
-            ),
-            label=f"rubis-{cache_mode}",
-        ).run()
-    return results
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Render experiment results in the same shape as the paper's figures/table."""
+"""Render experiment results in the same shape as the paper's figures."""
 
 from __future__ import annotations
 
@@ -12,12 +12,6 @@ PAPER_TPCW_THROUGHPUT = {
     "browsing": {"single": 129, "full_6": 628, "partial_6": 785, "full_speedup": 4.9},
     "shopping": {"single": 235, "full_6": 1188, "partial_6": 1367, "full_speedup": 5.05},
     "ordering": {"single": 495, "full_6": 2623, "partial_6": 2839, "full_speedup": 5.3},
-}
-
-PAPER_RUBIS_TABLE = {
-    "none": {"throughput": 3892, "response_ms": 801, "db_cpu": 1.00, "controller_cpu": 0.0},
-    "coherent": {"throughput": 4184, "response_ms": 284, "db_cpu": 0.85, "controller_cpu": 0.15},
-    "relaxed": {"throughput": 4215, "response_ms": 134, "db_cpu": 0.20, "controller_cpu": 0.07},
 }
 
 
@@ -60,32 +54,4 @@ def format_scalability_table(
             f"full={measured_full / single:.2f}x, partial={measured_partial / single:.2f}x, "
             f"partial/full={measured_partial / measured_full:.2f}"
         )
-    return "\n".join(lines)
-
-
-def format_rubis_table(results: Dict[str, SimulationResult]) -> str:
-    """Table 1 layout: one column per cache configuration."""
-    order = ("none", "coherent", "relaxed")
-    headers = {"none": "No cache", "coherent": "Coherent cache", "relaxed": "Relaxed cache"}
-    lines = [
-        "RUBiS bidding mix with 450 clients (single backend)",
-        f"{'':28}" + "".join(f"{headers[k]:>18}" for k in order if k in results),
-    ]
-
-    def row(label: str, fmt: str, getter) -> str:
-        cells = "".join(
-            f"{fmt.format(getter(results[k])):>18}" for k in order if k in results
-        )
-        return f"{label:28}" + cells
-
-    lines.append(row("Throughput (rq/min)", "{:.0f}", lambda r: r.sql_requests_per_minute))
-    lines.append(row("Avg response time (ms)", "{:.0f}", lambda r: r.avg_response_time_ms))
-    lines.append(row("Database CPU load", "{:.0%}", lambda r: r.backend_cpu_utilization))
-    lines.append(row("C-JDBC CPU load", "{:.0%}", lambda r: r.controller_cpu_utilization))
-    lines.append(row("Cache hit ratio", "{:.0%}", lambda r: r.cache_hit_ratio))
-    lines.append("")
-    lines.append(
-        "paper: throughput 3892/4184/4215 rq/min, response 801/284/134 ms, "
-        "database CPU 100%/85%/20%, C-JDBC CPU -/15%/7%"
-    )
     return "\n".join(lines)

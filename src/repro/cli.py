@@ -2,8 +2,8 @@
 
 Two groups of commands, mirroring how the original project was driven:
 
-* experiment commands that regenerate the paper's figures and table from the
-  command line (``python -m repro figure10|figure11|figure12|table1 ...``);
+* experiment commands that regenerate the paper's figures from the command
+  line (``python -m repro figure10|figure11|figure12 ...``);
 * a demo command that builds a small replicated virtual database and drops
   into the text administration console (``python -m repro console``).
 
@@ -18,10 +18,8 @@ import sys
 from typing import List, Optional
 
 from repro.bench import (
-    format_rubis_table,
     format_scalability_table,
     run_loadbalancer_ablation,
-    run_rubis_cache_experiment,
     run_tpcw_scalability,
 )
 
@@ -43,11 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument("--measurement", type=float, default=600.0, help="measured seconds")
         sub.set_defaults(mix=mix)
-
-    table1 = subparsers.add_parser("table1", help="RUBiS query result caching (Table 1)")
-    table1.add_argument("--clients", type=int, default=450)
-    table1.add_argument("--staleness", type=float, default=60.0)
-    table1.add_argument("--measurement", type=float, default=600.0)
 
     subparsers.add_parser("ablation-lb", help="load-balancing policy ablation")
 
@@ -161,15 +154,6 @@ def _run_figure(mix: str, args: argparse.Namespace) -> str:
         measurement=args.measurement,
     )
     return format_scalability_table(mix, series)
-
-
-def _run_table1(args: argparse.Namespace) -> str:
-    results = run_rubis_cache_experiment(
-        clients=args.clients,
-        staleness_seconds=args.staleness,
-        measurement=args.measurement,
-    )
-    return format_rubis_table(results)
 
 
 def _run_ablation_lb() -> str:
@@ -433,9 +417,6 @@ def main(argv: Optional[List[str]] = None, stdout=None) -> int:
         return 2
     if args.command in ("figure10", "figure11", "figure12"):
         print(_run_figure(args.mix, args), file=stdout)
-        return 0
-    if args.command == "table1":
-        print(_run_table1(args), file=stdout)
         return 0
     if args.command == "ablation-lb":
         print(_run_ablation_lb(), file=stdout)

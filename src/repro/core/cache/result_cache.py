@@ -16,8 +16,8 @@ and fall back to the full scan.  Expired (stale-window) entries are dropped
 lazily, when a lookup or an invalidation touches them, rather than by
 scanning the whole cache on every write.
 
-The cache accepts an injectable ``clock`` so that the discrete-event
-simulator and the tests can control time deterministically.
+The cache accepts an injectable ``clock`` so that tests can control time
+deterministically.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import random
+import re
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.sql.lexer import Token, TokenType, tokenize
@@ -30,17 +31,22 @@ _MACRO_GENERATORS: Dict[str, Callable[[], str]] = {
 }
 
 
+#: a macro name followed by ``(``, with any whitespace between the two
+_MACRO_CALL = re.compile(
+    r"(?:" + "|".join(_MACRO_GENERATORS) + r")\s*\(", re.IGNORECASE
+)
+
+
 def contains_macro(sql: str) -> bool:
     """Cheap check used to skip tokenization on the common macro-free path."""
-    upper = sql.upper()
-    return any(name + "(" in upper.replace(" (", "(") for name in _MACRO_GENERATORS)
+    return _MACRO_CALL.search(sql) is not None
 
 
 def rewrite_macros(sql: str, clock: Optional[Callable[[], _dt.datetime]] = None) -> Tuple[str, bool]:
     """Replace non-deterministic macro calls with literals.
 
     Returns ``(rewritten_sql, changed)``.  ``clock`` can be injected by tests
-    and by the simulator to make NOW() deterministic.
+    to make NOW() deterministic.
     """
     if not contains_macro(sql):
         return sql, False

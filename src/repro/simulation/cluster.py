@@ -2,20 +2,16 @@
 
 The controller reproduces the middleware's routing decisions (read-one /
 write-all, least-pending-requests-first, partial replication placement,
-early response) and runs the *real* query result cache implementation
-(:class:`repro.core.cache.ResultCache`) over synthetic query keys, with the
-simulated clock injected so staleness windows follow simulated time.
+early response).  It has no query result cache: the paper's cache result
+(Table 1) is counted on the real middleware instead.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.cache import RelaxationRule, ResultCache
-from repro.core.cache.granularity import TableGranularity
-from repro.core.request import RequestResult, SelectRequest, WriteRequest
 from repro.simulation.core import Simulator
 from repro.planner.costmodel import CostModel, TPCW_COST_MODEL
 from repro.simulation.resources import Server
@@ -32,7 +28,7 @@ class SimulationConfig:
     """Everything needed to run one cluster simulation."""
 
     interactions: Dict[str, InteractionProfile]
-    mix: object  # TPCWMix / RUBiSMix: needs .sample(rng), .sample_think_time(rng)
+    mix: object  # a TPCWMix: needs .sample(rng), .sample_think_time(rng)
     backends: int = 1
     cpus_per_backend: int = 2
     #: "single" (no middleware replication), "full" (RAIDb-1), "partial" (RAIDb-2)
@@ -40,9 +36,6 @@ class SimulationConfig:
     #: for partial replication: table name -> set of backend indices hosting it;
     #: tables absent from the map are fully replicated
     table_placement: Dict[str, Set[int]] = field(default_factory=dict)
-    #: "none", "coherent" or "relaxed"
-    cache_mode: str = "none"
-    cache_staleness_seconds: float = 60.0
     clients: int = 100
     mean_think_time: Optional[float] = None
     warmup: float = 60.0
@@ -63,7 +56,6 @@ class SimulationResult:
     avg_response_time_ms: float
     backend_cpu_utilization: float
     controller_cpu_utilization: float
-    cache_hit_ratio: float
     statements_executed: int
     interactions_executed: int
 
@@ -76,7 +68,6 @@ class SimulationResult:
             "avg_response_time_ms": round(self.avg_response_time_ms, 1),
             "backend_cpu_utilization": round(self.backend_cpu_utilization, 3),
             "controller_cpu_utilization": round(self.controller_cpu_utilization, 3),
-            "cache_hit_ratio": round(self.cache_hit_ratio, 3),
         }
 
 
@@ -110,25 +101,7 @@ class SimulatedController:
             for index in range(config.backends)
         ]
         self.server = Server(simulator, "controller", cpus=config.cpus_per_backend)
-        self.cache = self._build_cache()
         self.statements_routed = 0
-        self.cache_hits = 0
-        self.cache_lookups = 0
-
-    # -- cache -------------------------------------------------------------------------
-
-    def _build_cache(self) -> Optional[ResultCache]:
-        if self.config.cache_mode == "none":
-            return None
-        rules = []
-        if self.config.cache_mode == "relaxed":
-            rules = [RelaxationRule(staleness_seconds=self.config.cache_staleness_seconds)]
-        return ResultCache(
-            granularity=TableGranularity(),
-            max_entries=100000,
-            relaxation_rules=rules,
-            clock=lambda: self.simulator.now,
-        )
 
     # -- placement ----------------------------------------------------------------------
 
@@ -162,37 +135,21 @@ class SimulatedController:
     # -- statement execution ----------------------------------------------------------------
 
     def execute_statement(
-        self,
-        statement: StatementProfile,
-        query_key: str,
-        on_complete: Callable[[], None],
+        self, statement: StatementProfile, on_complete: Callable[[], None]
     ) -> None:
         """Execute one abstract statement; call ``on_complete`` when the client
         may proceed (i.e. when the middleware would answer the client)."""
         self.statements_routed += 1
         if statement.is_read:
-            self._execute_read(statement, query_key, on_complete)
+            self._execute_read(statement, on_complete)
         else:
-            self._execute_write(statement, query_key, on_complete)
+            self._execute_write(statement, on_complete)
 
     def _execute_read(
-        self,
-        statement: StatementProfile,
-        query_key: str,
-        on_complete: Callable[[], None],
+        self, statement: StatementProfile, on_complete: Callable[[], None]
     ) -> None:
-        if self.cache is not None:
-            self.cache_lookups += 1
-            request = SelectRequest(sql=query_key, tables=statement.tables)
-            cached = self.cache.get(request)
-            if cached is not None:
-                self.cache_hits += 1
-                # The controller serves the result itself: the client waits for
-                # the (small) controller CPU cost only.
-                self.server.submit(self.cost_model.controller_cache_hit, on_complete)
-                return
         if statement.statement_class is StatementClass.READ_BESTSELLER:
-            self._execute_bestseller(statement, query_key, on_complete)
+            self._execute_bestseller(statement, on_complete)
             return
         candidates = self.backends_hosting(statement.tables)
         backend = min(candidates, key=lambda b: (b.pending_requests, b.index))
@@ -200,20 +157,10 @@ class SimulatedController:
             statement.statement_class, statement.cost_factor
         )
         self.server.submit(self.cost_model.controller_per_statement, None)
-
-        def read_done():
-            if self.cache is not None:
-                request = SelectRequest(sql=query_key, tables=statement.tables)
-                self.cache.put(request, RequestResult(columns=["v"], rows=[[1]]))
-            on_complete()
-
-        backend.server.submit(service, read_done)
+        backend.server.submit(service, on_complete)
 
     def _execute_bestseller(
-        self,
-        statement: StatementProfile,
-        query_key: str,
-        on_complete: Callable[[], None],
+        self, statement: StatementProfile, on_complete: Callable[[], None]
     ) -> None:
         """The best-seller query: temp table on every replica of order_line,
         final select on one of them (paper §6.3)."""
@@ -224,34 +171,20 @@ class SimulatedController:
         )
         temp_cost = self.cost_model.bestseller_temp_table * statement.cost_factor
         self.server.submit(self.cost_model.controller_per_statement, None)
-
-        def select_done():
-            if self.cache is not None:
-                request = SelectRequest(sql=query_key, tables=statement.tables)
-                self.cache.put(request, RequestResult(columns=["v"], rows=[[1]]))
-            on_complete()
-
         for backend in temp_targets:
             if backend is chosen:
-                backend.server.submit(temp_cost + select_cost, select_done)
+                backend.server.submit(temp_cost + select_cost, on_complete)
             else:
                 backend.server.submit(temp_cost, None)
 
     def _execute_write(
-        self,
-        statement: StatementProfile,
-        query_key: str,
-        on_complete: Callable[[], None],
+        self, statement: StatementProfile, on_complete: Callable[[], None]
     ) -> None:
         targets = self.backends_hosting_any(statement.tables)
         service = self.cost_model.write_service_time(
             statement.statement_class, statement.cost_factor
         )
         self.server.submit(self.cost_model.controller_per_statement, None)
-        if self.cache is not None:
-            write_request = WriteRequest(sql=query_key, tables=statement.tables)
-            self.cache.invalidate(write_request)
-            self.server.submit(self.cost_model.controller_invalidation, None)
         if self.config.early_response:
             # Early response: answer the client as soon as the first backend
             # has executed the write; the others continue asynchronously.
@@ -275,14 +208,6 @@ class SimulatedController:
             for backend in targets:
                 backend.server.submit(service, one_done)
 
-    # -- metrics ----------------------------------------------------------------------------
-
-    @property
-    def cache_hit_ratio(self) -> float:
-        if self.cache_lookups == 0:
-            return 0.0
-        return self.cache_hits / self.cache_lookups
-
 
 class ClientSession:
     """One emulated browser: closed loop of think time + interaction."""
@@ -300,7 +225,6 @@ class ClientSession:
         self.config = config
         self.metrics = metrics
         self.rng = random.Random(seed)
-        self._interaction_name: Optional[str] = None
         self._statements: Tuple[StatementProfile, ...] = ()
         self._statement_index = 0
         self._interaction_start = 0.0
@@ -318,8 +242,7 @@ class ClientSession:
         return self.config.mix.sample_think_time(self.rng)
 
     def _begin_interaction(self) -> None:
-        self._interaction_name = self.config.mix.sample(self.rng)
-        interaction = self.config.interactions[self._interaction_name]
+        interaction = self.config.interactions[self.config.mix.sample(self.rng)]
         self._statements = interaction.statements
         self._statement_index = 0
         self._interaction_start = self.simulator.now
@@ -331,27 +254,18 @@ class ClientSession:
             return
         statement = self._statements[self._statement_index]
         self._statement_index += 1
-        query_key = self._query_key(statement)
         statement_start = self.simulator.now
 
         def statement_done():
             self.metrics.record_statement(self.simulator.now, self.simulator.now - statement_start)
             self._next_statement()
 
-        self.controller.execute_statement(statement, query_key, statement_done)
+        self.controller.execute_statement(statement, statement_done)
 
     def _finish_interaction(self) -> None:
         response_time = self.simulator.now - self._interaction_start
         self.metrics.record_interaction(self.simulator.now, response_time)
         self.simulator.schedule(self._think_time(), self._begin_interaction)
-
-    def _query_key(self, statement: StatementProfile) -> str:
-        space = self.config.cost_model.distinct_queries_for(statement.statement_class)
-        parameter = self.rng.randint(1, max(1, space))
-        return (
-            f"{self._interaction_name}:{self._statement_index}:"
-            f"{statement.statement_class.value}:{parameter}"
-        )
 
 
 class MetricsCollector:
@@ -435,7 +349,6 @@ class ClusterSimulation:
             controller_cpu_utilization=self.controller.server.utilization(
                 window, controller_busy_at_start
             ),
-            cache_hit_ratio=self.controller.cache_hit_ratio,
             statements_executed=metrics.statements,
             interactions_executed=metrics.interactions,
         )

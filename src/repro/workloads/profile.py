@@ -67,8 +67,6 @@ class InteractionProfile:
 
     name: str
     statements: Tuple[StatementProfile, ...]
-    #: True when the statements run inside one transaction (begin/commit)
-    transactional: bool = False
     #: read-only interactions never issue a write statement
     read_only: bool = field(default=False)
 

@@ -5,15 +5,14 @@ servlet version with the *bidding mix* (80 % read-only, 20 % read-write
 interactions), 450 clients and a single MySQL backend.
 """
 
-from repro.workloads.rubis.interactions import RUBIS_INTERACTIONS, RUBiSInteractions
-from repro.workloads.rubis.mixes import BIDDING_MIX, BROWSING_ONLY_MIX, RUBiSMix
+from repro.workloads.rubis.interactions import INTERACTION_NAMES, RUBiSInteractions
+from repro.workloads.rubis.mixes import BIDDING_MIX, RUBiSMix
 from repro.workloads.rubis.schema import RUBISDataGenerator, RUBIS_TABLES, create_schema
 
 __all__ = [
     "BIDDING_MIX",
-    "BROWSING_ONLY_MIX",
+    "INTERACTION_NAMES",
     "RUBISDataGenerator",
-    "RUBIS_INTERACTIONS",
     "RUBIS_TABLES",
     "RUBiSInteractions",
     "RUBiSMix",

@@ -1,4 +1,4 @@
-"""RUBiS interactions (servlet version) as SQL templates and statement profiles.
+"""RUBiS interactions (servlet version) as SQL templates.
 
 The bidding mix of the paper (Table 1) features 80 % read-only interactions
 (browse categories/regions, view items, view bid history, view user info)
@@ -9,88 +9,6 @@ store buy-now, store comment).
 from __future__ import annotations
 
 import random
-from typing import Dict
-
-from repro.workloads.profile import InteractionProfile, StatementClass, StatementProfile
-
-_S = StatementProfile
-_C = StatementClass
-
-RUBIS_INTERACTIONS: Dict[str, InteractionProfile] = {
-    # read-only
-    "browse_categories": InteractionProfile(
-        "browse_categories", (_S(_C.READ_SIMPLE, ("categories",)),)
-    ),
-    "browse_regions": InteractionProfile(
-        "browse_regions", (_S(_C.READ_SIMPLE, ("regions",)),)
-    ),
-    "search_items_by_category": InteractionProfile(
-        "search_items_by_category",
-        (_S(_C.READ_COMPLEX, ("items",)),),
-    ),
-    "search_items_by_region": InteractionProfile(
-        "search_items_by_region",
-        (_S(_C.READ_COMPLEX, ("items", "users"), cost_factor=1.5),),
-    ),
-    "view_item": InteractionProfile(
-        "view_item",
-        (
-            _S(_C.READ_SIMPLE, ("items",)),
-            _S(_C.READ_SIMPLE, ("bids",)),
-        ),
-    ),
-    "view_user_info": InteractionProfile(
-        "view_user_info",
-        (
-            _S(_C.READ_SIMPLE, ("users",)),
-            _S(_C.READ_COMPLEX, ("comments", "users")),
-        ),
-    ),
-    "view_bid_history": InteractionProfile(
-        "view_bid_history",
-        (_S(_C.READ_COMPLEX, ("bids", "users", "items")),),
-    ),
-    # read-write
-    "register_user": InteractionProfile(
-        "register_user",
-        (
-            _S(_C.READ_SIMPLE, ("users",)),
-            _S(_C.WRITE_SIMPLE, ("users",)),
-        ),
-        transactional=True,
-    ),
-    "register_item": InteractionProfile(
-        "register_item",
-        (_S(_C.WRITE_SIMPLE, ("items",)),),
-        transactional=True,
-    ),
-    "store_bid": InteractionProfile(
-        "store_bid",
-        (
-            _S(_C.READ_SIMPLE, ("items",)),
-            _S(_C.WRITE_SIMPLE, ("bids",)),
-            _S(_C.WRITE_SIMPLE, ("items",)),
-        ),
-        transactional=True,
-    ),
-    "store_buy_now": InteractionProfile(
-        "store_buy_now",
-        (
-            _S(_C.READ_SIMPLE, ("items",)),
-            _S(_C.WRITE_SIMPLE, ("buy_now",)),
-            _S(_C.WRITE_SIMPLE, ("items",)),
-        ),
-        transactional=True,
-    ),
-    "store_comment": InteractionProfile(
-        "store_comment",
-        (
-            _S(_C.WRITE_SIMPLE, ("comments",)),
-            _S(_C.WRITE_SIMPLE, ("users",)),
-        ),
-        transactional=True,
-    ),
-}
 
 READ_ONLY_INTERACTIONS = (
     "browse_categories",
@@ -101,6 +19,17 @@ READ_ONLY_INTERACTIONS = (
     "view_user_info",
     "view_bid_history",
 )
+
+READ_WRITE_INTERACTIONS = (
+    "register_user",
+    "register_item",
+    "store_bid",
+    "store_buy_now",
+    "store_comment",
+)
+
+#: every interaction :class:`RUBiSInteractions` can run, by name
+INTERACTION_NAMES = READ_ONLY_INTERACTIONS + READ_WRITE_INTERACTIONS
 
 
 class RUBiSInteractions:

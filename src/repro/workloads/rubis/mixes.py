@@ -1,18 +1,16 @@
 """RUBiS workload mixes.
 
 The paper's Table 1 uses the *bidding mix*: 80 % read-only interactions and
-20 % read-write interactions.  A browsing-only mix (100 % read-only) is also
-provided for cache experiments.
+20 % read-write interactions.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator
 
-from repro.workloads.profile import InteractionProfile
-from repro.workloads.rubis.interactions import READ_ONLY_INTERACTIONS, RUBIS_INTERACTIONS
+from repro.workloads.rubis.interactions import INTERACTION_NAMES, READ_ONLY_INTERACTIONS
 
 
 @dataclass
@@ -21,10 +19,9 @@ class RUBiSMix:
 
     name: str
     weights: Dict[str, float]
-    mean_think_time: float = 7.0
 
     def __post_init__(self):
-        unknown = set(self.weights) - set(RUBIS_INTERACTIONS)
+        unknown = set(self.weights) - set(INTERACTION_NAMES)
         if unknown:
             raise ValueError(f"unknown interactions in mix {self.name!r}: {sorted(unknown)}")
         total = sum(self.weights.values())
@@ -38,9 +35,6 @@ class RUBiSMix:
             if name in READ_ONLY_INTERACTIONS
         )
 
-    def interaction_items(self) -> List[Tuple[InteractionProfile, float]]:
-        return [(RUBIS_INTERACTIONS[name], weight) for name, weight in self.weights.items()]
-
     def sample(self, rng: random.Random) -> str:
         value = rng.random()
         cumulative = 0.0
@@ -49,10 +43,6 @@ class RUBiSMix:
             if value <= cumulative:
                 return name
         return next(reversed(self.weights))
-
-    def sample_think_time(self, rng: random.Random) -> float:
-        think = rng.expovariate(1.0 / self.mean_think_time)
-        return min(think, self.mean_think_time * 10)
 
     def interaction_stream(self, seed: int = 0) -> Iterator[str]:
         rng = random.Random(seed)
@@ -76,19 +66,5 @@ BIDDING_MIX = RUBiSMix(
         "store_bid": 10.0,
         "store_buy_now": 2.0,
         "store_comment": 4.0,
-    },
-)
-
-#: Browsing-only mix: 100 % read-only (used by cache unit benches).
-BROWSING_ONLY_MIX = RUBiSMix(
-    "browsing_only",
-    {
-        "browse_categories": 12.0,
-        "browse_regions": 8.0,
-        "search_items_by_category": 30.0,
-        "search_items_by_region": 15.0,
-        "view_item": 20.0,
-        "view_user_info": 8.0,
-        "view_bid_history": 7.0,
     },
 )

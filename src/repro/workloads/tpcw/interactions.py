@@ -74,7 +74,6 @@ INTERACTIONS: Dict[str, InteractionProfile] = {
             _S(_C.WRITE_SIMPLE, ("shopping_cart_line",)),
             _S(_C.READ_SIMPLE, ("shopping_cart_line", "item")),
         ),
-        transactional=True,
     ),
     "customer_registration": InteractionProfile(
         "customer_registration",
@@ -83,7 +82,6 @@ INTERACTIONS: Dict[str, InteractionProfile] = {
             _S(_C.WRITE_SIMPLE, ("customer",)),
             _S(_C.WRITE_SIMPLE, ("address",)),
         ),
-        transactional=True,
     ),
     "buy_request": InteractionProfile(
         "buy_request",
@@ -92,7 +90,6 @@ INTERACTIONS: Dict[str, InteractionProfile] = {
             _S(_C.READ_SIMPLE, ("shopping_cart_line", "item")),
             _S(_C.WRITE_SIMPLE, ("customer",)),
         ),
-        transactional=True,
     ),
     "buy_confirm": InteractionProfile(
         "buy_confirm",
@@ -104,7 +101,6 @@ INTERACTIONS: Dict[str, InteractionProfile] = {
             _S(_C.WRITE_SIMPLE, ("cc_xacts",)),
             _S(_C.WRITE_SIMPLE, ("shopping_cart_line",)),  # empty the cart
         ),
-        transactional=True,
     ),
     "order_inquiry": InteractionProfile(
         "order_inquiry",
@@ -127,7 +123,6 @@ INTERACTIONS: Dict[str, InteractionProfile] = {
             _S(_C.READ_COMPLEX, ("order_line", "item")),  # recompute related items
             _S(_C.WRITE_COMPLEX, ("item",)),
         ),
-        transactional=True,
     ),
 }
 

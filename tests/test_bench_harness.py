@@ -3,10 +3,8 @@
 import pytest
 
 from repro.bench import (
-    format_rubis_table,
     format_scalability_table,
     run_loadbalancer_ablation,
-    run_rubis_cache_experiment,
     run_tpcw_scalability,
 )
 from repro.bench.harness import tpcw_speedups
@@ -44,33 +42,6 @@ class TestTPCWScalabilityHarness:
         assert "browsing mix" in text
         assert "paper @6 backends" in text
         assert "measured speedups" in text
-
-
-class TestRUBiSCacheHarness:
-    @pytest.fixture(scope="class")
-    def results(self):
-        return run_rubis_cache_experiment(clients=200, warmup=30, measurement=180)
-
-    def test_all_three_configurations_present(self, results):
-        assert set(results) == {"none", "coherent", "relaxed"}
-
-    def test_shape_matches_paper(self, results):
-        none, coherent, relaxed = results["none"], results["coherent"], results["relaxed"]
-        # throughput: cache never hurts
-        assert coherent.sql_requests_per_minute >= none.sql_requests_per_minute * 0.95
-        assert relaxed.sql_requests_per_minute >= coherent.sql_requests_per_minute * 0.95
-        # response time improves with caching, dramatically with relaxed consistency
-        assert coherent.avg_response_time_ms < none.avg_response_time_ms
-        assert relaxed.avg_response_time_ms < coherent.avg_response_time_ms
-        # database CPU load drops with the relaxed cache
-        assert relaxed.backend_cpu_utilization < none.backend_cpu_utilization
-        # the relaxed cache hits much more often than the coherent one
-        assert relaxed.cache_hit_ratio > coherent.cache_hit_ratio
-
-    def test_report_formatting(self, results):
-        text = format_rubis_table(results)
-        assert "Throughput (rq/min)" in text
-        assert "C-JDBC CPU load" in text
 
 
 class TestLoadBalancerAblation:

@@ -19,7 +19,6 @@ from repro.bench import (
     run_loadbalancer_ablation,
     run_optimization_ablation,
     run_routing_ablation,
-    run_rubis_cache_experiment,
     run_scheduler_ablation,
     run_tpcw_scalability,
 )
@@ -36,10 +35,6 @@ class TestBenchSmoke:
         )
         assert set(series) == {"single", "full", "partial"}
         assert all(result.sql_requests_per_minute > 0 for result in series["full"])
-
-    def test_rubis_cache_smoke(self):
-        results = run_rubis_cache_experiment(clients=30, warmup=5, measurement=20)
-        assert set(results) == {"none", "coherent", "relaxed"}
 
     def test_optimization_ablation_smoke(self):
         results = run_optimization_ablation(backends=2, clients=40, warmup=5, measurement=20)

@@ -11,8 +11,9 @@ class TestParser:
     def test_all_commands_registered(self):
         parser = build_parser()
         text = parser.format_help()
-        for command in ("figure10", "figure11", "figure12", "table1", "console"):
+        for command in ("figure10", "figure11", "figure12", "console"):
             assert command in text
+        assert "table1" not in text
 
     def test_no_command_prints_help(self):
         out = io.StringIO()
@@ -37,12 +38,6 @@ class TestExperimentsViaCLI:
         text = out.getvalue()
         assert "browsing mix" in text
         assert "measured speedups" in text
-
-    def test_table1_small_run(self):
-        out = io.StringIO()
-        code = main(["table1", "--clients", "120", "--measurement", "120"], stdout=out)
-        assert code == 0
-        assert "Throughput (rq/min)" in out.getvalue()
 
 
 class TestChaosCommand:

@@ -4,6 +4,7 @@ import datetime
 
 import pytest
 
+from repro.cluster.fixture import boot, descriptor, digest_mismatches
 from repro.core.macros import contains_macro, rewrite_macros
 from repro.core.request import (
     BeginRequest,
@@ -112,16 +113,32 @@ class TestTableExtraction:
         assert extract_tables("SELECT * FROM item a, item b") == ["item"]
 
 
+#: NOW() spelled with the whitespace SQL allows between a name and its "("
+NOW_SPELLINGS = ["NOW()", "NOW ()", "now()", "NOW  ()", "NOW\t()", "NOW\n()"]
+
+
 class TestMacroRewriting:
-    def test_contains_macro(self):
-        assert contains_macro("INSERT INTO t VALUES (NOW())")
-        assert contains_macro("select rand()")
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "INSERT INTO t VALUES (NOW())",
+            "select rand()",
+            "INSERT INTO t (k, r) VALUES (2, RAND  ())",
+            "UPDATE t SET ts = NOW\t()",
+            "UPDATE t SET ts = NOW\n() WHERE k = 1",
+        ],
+    )
+    def test_contains_macro(self, sql):
+        assert contains_macro(sql)
+
+    def test_contains_no_macro(self):
         assert not contains_macro("SELECT * FROM nowhere")
 
-    def test_now_is_replaced_with_literal(self):
-        rewritten, changed = rewrite_macros("INSERT INTO t (ts) VALUES (NOW())")
+    @pytest.mark.parametrize("now", NOW_SPELLINGS)
+    def test_now_is_replaced_with_literal(self, now):
+        rewritten, changed = rewrite_macros(f"INSERT INTO t (ts) VALUES ({now})")
         assert changed
-        assert "NOW()" not in rewritten.upper()
+        assert "NOW" not in rewritten.upper()
         assert "VALUES ('" in rewritten
 
     def test_injected_clock(self):
@@ -129,8 +146,9 @@ class TestMacroRewriting:
         rewritten, _ = rewrite_macros("UPDATE t SET ts = NOW()", clock=clock)
         assert "2004-06-27 12:00:00" in rewritten
 
-    def test_rand_is_replaced_with_number(self):
-        rewritten, changed = rewrite_macros("INSERT INTO t (x) VALUES (RAND())")
+    @pytest.mark.parametrize("rand", ["RAND()", "RAND  ()", "RAND\t()", "RAND\n()"])
+    def test_rand_is_replaced_with_number(self, rand):
+        rewritten, changed = rewrite_macros(f"INSERT INTO t (x) VALUES ({rand})")
         assert changed
         value = rewritten.split("(")[-1].rstrip(")")
         assert 0.0 <= float(value) < 1.0
@@ -148,11 +166,12 @@ class TestMacroRewriting:
         assert rewritten == sql
         assert not changed
 
-    def test_write_request_records_rewrite(self):
+    @pytest.mark.parametrize("now", NOW_SPELLINGS)
+    def test_write_request_records_rewrite(self, now):
         factory = RequestFactory()
-        request = factory.create_request("UPDATE customer SET c_login = NOW() WHERE c_id = 1")
+        request = factory.create_request(f"UPDATE customer SET c_login = {now} WHERE c_id = 1")
         assert request.macros_rewritten
-        assert "NOW()" not in request.sql.upper()
+        assert "NOW" not in request.sql.upper()
 
     def test_reads_are_not_rewritten(self):
         factory = RequestFactory()
@@ -166,3 +185,16 @@ class TestMacroRewriting:
             "INSERT INTO orders (o_date, o_total) VALUES (NOW(), RAND())"
         )
         parse(rewritten)
+
+
+class TestMacrosKeepReplicasIdentical:
+    @pytest.mark.parametrize("macro", ["RAND  ()", "RAND\t()", "RAND\n()", "NOW\t()", "NOW\n()"])
+    def test_three_replicas_store_the_same_value(self, macro):
+        cluster = boot(descriptor("macro", 3, replication="raidb1"))
+        try:
+            connection = cluster.connect(cluster.name, "user", "secret")
+            connection.execute("CREATE TABLE t (k INT PRIMARY KEY, r VARCHAR(40))")
+            connection.execute(f"INSERT INTO t (k, r) VALUES (2, {macro})")
+            assert digest_mismatches(cluster.engines) == []
+        finally:
+            cluster.shutdown()

@@ -3,12 +3,7 @@
 import pytest
 
 from repro import errors
-from repro.bench.report import (
-    PAPER_RUBIS_TABLE,
-    PAPER_TPCW_THROUGHPUT,
-    format_rubis_table,
-    format_scalability_table,
-)
+from repro.bench.report import PAPER_TPCW_THROUGHPUT, format_scalability_table
 from repro.simulation.cluster import SimulationResult
 
 
@@ -50,16 +45,15 @@ class TestErrorHierarchy:
             raise errors.NoMoreBackendError("nothing left")
 
 
-def result(configuration, backends, throughput, response=100.0, db_cpu=0.5, ctrl_cpu=0.05, hits=0.2):
+def result(configuration, backends, throughput):
     return SimulationResult(
         configuration=configuration,
         backends=backends,
         sql_requests_per_minute=throughput,
         interactions_per_minute=throughput / 2,
-        avg_response_time_ms=response,
-        backend_cpu_utilization=db_cpu,
-        controller_cpu_utilization=ctrl_cpu,
-        cache_hit_ratio=hits,
+        avg_response_time_ms=100.0,
+        backend_cpu_utilization=0.5,
+        controller_cpu_utilization=0.05,
         statements_executed=int(throughput),
         interactions_executed=int(throughput / 2),
     )
@@ -68,7 +62,6 @@ def result(configuration, backends, throughput, response=100.0, db_cpu=0.5, ctrl
 class TestReportFormatting:
     def test_paper_reference_values_present(self):
         assert PAPER_TPCW_THROUGHPUT["browsing"]["single"] == 129
-        assert PAPER_RUBIS_TABLE["relaxed"]["response_ms"] == 134
 
     def test_scalability_table_contains_series_and_speedups(self):
         series = {
@@ -90,17 +83,6 @@ class TestReportFormatting:
         }
         text = format_scalability_table("custom-mix", series)
         assert "custom-mix" in text
-
-    def test_rubis_table_formatting(self):
-        results = {
-            "none": result("rubis-none", 1, 3900.0, response=800.0, db_cpu=1.0, ctrl_cpu=0.0, hits=0.0),
-            "coherent": result("rubis-coherent", 1, 4100.0, response=290.0, db_cpu=0.85, ctrl_cpu=0.15, hits=0.2),
-            "relaxed": result("rubis-relaxed", 1, 4200.0, response=140.0, db_cpu=0.2, ctrl_cpu=0.07, hits=0.8),
-        }
-        text = format_rubis_table(results)
-        assert "No cache" in text and "Relaxed cache" in text
-        assert "3900" in text and "85%" in text
-        assert "paper:" in text
 
     def test_simulation_result_as_dict_rounds_values(self):
         data = result("x", 3, 123.456).as_dict()

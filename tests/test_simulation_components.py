@@ -1,4 +1,4 @@
-"""Detailed tests for the simulated controller: routing, cache, early response."""
+"""Detailed tests for the simulated controller: routing and early response."""
 
 import pytest
 
@@ -9,7 +9,7 @@ from repro.workloads.profile import StatementClass, StatementProfile
 from repro.workloads.tpcw import BROWSING_MIX, INTERACTIONS
 
 
-def make_controller(backends=3, replication="full", cache_mode="none", placement=None,
+def make_controller(backends=3, replication="full", placement=None,
                     early_response=True, cost_model=None):
     config = SimulationConfig(
         interactions=INTERACTIONS,
@@ -17,7 +17,6 @@ def make_controller(backends=3, replication="full", cache_mode="none", placement
         backends=backends,
         replication=replication,
         table_placement=placement or {},
-        cache_mode=cache_mode,
         early_response=early_response,
         cost_model=cost_model or CostModel(),
     )
@@ -37,7 +36,7 @@ class TestRouting:
     def test_read_goes_to_exactly_one_backend(self):
         simulator, controller = make_controller()
         done = []
-        controller.execute_statement(read(), "q1", lambda: done.append(True))
+        controller.execute_statement(read(), lambda: done.append(True))
         simulator.run()
         assert done == [True]
         executed = [backend.server.jobs_completed for backend in controller.backends]
@@ -47,19 +46,19 @@ class TestRouting:
         simulator, controller = make_controller(backends=2)
         # load backend0 with a long job
         controller.backends[0].server.submit(100.0, None)
-        controller.execute_statement(read(), "q", lambda: None)
+        controller.execute_statement(read(), lambda: None)
         assert controller.backends[1].server.jobs_submitted == 1
 
     def test_write_broadcast_to_all_backends_full_replication(self):
         simulator, controller = make_controller(backends=3)
-        controller.execute_statement(write(), "w1", lambda: None)
+        controller.execute_statement(write(), lambda: None)
         simulator.run()
         assert all(backend.server.jobs_completed == 1 for backend in controller.backends)
 
     def test_partial_replication_restricts_writes(self):
         placement = {"orders": {0, 1}}
         simulator, controller = make_controller(backends=4, replication="partial", placement=placement)
-        controller.execute_statement(write(tables=("orders",)), "w", lambda: None)
+        controller.execute_statement(write(tables=("orders",)), lambda: None)
         simulator.run()
         executed = [backend.server.jobs_completed for backend in controller.backends]
         assert executed == [1, 1, 0, 0]
@@ -68,7 +67,7 @@ class TestRouting:
         placement = {"orders": {2, 3}}
         simulator, controller = make_controller(backends=4, replication="partial", placement=placement)
         for _ in range(6):
-            controller.execute_statement(read(tables=("orders",)), "q", lambda: None)
+            controller.execute_statement(read(tables=("orders",)), lambda: None)
         simulator.run()
         executed = [backend.server.jobs_completed for backend in controller.backends]
         assert executed[0] == executed[1] == 0
@@ -78,7 +77,6 @@ class TestRouting:
         simulator, controller = make_controller(backends=3)
         controller.execute_statement(
             read(tables=("order_line", "item"), statement_class=StatementClass.READ_BESTSELLER),
-            "bs",
             lambda: None,
         )
         simulator.run()
@@ -92,7 +90,6 @@ class TestRouting:
         simulator, controller = make_controller(backends=4, replication="partial", placement=placement)
         controller.execute_statement(
             read(tables=("order_line", "item"), statement_class=StatementClass.READ_BESTSELLER),
-            "bs",
             lambda: None,
         )
         simulator.run()
@@ -104,7 +101,7 @@ class TestEarlyResponse:
     def test_early_response_completes_after_first_backend(self):
         simulator, controller = make_controller(backends=3, early_response=True)
         completion_times = []
-        controller.execute_statement(write(), "w", lambda: completion_times.append(simulator.now))
+        controller.execute_statement(write(), lambda: completion_times.append(simulator.now))
         simulator.run()
         model = controller.cost_model
         assert completion_times[0] == pytest.approx(model.write_simple)
@@ -117,43 +114,9 @@ class TestEarlyResponse:
         controller.backends[2].server.submit(1.0, None)
         controller.backends[2].server.submit(1.0, None)
         completion_times = []
-        controller.execute_statement(write(), "w", lambda: completion_times.append(simulator.now))
+        controller.execute_statement(write(), lambda: completion_times.append(simulator.now))
         simulator.run()
         assert completion_times[0] >= 1.0
-
-
-class TestSimulatedCache:
-    def test_cache_hit_skips_backend(self):
-        simulator, controller = make_controller(cache_mode="coherent")
-        controller.execute_statement(read(), "same-query", lambda: None)
-        simulator.run()
-        backend_jobs_after_first = sum(b.server.jobs_completed for b in controller.backends)
-        controller.execute_statement(read(), "same-query", lambda: None)
-        simulator.run()
-        backend_jobs_after_second = sum(b.server.jobs_completed for b in controller.backends)
-        assert backend_jobs_after_second == backend_jobs_after_first
-        assert controller.cache_hits == 1
-
-    def test_write_invalidates_coherent_cache(self):
-        simulator, controller = make_controller(cache_mode="coherent")
-        controller.execute_statement(read(tables=("item",)), "q-item", lambda: None)
-        simulator.run()
-        controller.execute_statement(write(tables=("item",)), "w-item", lambda: None)
-        simulator.run()
-        controller.execute_statement(read(tables=("item",)), "q-item", lambda: None)
-        simulator.run()
-        assert controller.cache_hits == 0
-
-    def test_relaxed_cache_survives_writes_within_staleness(self):
-        simulator, controller = make_controller(cache_mode="relaxed")
-        controller.execute_statement(read(tables=("item",)), "q-item", lambda: None)
-        simulator.run()
-        controller.execute_statement(write(tables=("item",)), "w-item", lambda: None)
-        simulator.run()
-        controller.execute_statement(read(tables=("item",)), "q-item", lambda: None)
-        simulator.run()
-        assert controller.cache_hits == 1
-        assert controller.cache_hit_ratio == pytest.approx(0.5)
 
 
 class TestEndToEndShapes:

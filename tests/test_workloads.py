@@ -13,10 +13,10 @@ from repro.workloads.profile import (
 )
 from repro.workloads.rubis import (
     BIDDING_MIX,
-    BROWSING_ONLY_MIX,
+    INTERACTION_NAMES,
     RUBISDataGenerator,
-    RUBIS_INTERACTIONS,
     RUBiSInteractions,
+    RUBiSMix,
 )
 from repro.workloads.rubis import schema as rubis_schema
 from repro.workloads.tpcw import (
@@ -110,12 +110,13 @@ class TestRUBiSMixes:
     def test_bidding_mix_is_80_20(self):
         assert BIDDING_MIX.read_only_fraction == pytest.approx(0.80, abs=0.005)
 
-    def test_browsing_only_mix_is_pure_read(self):
-        assert BROWSING_ONLY_MIX.read_only_fraction == pytest.approx(1.0)
+    def test_bidding_mix_covers_the_12_interactions(self):
+        assert len(INTERACTION_NAMES) == 12
+        assert set(BIDDING_MIX.weights) == set(INTERACTION_NAMES)
 
-    def test_rubis_interaction_profiles(self):
-        assert len(RUBIS_INTERACTIONS) == 12
-        assert RUBIS_INTERACTIONS["store_bid"].transactional
+    def test_unknown_interaction_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown interactions"):
+            RUBiSMix("typo", {"view_itme": 1.0})
 
 
 class TestTPCWFunctional:
@@ -184,7 +185,7 @@ class TestRUBiSFunctional:
         engine, _, scale = rubis_database
         connection = dbapi.connect(engine)
         interactions = RUBiSInteractions(connection, users=scale.users, items=scale.items)
-        for name in RUBIS_INTERACTIONS:
+        for name in BIDDING_MIX.weights:
             assert interactions.run(name) >= 1
 
     def test_store_bid_updates_item(self, rubis_database):
