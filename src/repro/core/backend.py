@@ -24,8 +24,9 @@ from repro.core.connection_manager import (
 )
 from repro.core.faults import FaultInjector
 from repro.core.request import AbstractRequest, RequestResult
+from repro.core.requestparser import CREATE_TABLE, DROP_TABLE
 from repro.errors import BackendError, DatabaseError
-from repro.planner.plan import BATCH, classify_statement
+from repro.planner.plan import BATCH
 
 
 class BackendState(Enum):
@@ -172,12 +173,12 @@ class DatabaseBackend:
             self._tables = {name.lower() for name in names}
 
     def note_ddl(self, request: AbstractRequest) -> None:
-        """Update the known schema after a CREATE/DROP statement."""
-        sql = request.sql.lstrip().upper()
+        """Update the known schema after a CREATE/DROP TABLE statement."""
+        kind = request.template.ddl_kind
         with self._state_lock:
-            if sql.startswith("CREATE TABLE") and request.tables:
+            if kind == CREATE_TABLE:
                 self._tables.add(request.tables[0].lower())
-            elif sql.startswith("DROP TABLE") and request.tables:
+            elif kind == DROP_TABLE:
                 self._tables.discard(request.tables[0].lower())
 
     @property
@@ -275,7 +276,7 @@ class DatabaseBackend:
         transaction begin.
         """
         self._request_started(request.is_read_only)
-        statement_class = classify_statement(request)
+        statement_class = request.template.cost_class
         started = time.perf_counter()
         try:
             if request.transaction_id is None:

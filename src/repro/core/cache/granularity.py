@@ -8,7 +8,7 @@ write request, which cached SELECT entries must be invalidated.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Set
+from typing import TYPE_CHECKING
 
 from repro.core.request import AbstractRequest
 
@@ -74,10 +74,12 @@ class FullScanTableGranularity(TableGranularity):
 class ColumnGranularity(CacheGranularity):
     """Table granularity refined with the columns named by the write.
 
-    A cached SELECT is kept when it shares tables with the write but none of
-    the columns assigned by an UPDATE appear in the SELECT text.  INSERT and
-    DELETE statements fall back to table granularity because they change row
-    membership, which any SELECT on the table can observe.
+    A cached SELECT is kept when it shares tables with the write but
+    references none of the columns an UPDATE assigns; both sets come from
+    the statements' parse trees, and a SELECT with ``*`` references every
+    column.  INSERT and DELETE statements fall back to table granularity
+    because they change row membership, which any SELECT on the table can
+    observe.
     """
 
     name = "column"
@@ -87,31 +89,11 @@ class ColumnGranularity(CacheGranularity):
     def invalidates(self, write: AbstractRequest, entry: "CacheEntry") -> bool:
         if not TableGranularity().invalidates(write, entry):
             return False
-        columns = _updated_columns(write.sql)
-        if columns is None:
+        # a request built without the statement analysis names no columns
+        assigned = write.template.assigned_columns if write.template is not None else None
+        if assigned is None or entry.columns is None:
             return True
-        select_text = entry.sql.lower()
-        return any(column in select_text for column in columns) or "*" in select_text
-
-
-def _updated_columns(sql: str) -> Set[str] | None:
-    """Columns assigned by an UPDATE statement, or None when not an UPDATE."""
-    lowered = sql.lower()
-    if not lowered.lstrip().startswith("update"):
-        return None
-    set_index = lowered.find(" set ")
-    if set_index == -1:
-        return None
-    where_index = lowered.find(" where ", set_index)
-    assignments = lowered[set_index + 5 : where_index if where_index != -1 else None]
-    columns: Set[str] = set()
-    for assignment in assignments.split(","):
-        name = assignment.split("=", 1)[0].strip()
-        if "." in name:
-            name = name.split(".", 1)[1]
-        if name:
-            columns.add(name)
-    return columns
+        return not assigned.isdisjoint(entry.columns)
 
 
 def granularity_from_name(name: str) -> CacheGranularity:

@@ -26,7 +26,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.core.cache.granularity import CacheGranularity, TableGranularity
 from repro.core.cache.rules import RelaxationRule, first_matching_rule
@@ -42,6 +42,8 @@ class CacheEntry:
     tables: Tuple[str, ...]
     result: RequestResult
     created_at: float
+    #: lower-cased columns the SELECT references; None means every column
+    columns: Optional[FrozenSet[str]] = None
     #: when set, the entry has been invalidated by a write but survives until
     #: this deadline thanks to a relaxation rule
     stale_deadline: Optional[float] = None
@@ -150,6 +152,7 @@ class ResultCache:
             tables=tuple(request.tables),
             result=frozen,
             created_at=self._clock(),
+            columns=request.template.read_columns if request.template is not None else None,
         )
         with self._lock:
             previous = self._entries.get(key)

@@ -14,6 +14,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from repro.core.backend import DatabaseBackend
 from repro.core.loadbalancer.base import AbstractLoadBalancer
 from repro.core.request import AbstractRequest, RequestType
+from repro.core.requestparser import CREATE_TABLE
 from repro.errors import NotReplicatedError
 
 
@@ -63,8 +64,7 @@ class RAIDb0LoadBalancer(AbstractLoadBalancer):
         if not request.tables:
             return enabled
         if request.request_type is RequestType.DDL:
-            sql = request.sql.lstrip().upper()
-            if sql.startswith("CREATE TABLE"):
+            if request.template.ddl_kind == CREATE_TABLE:
                 target_name = self.partition_map.get(request.tables[0].lower())
                 if target_name is not None:
                     placed = [b for b in enabled if b.name == target_name]

@@ -19,6 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from repro.core.backend import DatabaseBackend
 from repro.core.loadbalancer.base import AbstractLoadBalancer
 from repro.core.request import AbstractRequest, RequestType
+from repro.core.requestparser import CREATE_TABLE
 from repro.errors import NotReplicatedError
 
 
@@ -112,12 +113,11 @@ class RAIDb2LoadBalancer(AbstractLoadBalancer):
     def _ddl_targets(
         self, request: AbstractRequest, enabled: List[DatabaseBackend]
     ) -> List[DatabaseBackend]:
-        sql = request.sql.lstrip().upper()
-        if sql.startswith("CREATE TABLE") and request.tables:
+        if request.template.ddl_kind == CREATE_TABLE:
             placement = self.backends_for_table(request.tables[0])
             if placement is not None:
                 return [b for b in enabled if b.name in placement]
-        elif request.tables:
+        else:
             # DROP/ALTER/CREATE INDEX: only backends already hosting the table
             targets = [b for b in enabled if b.has_any_table(request.tables)]
             if targets:

@@ -313,7 +313,9 @@ class CacheLookupStage(Stage):
         def cache_lookup(context: RequestContext) -> None:
             cache = manager.result_cache
             request = context.request
-            if cache is None or request.transaction_id is not None:
+            # a read inside a transaction, or one calling NOW()/RAND(), is
+            # answered by a backend every time
+            if cache is None or request.transaction_id is not None or request.template.macro_sites:
                 proceed(context)
                 return
             cached = cache.get(request)

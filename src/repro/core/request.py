@@ -50,6 +50,9 @@ class AbstractRequest:
     tables: Tuple[str, ...] = ()
     #: True when the SQL contained non-deterministic macros that were rewritten
     macros_rewritten: bool = False
+    #: the :class:`~repro.core.requestparser.ParsedTemplate` this request was
+    #: built from: its statement analysis, and the planner's plan cache
+    template: Any = field(default=None, compare=False, repr=False)
 
     @property
     def is_autocommit(self) -> bool:

@@ -1,25 +1,26 @@
-"""SQL request parsing for the controller.
+"""Statement analysis for the controller.
 
 Load balancers supporting partial replication "must parse the incoming
 queries and need to know the database schema of each backend" (paper
-§2.4.3).  This module classifies a SQL statement (read / write / DDL /
-transaction marker), extracts the tables it references and rewrites
-non-deterministic macros, producing the request objects of
-:mod:`repro.core.request`.
-
-Parsing uses the SQL substrate's tokenizer only (not the full parser), so the
-controller accepts any backend dialect as long as the statement shape is
-recognisable — the same trade-off made by C-JDBC, which did lightweight
-parsing of the SQL strings.
+§2.4.3).  This module parses each statement with the engine's parser
+(:func:`repro.sql.parser.parse`) and reads every fact the controller needs
+off the tree in one walk: the request class (read / write / DDL /
+transaction marker), the tables in source order, the columns an UPDATE
+assigns and a SELECT references, the cost class and scatter-gather merge
+kind of a read, the DDL kind, and the source span of every
+non-deterministic macro call (NOW(), RAND(), ...).  A statement the parser
+rejects raises :class:`~repro.errors.SQLSyntaxError` here, before any
+backend sees it.
 
 Because applications issue the same statement shapes over and over (the
-paper's parsing cache, §2.4.2), :class:`RequestFactory` memoizes the outcome
-of classification and table extraction in an LRU :class:`ParsingCache` keyed
-by ``(sql, rewrite flag)``.  A cached template stamps its classification and
-tables onto a fresh request object; statements containing non-deterministic
-macros (NOW(), RAND(), ...) cache the template *pre-rewrite* and re-run the
-macro rewriter on every instantiation, so cached writes never reuse a stale
-timestamp or random value.
+paper's parsing cache, §2.4.2), :class:`RequestFactory` keeps the analysis
+in an LRU :class:`ParsingCache` keyed by the statement text.  A cached
+template stamps its facts onto each fresh request.  A write that calls a
+macro splices freshly generated literals in at the recorded spans on every
+instantiation, so cached writes never reuse a stale timestamp or random
+value and no request is tokenized again.  The engines still parse the text
+they receive: the executor hangs per-catalog plans on its tree, so backends
+never share the controller's.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Type
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Type
 
-from repro.core.macros import contains_macro, rewrite_macros
+from repro.core.macros import _MACRO_GENERATORS, splice_macros
 from repro.core.request import (
     AbstractRequest,
     BatchWriteRequest,
@@ -42,36 +43,154 @@ from repro.core.request import (
     freeze_parameter_sets,
 )
 from repro.errors import CJDBCError, SQLSyntaxError
-from repro.sql.lexer import TokenType, tokenize
+from repro.planner.plan import (
+    MERGE_AGGREGATE,
+    MERGE_ORDERED,
+    MERGE_UNION,
+    READ_COMPLEX,
+    READ_SIMPLE,
+    WRITE,
+)
+from repro.sql import ast
+from repro.sql.parser import parse
+
+#: DDL kinds, one per DDL statement of the dialect
+CREATE_TABLE = "create table"
+DROP_TABLE = "drop table"
+_DDL_KINDS = {
+    ast.CreateTable: CREATE_TABLE,
+    ast.DropTable: DROP_TABLE,
+    ast.CreateIndex: "create index",
+    ast.DropIndex: "drop index",
+    ast.AlterTableAddColumn: "alter table",
+}
+_REQUEST_CLASSES = {
+    ast.Select: SelectRequest,
+    ast.Insert: WriteRequest,
+    ast.Update: WriteRequest,
+    ast.Delete: WriteRequest,
+    ast.BeginTransaction: BeginRequest,
+    ast.Commit: CommitRequest,
+    ast.Rollback: RollbackRequest,
+    **{statement: DDLRequest for statement in _DDL_KINDS},
+}
+#: statements that name their target table in a ``table`` field
+_TABLE_STATEMENTS = (ast.Insert, ast.Update, ast.Delete, *_DDL_KINDS)
+_AGGREGATES = frozenset(("COUNT", "SUM", "AVG", "MIN", "MAX"))
+_NODES = (
+    ast.Expression,
+    ast.Statement,
+    ast.SelectItem,
+    ast.TableRef,
+    ast.Join,
+    ast.OrderItem,
+)
+
+
+class _Walk:
+    """One pass over a statement tree, noting what the controller needs."""
+
+    def __init__(self):
+        #: lower-cased name -> the name as first written, in source order
+        self.tables: Dict[str, str] = {}
+        #: lower-cased referenced column names; None once a ``*`` is seen
+        self.columns: Optional[set] = set()
+        self.macro_sites: List[Tuple[int, int, str]] = []
+        self.complex = self.aggregate = self.ordered = False
+
+    def visit(self, node) -> None:
+        """Visit ``node`` and its children in source order."""
+        if isinstance(node, (list, tuple)):
+            for item in node:
+                self.visit(item)
+            return
+        if not isinstance(node, _NODES):
+            return
+        kind = type(node)
+        if kind is ast.ColumnRef:
+            if self.columns is not None:
+                self.columns.add(node.name.lower())
+            return
+        if kind is ast.Star:
+            self.columns = None
+            return
+        if kind is ast.TableRef:
+            self.tables.setdefault(node.name.lower(), node.name)
+            return
+        if kind is ast.FunctionCall:
+            name = node.name.upper()
+            if name in _AGGREGATES:
+                self.aggregate = True
+            elif name in _MACRO_GENERATORS and not node.args:
+                self.macro_sites.append((*node.span, name))
+        elif kind is ast.Select:
+            self.complex |= bool(node.joins) or node.distinct
+            self.aggregate |= bool(node.group_by)
+            self.ordered |= bool(node.order_by)
+        elif isinstance(node, _TABLE_STATEMENTS) and node.table:
+            self.tables.setdefault(node.table.lower(), node.table)
+        for value in vars(node).values():
+            if isinstance(value, (list, tuple, _NODES)):
+                self.visit(value)
 
 
 class ParsedTemplate:
-    """The reusable outcome of parsing one SQL string.
+    """Everything the controller knows about one SQL text, built once.
 
-    ``sql`` is the stripped statement text *before* macro rewriting; when
-    ``needs_macro_rewrite`` is set the rewriter runs again for every request
-    instantiated from this template.
+    ``sql`` is the stripped statement text *before* macro rewriting;
+    ``macro_sites`` holds each macro call as ``(start, end, NAME)`` offsets
+    into it.  A write with macro sites gets fresh literals spliced in on
+    every instantiation; a read with any is never served from the result
+    cache.
     """
 
     __slots__ = (
         "request_class",
         "sql",
         "tables",
-        "needs_macro_rewrite",
+        "cost_class",
+        "merge",
+        "ddl_kind",
+        "assigned_columns",
+        "read_columns",
+        "macro_sites",
+        "rewrites_macros",
         "cached_plan",
     )
 
-    def __init__(
-        self,
-        request_class: Type[AbstractRequest],
-        sql: str,
-        tables: Tuple[str, ...] = (),
-        needs_macro_rewrite: bool = False,
-    ):
-        self.request_class = request_class
+    def __init__(self, sql: str):
+        statement = parse(sql)
+        walk = _Walk()
+        walk.visit(statement)
+        self.request_class: Type[AbstractRequest] = _REQUEST_CLASSES[type(statement)]
         self.sql = sql
-        self.tables = tables
-        self.needs_macro_rewrite = needs_macro_rewrite
+        self.tables: Tuple[str, ...] = tuple(walk.tables.values())
+        is_read = self.request_class is SelectRequest
+        if not is_read:
+            self.cost_class = WRITE
+        elif len(walk.tables) > 1 or walk.complex or walk.aggregate or walk.ordered:
+            self.cost_class = READ_COMPLEX
+        else:
+            self.cost_class = READ_SIMPLE
+        if walk.aggregate:
+            self.merge = MERGE_AGGREGATE
+        else:
+            self.merge = MERGE_ORDERED if walk.ordered else MERGE_UNION
+        self.ddl_kind: Optional[str] = _DDL_KINDS.get(type(statement))
+        #: lower-cased columns an UPDATE assigns; None for any other statement
+        self.assigned_columns: Optional[FrozenSet[str]] = (
+            frozenset(column.lower() for column, _ in statement.assignments)
+            if type(statement) is ast.Update
+            else None
+        )
+        #: lower-cased columns a SELECT references; None for ``*`` or a non-read
+        self.read_columns: Optional[FrozenSet[str]] = (
+            frozenset(walk.columns) if is_read and walk.columns is not None else None
+        )
+        self.macro_sites: Tuple[Tuple[int, int, str], ...] = tuple(walk.macro_sites)
+        # writes need deterministic rewriting (paper §2.4.1); reads evaluate
+        # NOW()/RAND() wherever they run
+        self.rewrites_macros = self.request_class is WriteRequest and bool(self.macro_sites)
         #: ``(planner, version, RoutePlan)`` stamped by the query planner;
         #: re-executions of this statement shape skip planning while the
         #: planner's version counter stands still
@@ -107,20 +226,17 @@ class ParsedTemplate:
         transaction_id: Optional[int],
     ) -> AbstractRequest:
         sql = self.sql
-        macros_rewritten = False
-        if self.needs_macro_rewrite:
-            sql, macros_rewritten = rewrite_macros(sql)
-        request = self.request_class(
+        if self.rewrites_macros:
+            sql = splice_macros(sql, self.macro_sites)
+        return self.request_class(
             sql=sql,
             tables=self.tables,
-            macros_rewritten=macros_rewritten,
+            macros_rewritten=self.rewrites_macros,
             parameters=tuple(parameters),
             login=login,
             transaction_id=transaction_id,
+            template=self,
         )
-        # back-link for the query planner's per-template plan cache
-        request.template = self
-        return request
 
     def instantiate_batch(
         self,
@@ -139,19 +255,17 @@ class ParsedTemplate:
         if not parameter_sets:
             raise CJDBCError("a batch needs at least one parameter set")
         sql = self.sql
-        macros_rewritten = False
-        if self.needs_macro_rewrite:
-            sql, macros_rewritten = rewrite_macros(sql)
-        request = BatchWriteRequest(
+        if self.rewrites_macros:
+            sql = splice_macros(sql, self.macro_sites)
+        return BatchWriteRequest(
             sql=sql,
             tables=self.tables,
-            macros_rewritten=macros_rewritten,
+            macros_rewritten=self.rewrites_macros,
             parameter_sets=parameter_sets,
             login=login,
             transaction_id=transaction_id,
+            template=self,
         )
-        request.template = self
-        return request
 
 
 @dataclass
@@ -179,21 +293,17 @@ class ParsingCacheStatistics:
 
 
 class ParsingCache:
-    """Bounded LRU cache of :class:`ParsedTemplate` objects.
-
-    Keys are ``(sql, rewrite_write_macros)`` so factories with different
-    rewrite settings can share one cache without mixing templates.
-    """
+    """Bounded LRU cache of :class:`ParsedTemplate` objects, keyed by SQL text."""
 
     def __init__(self, max_entries: int = 1024):
         if max_entries < 1:
             raise ValueError(f"parsing cache needs max_entries >= 1, got {max_entries}")
         self.max_entries = max_entries
-        self._entries: "OrderedDict[Tuple[str, bool], ParsedTemplate]" = OrderedDict()
+        self._entries: "OrderedDict[str, ParsedTemplate]" = OrderedDict()
         self._lock = threading.Lock()
         self.statistics = ParsingCacheStatistics()
 
-    def get(self, key: Tuple[str, bool]) -> Optional[ParsedTemplate]:
+    def get(self, key: str) -> Optional[ParsedTemplate]:
         with self._lock:
             template = self._entries.get(key)
             if template is None:
@@ -203,7 +313,7 @@ class ParsingCache:
             self.statistics.hits += 1
             return template
 
-    def put(self, key: Tuple[str, bool], template: ParsedTemplate) -> None:
+    def put(self, key: str, template: ParsedTemplate) -> None:
         with self._lock:
             self._entries[key] = template
             self._entries.move_to_end(key)
@@ -230,45 +340,29 @@ class ParsingCache:
 class RequestFactory:
     """Builds request objects from raw SQL strings.
 
-    ``rewrite_write_macros`` mirrors the scheduler behaviour described in the
-    paper: only statements that modify the database need deterministic
-    rewriting (reads can evaluate NOW()/RAND() wherever they run).
-
     ``parsing_cache_size`` bounds the LRU parsing cache; ``0`` disables
-    caching entirely (every statement is re-tokenized, the pre-cache
-    behaviour).  A pre-built :class:`ParsingCache` can be shared between
-    factories via ``parsing_cache``.
+    caching entirely (every statement is parsed again).
     """
 
-    def __init__(
-        self,
-        rewrite_write_macros: bool = True,
-        parsing_cache_size: int = 1024,
-        parsing_cache: Optional[ParsingCache] = None,
-    ):
-        self.rewrite_write_macros = rewrite_write_macros
-        if parsing_cache is not None:
-            self.parsing_cache: Optional[ParsingCache] = parsing_cache
-        elif parsing_cache_size > 0:
-            self.parsing_cache = ParsingCache(max_entries=parsing_cache_size)
-        else:
-            self.parsing_cache = None
+    def __init__(self, parsing_cache_size: int = 1024):
+        self.parsing_cache: Optional[ParsingCache] = (
+            ParsingCache(max_entries=parsing_cache_size) if parsing_cache_size > 0 else None
+        )
 
     def get_template(self, sql: str) -> ParsedTemplate:
-        """The (cached) parse outcome for ``sql``.
+        """The (cached) analysis of ``sql``.
 
         This is the handle behind prepared statements: holding on to the
-        template lets repeated executions skip classification and table
-        extraction entirely, paying only request instantiation.
+        template lets repeated executions skip the analysis entirely,
+        paying only request instantiation.
         """
         cache = self.parsing_cache
         if cache is None:
-            return self._parse_template(sql)
-        key = (sql, self.rewrite_write_macros)
-        template = cache.get(key)
+            return _analyse(sql)
+        template = cache.get(sql)
         if template is None:
-            template = self._parse_template(sql)
-            cache.put(key, template)
+            template = _analyse(sql)
+            cache.put(sql, template)
         return template
 
     def create_request(
@@ -293,111 +387,9 @@ class RequestFactory:
             parameter_sets, login, transaction_id
         )
 
-    def _parse_template(self, sql: str) -> ParsedTemplate:
-        stripped = sql.strip()
-        if not stripped:
-            raise SQLSyntaxError("empty SQL statement")
-        first_word = _first_word(stripped)
-        if first_word in ("BEGIN", "START"):
-            return ParsedTemplate(BeginRequest, stripped)
-        if first_word == "COMMIT":
-            return ParsedTemplate(CommitRequest, stripped)
-        if first_word == "ROLLBACK":
-            return ParsedTemplate(RollbackRequest, stripped)
-        if first_word == "SELECT":
-            tables = tuple(extract_tables(stripped))
-            return ParsedTemplate(SelectRequest, stripped, tables)
-        if first_word in ("INSERT", "UPDATE", "DELETE"):
-            tables = tuple(extract_tables(stripped))
-            needs_rewrite = self.rewrite_write_macros and contains_macro(stripped)
-            return ParsedTemplate(
-                WriteRequest, stripped, tables, needs_macro_rewrite=needs_rewrite
-            )
-        if first_word in ("CREATE", "DROP", "ALTER"):
-            tables = tuple(extract_tables(stripped))
-            return ParsedTemplate(DDLRequest, stripped, tables)
-        raise SQLSyntaxError(f"unsupported SQL statement: {stripped[:80]!r}")
 
-
-def _first_word(sql: str) -> str:
-    for token in tokenize(sql):
-        if token.type in (TokenType.KEYWORD, TokenType.IDENTIFIER):
-            return token.value.upper()
-        break
-    return ""
-
-
-def extract_tables(sql: str) -> List[str]:
-    """Extract the table names referenced by a statement.
-
-    Handles ``FROM x [AS a] [, y]``, ``JOIN y``, ``INSERT INTO x``,
-    ``UPDATE x``, ``DELETE FROM x``, ``CREATE/DROP TABLE x``,
-    ``CREATE INDEX i ON x`` and ``ALTER TABLE x``.  Subqueries contribute
-    their tables too because the whole token stream is scanned.
-    """
-    tokens = tokenize(sql)
-    tables: List[str] = []
-    seen = set()
-
-    def add(name: str) -> None:
-        key = name.lower()
-        if key not in seen:
-            seen.add(key)
-            tables.append(name)
-
-    index = 0
-    while index < len(tokens):
-        token = tokens[index]
-        if token.type is TokenType.KEYWORD:
-            keyword = token.value
-            if keyword in ("FROM", "JOIN"):
-                index = _collect_table_list(tokens, index + 1, add, allow_list=(keyword == "FROM"))
-                continue
-            if keyword == "INTO" or keyword == "UPDATE":
-                index = _collect_table_list(tokens, index + 1, add, allow_list=False)
-                continue
-            if keyword == "TABLE":
-                index = _collect_table_list(tokens, index + 1, add, allow_list=False)
-                continue
-            if keyword == "INDEX":
-                # CREATE INDEX name ON table / DROP INDEX name ON table
-                on_index = index + 1
-                while on_index < len(tokens) and not tokens[on_index].matches(
-                    TokenType.KEYWORD, "ON"
-                ):
-                    if tokens[on_index].type is TokenType.EOF:
-                        break
-                    on_index += 1
-                if on_index < len(tokens) and tokens[on_index].matches(TokenType.KEYWORD, "ON"):
-                    index = _collect_table_list(tokens, on_index + 1, add, allow_list=False)
-                    continue
-        index += 1
-    return tables
-
-
-def _collect_table_list(tokens, index: int, add, allow_list: bool) -> int:
-    """Collect ``table [alias] [, table [alias]]*`` starting at ``index``."""
-    while True:
-        # skip IF NOT EXISTS / IF EXISTS between TABLE and the name
-        while index < len(tokens) and tokens[index].type is TokenType.KEYWORD and tokens[
-            index
-        ].value in ("IF", "NOT", "EXISTS"):
-            index += 1
-        if index >= len(tokens) or tokens[index].type is not TokenType.IDENTIFIER:
-            return index
-        add(tokens[index].value)
-        index += 1
-        # optional alias: IDENTIFIER or AS IDENTIFIER (but stop at '(' which
-        # means the previous identifier was actually a function call)
-        if index < len(tokens) and tokens[index].matches(TokenType.KEYWORD, "AS"):
-            index += 1
-            if index < len(tokens) and tokens[index].type is TokenType.IDENTIFIER:
-                index += 1
-        elif index < len(tokens) and tokens[index].type is TokenType.IDENTIFIER:
-            index += 1
-        if allow_list and index < len(tokens) and tokens[index].matches(
-            TokenType.PUNCTUATION, ","
-        ):
-            index += 1
-            continue
-        return index
+def _analyse(sql: str) -> ParsedTemplate:
+    stripped = sql.strip()
+    if not stripped:
+        raise SQLSyntaxError("empty SQL statement")
+    return ParsedTemplate(stripped)

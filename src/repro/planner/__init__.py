@@ -21,8 +21,6 @@ from repro.planner.plan import (
     RoutePlan,
     SCATTER_GATHER,
     SINGLE,
-    classify_statement,
-    merge_strategy_for,
 )
 from repro.planner.planner import QueryPlanner, ROUTING_POLICIES, RoutingConfig
 from repro.planner.scatter import ScatterGatherExecutor
@@ -44,6 +42,4 @@ __all__ = [
     "SCATTER_GATHER",
     "SINGLE",
     "ScatterGatherExecutor",
-    "classify_statement",
-    "merge_strategy_for",
 ]

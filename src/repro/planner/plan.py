@@ -23,13 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.core.request import (
-    AbstractRequest,
-    BatchWriteRequest,
-    DDLRequest,
-    SelectRequest,
-)
-
 #: plan kinds
 SINGLE = "single"
 SCATTER_GATHER = "scatter_gather"
@@ -49,33 +42,6 @@ WRITE = "write"
 BATCH = "batch"
 
 STATEMENT_CLASSES = (READ_SIMPLE, READ_COMPLEX, WRITE, BATCH)
-
-_COMPLEX_MARKERS = (" JOIN ", " GROUP BY ", " ORDER BY ", " UNION ", " DISTINCT ")
-_AGGREGATES = ("COUNT(", "SUM(", "AVG(", "MIN(", "MAX(")
-
-
-def classify_statement(request: AbstractRequest) -> str:
-    """Bucket a request into the coarse cost classes the planner tracks."""
-    if isinstance(request, BatchWriteRequest):
-        return BATCH
-    if isinstance(request, SelectRequest):
-        upper = request.sql.upper()
-        if len(request.tables) > 1 or any(m in upper for m in _COMPLEX_MARKERS):
-            return READ_COMPLEX
-        if any(marker in upper for marker in _AGGREGATES):
-            return READ_COMPLEX
-        return READ_SIMPLE
-    return WRITE
-
-
-def merge_strategy_for(sql: str) -> str:
-    """Merge operator label for a scatter-gather read over ``sql``."""
-    upper = sql.upper()
-    if any(aggregate in upper for aggregate in _AGGREGATES) or " GROUP BY " in upper:
-        return MERGE_AGGREGATE
-    if " ORDER BY " in upper:
-        return MERGE_ORDERED
-    return MERGE_UNION
 
 
 @dataclass(frozen=True)
@@ -224,6 +190,4 @@ __all__ = [
     "SINGLE",
     "STATEMENT_CLASSES",
     "WRITE",
-    "classify_statement",
-    "merge_strategy_for",
 ]

@@ -39,8 +39,6 @@ from repro.planner.plan import (
     WRITE,
     Fragment,
     RoutePlan,
-    classify_statement,
-    merge_strategy_for,
 )
 
 #: routing policies: "cost" routes each read to the cheapest capable
@@ -100,25 +98,22 @@ class QueryPlanner:
 
     def plan_for_request(self, request: AbstractRequest) -> RoutePlan:
         """Plan one request, reusing the template-cached plan when valid."""
-        template = getattr(request, "template", None)
+        template = request.template
         version = self.version
-        if template is not None:
-            cached = template.cached_plan
-            # a write template instantiates both plain writes and batches,
-            # which plan to different statement classes — only reuse a plan
-            # built for the same shape
-            is_batch = isinstance(request, BatchWriteRequest)
-            if (
-                cached is not None
-                and cached[0] is self
-                and cached[1] == version
-                and (cached[2].category == "batch") == is_batch
-            ):
-                self.plan_cache_hits += 1
-                return cached[2]
+        cached = template.cached_plan
+        # a write template instantiates both plain writes and batches, which
+        # plan to different statement classes — only reuse a plan built for
+        # the same shape
+        if (
+            cached is not None
+            and cached[0] is self
+            and cached[1] == version
+            and (cached[2].category == "batch") == isinstance(request, BatchWriteRequest)
+        ):
+            self.plan_cache_hits += 1
+            return cached[2]
         plan = self._build(request, version)
-        if template is not None:
-            template.cached_plan = (self, version, plan)
+        template.cached_plan = (self, version, plan)
         return plan
 
     def explain(self, request: AbstractRequest) -> RoutePlan:
@@ -141,7 +136,7 @@ class QueryPlanner:
         return plan
 
     def _plan_read(self, request: SelectRequest, enabled: Sequence) -> RoutePlan:
-        statement_class = classify_statement(request)
+        statement_class = request.template.cost_class
         balancer = self._manager.load_balancer
         try:
             candidates = balancer.read_candidates(request, list(enabled))
@@ -196,7 +191,7 @@ class QueryPlanner:
             backend_names=backend_names,
             statement_class=statement_class,
             candidates=tuple(fragment_costs),
-            merge=merge_strategy_for(request.sql),
+            merge=request.template.merge,
             fragments=tuple(fragments),
             reason=(
                 "no backend co-hosts all tables; per-table fragments scatter"

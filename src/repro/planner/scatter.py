@@ -93,9 +93,7 @@ class ScatterGatherExecutor:
         fragments = plan.fragments
         backends = [self._backend_for(fragment) for fragment in fragments]
         results = [
-            backend.execute_request(
-                SelectRequest(sql=fragment.sql, tables=(fragment.table,))
-            )
+            backend.execute_request(self._manager.request_factory.create_request(fragment.sql))
             for fragment, backend in zip(fragments, backends)
         ]
 

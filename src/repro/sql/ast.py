@@ -100,6 +100,8 @@ class FunctionCall(Expression):
     name: str
     args: List[Expression] = field(default_factory=list)
     distinct: bool = False
+    #: ``(start, end)`` offsets of the call in the statement text
+    span: Optional[Tuple[int, int]] = field(default=None, compare=False, repr=False)
 
 
 @dataclass

@@ -54,7 +54,7 @@ _PUNCTUATION = set("(),.;")
 
 @dataclass(frozen=True)
 class Token:
-    """A single lexical token."""
+    """A single lexical token; ``position`` is the offset of its first character."""
 
     type: TokenType
     value: str
@@ -95,19 +95,20 @@ def _iter_tokens(sql: str) -> Iterator[Token]:
                 raise SQLSyntaxError(f"unterminated comment at position {i}")
             i = end + 2
             continue
+        start = i
         if char == "'":
             value, i = _read_string(sql, i)
-            yield Token(TokenType.STRING, value, i)
+            yield Token(TokenType.STRING, value, start)
             continue
         if char in ('"', "`"):
             value, i = _read_quoted_identifier(sql, i, char)
-            yield Token(TokenType.IDENTIFIER, value, i)
+            yield Token(TokenType.IDENTIFIER, value, start)
             continue
         if char.isdigit() or (
             char == "." and i + 1 < length and sql[i + 1].isdigit()
         ):
             value, i = _read_number(sql, i)
-            yield Token(TokenType.NUMBER, value, i)
+            yield Token(TokenType.NUMBER, value, start)
             continue
         if char == "?":
             yield Token(TokenType.PARAMETER, "?", i)
@@ -120,9 +121,9 @@ def _iter_tokens(sql: str) -> Iterator[Token]:
         if char.isalpha() or char == "_":
             value, i = _read_word(sql, i)
             if value.upper() in KEYWORDS:
-                yield Token(TokenType.KEYWORD, value.upper(), i)
+                yield Token(TokenType.KEYWORD, value.upper(), start)
             else:
-                yield Token(TokenType.IDENTIFIER, value, i)
+                yield Token(TokenType.IDENTIFIER, value, start)
             continue
         multi = sql[i : i + 2]
         if multi in _MULTI_CHAR_OPERATORS:

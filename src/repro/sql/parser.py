@@ -601,7 +601,8 @@ class Parser:
             "MAX",
         ):
             self._advance()
-            return self._parse_function_call(token.value)
+            self._expect(TokenType.PUNCTUATION, "(")
+            return self._parse_function_args(token.value, token.position)
         if self._accept(TokenType.PUNCTUATION, "("):
             if self._check_keyword("SELECT"):
                 subquery = self.parse_select()
@@ -613,9 +614,8 @@ class Parser:
         if token.type is TokenType.IDENTIFIER:
             self._advance()
             name = token.value
-            if self._check(TokenType.PUNCTUATION, "(") :
-                self._advance()
-                return self._parse_function_args(name)
+            if self._accept(TokenType.PUNCTUATION, "("):
+                return self._parse_function_args(name, token.position)
             if self._accept(TokenType.PUNCTUATION, "."):
                 if self._check(TokenType.OPERATOR, "*"):
                     self._advance()
@@ -637,13 +637,12 @@ class Parser:
         self._expect_keyword("END")
         return case
 
-    def _parse_function_call(self, name: str) -> ast.FunctionCall:
-        self._expect(TokenType.PUNCTUATION, "(")
-        return self._parse_function_args(name)
-
-    def _parse_function_args(self, name: str) -> ast.FunctionCall:
+    def _parse_function_args(self, name: str, start: int) -> ast.FunctionCall:
+        """The rest of a call whose name starts at ``start``, after its ``(``."""
         call = ast.FunctionCall(name)
-        if self._accept(TokenType.PUNCTUATION, ")"):
+        close = self._accept(TokenType.PUNCTUATION, ")")
+        if close is not None:
+            call.span = (start, close.position + 1)
             return call
         if self._accept_keyword("DISTINCT"):
             call.distinct = True
@@ -654,7 +653,7 @@ class Parser:
             call.args.append(self.parse_expr())
             while self._accept(TokenType.PUNCTUATION, ","):
                 call.args.append(self.parse_expr())
-        self._expect(TokenType.PUNCTUATION, ")")
+        call.span = (start, self._expect(TokenType.PUNCTUATION, ")").position + 1)
         return call
 
     # -- identifiers ----------------------------------------------------------

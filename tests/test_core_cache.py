@@ -10,6 +10,7 @@ from repro.core.cache import (
     TableGranularity,
 )
 from repro.core.request import RequestResult, SelectRequest, WriteRequest
+from repro.core.requestparser import RequestFactory
 
 
 def select(sql="SELECT * FROM item WHERE i_id = 1", tables=("item",), params=()):
@@ -18,6 +19,11 @@ def select(sql="SELECT * FROM item WHERE i_id = 1", tables=("item",), params=())
 
 def write(sql="UPDATE item SET i_stock = 0", tables=("item",)):
     return WriteRequest(sql=sql, tables=tuple(tables))
+
+
+def parsed(sql):
+    """A request carrying its statement analysis, as the controller builds it."""
+    return RequestFactory().create_request(sql)
 
 
 def result(value=1):
@@ -127,19 +133,19 @@ class TestGranularities:
 
     def test_column_granularity_keeps_unrelated_columns(self):
         cache = ResultCache(granularity=ColumnGranularity())
-        title_request = select("SELECT i_title FROM item WHERE i_id = 1", ("item",))
-        stock_request = select("SELECT i_stock FROM item WHERE i_id = 1", ("item",))
+        title_request = parsed("SELECT i_title FROM item WHERE i_id = 1")
+        stock_request = parsed("SELECT i_stock FROM item WHERE i_id = 1")
         cache.put(title_request, result())
         cache.put(stock_request, result())
-        cache.invalidate(write("UPDATE item SET i_stock = 5 WHERE i_id = 1", ("item",)))
+        cache.invalidate(parsed("UPDATE item SET i_stock = 5 WHERE i_id = 1"))
         assert cache.get(title_request) is not None
         assert cache.get(stock_request) is None
 
     def test_column_granularity_falls_back_for_inserts(self):
         cache = ResultCache(granularity=ColumnGranularity())
-        request = select("SELECT i_title FROM item", ("item",))
+        request = parsed("SELECT i_title FROM item")
         cache.put(request, result())
-        cache.invalidate(write("INSERT INTO item (i_id) VALUES (9)", ("item",)))
+        cache.invalidate(parsed("INSERT INTO item (i_id) VALUES (9)"))
         assert cache.get(request) is None
 
     def test_granularity_factory(self):

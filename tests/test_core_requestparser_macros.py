@@ -1,11 +1,11 @@
 """Tests for request parsing, table extraction and macro rewriting."""
 
-import datetime
+import re
 
 import pytest
 
 from repro.cluster.fixture import boot, descriptor, digest_mismatches
-from repro.core.macros import contains_macro, rewrite_macros
+from repro.core import macros
 from repro.core.request import (
     BeginRequest,
     CommitRequest,
@@ -15,7 +15,7 @@ from repro.core.request import (
     SelectRequest,
     WriteRequest,
 )
-from repro.core.requestparser import RequestFactory, extract_tables
+from repro.core.requestparser import RequestFactory
 from repro.errors import SQLSyntaxError
 
 
@@ -104,13 +104,22 @@ class TestTableExtraction:
                 "SELECT * FROM item WHERE i_id IN (SELECT ol_i_id FROM order_line)",
                 ["item", "order_line"],
             ),
+            (
+                "INSERT INTO archive (a) SELECT i_id FROM item WHERE i_stock = 0",
+                ["archive", "item"],
+            ),
+            (
+                "SELECT (SELECT COUNT(*) FROM order_line) AS n, i_id FROM item",
+                ["order_line", "item"],
+            ),
+            ("SELECT 'sold FROM stock' FROM item", ["item"]),
         ],
     )
-    def test_extraction(self, sql, expected):
-        assert extract_tables(sql) == expected
+    def test_extraction(self, factory, sql, expected):
+        assert factory.get_template(sql).tables == tuple(expected)
 
-    def test_duplicates_removed(self):
-        assert extract_tables("SELECT * FROM item a, item b") == ["item"]
+    def test_duplicates_removed(self, factory):
+        assert factory.get_template("SELECT * FROM item a, item b").tables == ("item",)
 
 
 #: NOW() spelled with the whitespace SQL allows between a name and its "("
@@ -128,43 +137,48 @@ class TestMacroRewriting:
             "UPDATE t SET ts = NOW\n() WHERE k = 1",
         ],
     )
-    def test_contains_macro(self, sql):
-        assert contains_macro(sql)
+    def test_contains_macro(self, factory, sql):
+        (site,) = factory.get_template(sql).macro_sites
+        start, end, name = site
+        assert name in ("NOW", "RAND")
+        assert re.fullmatch(r"(?i)(now|rand)\s*\(\)", sql.strip()[start:end])
 
-    def test_contains_no_macro(self):
-        assert not contains_macro("SELECT * FROM nowhere")
+    def test_contains_no_macro(self, factory):
+        assert factory.get_template("SELECT * FROM nowhere").macro_sites == ()
 
     @pytest.mark.parametrize("now", NOW_SPELLINGS)
-    def test_now_is_replaced_with_literal(self, now):
-        rewritten, changed = rewrite_macros(f"INSERT INTO t (ts) VALUES ({now})")
-        assert changed
+    def test_now_is_replaced_with_literal(self, factory, now):
+        rewritten = factory.create_request(f"INSERT INTO t (ts) VALUES ({now})").sql
         assert "NOW" not in rewritten.upper()
         assert "VALUES ('" in rewritten
 
-    def test_injected_clock(self):
-        clock = lambda: datetime.datetime(2004, 6, 27, 12, 0, 0)  # noqa: E731
-        rewritten, _ = rewrite_macros("UPDATE t SET ts = NOW()", clock=clock)
-        assert "2004-06-27 12:00:00" in rewritten
+    def test_injected_clock(self, factory, monkeypatch):
+        # the way the Table 1 rows of the count table pin NOW()
+        monkeypatch.setitem(macros._MACRO_GENERATORS, "NOW", lambda: "'2004-06-27 12:00:00'")
+        rewritten = factory.create_request("UPDATE t SET ts = NOW()").sql
+        assert rewritten == "UPDATE t SET ts = '2004-06-27 12:00:00'"
 
     @pytest.mark.parametrize("rand", ["RAND()", "RAND  ()", "RAND\t()", "RAND\n()"])
-    def test_rand_is_replaced_with_number(self, rand):
-        rewritten, changed = rewrite_macros(f"INSERT INTO t (x) VALUES ({rand})")
-        assert changed
+    def test_rand_is_replaced_with_number(self, factory, rand):
+        rewritten = factory.create_request(f"INSERT INTO t (x) VALUES ({rand})").sql
         value = rewritten.split("(")[-1].rstrip(")")
         assert 0.0 <= float(value) < 1.0
 
-    def test_multiple_macros(self):
-        rewritten, changed = rewrite_macros("INSERT INTO t VALUES (NOW(), RAND(), 3)")
-        assert changed
+    def test_multiple_macros(self, factory):
+        rewritten = factory.create_request("INSERT INTO t VALUES (NOW(), RAND(), 3)").sql
         assert "NOW()" not in rewritten.upper()
         assert "RAND()" not in rewritten.upper()
         assert rewritten.rstrip().endswith("3)")
 
-    def test_no_macros_returns_same_text(self):
-        sql = "SELECT * FROM item WHERE i_id = 3"
-        rewritten, changed = rewrite_macros(sql)
-        assert rewritten == sql
-        assert not changed
+    def test_each_request_gets_fresh_values(self, factory):
+        sql = "INSERT INTO t (x) VALUES (RAND())"
+        assert factory.create_request(sql).sql != factory.create_request(sql).sql
+
+    def test_no_macros_returns_same_text(self, factory):
+        sql = "UPDATE item SET i_stock = 3 WHERE i_id = 3"
+        request = factory.create_request(sql)
+        assert request.sql == sql
+        assert not request.macros_rewritten
 
     @pytest.mark.parametrize("now", NOW_SPELLINGS)
     def test_write_request_records_rewrite(self, now):
@@ -178,13 +192,13 @@ class TestMacroRewriting:
         request = factory.create_request("SELECT NOW() FROM customer")
         assert "NOW()" in request.sql.upper()
 
-    def test_rewritten_sql_still_parses(self):
+    def test_rewritten_sql_still_parses(self, factory):
         from repro.sql.parser import parse
 
-        rewritten, _ = rewrite_macros(
+        request = factory.create_request(
             "INSERT INTO orders (o_date, o_total) VALUES (NOW(), RAND())"
         )
-        parse(rewritten)
+        parse(request.sql)
 
 
 class TestMacrosKeepReplicasIdentical:

@@ -94,15 +94,6 @@ class TestParsingCacheAccounting:
             factory.create_request("   ")
         assert len(factory.parsing_cache) == 0
 
-    def test_key_includes_rewrite_flag(self):
-        cache = ParsingCache(max_entries=8)
-        rewriting = RequestFactory(rewrite_write_macros=True, parsing_cache=cache)
-        verbatim = RequestFactory(rewrite_write_macros=False, parsing_cache=cache)
-        sql = "INSERT INTO t (ts) VALUES (NOW())"
-        assert "NOW()" not in rewriting.create_request(sql).sql.upper()
-        assert "NOW()" in verbatim.create_request(sql).sql.upper()
-        assert len(cache) == 2
-
     def test_zero_size_cache_rejected_directly(self):
         with pytest.raises(ValueError):
             ParsingCache(max_entries=0)

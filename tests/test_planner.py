@@ -16,8 +16,6 @@ from repro.planner import (
     RoutingConfig,
     SCATTER_GATHER,
     SINGLE,
-    classify_statement,
-    merge_strategy_for,
 )
 from repro.sql import DatabaseEngine
 
@@ -81,28 +79,46 @@ def partial_vdb(name, routing_policy="policy", scatter_gather=False):
 
 
 class TestStatementClassification:
-    def test_point_read_is_simple(self):
-        request = factory.create_request("SELECT v FROM kv WHERE k = ?", (1,))
-        assert classify_statement(request) == "read_simple"
+    """Cost class and merge kind come from the parse tree, not from substrings."""
 
-    def test_join_order_by_and_aggregates_are_complex(self):
-        for sql in (
+    def test_point_read_is_simple(self):
+        template = factory.get_template("SELECT v FROM kv WHERE k = ?")
+        assert template.cost_class == "read_simple"
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
             "SELECT * FROM a JOIN b ON a.id = b.id",
             "SELECT v FROM kv ORDER BY v",
             "SELECT COUNT(*) FROM kv",
-        ):
-            assert classify_statement(factory.create_request(sql)) == "read_complex"
+            "SELECT COUNT (*) FROM t",
+            "SELECT a FROM t\nORDER BY a",
+        ],
+    )
+    def test_join_order_by_and_aggregates_are_complex(self, sql):
+        assert factory.get_template(sql).cost_class == "read_complex"
 
     def test_writes_and_batches(self):
-        write = factory.create_request("UPDATE kv SET v = 1")
-        assert classify_statement(write) == "write"
-        batch = write.template.instantiate_batch([(1,), (2,)], "", None)
-        assert classify_statement(batch) == "batch"
+        assert factory.get_template("UPDATE kv SET v = 1").cost_class == "write"
+        cluster = build_cluster("class-batch", replication="single", backends=1)
+        vdb = cluster.virtual_database("class-batch")
+        vdb.request_manager.execute("CREATE TABLE kv (k INT PRIMARY KEY, v INT)")
+        vdb.request_manager.execute_batch("INSERT INTO kv (k, v) VALUES (?, 0)", [(1,), (2,)])
+        (backend,) = vdb.backends
+        assert backend.planner_inputs("batch")[0] is not None
 
-    def test_merge_strategy(self):
-        assert merge_strategy_for("SELECT * FROM a, b WHERE a.id = b.id") == MERGE_UNION
-        assert merge_strategy_for("SELECT * FROM a, b ORDER BY a.id") == MERGE_ORDERED
-        assert merge_strategy_for("SELECT COUNT(*) FROM a, b") == MERGE_AGGREGATE
+    @pytest.mark.parametrize(
+        "sql, merge",
+        [
+            ("SELECT * FROM a, b WHERE a.id = b.id", MERGE_UNION),
+            ("SELECT * FROM a, b ORDER BY a.id", MERGE_ORDERED),
+            ("SELECT a FROM t\nORDER BY a", MERGE_ORDERED),
+            ("SELECT COUNT(*) FROM a, b", MERGE_AGGREGATE),
+            ("SELECT COUNT (*) FROM t", MERGE_AGGREGATE),
+        ],
+    )
+    def test_merge_strategy(self, sql, merge):
+        assert factory.get_template(sql).merge == merge
 
 
 class TestRoutePlansPerRaidbLevel:

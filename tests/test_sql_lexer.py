@@ -29,6 +29,13 @@ class TestBasicTokens:
     def test_ends_with_eof(self):
         assert tokenize("SELECT 1")[-1].type is TokenType.EOF
 
+    def test_positions_are_start_offsets(self):
+        # words, strings, quoted identifiers and numbers alike
+        assert [token.position for token in tokenize("delete cart lines")] == [0, 7, 12, 17]
+        sql = "SELECT 'it''s', `q`, 3.5 FROM t"
+        starts = [sql[token.position] for token in tokenize(sql)[:-1]]
+        assert starts == ["S", "'", ",", "`", ",", "3", "F", "t"]
+
     def test_numbers_integer_and_float(self):
         assert values("SELECT 42, 3.14, 1e5") == ["SELECT", "42", ",", "3.14", ",", "1e5"]
 

@@ -203,3 +203,14 @@ class TestTransactionsAndErrors:
     def test_missing_from_table(self):
         with pytest.raises(SQLSyntaxError):
             parse("SELECT a FROM WHERE b = 1")
+
+    def test_error_points_at_the_start_of_the_offending_token(self):
+        with pytest.raises(SQLSyntaxError, match=r"found 'cart' at position 7"):
+            parse("delete cart lines")
+
+    def test_function_calls_carry_their_source_span(self):
+        sql = "UPDATE t SET ts = NOW\t(), n = COUNT(DISTINCT x)"
+        update = parse(sql)
+        now, count = (expression for _, expression in update.assignments)
+        assert sql[slice(*now.span)] == "NOW\t()"
+        assert sql[slice(*count.span)] == "COUNT(DISTINCT x)"
