@@ -44,6 +44,8 @@ class CacheEntry:
     created_at: float
     #: lower-cased columns the SELECT references; None means every column
     columns: Optional[FrozenSet[str]] = None
+    #: the first relaxation rule matching the SELECT, resolved when stored
+    rule: Optional[RelaxationRule] = None
     #: when set, the entry has been invalidated by a write but survives until
     #: this deadline thanks to a relaxation rule
     stale_deadline: Optional[float] = None
@@ -146,6 +148,7 @@ class ResultCache:
         """
         key = request.cache_key()
         frozen = result.frozen()
+        rules = self.relaxation_rules
         entry = CacheEntry(
             sql=request.sql,
             parameters=tuple(request.parameters),
@@ -153,6 +156,7 @@ class ResultCache:
             result=frozen,
             created_at=self._clock(),
             columns=request.template.read_columns if request.template is not None else None,
+            rule=first_matching_rule(rules, request) if rules else None,
         )
         with self._lock:
             previous = self._entries.get(key)
@@ -192,7 +196,7 @@ class ResultCache:
                     continue
                 if not self.granularity.invalidates(write, entry):
                     continue
-                rule = self._rule_for(entry)
+                rule = entry.rule
                 if rule is not None and rule.keep_on_write:
                     if entry.stale_deadline is None:
                         entry.stale_deadline = now + rule.staleness_seconds
@@ -238,13 +242,6 @@ class ResultCache:
         del self._entries[key]
         self._deindex_entry(key, entry)
 
-    def _rule_for(self, entry: CacheEntry) -> Optional[RelaxationRule]:
-        if not self.relaxation_rules:
-            return None
-        # Build a lightweight request-like shim for rule matching.
-        shim = _EntryShim(entry.sql, entry.tables)
-        return first_matching_rule(self.relaxation_rules, shim)
-
     def flush(self) -> None:
         with self._lock:
             self._entries.clear()
@@ -266,10 +263,3 @@ class ResultCache:
         with self._lock:
             return sorted(self._table_index)
 
-
-class _EntryShim:
-    """Just enough of the request interface for rule matching."""
-
-    def __init__(self, sql: str, tables: Tuple[str, ...]):
-        self.sql = sql
-        self.tables = tables

@@ -1,44 +1,49 @@
-"""Macro rewriting for non-deterministic SQL functions.
+"""The controller's values for non-deterministic SQL functions.
 
 Paper §2.4.1: "SQL queries containing macros such as RAND() or NOW() are
 rewritten on-the-fly with a value computed by the scheduler so that each
 backend stores exactly the same data."
 
-The statement analysis (:mod:`repro.core.requestparser`) finds every call of
-one of these functions with an empty argument list, once per statement text,
-and records its source span.  :func:`splice_macros` then replaces each span
-with a literal computed once by the controller, per request.
+The statement analysis (:mod:`repro.core.requestparser`) replaces every call
+of a volatile function (:data:`repro.sql.functions.VOLATILE_FUNCTIONS`) in a
+write by a ``?`` placeholder, once per statement text, and records which
+slot of the parameter tuple it fills.  :func:`bind_macros` computes the
+controller's value for each slot, once per request, and binds it.  The text
+a backend receives therefore never changes, and every backend, the recovery
+log and every replica controller get the same values.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
-import random
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Any, Sequence, Tuple
 
-#: macro name -> callable computing the literal SQL text to substitute
-_MACRO_GENERATORS: Dict[str, Callable[[], str]] = {
-    "NOW": lambda: "'" + _dt.datetime.now().isoformat(sep=" ", timespec="seconds") + "'",
-    "CURRENT_TIMESTAMP": lambda: "'" + _dt.datetime.now().isoformat(sep=" ", timespec="seconds") + "'",
-    "SYSDATE": lambda: "'" + _dt.datetime.now().isoformat(sep=" ", timespec="seconds") + "'",
-    "CURRENT_DATE": lambda: "'" + _dt.date.today().isoformat() + "'",
-    "CURDATE": lambda: "'" + _dt.date.today().isoformat() + "'",
-    "RAND": lambda: repr(random.random()),
-    "RANDOM": lambda: repr(random.random()),
-}
+from repro.sql.functions import VOLATILE_FUNCTIONS
 
 
-def splice_macros(sql: str, sites: Sequence[Tuple[int, int, str]]) -> str:
-    """``sql`` with each ``(start, end, NAME)`` call site replaced by a literal.
+def bind_macros(
+    parameter_sets: Sequence[Sequence[Any]], slots: Sequence[Tuple[int, str]]
+) -> Tuple[Tuple[Any, ...], ...]:
+    """Each parameter set with a controller value inserted at every slot.
 
-    The generator is looked up per call, so replacing an entry of
-    ``_MACRO_GENERATORS`` (a pinned clock) takes effect at once.
+    ``slots`` are ``(slot, NAME)`` pairs in slot order.  One value is drawn
+    per call and shared by every set, so a batch stores the same NOW()/RAND()
+    in each row, as a single write would.  A value is what the function's
+    literal would parse to: a timestamp as ISO text to the second, a date as
+    ISO text, a number as is.
     """
-    parts = []
-    cursor = 0
-    for start, end, name in sites:
-        parts.append(sql[cursor:start])
-        parts.append(_MACRO_GENERATORS[name]())
-        cursor = end
-    parts.append(sql[cursor:])
-    return "".join(parts)
+    values = []
+    for slot, name in slots:
+        value = VOLATILE_FUNCTIONS[name](())
+        if isinstance(value, _dt.datetime):
+            value = value.isoformat(sep=" ", timespec="seconds")
+        elif isinstance(value, _dt.date):
+            value = value.isoformat()
+        values.append((slot, value))
+    bound = []
+    for parameters in parameter_sets:
+        row = list(parameters)
+        for slot, value in values:
+            row.insert(slot, value)
+        bound.append(tuple(row))
+    return tuple(bound)

@@ -48,8 +48,6 @@ class AbstractRequest:
     request_id: int = field(default_factory=_next_request_id)
     #: tables referenced by the request (filled by the request parser)
     tables: Tuple[str, ...] = ()
-    #: True when the SQL contained non-deterministic macros that were rewritten
-    macros_rewritten: bool = False
     #: the :class:`~repro.core.requestparser.ParsedTemplate` this request was
     #: built from: its statement analysis, and the planner's plan cache
     template: Any = field(default=None, compare=False, repr=False)

@@ -14,23 +14,26 @@ backend sees it.
 
 Because applications issue the same statement shapes over and over (the
 paper's parsing cache, §2.4.2), :class:`RequestFactory` keeps the analysis
-in an LRU :class:`ParsingCache` keyed by the statement text.  A cached
-template stamps its facts onto each fresh request.  A write that calls a
-macro splices freshly generated literals in at the recorded spans on every
-instantiation, so cached writes never reuse a stale timestamp or random
-value and no request is tokenized again.  The engines still parse the text
-they receive: the executor hangs per-catalog plans on its tree, so backends
-never share the controller's.
+in an LRU :class:`ParsingCache` keyed by the statement text, stripped of
+surrounding whitespace and one trailing ``;``.  A cached template stamps its
+facts onto each fresh request.  A write that calls a macro has each call
+replaced by a ``?`` once, at template build; every instantiation binds fresh
+controller values to those slots (:func:`~repro.core.macros.bind_macros`),
+so the text never changes and both this cache and the engines' statement
+caches hit.  The engines still parse the text they receive: the executor
+hangs per-catalog plans on its tree, so backends never share the
+controller's.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Type
 
-from repro.core.macros import _MACRO_GENERATORS, splice_macros
+from repro.core.macros import bind_macros
 from repro.core.request import (
     AbstractRequest,
     BatchWriteRequest,
@@ -52,6 +55,7 @@ from repro.planner.plan import (
     WRITE,
 )
 from repro.sql import ast
+from repro.sql.functions import AGGREGATE_NAMES, VOLATILE_FUNCTIONS
 from repro.sql.parser import parse
 
 #: DDL kinds, one per DDL statement of the dialect
@@ -76,7 +80,6 @@ _REQUEST_CLASSES = {
 }
 #: statements that name their target table in a ``table`` field
 _TABLE_STATEMENTS = (ast.Insert, ast.Update, ast.Delete, *_DDL_KINDS)
-_AGGREGATES = frozenset(("COUNT", "SUM", "AVG", "MIN", "MAX"))
 _NODES = (
     ast.Expression,
     ast.Statement,
@@ -96,6 +99,7 @@ class _Walk:
         #: lower-cased referenced column names; None once a ``*`` is seen
         self.columns: Optional[set] = set()
         self.macro_sites: List[Tuple[int, int, str]] = []
+        self.parameter_starts: List[int] = []
         self.complex = self.aggregate = self.ordered = False
 
     def visit(self, node) -> None:
@@ -117,11 +121,14 @@ class _Walk:
         if kind is ast.TableRef:
             self.tables.setdefault(node.name.lower(), node.name)
             return
+        if kind is ast.Parameter:
+            self.parameter_starts.append(node.span[0])
+            return
         if kind is ast.FunctionCall:
             name = node.name.upper()
-            if name in _AGGREGATES:
+            if name in AGGREGATE_NAMES:
                 self.aggregate = True
-            elif name in _MACRO_GENERATORS and not node.args:
+            elif name in VOLATILE_FUNCTIONS and not node.args:
                 self.macro_sites.append((*node.span, name))
         elif kind is ast.Select:
             self.complex |= bool(node.joins) or node.distinct
@@ -137,11 +144,12 @@ class _Walk:
 class ParsedTemplate:
     """Everything the controller knows about one SQL text, built once.
 
-    ``sql`` is the stripped statement text *before* macro rewriting;
     ``macro_sites`` holds each macro call as ``(start, end, NAME)`` offsets
-    into it.  A write with macro sites gets fresh literals spliced in on
-    every instantiation; a read with any is never served from the result
-    cache.
+    into the analysed text.  In a write each call becomes a ``?``: ``sql``
+    is the text with those placeholders, the one every backend receives, and
+    ``macro_slots`` holds ``(slot, NAME)``, the index in the parameter tuple
+    each controller value fills, in slot order.  A read keeps its calls (they
+    run wherever the read does) and is never served from the result cache.
     """
 
     __slots__ = (
@@ -154,7 +162,7 @@ class ParsedTemplate:
         "assigned_columns",
         "read_columns",
         "macro_sites",
-        "rewrites_macros",
+        "macro_slots",
         "cached_plan",
     )
 
@@ -163,7 +171,6 @@ class ParsedTemplate:
         walk = _Walk()
         walk.visit(statement)
         self.request_class: Type[AbstractRequest] = _REQUEST_CLASSES[type(statement)]
-        self.sql = sql
         self.tables: Tuple[str, ...] = tuple(walk.tables.values())
         is_read = self.request_class is SelectRequest
         if not is_read:
@@ -187,10 +194,19 @@ class ParsedTemplate:
         self.read_columns: Optional[FrozenSet[str]] = (
             frozenset(walk.columns) if is_read and walk.columns is not None else None
         )
-        self.macro_sites: Tuple[Tuple[int, int, str], ...] = tuple(walk.macro_sites)
-        # writes need deterministic rewriting (paper §2.4.1); reads evaluate
-        # NOW()/RAND() wherever they run
-        self.rewrites_macros = self.request_class is WriteRequest and bool(self.macro_sites)
+        self.macro_sites: Tuple[Tuple[int, int, str], ...] = tuple(sorted(walk.macro_sites))
+        self.macro_slots: Tuple[Tuple[int, str], ...] = ()
+        if self.request_class is WriteRequest and self.macro_sites:
+            # every backend must store the same value (paper §2.4.1): each call
+            # becomes a ?, its slot after the placeholders and calls before it
+            starts = sorted(walk.parameter_starts)
+            self.macro_slots = tuple(
+                (index + bisect_left(starts, start), name)
+                for index, (start, _, name) in enumerate(self.macro_sites)
+            )
+            for start, end, _ in reversed(self.macro_sites):
+                sql = sql[:start] + "?" + sql[end:]
+        self.sql = sql
         #: ``(planner, version, RoutePlan)`` stamped by the query planner;
         #: re-executions of this statement shape skip planning while the
         #: planner's version counter stands still
@@ -225,14 +241,13 @@ class ParsedTemplate:
         login: str,
         transaction_id: Optional[int],
     ) -> AbstractRequest:
-        sql = self.sql
-        if self.rewrites_macros:
-            sql = splice_macros(sql, self.macro_sites)
+        parameters = tuple(parameters)
+        if self.macro_slots:
+            (parameters,) = bind_macros((parameters,), self.macro_slots)
         return self.request_class(
-            sql=sql,
+            sql=self.sql,
             tables=self.tables,
-            macros_rewritten=self.rewrites_macros,
-            parameters=tuple(parameters),
+            parameters=parameters,
             login=login,
             transaction_id=transaction_id,
             template=self,
@@ -246,7 +261,7 @@ class ParsedTemplate:
     ) -> BatchWriteRequest:
         """One :class:`BatchWriteRequest` covering every parameter set.
 
-        Macros are rewritten once per batch, so every row of the batch (and
+        Macro values are drawn once per batch, so every row of the batch (and
         every backend it is broadcast to) sees the same NOW()/RAND() value —
         the same determinism guarantee a single write gets.
         """
@@ -254,13 +269,11 @@ class ParsedTemplate:
         parameter_sets = freeze_parameter_sets(parameter_sets)
         if not parameter_sets:
             raise CJDBCError("a batch needs at least one parameter set")
-        sql = self.sql
-        if self.rewrites_macros:
-            sql = splice_macros(sql, self.macro_sites)
+        if self.macro_slots:
+            parameter_sets = bind_macros(parameter_sets, self.macro_slots)
         return BatchWriteRequest(
-            sql=sql,
+            sql=self.sql,
             tables=self.tables,
-            macros_rewritten=self.rewrites_macros,
             parameter_sets=parameter_sets,
             login=login,
             transaction_id=transaction_id,
@@ -356,6 +369,8 @@ class RequestFactory:
         template lets repeated executions skip the analysis entirely,
         paying only request instantiation.
         """
+        # the text the analysis parses, so spacing and a final ";" share an entry
+        sql = sql.strip().removesuffix(";").rstrip()
         cache = self.parsing_cache
         if cache is None:
             return _analyse(sql)
@@ -389,7 +404,6 @@ class RequestFactory:
 
 
 def _analyse(sql: str) -> ParsedTemplate:
-    stripped = sql.strip()
-    if not stripped:
+    if not sql:
         raise SQLSyntaxError("empty SQL statement")
-    return ParsedTemplate(stripped)
+    return ParsedTemplate(sql)

@@ -28,7 +28,7 @@ from repro.core.recovery.checkpoint import Checkpoint
 from repro.core.recovery.octopus import PortableDump
 from repro.core.request import RequestResult, freeze_parameter_sets
 from repro.core.virtualdb import VirtualDatabase
-from repro.errors import CJDBCError, GroupCommunicationError
+from repro.errors import GroupCommunicationError
 from repro.groupcomm.channel import GroupChannel
 from repro.groupcomm.message import GroupMessage, ViewChange, register_payload
 from repro.groupcomm.transport import GroupTransport
@@ -287,11 +287,12 @@ class DistributedVirtualDatabase:
         if request.is_read_only:
             # Reads stay local: each controller load-balances over its own backends.
             return manager.execute_request(request)
-        # the macro-rewritten text, so every replica applies the same NOW()/RAND()
+        # the request's text and parameters: its macro values are bound there,
+        # so every replica applies the same NOW()/RAND()
         command = _WriteCommand(
             kind="execute",
             sql=request.sql,
-            parameters=tuple(parameters),
+            parameters=request.parameters,
             login=login,
             transaction_id=transaction_id,
             origin=self.controller_name,
@@ -315,17 +316,15 @@ class DistributedVirtualDatabase:
         transaction_id: Optional[int] = None,
     ) -> RequestResult:
         """Multicast one batch so every controller applies it as one group."""
-        # validate up front (non-writes and empty batches must fail on the
-        # caller, not asynchronously on every group member) without building
-        # a throwaway request — the template check is enough
-        self.local.request_manager.request_factory.get_template(sql).require_batchable()
-        parameter_sets = freeze_parameter_sets(parameter_sets)
-        if not parameter_sets:
-            raise CJDBCError("a batch needs at least one parameter set")
+        # built here, so a non-write or an empty batch fails on the caller and
+        # every replica applies the same macro values
+        request = self.local.request_manager.request_factory.create_batch_request(
+            sql, parameter_sets, login=login, transaction_id=transaction_id
+        )
         command = _WriteCommand(
             kind="batch",
-            sql=sql,
-            parameter_sets=parameter_sets,
+            sql=request.sql,
+            parameter_sets=request.parameter_sets,
             login=login,
             transaction_id=transaction_id,
             origin=self.controller_name,

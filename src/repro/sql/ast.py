@@ -30,6 +30,8 @@ class Parameter(Expression):
     """A positional parameter marker (``?`` / ``%s``)."""
 
     index: int
+    #: ``(start, end)`` offsets of the marker in the statement text
+    span: Optional[Tuple[int, int]] = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -223,7 +225,8 @@ class ColumnDef:
     primary_key: bool = False
     unique: bool = False
     auto_increment: bool = False
-    default: Optional[Expression] = None
+    #: a constant: the parser rejects any other DEFAULT
+    default: Optional[Literal] = None
 
 
 @dataclass

@@ -111,11 +111,7 @@ class Executor:
                 primary_key=definition.primary_key,
                 unique=definition.unique,
                 auto_increment=definition.auto_increment,
-                default=(
-                    definition.default.value
-                    if isinstance(definition.default, ast.Literal)
-                    else None
-                ),
+                default=None if definition.default is None else definition.default.value,
             )
             for definition in statement.columns
         ]
@@ -210,11 +206,7 @@ class Executor:
             not_null=False,  # adding NOT NULL to existing rows would fail
             unique=definition.unique,
             auto_increment=definition.auto_increment,
-            default=(
-                definition.default.value
-                if isinstance(definition.default, ast.Literal)
-                else None
-            ),
+            default=None if definition.default is None else definition.default.value,
         )
         catalog.alter(table.add_column, column)
         transaction.mark_write()

@@ -1,9 +1,11 @@
 """Built-in SQL scalar functions and aggregate implementations.
 
-``NOW()`` and ``RAND()`` are the macros the C-JDBC scheduler rewrites before
-broadcasting writes (paper §2.4.1): they are non-deterministic, so if each
-backend evaluated them locally the replicas would diverge.  They are still
-implemented here so a *single* backend behaves like a normal RDBMS.
+:data:`VOLATILE_FUNCTIONS` is the one list of the non-deterministic
+functions (``NOW()``, ``RAND()``, ...).  If each backend evaluated one in a
+replicated write the replicas would diverge, so the controller draws the
+value once and binds it as a parameter instead (paper §2.4.1,
+:mod:`repro.core.macros`).  They are still implemented here so a *single*
+backend, or a read, behaves like a normal RDBMS.
 """
 
 from __future__ import annotations
@@ -112,7 +114,8 @@ def _fn_ifnull(args: List[Any]) -> Any:
     return args[1] if args[0] is None else args[0]
 
 
-SCALAR_FUNCTIONS: Dict[str, Callable[[List[Any]], Any]] = {
+#: the non-deterministic functions: each call may give a different value
+VOLATILE_FUNCTIONS: Dict[str, Callable[[List[Any]], Any]] = {
     "NOW": _fn_now,
     "CURRENT_TIMESTAMP": _fn_now,
     "SYSDATE": _fn_now,
@@ -120,6 +123,10 @@ SCALAR_FUNCTIONS: Dict[str, Callable[[List[Any]], Any]] = {
     "CURDATE": _fn_current_date,
     "RAND": _fn_rand,
     "RANDOM": _fn_rand,
+}
+
+SCALAR_FUNCTIONS: Dict[str, Callable[[List[Any]], Any]] = {
+    **VOLATILE_FUNCTIONS,
     "LENGTH": _fn_length,
     "CHAR_LENGTH": _fn_length,
     "UPPER": _fn_upper,
@@ -139,14 +146,6 @@ SCALAR_FUNCTIONS: Dict[str, Callable[[List[Any]], Any]] = {
     "NULLIF": _fn_nullif,
     "IFNULL": _fn_ifnull,
 }
-
-#: Functions whose result is non-deterministic.  The middleware request
-#: parser uses this set to decide which calls must be rewritten into
-#: literal values before a write is broadcast to the backends.
-NON_DETERMINISTIC_FUNCTIONS = frozenset(
-    {"NOW", "CURRENT_TIMESTAMP", "SYSDATE", "CURRENT_DATE", "CURDATE", "RAND", "RANDOM"}
-)
-
 
 def call_scalar(name: str, args: List[Any]) -> Any:
     """Invoke the scalar function ``name`` (case-insensitive)."""

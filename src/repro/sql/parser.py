@@ -414,7 +414,12 @@ class Parser:
             elif self._accept_keyword("AUTO_INCREMENT"):
                 column.auto_increment = True
             elif self._accept_keyword("DEFAULT"):
+                start = self._pos
                 column.default = self._parse_primary()
+                if type(column.default) is not ast.Literal:
+                    # a backend would store NULL, or each its own value
+                    self._pos = start
+                    raise self._error(f"DEFAULT of column {name!r} must be a constant")
             else:
                 break
         return column
@@ -579,7 +584,8 @@ class Parser:
             return ast.Literal(token.value)
         if token.type is TokenType.PARAMETER:
             self._advance()
-            parameter = ast.Parameter(self._parameter_count)
+            span = (token.position, token.position + len(token.value))
+            parameter = ast.Parameter(self._parameter_count, span)
             self._parameter_count += 1
             return parameter
         if token.matches(TokenType.KEYWORD, "NULL"):

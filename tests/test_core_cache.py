@@ -194,6 +194,16 @@ class TestRelaxedConsistency:
         assert cache.get(item_request) is not None
         assert cache.get(customer_request) is None
 
+    def test_rule_is_resolved_once_when_stored(self):
+        item_rule = RelaxationRule(staleness_seconds=60.0, tables=("item",))
+        cache = ResultCache(relaxation_rules=[item_rule, RelaxationRule(staleness_seconds=5.0)])
+        cache.put(select("SELECT * FROM item", ("item",)), result())
+        cache.put(select("SELECT * FROM customer", ("customer",)), result())
+        assert [entry.rule.staleness_seconds for entry in cache.entries()] == [60.0, 5.0]
+        coherent = ResultCache()
+        coherent.put(select(), result())
+        assert [entry.rule for entry in coherent.entries()] == [None]
+
     def test_rule_with_sql_pattern(self):
         rule = RelaxationRule(staleness_seconds=30.0, sql_pattern=r"best_?seller")
         assert rule.matches(select("SELECT * FROM bestseller_view", ("item",)))

@@ -1,11 +1,11 @@
 """Tests for request parsing, table extraction and macro rewriting."""
 
+import datetime
 import re
 
 import pytest
 
 from repro.cluster.fixture import boot, descriptor, digest_mismatches
-from repro.core import macros
 from repro.core.request import (
     BeginRequest,
     CommitRequest,
@@ -17,6 +17,8 @@ from repro.core.request import (
 )
 from repro.core.requestparser import RequestFactory
 from repro.errors import SQLSyntaxError
+from repro.sql import DatabaseEngine
+from repro.sql.functions import VOLATILE_FUNCTIONS
 
 
 @pytest.fixture
@@ -124,6 +126,18 @@ class TestTableExtraction:
 
 #: NOW() spelled with the whitespace SQL allows between a name and its "("
 NOW_SPELLINGS = ["NOW()", "NOW ()", "now()", "NOW  ()", "NOW\t()", "NOW\n()"]
+TIMESTAMP = re.compile(r"\d{4}-\d\d-\d\d \d\d:\d\d:\d\d")
+#: the clock and random draw a pinned test sees
+PINNED_NOW = datetime.datetime(2004, 6, 27, 12, 0, 0, 123456)
+PINNED_RAND = 0.12345678901234567
+
+
+@pytest.fixture
+def pinned(monkeypatch):
+    """Pin NOW(), CURRENT_DATE() and RAND() in the engine's function table."""
+    monkeypatch.setitem(VOLATILE_FUNCTIONS, "NOW", lambda args: PINNED_NOW)
+    monkeypatch.setitem(VOLATILE_FUNCTIONS, "CURRENT_DATE", lambda args: PINNED_NOW.date())
+    monkeypatch.setitem(VOLATILE_FUNCTIONS, "RAND", lambda args: PINNED_RAND)
 
 
 class TestMacroRewriting:
@@ -147,50 +161,79 @@ class TestMacroRewriting:
         assert factory.get_template("SELECT * FROM nowhere").macro_sites == ()
 
     @pytest.mark.parametrize("now", NOW_SPELLINGS)
-    def test_now_is_replaced_with_literal(self, factory, now):
-        rewritten = factory.create_request(f"INSERT INTO t (ts) VALUES ({now})").sql
-        assert "NOW" not in rewritten.upper()
-        assert "VALUES ('" in rewritten
+    def test_now_is_bound_as_a_timestamp(self, factory, now):
+        request = factory.create_request(f"INSERT INTO t (ts) VALUES ({now})")
+        assert request.sql == "INSERT INTO t (ts) VALUES (?)"
+        (value,) = request.parameters
+        assert TIMESTAMP.fullmatch(value)
 
-    def test_injected_clock(self, factory, monkeypatch):
-        # the way the Table 1 rows of the count table pin NOW()
-        monkeypatch.setitem(macros._MACRO_GENERATORS, "NOW", lambda: "'2004-06-27 12:00:00'")
-        rewritten = factory.create_request("UPDATE t SET ts = NOW()").sql
-        assert rewritten == "UPDATE t SET ts = '2004-06-27 12:00:00'"
+    def test_injected_clock(self, factory, pinned):
+        request = factory.create_request("UPDATE t SET ts = NOW(), d = CURRENT_DATE()")
+        assert request.sql == "UPDATE t SET ts = ?, d = ?"
+        assert request.parameters == ("2004-06-27 12:00:00", "2004-06-27")
 
     @pytest.mark.parametrize("rand", ["RAND()", "RAND  ()", "RAND\t()", "RAND\n()"])
-    def test_rand_is_replaced_with_number(self, factory, rand):
-        rewritten = factory.create_request(f"INSERT INTO t (x) VALUES ({rand})").sql
-        value = rewritten.split("(")[-1].rstrip(")")
-        assert 0.0 <= float(value) < 1.0
+    def test_rand_is_bound_as_a_number(self, factory, rand):
+        request = factory.create_request(f"INSERT INTO t (x) VALUES ({rand})")
+        assert request.sql == "INSERT INTO t (x) VALUES (?)"
+        (value,) = request.parameters
+        assert 0.0 <= value < 1.0
 
     def test_multiple_macros(self, factory):
-        rewritten = factory.create_request("INSERT INTO t VALUES (NOW(), RAND(), 3)").sql
-        assert "NOW()" not in rewritten.upper()
-        assert "RAND()" not in rewritten.upper()
-        assert rewritten.rstrip().endswith("3)")
+        request = factory.create_request("INSERT INTO t VALUES (NOW(), RAND(), 3)")
+        assert request.sql == "INSERT INTO t VALUES (?, ?, 3)"
+        assert [type(value) for value in request.parameters] == [str, float]
+
+    @pytest.mark.parametrize(
+        "sql, parameters, expected",
+        [
+            ("INSERT INTO t VALUES (?, NOW(), ?, RAND())", (1, 2), (1, "now", 2, "rand")),
+            ("UPDATE t SET a = ?, ts = NOW() WHERE k = ?", ("a", 7), ("a", "now", 7)),
+            ("UPDATE t SET r = RAND() * ? WHERE k IN (?, %s)", (9, 1, 2), ("rand", 9, 1, 2)),
+        ],
+    )
+    def test_user_parameters_and_macros_interleave_by_offset(
+        self, factory, pinned, sql, parameters, expected
+    ):
+        values = {"now": "2004-06-27 12:00:00", "rand": PINNED_RAND}
+        request = factory.create_request(sql, parameters)
+        assert "?" in request.sql and "NOW" not in request.sql and "RAND" not in request.sql
+        assert request.parameters == tuple(values.get(value, value) for value in expected)
 
     def test_each_request_gets_fresh_values(self, factory):
         sql = "INSERT INTO t (x) VALUES (RAND())"
-        assert factory.create_request(sql).sql != factory.create_request(sql).sql
+        first, second = factory.create_request(sql), factory.create_request(sql)
+        assert first.sql == second.sql
+        assert first.parameters != second.parameters
+
+    def test_a_batch_draws_one_value_per_call(self, factory):
+        request = factory.create_batch_request(
+            "INSERT INTO t (k, r) VALUES (?, RAND())", [(1,), (2,), (3,)]
+        )
+        assert request.sql == "INSERT INTO t (k, r) VALUES (?, ?)"
+        (draw,) = {parameters[1] for parameters in request.parameter_sets}
+        assert [parameters[0] for parameters in request.parameter_sets] == [1, 2, 3]
+        assert 0.0 <= draw < 1.0
 
     def test_no_macros_returns_same_text(self, factory):
         sql = "UPDATE item SET i_stock = 3 WHERE i_id = 3"
         request = factory.create_request(sql)
         assert request.sql == sql
-        assert not request.macros_rewritten
+        assert request.parameters == ()
 
     @pytest.mark.parametrize("now", NOW_SPELLINGS)
     def test_write_request_records_rewrite(self, now):
         factory = RequestFactory()
-        request = factory.create_request(f"UPDATE customer SET c_login = {now} WHERE c_id = 1")
-        assert request.macros_rewritten
-        assert "NOW" not in request.sql.upper()
+        template = factory.get_template(f"UPDATE customer SET c_login = {now} WHERE c_id = ?")
+        assert template.sql == "UPDATE customer SET c_login = ? WHERE c_id = ?"
+        assert template.macro_slots == ((0, "NOW"),)
 
     def test_reads_are_not_rewritten(self):
         factory = RequestFactory()
         request = factory.create_request("SELECT NOW() FROM customer")
         assert "NOW()" in request.sql.upper()
+        assert request.parameters == ()
+        assert request.template.macro_slots == ()
 
     def test_rewritten_sql_still_parses(self, factory):
         from repro.sql.parser import parse
@@ -201,14 +244,103 @@ class TestMacroRewriting:
         parse(request.sql)
 
 
+def _replicated(prefix, backends=1, controllers=1):
+    """A booted RAIDb-1 cluster; several controllers form one group."""
+    group = {"group_name": f"{prefix}-group"} if controllers > 1 else {}
+    return boot(
+        descriptor(prefix, backends, controllers=controllers, replication="raidb1", **group)
+    )
+
+
+def _write_macros(connection, way):
+    """Three rows of RAND(), RAND() * 1000000 and NOW() written one way."""
+    sql = "INSERT INTO t (k, r, big, ts) VALUES (?, RAND(), RAND() * 1000000, NOW())"
+    rows = [(1,), (2,), (3,)]
+    if way == "executemany":
+        connection.cursor().executemany(sql, rows)
+        return
+    if way == "transaction":
+        connection.begin()
+    statement = connection.prepare(sql) if way == "prepared" else None
+    for row in rows:
+        if statement is None:
+            connection.execute(sql, row)
+        else:
+            statement.execute(row)
+    if way == "transaction":
+        connection.commit()
+
+
 class TestMacrosKeepReplicasIdentical:
     @pytest.mark.parametrize("macro", ["RAND  ()", "RAND\t()", "RAND\n()", "NOW\t()", "NOW\n()"])
     def test_three_replicas_store_the_same_value(self, macro):
-        cluster = boot(descriptor("macro", 3, replication="raidb1"))
+        cluster = _replicated("macro", 3)
         try:
             connection = cluster.connect(cluster.name, "user", "secret")
             connection.execute("CREATE TABLE t (k INT PRIMARY KEY, r VARCHAR(40))")
             connection.execute(f"INSERT INTO t (k, r) VALUES (2, {macro})")
+            assert digest_mismatches(cluster.engines) == []
+        finally:
+            cluster.shutdown()
+
+    @pytest.mark.parametrize("way", ["execute", "prepared", "executemany", "transaction"])
+    def test_two_controllers_store_the_same_values(self, way):
+        cluster = _replicated("macro-group", 1, controllers=2)
+        try:
+            connection = cluster.connect(cluster.name, "user", "secret")
+            connection.execute(
+                "CREATE TABLE t (k INT PRIMARY KEY, r FLOAT, big FLOAT, ts TIMESTAMP)"
+            )
+            _write_macros(connection, way)
+            assert len(cluster.engines) == 2
+            assert digest_mismatches(cluster.engines) == []
+        finally:
+            cluster.shutdown()
+
+    def test_a_bound_value_stores_what_the_literal_stored(self, pinned):
+        # the text the controller used to splice in, executed on a bare engine
+        literal = (
+            "INSERT INTO t (k, ts, tx, d, r, big) VALUES (1, '2004-06-27 12:00:00',"
+            f" '2004-06-27 12:00:00', '2004-06-27', {PINNED_RAND!r}, {PINNED_RAND!r} * 1000000)"
+        )
+        schema = (
+            "CREATE TABLE t (k INT PRIMARY KEY, ts TIMESTAMP, tx VARCHAR(30), d DATE,"
+            " r VARCHAR(30), big FLOAT)"
+        )
+        reference = DatabaseEngine("literal-rewrite")
+        reference.execute(schema)
+        reference.execute(literal)
+        cluster = _replicated("macro-bytes", 2)
+        try:
+            connection = cluster.connect(cluster.name, "user", "secret")
+            connection.execute(schema)
+            connection.execute(
+                "INSERT INTO t (k, ts, tx, d, r, big)"
+                " VALUES (1, NOW(), NOW(), CURRENT_DATE(), RAND(), RAND() * 1000000)"
+            )
+            engines = {**cluster.engines, "literal": reference}
+            assert digest_mismatches(engines) == []
+        finally:
+            cluster.shutdown()
+
+
+class TestParseCachesHoldOneTextPerShape:
+    def test_fifty_macro_writes_through_two_controllers(self):
+        cluster = _replicated("macro-cache", 1, controllers=2)
+        try:
+            connection = cluster.connect(cluster.name, "user", "secret")
+            connection.execute("CREATE TABLE t (k INT PRIMARY KEY, r FLOAT)")
+            for key in range(50):
+                connection.execute("INSERT INTO t (k, r) VALUES (?, RAND())", (key,))
+            # CREATE TABLE and the one INSERT text with its RAND() bound
+            assert [len(engine._prepared) for engine in cluster.engines.values()] == [2, 2]
+            origin, peer = (
+                cluster.virtual_database(cluster.name, controller=name).request_manager
+                for name in sorted(cluster.controllers)
+            )
+            # the origin also holds the caller's text, before the rewrite
+            assert len(origin.request_factory.parsing_cache) == 3
+            assert len(peer.request_factory.parsing_cache) == 2
             assert digest_mismatches(cluster.engines) == []
         finally:
             cluster.shutdown()

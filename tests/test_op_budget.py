@@ -5,10 +5,12 @@ Each row of :data:`BUDGETS` is one operation and its exact cost on CPython
 
 * ``calls`` — Python function calls (``call`` events);
 * ``sql`` — the part of ``calls`` whose frame lives under ``repro/sql/``
-  (the engine); ``calls - sql`` is what the middleware spent.  The parser
-  also runs on the controller's behalf, once per distinct statement text
-  (:class:`~repro.core.requestparser.ParsedTemplate`); those calls are keyed
-  ``analysis/sql/...`` and count as middleware;
+  (the engine); ``calls - sql`` is what the middleware spent.  Engine code
+  also runs on the controller's behalf: the parser, once per distinct
+  statement text (:class:`~repro.core.requestparser.ParsedTemplate`), and a
+  volatile function such as ``NOW()``, once per call in a write
+  (:func:`~repro.core.macros.bind_macros`); those calls are keyed
+  ``controller/sql/...`` and count as middleware;
 * ``locks`` — lock operations: ``c_call`` events for ``acquire`` or
   ``__exit__`` on a ``_thread.lock``/``RLock``.  CPython 3.11 emits no event
   for a ``with`` block's ``__enter__``, so a ``with lock:`` counts once (its
@@ -41,7 +43,7 @@ from typing import Callable, Dict, NamedTuple, Optional
 import pytest
 
 from repro.cluster.fixture import boot, descriptor
-from repro.core import macros
+from repro.core.macros import bind_macros
 from repro.core.backend import DatabaseBackend
 from repro.core.cache import FullScanTableGranularity, ResultCache, TableGranularity
 from repro.core.recovery import MemoryRecoveryLog
@@ -88,8 +90,6 @@ _RUBIS_CACHES = {
 }
 RUBIS_SCALE = RUBISScale(users=60, items=40, bids_per_item=4)
 RUBIS_RUN_LENGTH = 150  # interactions
-#: what NOW() is rewritten to during a Table 1 run
-PINNED_NOW = "'2004-06-27 12:00:00'"
 
 #: the pinned counts, CPython 3.11: (calls, of them under repro/sql/, lock ops)
 BUDGETS: Dict[str, Count] = {
@@ -102,7 +102,7 @@ BUDGETS: Dict[str, Count] = {
     # server batch vs the client loop it replaces
     "100-row looped executemany": Count(30502, 17100, 5600),
     # parsing cache on vs off, per statement shape: off parses the text every
-    # time; on, a NOW() write only splices a fresh literal in at the call's span
+    # time; on, a NOW() write only binds a fresh value to the call's slot
     "parse, cache on: item by id": Count(7, 0, 2),
     "parse, cache off: item by id": Count(296, 0, 1),
     "parse, cache on: items by subject": Count(7, 0, 2),
@@ -118,11 +118,11 @@ BUDGETS: Dict[str, Count] = {
     "parse, cache on: update stock": Count(7, 0, 2),
     "parse, cache off: update stock": Count(366, 0, 1),
     "parse, cache on: update cart NOW()": Count(9, 0, 2),
-    "parse, cache off: update cart NOW()": Count(354, 0, 1),
+    "parse, cache off: update cart NOW()": Count(356, 0, 1),
     "parse, cache on: delete cart lines": Count(7, 0, 2),
     "parse, cache off: delete cart lines": Count(228, 0, 1),
     "parse, cache on: insert order NOW()": Count(9, 0, 2),
-    "parse, cache off: insert order NOW()": Count(427, 0, 1),
+    "parse, cache off: insert order NOW()": Count(429, 0, 1),
     # one write on a table that caches nothing: indexed vs full-scan candidates
     "invalidate, indexed: 250": Count(3, 0, 1),
     "invalidate, full scan: 250": Count(1003, 0, 1),
@@ -131,9 +131,9 @@ BUDGETS: Dict[str, Count] = {
     "invalidate, indexed: 4000": Count(3, 0, 1),
     "invalidate, full scan: 4000": Count(16003, 0, 1),
     # Table 1: 150 RUBiS bidding-mix interactions, one backend
-    "RUBiS bidding, no cache": Count(77435, 45034, 5176),
-    "RUBiS bidding, coherent cache": Count(71850, 37967, 5128),
-    "RUBiS bidding, relaxed cache": Count(70238, 32941, 4638),
+    "RUBiS bidding, no cache": Count(77492, 45085, 5176),
+    "RUBiS bidding, coherent cache": Count(71798, 38018, 5128),
+    "RUBiS bidding, relaxed cache": Count(67615, 32992, 4638),
 }
 
 #: what each Table 1 run does outside the count table, on any interpreter:
@@ -151,7 +151,8 @@ INSERT = "INSERT INTO kv (k, v) VALUES (?, ?)"
 BATCH_ROWS = 100
 
 _LOCK_TYPES = (_thread.LockType, _thread.RLock)
-_ANALYSIS = ParsedTemplate.__init__.__code__
+#: code whose engine calls are the controller's work
+_CONTROLLER = (ParsedTemplate.__init__.__code__, bind_macros.__code__)
 
 
 class Measurement(NamedTuple):
@@ -164,22 +165,22 @@ def measure(operation: Callable[[], object]) -> Measurement:
     """Count what one ``operation()`` costs in this thread."""
     calls = Counter()
     locks = 0
-    analysing = 0  # depth of the controller's statement analysis
+    in_controller = 0  # depth of the controller's own use of engine code
 
     def profile(frame, event, arg):
-        nonlocal locks, analysing
+        nonlocal locks, in_controller
         if event == "call":
             code = frame.f_code
-            if code is _ANALYSIS:
-                analysing += 1
+            if code in _CONTROLLER:
+                in_controller += 1
             _, in_repro, inner = code.co_filename.rpartition("/repro/")
             path = inner if in_repro else code.co_filename.rpartition("/")[2]
-            if analysing and path.startswith("sql/"):
-                # the parser run on the controller's behalf is middleware work
-                path = "analysis/" + path
+            if in_controller and path.startswith("sql/"):
+                # engine code run on the controller's behalf is middleware work
+                path = "controller/" + path
             calls[f"{path}:{code.co_name}"] += 1
-        elif event == "return" and frame.f_code is _ANALYSIS:
-            analysing -= 1
+        elif event == "return" and frame.f_code in _CONTROLLER:
+            in_controller -= 1
         elif (
             event == "c_call"
             and arg.__name__ in ("acquire", "__exit__")
@@ -314,16 +315,8 @@ def _rubis_fixture(cache):
     stream = BIDDING_MIX.interaction_stream(seed=8)
 
     def run():
-        # NOW() is pinned for the run: a rewritten statement's text holds the
-        # wall-clock second, so the engine parses it again whenever the
-        # second changes, and the counts would depend on when the run started
-        generator = macros._MACRO_GENERATORS["NOW"]
-        macros._MACRO_GENERATORS["NOW"] = lambda: PINNED_NOW
-        try:
-            for _ in range(RUBIS_RUN_LENGTH):
-                client.run(next(stream))
-        finally:
-            macros._MACRO_GENERATORS["NOW"] = generator
+        for _ in range(RUBIS_RUN_LENGTH):
+            client.run(next(stream))
 
     return RubisRun(run, backend, virtual_database.request_manager.result_cache)
 

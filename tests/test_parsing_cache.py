@@ -98,25 +98,33 @@ class TestParsingCacheAccounting:
         with pytest.raises(ValueError):
             ParsingCache(max_entries=0)
 
+    def test_spacing_and_a_final_semicolon_share_one_entry(self):
+        factory = RequestFactory(parsing_cache_size=8)
+        for sql in ("SELECT 1", " SELECT 1", "SELECT 1 ", "SELECT 1\n", "SELECT 1 ;"):
+            assert factory.create_request(sql).sql == "SELECT 1"
+        stats = factory.parsing_cache.statistics
+        assert (stats.misses, stats.hits) == (1, 4)
+        assert len(factory.parsing_cache) == 1
+        with pytest.raises(SQLSyntaxError):
+            factory.create_request(" ; ")
+
 
 class TestParsingCacheMacroFreshness:
     def test_cached_macro_write_is_rewritten_per_request(self):
-        """A cached template must not serve a stale RAND()/NOW() literal."""
+        """A cached template must not serve a stale RAND()/NOW() value."""
         factory = RequestFactory(parsing_cache_size=8)
         sql = "INSERT INTO t (x) VALUES (RAND())"
-        values = {factory.create_request(sql).sql for _ in range(5)}
-        assert len(values) > 1  # each instantiation draws a fresh literal
+        requests = [factory.create_request(sql) for _ in range(5)]
+        assert len({request.parameters for request in requests}) > 1  # a fresh draw each
+        assert {request.sql for request in requests} == {"INSERT INTO t (x) VALUES (?)"}
         assert factory.parsing_cache.statistics.hits == 4
-        for request in (factory.create_request(sql),):
-            assert request.macros_rewritten
-            assert "RAND()" not in request.sql.upper()
 
-    def test_cached_macro_free_write_keeps_flag_false(self):
+    def test_cached_macro_free_write_keeps_its_text(self):
         factory = RequestFactory(parsing_cache_size=8)
-        sql = "UPDATE item SET i_stock = 0"
-        factory.create_request(sql)
-        request = factory.create_request(sql)
-        assert not request.macros_rewritten
+        sql = "UPDATE item SET i_stock = ?"
+        factory.create_request(sql, (0,))
+        request = factory.create_request(sql, (0,))
+        assert request.parameters == (0,)
         assert request.sql == sql
 
     def test_cached_select_macros_left_alone(self):

@@ -147,6 +147,11 @@ class TestDDLParsing:
         assert statement.columns[1].not_null is True
         assert statement.columns[2].default.value == 0
 
+    @pytest.mark.parametrize("default", ["RAND()", "NOW()", "k", "?"])
+    def test_a_default_must_be_a_constant(self, default):
+        with pytest.raises(SQLSyntaxError, match="DEFAULT of column 'v' must be a constant"):
+            parse(f"CREATE TABLE t (k INT, v VARCHAR(30) DEFAULT {default})")
+
     def test_create_table_if_not_exists(self):
         assert parse("CREATE TABLE IF NOT EXISTS t (a INT)").if_not_exists is True
 

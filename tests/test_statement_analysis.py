@@ -3,7 +3,8 @@
 Each class below reproduces a wrong answer or a wasted backend round trip
 that reading the SQL text gave: a volatile read served from the result
 cache, an UPDATE whose assigned columns were cut from its text, and an
-unparseable statement that reached every backend.
+unparseable statement (or a DEFAULT no backend can evaluate alike) that
+reached every backend.
 """
 
 import pathlib
@@ -71,6 +72,13 @@ class TestUnparseableStatementsStopAtTheController:
         [
             ("INSERT INTO t VALUES (1, ", "expected an expression"),
             ("ALTER TABLE t DROP COLUMN v", "expected ADD"),
+            # a backend stored NULL for these; evaluated there, replicas would differ
+            (
+                "CREATE TABLE d (k INT PRIMARY KEY, r FLOAT DEFAULT RAND())",
+                "'r' must be a constant",
+            ),
+            ("ALTER TABLE t ADD COLUMN ts TIMESTAMP DEFAULT NOW()", "'ts' must be a constant"),
+            ("CREATE TABLE d (k INT, m INT DEFAULT k)", "'m' must be a constant"),
         ],
     )
     def test_no_backend_sees_it(self, sql, message):
@@ -80,6 +88,16 @@ class TestUnparseableStatementsStopAtTheController:
             connection.execute(sql)
         assert [engine.statements_executed for engine in engines] == executed
         assert [backend.name for backend in vdb.backends if not backend.is_enabled] == []
+
+    def test_constant_defaults_are_stored(self):
+        connection, _, engines = _cluster("constant-default")
+        connection.execute(
+            "CREATE TABLE d (k INT PRIMARY KEY, n INT DEFAULT 0, s VARCHAR(4) DEFAULT 'n',"
+            " z INT DEFAULT NULL)"
+        )
+        connection.execute("INSERT INTO d (k) VALUES (1)")
+        for engine in engines:
+            assert engine.execute("SELECT n, s, z FROM d").rows == [[0, "n", None]]
 
 
 def test_only_the_engine_imports_its_lexer():
