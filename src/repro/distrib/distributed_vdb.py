@@ -19,6 +19,7 @@ recovery procedure of §4.1).
 
 from __future__ import annotations
 
+import copy
 import threading
 import zlib
 from dataclasses import asdict, dataclass, field
@@ -52,9 +53,8 @@ class _WriteCommand:
     def from_wire(cls, fields: dict) -> "_WriteCommand":
         # JSON turned the tuples into lists; freeze them back
         fields["parameters"] = tuple(fields.get("parameters") or ())
-        fields["parameter_sets"] = freeze_parameter_sets(
-            fields.get("parameter_sets") or ()
-        )
+        parameter_sets = fields.get("parameter_sets")
+        fields["parameter_sets"] = freeze_parameter_sets(parameter_sets) if parameter_sets else ()
         return cls(**fields)
 
 
@@ -65,6 +65,12 @@ class _BackendAdvertisement:
 
     controller: str
     backends: List[dict] = field(default_factory=list)
+
+    @classmethod
+    def from_wire(cls, fields: dict) -> "_BackendAdvertisement":
+        # the memory link hands every receiver the sender's nested statistics
+        fields["backends"] = copy.deepcopy(fields.get("backends") or [])
+        return cls(**fields)
 
 
 @register_payload

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.errors import GroupCommunicationError
 
@@ -57,10 +56,13 @@ class ViewChange:
 # Frame bodies must survive JSON, and the protocol encodes payloads the same
 # way over either link (the memory link skips the JSON, not the codec, so
 # every receiver gets its own rebuilt object).  Registered payload dataclasses
-# round-trip as ``{"@payload": <class name>, "fields": {...}}`` documents; a
-# class needing to restore non-JSON field types (tuples, nested tuples)
-# defines a ``from_wire(fields)`` classmethod.  Plain JSON-safe values pass
-# through untouched, so tests can multicast bare strings over either link.
+# round-trip as ``{"@payload": <class name>, "fields": {...}}`` documents
+# whose fields are copied one level deep; a class needing to restore non-JSON
+# field types (tuples, nested tuples) or holding a mutable field (which the
+# memory link would otherwise share between receivers) defines a
+# ``from_wire(fields)`` classmethod that rebuilds them.  Plain JSON-safe
+# values pass through untouched, so tests can multicast bare strings over
+# either link.
 
 _WIRE_TAG = "@payload"
 
@@ -78,13 +80,13 @@ def payload_to_wire(payload: Any) -> Any:
     """Wire-safe document for ``payload`` (passthrough for plain values)."""
     cls = type(payload)
     if _PAYLOAD_TYPES.get(cls.__name__) is cls:
-        return {_WIRE_TAG: cls.__name__, "fields": dataclasses.asdict(payload)}
+        return {_WIRE_TAG: cls.__name__, "fields": vars(payload).copy()}
     return payload
 
 
 def payload_from_wire(document: Any) -> Any:
     """Invert :func:`payload_to_wire`."""
-    if isinstance(document, Mapping) and _WIRE_TAG in document:
+    if isinstance(document, dict) and _WIRE_TAG in document:
         cls = _PAYLOAD_TYPES.get(str(document[_WIRE_TAG]))
         if cls is None:
             raise GroupCommunicationError(

@@ -129,7 +129,6 @@ class RemotePreparedHandle:
                 "statement_id": self.statement_id,
                 "parameters": list(parameters),
                 "transaction_id": transaction_id,
-                "sql": self.sql,
             },
         )
 
@@ -145,7 +144,6 @@ class RemotePreparedHandle:
                 "statement_id": self.statement_id,
                 "parameter_sets": [list(parameters) for parameters in parameter_sets],
                 "transaction_id": transaction_id,
-                "sql": self.sql,
             },
         )
 
@@ -211,29 +209,28 @@ class RemoteVirtualDatabase:
             return reply_type, reply
 
     def _result_request(self, message_type: MessageType, body: dict):
-        """A request whose reply is a streamed result set."""
+        """A request whose reply is a result: its header, then a chunk while ``more``."""
         with self._lock:
-            reply_type, header = self._request(message_type, body)
+            reply_type, reply = self._request(message_type, body)
             if reply_type is not MessageType.RESULT_HEADER:
                 raise self._dead(
                     ProtocolError(f"expected RESULT_HEADER, got {reply_type.name}")
                 )
+            header = reply
             chunks: List[List[List[Any]]] = []
-            while True:
+            while reply.get("more"):
                 try:
                     reply_type, reply = self.frames.recv()
                 except (ConnectionClosed, OSError) as exc:
                     raise self._dead(exc) from exc
-                if reply_type is MessageType.RESULT_ROWS:
-                    chunks.append(reply.get("rows") or [])
-                    continue
-                if reply_type is MessageType.RESULT_END:
-                    return result_from_frames(header, iter(chunks))
-                raise self._dead(
-                    ProtocolError(
-                        f"unexpected {reply_type.name} frame inside a result stream"
+                if reply_type is not MessageType.RESULT_ROWS:
+                    raise self._dead(
+                        ProtocolError(
+                            f"unexpected {reply_type.name} frame inside a result stream"
+                        )
                     )
-                )
+                chunks.append(reply.get("rows") or [])
+            return result_from_frames(header, iter(chunks))
 
     # -- request API -------------------------------------------------------------------
 

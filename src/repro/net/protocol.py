@@ -7,13 +7,18 @@ Every message on the wire is one *frame*::
     +----------------+------+-------------------------+
 
 ``length`` counts the type byte plus the body, so an empty-body frame has
-length 1.  The body is a JSON object whose values pass through a small
-tagging codec (:func:`encode_value` / :func:`decode_value`) so that types
-JSON cannot carry natively — ``bytes``, ``datetime``/``date``/``time``,
-``Decimal`` — round-trip exactly; plain mappings are wrapped so a user value
-can never collide with a codec tag.  This binary-framing/JSON-body hybrid
-keeps the protocol debuggable (``tcpdump`` shows readable bodies) while
-staying compact and strictly delimited.
+length 1.  The body is a JSON object.  A body of plain JSON values is one C
+encoder call and one C scan; only a body holding a type JSON cannot carry —
+``bytes``, ``datetime``/``date``/``time``, ``Decimal`` — or a ``"$"`` token
+takes a small tagging codec (:func:`encode_value` / :func:`decode_value`)
+that round-trips those types exactly and wraps mappings so a user value can
+never collide with a codec tag.  The rule is one test on each end: every
+tagged body holds ``"$"`` (its tag key), and a plain body is sent only when
+its text holds none, so the receiver walks a body exactly when its bytes
+hold ``"$"`` (a string ending in ``"$`` walks for nothing, harmlessly).
+This binary-framing/JSON-body hybrid keeps the protocol debuggable
+(``tcpdump`` shows readable bodies) while staying compact and strictly
+delimited.
 
 Three message families:
 
@@ -24,8 +29,10 @@ Three message families:
   so a :class:`~repro.errors.NoMoreBackendError` raised inside the
   controller re-raises as the same type inside the remote client;
 * result frames stream a :class:`~repro.core.request.RequestResult` as a
-  header, zero or more row chunks, and an end marker, so large result sets
-  never require one giant frame.
+  header holding its columns, counts and first ``RESULT_CHUNK_ROWS`` rows,
+  then one ``RESULT_ROWS`` frame per further chunk; each says whether
+  another follows (``more``).  A point read or an update count is one
+  reply frame, and a large result set never requires one giant frame.
 """
 
 from __future__ import annotations
@@ -46,12 +53,12 @@ from repro.core.request import RequestResult
 from repro.errors import DatabaseError, ProtocolError
 
 #: bump when the frame layout or message semantics change incompatibly
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: hard cap on one frame's payload; a peer announcing more is protocol abuse
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: rows per RESULT_ROWS chunk when streaming a result set
+#: rows per result chunk (the header's, then each RESULT_ROWS frame's)
 RESULT_CHUNK_ROWS = 256
 
 _LENGTH = struct.Struct("!I")
@@ -83,7 +90,6 @@ class MessageType(IntEnum):
     PREPARED = 0x23
     RESULT_HEADER = 0x24
     RESULT_ROWS = 0x25
-    RESULT_END = 0x26
 
     # group-communication frames (controller <-> controller, repro.groupcomm)
     GROUP_JOIN = 0x30
@@ -93,6 +99,12 @@ class MessageType(IntEnum):
     GROUP_SEND = 0x34
     GROUP_VIEW = 0x35
     GROUP_SUSPECT = 0x36
+
+
+#: type byte -> MessageType, so decoding a frame never calls the Enum
+_FRAME_TYPES = {int(member): member for member in MessageType}
+#: the frames holding a result's rows; each leaves in a ``sendall`` of its own
+_CHUNKS = (MessageType.RESULT_HEADER, MessageType.RESULT_ROWS)
 
 
 class ConnectionClosed(ProtocolError):
@@ -152,21 +164,43 @@ def decode_value(value: Any) -> Any:
     return value
 
 
+#: the one C encoder call a plain body costs
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=True)
+#: the C scanner behind ``json.loads``, called without its Python wrappers
+_SCAN = json.JSONDecoder().scan_once
+
+
 def encode_body(body: Mapping) -> bytes:
-    """Serialize a frame body (a mapping of fields) to compact JSON bytes."""
-    encoded = {str(key): encode_value(value) for key, value in body.items()}
-    return json.dumps(encoded, separators=(",", ":"), allow_nan=True).encode("utf-8")
+    """Serialize a frame body (a mapping of fields) to compact JSON bytes.
+
+    A body of plain JSON values is one C encoder call; the tagged walk runs
+    only when that fails (a typed value) or its text holds a ``"$"`` token.
+    """
+    try:
+        text = _ENCODER.encode(body)
+    except (TypeError, ValueError):
+        text = None
+    if text is None or '"$"' in text:
+        encoded = {str(key): encode_value(value) for key, value in body.items()}
+        text = _ENCODER.encode(encoded)
+    return text.encode("utf-8")
 
 
 def decode_body(data: bytes) -> Dict[str, Any]:
+    """Invert :func:`encode_body`: one C scan, plus the walk if a tag may be present."""
     try:
-        document = json.loads(data.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise ProtocolError(f"frame body is not valid JSON: {exc}") from exc
+        text = data.decode("utf-8")
+        document, end = _SCAN(text, 0)
+    except (StopIteration, ValueError) as exc:  # no value at all, or a bad one
+        raise ProtocolError(f"frame body is not valid JSON: {exc!r}") from None
+    if end != len(text):
+        raise ProtocolError(f"frame body is not valid JSON: extra data at {end}")
     if not isinstance(document, dict):
         raise ProtocolError(
             f"frame body must be a JSON object, got {type(document).__name__}"
         )
+    if b'"$"' not in data:
+        return document
     return {key: decode_value(value) for key, value in document.items()}
 
 
@@ -189,10 +223,9 @@ def decode_frame_payload(payload: bytes) -> Tuple[MessageType, Dict[str, Any]]:
     """Decode the payload (type byte + body) of one frame."""
     if not payload:
         raise ProtocolError("empty frame payload")
-    try:
-        message_type = MessageType(payload[0])
-    except ValueError:
-        raise ProtocolError(f"unknown frame type byte 0x{payload[0]:02x}") from None
+    message_type = _FRAME_TYPES.get(payload[0])
+    if message_type is None:
+        raise ProtocolError(f"unknown frame type byte 0x{payload[0]:02x}")
     return message_type, decode_body(payload[1:])
 
 
@@ -241,18 +274,18 @@ class FrameSocket:
         self.send_frames(((message_type, body),))
 
     def send_frames(self, frames: Iterable[Tuple[int, Optional[Mapping]]]) -> None:
-        """Send ``frames`` in order, one ``RESULT_ROWS`` chunk to a ``sendall``.
+        """Send ``frames`` in order, one row chunk to a ``sendall``.
 
-        Every other frame rides with a chunk (a result's header with its first,
-        the end marker with its last), so a response of at most one chunk is
-        one segment whatever else it carries.  ``frames`` is consumed lazily:
-        a result of many chunks is encoded and sent a chunk at a time, never
-        held whole.
+        A result's header holds its first chunk and each ``RESULT_ROWS`` frame
+        one more; every other frame rides with a chunk, so a response of at
+        most one chunk is one segment whatever else it carries.  ``frames`` is
+        consumed lazily: a result of many chunks is encoded and sent a chunk
+        at a time, never held whole.
         """
         pending: List[bytes] = []
         chunks = 0
         for message_type, body in frames:
-            chunks += message_type == MessageType.RESULT_ROWS
+            chunks += message_type in _CHUNKS
             if chunks == 2:
                 self._write(pending)
                 pending, chunks = [], 1
@@ -370,7 +403,12 @@ def decode_error(body: Mapping) -> Exception:
 def result_frames(
     result: RequestResult, chunk_rows: int = RESULT_CHUNK_ROWS
 ) -> Iterator[Tuple[MessageType, Dict[str, Any]]]:
-    """Stream one result as (type, body) frames: header, row chunks, end."""
+    """Stream one result as (type, body) frames: a header with the first rows, then chunks.
+
+    Each frame's ``more`` says whether a ``RESULT_ROWS`` frame follows, so a
+    result of at most ``chunk_rows`` rows is the header alone.
+    """
+    rows, step = result.rows, max(chunk_rows, 1)
     yield (
         MessageType.RESULT_HEADER,
         {
@@ -380,22 +418,22 @@ def result_frames(
             "backends_executed": result.backends_executed,
             "from_cache": result.from_cache,
             "transaction_id": result.transaction_id,
+            "rows": rows[:step],
+            "more": len(rows) > step,
         },
     )
-    rows = result.rows
-    for start in range(0, len(rows), max(chunk_rows, 1)):
-        chunk = rows[start : start + chunk_rows]
-        yield (MessageType.RESULT_ROWS, {"rows": [list(row) for row in chunk]})
-    yield (MessageType.RESULT_END, {})
+    for start in range(step, len(rows), step):
+        end = start + step
+        yield (MessageType.RESULT_ROWS, {"rows": rows[start:end], "more": len(rows) > end})
 
 
 def result_from_frames(
     header: Mapping, row_chunks: Iterator[List[List[Any]]]
 ) -> RequestResult:
-    """Assemble a :class:`RequestResult` from a header body and row chunks."""
-    rows: List[List[Any]] = []
+    """Assemble a :class:`RequestResult` from a header body and the later row chunks."""
+    rows: List[List[Any]] = list(header.get("rows") or ())
     for chunk in row_chunks:
-        rows.extend(list(row) for row in chunk)
+        rows.extend(chunk)
     return RequestResult(
         columns=list(header.get("columns") or []),
         rows=rows,

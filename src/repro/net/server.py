@@ -15,7 +15,7 @@ accepted connection becomes a :class:`_Session`:
   the in-process driver uses, so the pipeline, scheduler, cache and
   recovery log see no difference between local and remote clients;
 * errors cross back as typed error frames; results stream back as
-  header/rows/end frames.
+  a header frame holding the first rows, then a frame per further chunk.
 
 Limits and lifecycle: ``max_connections`` rejects excess connections with a
 :class:`~repro.errors.ControllerError` frame (the remote driver treats that
@@ -509,7 +509,10 @@ class ControllerServer:
         operation = _FAULT_OPERATIONS.get(message_type)
         if operation is None:
             return
-        injector.invoke(operation, str(body.get("sql", "")))
+        # a prepared statement's text stays with its handle, not in each frame
+        handle = session.statements.get(body.get("statement_id"))
+        sql = handle.sql if handle is not None else body.get("sql", "")
+        injector.invoke(operation, str(sql))
 
     # -- dispatch ------------------------------------------------------------------------
 

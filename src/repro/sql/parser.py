@@ -415,11 +415,19 @@ class Parser:
                 column.auto_increment = True
             elif self._accept_keyword("DEFAULT"):
                 start = self._pos
-                column.default = self._parse_primary()
-                if type(column.default) is not ast.Literal:
+                sign = self._accept(TokenType.OPERATOR, "-") or self._accept(
+                    TokenType.OPERATOR, "+"
+                )
+                default = self._parse_primary()
+                if type(default) is not ast.Literal or (
+                    sign is not None and type(default.value) not in (int, float)
+                ):
                     # a backend would store NULL, or each its own value
                     self._pos = start
                     raise self._error(f"DEFAULT of column {name!r} must be a constant")
+                if sign is not None and sign.value == "-":
+                    default = ast.Literal(-default.value)
+                column.default = default
             else:
                 break
         return column

@@ -69,8 +69,9 @@ def _nodes(value: Any) -> Iterator[ast.Expression]:
     """Every expression node under ``value`` (subquery bodies excluded)."""
     if isinstance(value, ast.Expression):
         yield value
-        for child in vars(value).values():
-            yield from _nodes(child)
+        for name, child in vars(value).items():
+            if name != "span":  # a call's or placeholder's offsets in the text
+                yield from _nodes(child)
     elif isinstance(value, (list, tuple)):
         for item in value:
             yield from _nodes(item)

@@ -9,6 +9,7 @@ total order, same failure surface — because
 :class:`repro.distrib.DistributedVirtualDatabase` runs over either.
 """
 
+import copy
 import random
 import sys
 import threading
@@ -359,6 +360,26 @@ class TestSocketFailureDetection:
                 node.start()
         finally:
             medium.close()
+
+
+class TestPayloadCopies:
+    def test_a_receiver_mutating_its_payload_leaves_the_others_unchanged(self, medium):
+        from repro.distrib.distributed_vdb import _BackendAdvertisement
+
+        _, received_a, _ = make_member(medium, "a")
+        b, received_b, _ = make_member(medium, "b")
+        advertisement = _BackendAdvertisement(
+            "b", [{"name": "b0", "tables": ["t"], "faults": {"crashed": False}}]
+        )
+        sent = copy.deepcopy(advertisement)
+        b.multicast(advertisement)
+        assert wait_until(lambda: received_a and received_b)
+        mine, theirs = received_a[-1].payload, received_b[-1].payload
+        mine.backends[0]["tables"].append("u")
+        mine.backends[0]["faults"]["crashed"] = True
+        mine.backends.append({"name": "b1"})
+        assert advertisement == sent  # the sender's own object
+        assert theirs == sent  # the sender's delivery of its own multicast
 
 
 class TestMemoryLink:

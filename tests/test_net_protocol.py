@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro.net.protocol as protocol
 from repro.core.faults import BackendCrashedError, InjectedFaultError
 from repro.core.request import RequestResult
 from repro.errors import (
@@ -58,6 +59,17 @@ sql_values = st.recursive(
     ),
     max_leaves=20,
 )
+# ... plus the texts that sit next to the codec's tag: the tag itself, a
+# tag-shaped mapping and strings ending in a quote and the tag character
+tag_texts = st.sampled_from(["$", '"$', 'x"$', "$$", '"$"', "m", "v", "b"])
+tagged_values = st.recursive(
+    st.one_of(sql_scalars, tag_texts),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.dictionaries(st.one_of(tag_texts, st.text(max_size=4)), children, max_size=4),
+    ),
+    max_leaves=20,
+)
 
 
 def normalize(value):
@@ -76,6 +88,39 @@ class TestValueCodec:
     def test_round_trip_through_body(self, value):
         body = decode_body(encode_body({"v": value}))
         assert body["v"] == normalize(value)
+
+    @given(body=st.dictionaries(st.one_of(tag_texts, st.text(max_size=6)), tagged_values))
+    def test_bodies_next_to_the_tag_round_trip(self, body):
+        assert decode_body(encode_body(body)) == normalize(body)
+
+    def test_a_plain_body_is_one_encoder_call_and_no_walk(self, monkeypatch):
+        encodes, walks = [], []
+        encoder = protocol._ENCODER
+
+        class CountingEncoder:
+            def encode(self, document):
+                encodes.append(document)
+                return encoder.encode(document)
+
+        def counting_decode_value(value):
+            walks.append(value)
+            return decode_value(value)
+
+        monkeypatch.setattr(protocol, "_ENCODER", CountingEncoder())
+        monkeypatch.setattr(protocol, "decode_value", counting_decode_value)
+        monkeypatch.setattr(protocol, "encode_value", lambda value: walks.append(value))
+        body = {"rows": [[1, "one", 2.5, None, True]] * 50, "more": False, "m": {"a": [1]}}
+        assert decode_body(encode_body(body)) == body
+        assert (len(encodes), walks) == (1, [])
+
+    @pytest.mark.parametrize(
+        "body",
+        [{"v": b"\x00"}, {"v": Decimal("1.5")}, {"v": {"$": 1}}, {"v": "$"}, {"v": ['a"$']}],
+    )
+    def test_a_typed_or_tag_shaped_body_takes_the_walk(self, body):
+        encoded = encode_body(body)
+        assert b'"$"' in encoded
+        assert decode_body(encoded) == body
 
     def test_scalar_types_preserved(self):
         moment = datetime.datetime(2004, 6, 27, 12, 30, 15, 250000)
@@ -136,6 +181,11 @@ class TestFraming:
     def test_non_object_body_rejected(self):
         with pytest.raises(ProtocolError, match="must be a JSON object"):
             decode_body(b"[1,2]")
+
+    @pytest.mark.parametrize("data", [b"", b"{}{}", b'{"a":1} ', b" {}"])
+    def test_missing_or_trailing_data_rejected(self, data):
+        with pytest.raises(ProtocolError, match="not valid JSON"):
+            decode_body(data)
 
     def test_oversized_frame_rejected_on_encode(self):
         with pytest.raises(ProtocolError, match="exceeds"):
@@ -265,11 +315,13 @@ class TestOneSegmentPerResponse:
         assert len(frames.sock.sent) > 1 and frames.sends == len(frames.sock.sent)
         decoded, reader = self._decode_all(frames.sock.sent)
         assert reader.sock.recv_calls == 2  # everything in one read, then end of stream
-        assert decoded[0][0] is MessageType.RESULT_HEADER
-        assert decoded[-1][0] is MessageType.RESULT_END
-        chunks = [body["rows"] for _type, body in decoded[1:-1]]
-        assert [len(chunk) for chunk in chunks] == [RESULT_CHUNK_ROWS, 1]
-        assert result_from_frames(decoded[0][1], iter(chunks)).rows == result.rows
+        assert [message_type for message_type, _body in decoded] == [
+            MessageType.RESULT_HEADER, MessageType.RESULT_ROWS
+        ]
+        (_, header), (_, last) = decoded
+        assert (len(header["rows"]), header["more"]) == (RESULT_CHUNK_ROWS, True)
+        assert (len(last["rows"]), last["more"]) == (1, False)
+        assert result_from_frames(header, iter([last["rows"]])).rows == result.rows
         assert reader.bytes_in == frames.bytes_out and reader.frames_in == frames.frames_out
 
     def test_frames_are_consumed_lazily(self):
@@ -294,16 +346,14 @@ class TestOneSegmentPerResponse:
         segments = [self._decode_all([data])[0] for data in frames.sock.sent]
         kinds = [[message_type for message_type, _body in segment] for segment in segments]
         rows = MessageType.RESULT_ROWS
-        assert kinds == [
-            [MessageType.RESULT_HEADER, rows], [rows], [rows], [rows, MessageType.RESULT_END]
-        ]
+        assert kinds == [[MessageType.RESULT_HEADER], [rows], [rows], [rows]]
 
     def test_batching_follows_the_response_not_a_frame_count(self):
         """Frames added around one row chunk still leave in the same ``sendall``."""
         frames = FrameSocket(_ScriptedSocket())
         extra = [(MessageType.OK, {"n": n}) for n in range(3)]
         frames.send_frames(extra + list(result_frames(self._result(5))) + extra)
-        assert len(frames.sock.sent) == 1 and frames.frames_out == 9
+        assert len(frames.sock.sent) == 1 and frames.frames_out == 7
 
     def test_frame_split_across_three_recvs(self):
         frame = encode_frame(MessageType.EXECUTE, {"sql": "SELECT 1"})
@@ -370,7 +420,7 @@ class TestErrorFrames:
 
 
 class TestResultFrames:
-    def test_streams_header_chunks_end(self):
+    def test_streams_header_then_chunks(self):
         result = RequestResult(
             columns=["id", "name"],
             rows=[[i, f"row{i}"] for i in range(10)],
@@ -380,12 +430,12 @@ class TestResultFrames:
         )
         frames = list(result_frames(result, chunk_rows=3))
         types = [frame_type for frame_type, _ in frames]
-        assert types[0] is MessageType.RESULT_HEADER
-        assert types[-1] is MessageType.RESULT_END
-        assert types[1:-1] == [MessageType.RESULT_ROWS] * 4  # 3+3+3+1 rows
+        assert types == [MessageType.RESULT_HEADER] + [MessageType.RESULT_ROWS] * 3
+        assert [len(body["rows"]) for _, body in frames] == [3, 3, 3, 1]
+        assert [body["more"] for _, body in frames] == [True, True, True, False]
 
         header = frames[0][1]
-        chunks = [body["rows"] for frame_type, body in frames[1:-1]]
+        chunks = [body["rows"] for frame_type, body in frames[1:]]
         rebuilt = result_from_frames(header, iter(chunks))
         assert rebuilt.columns == result.columns
         assert rebuilt.rows == result.rows
@@ -394,10 +444,8 @@ class TestResultFrames:
     def test_empty_result_has_no_row_chunks(self):
         result = RequestResult(columns=[], rows=[], update_count=3)
         frames = list(result_frames(result))
-        assert [frame_type for frame_type, _ in frames] == [
-            MessageType.RESULT_HEADER,
-            MessageType.RESULT_END,
-        ]
+        assert [frame_type for frame_type, _ in frames] == [MessageType.RESULT_HEADER]
+        assert (frames[0][1]["rows"], frames[0][1]["more"]) == ([], False)
         rebuilt = result_from_frames(frames[0][1], iter([]))
         assert rebuilt.update_count == 3
         assert rebuilt.rows == []

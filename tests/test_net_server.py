@@ -209,6 +209,20 @@ class TestChaosHook:
         assert session.execute("SELECT COUNT(*) FROM t").rows == [[0]]
         session.close()
 
+    def test_match_sql_fault_fires_on_a_prepared_execute(self, served_cluster):
+        """An execution frame names its statement by id; the rule still sees the text."""
+        server, _controller, _vdb, _engines = served_cluster
+        session = remote_session(server)
+        session.execute("CREATE TABLE t (id INT PRIMARY KEY)")
+        insert = session.prepare("INSERT INTO t (id) VALUES (?)")
+        read = session.prepare("SELECT COUNT(*) FROM t")
+        injector = server.ensure_fault_injector(seed=42)
+        injector.inject("disconnect", operations=("execute",), match_sql="INSERT", one_shot=True)
+        assert read.execute().rows == [[0]]
+        with pytest.raises(ControllerError, match="lost connection"):
+            insert.execute((1,))
+        assert server.statistics()["fault_disconnects"] == 1
+
 
 class _RecordingSocket:
     """The session's socket, counting the ``sendall`` and ``recv`` calls made on it."""
@@ -267,7 +281,7 @@ class TestOneSegmentPerResponse:
         after = server.statistics()
         assert after["responses"] - before["responses"] == 2
         assert after["sends"] - before["sends"] == 2
-        assert after["frames_out"] - before["frames_out"] == 3 + 2  # header rows end / header end
+        assert after["frames_out"] - before["frames_out"] == 1 + 1  # a header holds the rows
         session.close()
 
     def test_result_above_one_chunk_streams(self, served_cluster):

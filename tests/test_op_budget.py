@@ -19,7 +19,12 @@ Each row of :data:`BUDGETS` is one operation and its exact cost on CPython
 The first five rows are the canonical operations; the next ones restate the
 hot-path ablations (parsing cache on/off per statement shape, indexed vs
 full-scan cache invalidation per cache size, server batch vs a looped
-``executemany``) as counts.  The last three are the paper's Table 1: one
+``executemany``) as counts.  The four ``wire:`` rows are both ends of the
+wire codec (:mod:`repro.net.protocol`) in one thread: a prepared statement's
+request frame and its result frames encoded and decoded, for a point read, a
+50-row read (the same count: the rows never pass through Python) and an update
+count, and one multicast write's ``GROUP_DELIVER`` frame from the sender's
+payload to the receiver's message.  The last three are the paper's Table 1: one
 seeded RUBiS bidding-mix run on a single backend without a result cache,
 with a coherent one and with a relaxed one.  Their ``sql`` column stands for
 the database's work; the paper reports database CPU 100% / 85% / 20%.
@@ -50,6 +55,16 @@ from repro.core.recovery import MemoryRecoveryLog
 from repro.core.request import RequestResult, SelectRequest, WriteRequest
 from repro.core.request_manager import RequestManager
 from repro.core.requestparser import ParsedTemplate, RequestFactory
+from repro.distrib.distributed_vdb import _WriteCommand
+from repro.groupcomm.message import payload_from_wire
+from repro.groupcomm.node import _body, _message
+from repro.net.protocol import (
+    MessageType,
+    decode_frame_payload,
+    encode_frame,
+    result_frames,
+    result_from_frames,
+)
 from repro.sql import DatabaseEngine, DatabaseMetaData, dbapi
 from repro.workloads.rubis import BIDDING_MIX, RUBISDataGenerator, RUBiSInteractions
 from repro.workloads.rubis.schema import RUBISScale, create_schema
@@ -97,10 +112,15 @@ BUDGETS: Dict[str, Count] = {
     "cached read": Count(23, 0, 4),  # 3-replica manager, result cache hit
     "PK read, no cache": Count(136, 76, 18),  # engine (sql) vs middleware calls
     "3-replica UPDATE": Count(378, 237, 56),  # autocommit, result cache, memory log
-    "replicated prepared UPDATE": Count(455, 159, 73),  # 2 controllers x 1 backend
+    "replicated prepared UPDATE": Count(396, 159, 73),  # 2 controllers x 1 backend
     "100-row batch": Count(16541, 13530, 2139),  # one execute_batch, 3 replicas
     # server batch vs the client loop it replaces
     "100-row looped executemany": Count(30502, 17100, 5600),
+    # both ends of the wire codec, in one thread
+    "wire: cached point read": Count(17, 0, 0),
+    "wire: 50-row read": Count(17, 0, 0),
+    "wire: update count": Count(17, 0, 0),
+    "wire: group deliver": Count(15, 0, 1),
     # parsing cache on vs off, per statement shape: off parses the text every
     # time; on, a NOW() write only binds a fresh value to the call's slot
     "parse, cache on: item by id": Count(7, 0, 2),
@@ -131,9 +151,9 @@ BUDGETS: Dict[str, Count] = {
     "invalidate, indexed: 4000": Count(3, 0, 1),
     "invalidate, full scan: 4000": Count(16003, 0, 1),
     # Table 1: 150 RUBiS bidding-mix interactions, one backend
-    "RUBiS bidding, no cache": Count(77492, 45085, 5176),
-    "RUBiS bidding, coherent cache": Count(71798, 38018, 5128),
-    "RUBiS bidding, relaxed cache": Count(67615, 32992, 4638),
+    "RUBiS bidding, no cache": Count(77459, 45052, 5176),
+    "RUBiS bidding, coherent cache": Count(71765, 37985, 5128),
+    "RUBiS bidding, relaxed cache": Count(67582, 32959, 4638),
 }
 
 #: what each Table 1 run does outside the count table, on any interpreter:
@@ -271,6 +291,36 @@ def _batches(batched):
     return insert_rows
 
 
+def _wire(result, parameters):
+    """A prepared execution's request and its result, encoded and decoded as the wire does."""
+    request = {"statement_id": 1, "parameters": list(parameters), "transaction_id": None}
+
+    def round_trip():
+        decode_frame_payload(encode_frame(MessageType.EXECUTE_PREPARED, request)[4:])
+        header, chunks = None, []
+        for message_type, body in result_frames(result):
+            decoded_type, decoded = decode_frame_payload(encode_frame(message_type, body)[4:])
+            if decoded_type is MessageType.RESULT_HEADER:
+                header = decoded
+            else:
+                chunks.append(decoded["rows"])
+        return result_from_frames(header, iter(chunks))
+
+    return round_trip
+
+
+def _group_deliver():
+    """A multicast write's GROUP_DELIVER body, built, encoded, decoded and delivered."""
+    command = _WriteCommand(kind="execute", sql=WRITE, parameters=("next", 1), origin="c0")
+
+    def round_trip():
+        body = _body("budget-group", "c0", command, sequence=7)
+        _, document = decode_frame_payload(encode_frame(MessageType.GROUP_DELIVER, body)[4:])
+        return _message(document, payload_from_wire(document["payload"]))
+
+    return round_trip
+
+
 def _parse(sql, cache_size):
     factory = RequestFactory(parsing_cache_size=cache_size)
     factory.create_request(sql, (1,))
@@ -334,6 +384,22 @@ SETUPS: Dict[str, Callable[[], Callable[[], object]]] = {
     "replicated prepared UPDATE": _replicated_prepared_update,
     "100-row batch": lambda: _batches(batched=True),
     "100-row looped executemany": lambda: _batches(batched=False),
+    "wire: cached point read": lambda: _wire(
+        RequestResult(columns=["v"], rows=[["one"]], backend_name="backend0", from_cache=True),
+        (1,),
+    ),
+    "wire: 50-row read": lambda: _wire(
+        RequestResult(
+            columns=["k", "v"],
+            rows=[[k, f"row-{k}"] for k in range(50)],
+            backend_name="backend0",
+        ),
+        (50,),
+    ),
+    "wire: update count": lambda: _wire(
+        RequestResult(update_count=1, backends_executed=3), ("next", 1)
+    ),
+    "wire: group deliver": _group_deliver,
 }
 for _label, _sql in _PARSE_WORKLOAD.items():
     SETUPS[f"parse, cache on: {_label}"] = lambda sql=_sql: _parse(sql, 1024)
@@ -399,6 +465,8 @@ class TestCountTable:
         assert len(set(indexed)) == 1  # flat in the cache size
         assert all(calls > size for calls, size in zip(scan, _CACHE_SIZES))
         assert BUDGETS["100-row batch"].calls < BUDGETS["100-row looped executemany"].calls
+        # a result's codec cost is flat in its number of rows
+        assert BUDGETS["wire: 50-row read"] == BUDGETS["wire: cached point read"]
 
 
 class TestTable1:

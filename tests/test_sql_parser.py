@@ -147,10 +147,15 @@ class TestDDLParsing:
         assert statement.columns[1].not_null is True
         assert statement.columns[2].default.value == 0
 
-    @pytest.mark.parametrize("default", ["RAND()", "NOW()", "k", "?"])
+    @pytest.mark.parametrize("default", ["RAND()", "NOW()", "k", "?", "-k", "-'x'", "-NULL"])
     def test_a_default_must_be_a_constant(self, default):
         with pytest.raises(SQLSyntaxError, match="DEFAULT of column 'v' must be a constant"):
             parse(f"CREATE TABLE t (k INT, v VARCHAR(30) DEFAULT {default})")
+
+    @pytest.mark.parametrize("default, value", [("-1", -1), ("-2.5", -2.5), ("+3", 3)])
+    def test_a_signed_number_is_a_constant_default(self, default, value):
+        (_, column) = parse(f"CREATE TABLE t (k INT, v FLOAT DEFAULT {default})").columns
+        assert column.default == ast.Literal(value)
 
     def test_create_table_if_not_exists(self):
         assert parse("CREATE TABLE IF NOT EXISTS t (a INT)").if_not_exists is True

@@ -79,6 +79,7 @@ class TestUnparseableStatementsStopAtTheController:
             ),
             ("ALTER TABLE t ADD COLUMN ts TIMESTAMP DEFAULT NOW()", "'ts' must be a constant"),
             ("CREATE TABLE d (k INT, m INT DEFAULT k)", "'m' must be a constant"),
+            ("CREATE TABLE d (k INT, m INT DEFAULT -k)", "'m' must be a constant"),
         ],
     )
     def test_no_backend_sees_it(self, sql, message):
@@ -93,11 +94,13 @@ class TestUnparseableStatementsStopAtTheController:
         connection, _, engines = _cluster("constant-default")
         connection.execute(
             "CREATE TABLE d (k INT PRIMARY KEY, n INT DEFAULT 0, s VARCHAR(4) DEFAULT 'n',"
-            " z INT DEFAULT NULL)"
+            " z INT DEFAULT NULL, m INT DEFAULT -1, f FLOAT DEFAULT -2.5)"
         )
         connection.execute("INSERT INTO d (k) VALUES (1)")
         for engine in engines:
-            assert engine.execute("SELECT n, s, z FROM d").rows == [[0, "n", None]]
+            assert engine.execute("SELECT n, s, z, m, f FROM d").rows == [
+                [0, "n", None, -1, -2.5]
+            ]
 
 
 def test_only_the_engine_imports_its_lexer():
