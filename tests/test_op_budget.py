@@ -24,7 +24,11 @@ wire codec (:mod:`repro.net.protocol`) in one thread: a prepared statement's
 request frame and its result frames encoded and decoded, for a point read, a
 50-row read (the same count: the rows never pass through Python) and an update
 count, and one multicast write's ``GROUP_DELIVER`` frame from the sender's
-payload to the receiver's message.  The last three are the paper's Table 1: one
+payload to the receiver's message.  The six ``TPC-W:`` rows are the read-only
+interactions of the load benchmark's ``tpcw_browse`` workload, one seeded
+interaction each on a single backend without a result cache, after a warm-up
+that issues the same statements; their ``sql`` column is the engine's cost
+of browsing.  The last three are the paper's Table 1: one
 seeded RUBiS bidding-mix run on a single backend without a result cache,
 with a coherent one and with a relaxed one.  Their ``sql`` column stands for
 the database's work; the paper reports database CPU 100% / 85% / 20%.
@@ -68,6 +72,9 @@ from repro.net.protocol import (
 from repro.sql import DatabaseEngine, DatabaseMetaData, dbapi
 from repro.workloads.rubis import BIDDING_MIX, RUBISDataGenerator, RUBiSInteractions
 from repro.workloads.rubis.schema import RUBISScale, create_schema
+from repro.workloads.tpcw import TPCWDataGenerator, TPCWInteractions
+from repro.workloads.tpcw import create_schema as create_tpcw_schema
+from repro.workloads.tpcw.schema import TPCWScale
 
 
 class Count(NamedTuple):
@@ -105,6 +112,18 @@ _RUBIS_CACHES = {
 }
 RUBIS_SCALE = RUBISScale(users=60, items=40, bids_per_item=4)
 RUBIS_RUN_LENGTH = 150  # interactions
+
+#: the TPC-W rows: the read-only interactions of the load benchmark's
+#: ``tpcw_browse`` workload, at its scale
+TPCW_BROWSING = (
+    "home",
+    "new_products",
+    "product_detail",
+    "search_request",
+    "search_results",
+    "order_inquiry",
+)
+TPCW_SCALE = TPCWScale(items=50, customers=100)
 
 #: the pinned counts, CPython 3.11: (calls, of them under repro/sql/, lock ops)
 BUDGETS: Dict[str, Count] = {
@@ -150,6 +169,13 @@ BUDGETS: Dict[str, Count] = {
     "invalidate, full scan: 1000": Count(4003, 0, 1),
     "invalidate, indexed: 4000": Count(3, 0, 1),
     "invalidate, full scan: 4000": Count(16003, 0, 1),
+    # one seeded TPC-W browsing interaction, one backend, no result cache
+    "TPC-W: home": Count(370, 224, 38),
+    "TPC-W: new_products": Count(690, 614, 19),
+    "TPC-W: product_detail": Count(289, 213, 19),
+    "TPC-W: search_request": Count(158, 82, 19),
+    "TPC-W: search_results": Count(801, 725, 19),
+    "TPC-W: order_inquiry": Count(169, 91, 19),
     # Table 1: 150 RUBiS bidding-mix interactions, one backend
     "RUBiS bidding, no cache": Count(77459, 45052, 5176),
     "RUBiS bidding, coherent cache": Count(71765, 37985, 5128),
@@ -343,6 +369,21 @@ def _invalidate(granularity, size):
     return lambda: cache.invalidate(write)
 
 
+def _tpcw(interaction):
+    cluster = boot(
+        descriptor("tpcw", 1, replication="single", recovery_log="none", cache={"enabled": False})
+    )
+    connection = cluster.connect(cluster.name, "tpcw", "tpcw")
+    create_tpcw_schema(connection)
+    TPCWDataGenerator(TPCW_SCALE, seed=42).populate(connection)
+    # one client per run, seeded alike: the warm-up issues the measured statements
+    clients = iter(
+        [TPCWInteractions(connection, TPCW_SCALE.items, TPCW_SCALE.customers) for _ in range(3)]
+    )
+    next(clients).run(interaction)
+    return lambda: next(clients).run(interaction)
+
+
 class RubisRun(NamedTuple):
     """A fresh single-backend RUBiS cluster, populated, and its seeded run."""
 
@@ -411,6 +452,8 @@ for _size in _CACHE_SIZES:
     SETUPS[f"invalidate, full scan: {_size}"] = lambda size=_size: _invalidate(
         FullScanTableGranularity(), size
     )
+for _interaction in TPCW_BROWSING:
+    SETUPS[f"TPC-W: {_interaction}"] = lambda interaction=_interaction: _tpcw(interaction)
 for _label, _cache in _RUBIS_CACHES.items():
     SETUPS[f"RUBiS bidding, {_label}"] = lambda cache=_cache: _rubis(cache)
 
