@@ -188,8 +188,8 @@ class Select(Statement):
     limit: Optional[Expression] = None
     offset: Optional[Expression] = None
     distinct: bool = False
-    # where the executor keeps the compiled access plan (:mod:`repro.sql.plan`),
-    # here and on Update/Delete; it is no part of the statement's value
+    # where the executor keeps the statement's compiled form (:mod:`repro.sql.plan`),
+    # here and on Insert/Update/Delete; it is no part of the statement's value
     plan: Any = field(default=None, compare=False, repr=False)
 
 
@@ -199,6 +199,7 @@ class Insert(Statement):
     columns: List[str] = field(default_factory=list)
     rows: List[List[Expression]] = field(default_factory=list)
     select: Optional[Select] = None
+    plan: Any = field(default=None, compare=False, repr=False)
 
 
 @dataclass

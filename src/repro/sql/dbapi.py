@@ -127,12 +127,13 @@ class Connection:
         self._check_open()
         with self._lock:
             try:
-                result = self._session.execute(sql, parameters)
+                statement = self._engine.prepare(sql)
+                result = self._session.execute_statement(statement, parameters)
             except SQLSyntaxError as exc:
                 raise ProgrammingError(str(exc)) from exc
             except SQLError as exc:
                 raise DatabaseError(str(exc)) from exc
-            self._engine.note_statement(sql)
+            self._engine.note_statement(statement)
             return result
 
     def _run_many(
@@ -151,7 +152,7 @@ class Connection:
                 total = 0
                 for parameters in seq_of_parameters:
                     result = self._session.execute_statement(statement, parameters)
-                    self._engine.note_statement(sql)
+                    self._engine.note_statement(statement)
                     if result.update_count > 0:
                         total += result.update_count
             except SQLSyntaxError as exc:

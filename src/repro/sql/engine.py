@@ -126,14 +126,9 @@ class Session:
     def execute_statement(
         self, statement: ast.Statement, parameters: Sequence[Any] = ()
     ) -> ResultSet:
-        if isinstance(statement, ast.BeginTransaction):
-            self.begin()
-            return ResultSet(update_count=0)
-        if isinstance(statement, ast.Commit):
-            self.commit()
-            return ResultSet(update_count=0)
-        if isinstance(statement, ast.Rollback):
-            self.rollback()
+        control = _TRANSACTION_CONTROL.get(type(statement))
+        if control is not None:
+            control(self)
             return ResultSet(update_count=0)
         implicit = not self.transaction.active
         if implicit:
@@ -158,6 +153,12 @@ class Session:
         self.engine.lock_manager.release(self.transaction.txn_id)
         self.closed = True
 
+
+_TRANSACTION_CONTROL = {
+    ast.BeginTransaction: Session.begin,
+    ast.Commit: Session.commit,
+    ast.Rollback: Session.rollback,
+}
 
 #: parsed statements kept per engine; the TPC-W and RUBiS statement sets are
 #: each under a hundred texts, the rest is room for literal-carrying one-offs
@@ -188,8 +189,9 @@ class DatabaseEngine:
         """One-shot autocommit execution, for tests and data loading."""
         session = self.create_session()
         try:
-            result = session.execute(sql, parameters)
-            self.note_statement(sql)
+            statement = self.prepare(sql)
+            result = session.execute_statement(statement, parameters)
+            self.note_statement(statement)
             return result
         finally:
             session.close()
@@ -220,11 +222,10 @@ class DatabaseEngine:
 
     # -- statistics ---------------------------------------------------------------
 
-    def note_statement(self, sql: str) -> None:
-        upper = sql.lstrip().upper()
+    def note_statement(self, statement: ast.Statement) -> None:
         with self._statistics_lock:
             self.statements_executed += 1
-            if upper.startswith("SELECT"):
+            if type(statement) is ast.Select:
                 self.reads_executed += 1
             else:
                 self.writes_executed += 1

@@ -1,31 +1,40 @@
 """Statement execution for the in-memory SQL engine.
 
-The executor walks the AST produced by :mod:`repro.sql.parser` against the
-catalog and storage of a :class:`repro.sql.engine.DatabaseEngine`.  Which rows
-a ``SELECT``, ``UPDATE`` or ``DELETE`` looks at is decided by a plan compiled
-once per statement (:mod:`repro.sql.plan`): an index point lookup for
-``column = constant`` on an indexed column, a table's own conjuncts applied
-before it is joined, a hash join or index probe where an equality relates two
-tables.  Range predicates, ``OR``, ``LIKE`` and joins without an equality
-still scan, and grouping, DISTINCT and sorting are in-memory passes over the
-joined rows — the goal is correct SQL semantics for the TPC-W / RUBiS
-footprint at a sane cost, not query-optimizer sophistication.
+The executor runs the AST produced by :mod:`repro.sql.parser` against the
+catalog and storage of a :class:`repro.sql.engine.DatabaseEngine`.  Each
+``SELECT``, ``INSERT``, ``UPDATE`` and ``DELETE`` is compiled once per
+catalog version and the compiled form is kept on its AST node: which rows are
+looked at (:mod:`repro.sql.plan`: an index point lookup for ``column =
+constant`` on an indexed column, a table's own conjuncts applied before it is
+joined, a hash join or index probe where an equality relates two tables),
+and every expression it evaluates as a closure
+(:mod:`repro.sql.expressions`) — the projection with ``*`` expanded, the
+grouping, ``HAVING`` and ``ORDER BY`` keys, ``LIMIT``/``OFFSET``, the
+``VALUES`` rows and the ``SET`` assignments.  Range predicates, ``OR``,
+``LIKE`` and joins without an equality still scan, and grouping, DISTINCT and
+sorting are in-memory passes over the joined rows — the goal is correct SQL
+semantics for the TPC-W / RUBiS footprint at a sane cost, not
+query-optimizer sophistication.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import CatalogError, SQLError
 from repro.sql import ast
-from repro.sql.expressions import ExpressionEvaluator, RowContext
-from repro.sql.functions import is_aggregate, make_aggregate
-from repro.sql.plan import Run, SelectPlan, compile_access
+from repro.sql.expressions import Evaluator, Joined, Scope, compile_expression, compile_grouped
+from repro.sql.functions import is_aggregate
+from repro.sql.plan import SelectPlan, compile_access
 from repro.sql.schema import Column, Index, TableSchema
 from repro.sql.storage import Table
 from repro.sql.transactions import Transaction
-from repro.sql.types import sort_key
+from repro.sql.types import coerce_value, sort_key
+
+#: the scope of an expression that reads no table (``VALUES``, ``LIMIT``)
+_NO_TABLES = Scope([], [])
 
 
 @dataclass
@@ -63,7 +72,21 @@ class Executor:
 
     def __init__(self, engine: "repro.sql.engine.DatabaseEngine"):  # noqa: F821
         self._engine = engine
-        self._evaluator = ExpressionEvaluator(subquery_executor=self._run_subquery)
+        self._handlers = {
+            ast.Select: self._execute_select,
+            ast.Insert: self._execute_insert,
+            ast.Update: self._execute_update,
+            ast.Delete: self._execute_delete,
+            ast.CreateTable: self._execute_createtable,
+            ast.DropTable: self._execute_droptable,
+            ast.CreateIndex: self._execute_createindex,
+            ast.DropIndex: self._execute_dropindex,
+            ast.AlterTableAddColumn: self._execute_altertableaddcolumn,
+            # the session handles these; reaching here means a raw execute()
+            ast.BeginTransaction: self._execute_transaction_control,
+            ast.Commit: self._execute_transaction_control,
+            ast.Rollback: self._execute_transaction_control,
+        }
 
     # ------------------------------------------------------------------ public
 
@@ -73,11 +96,10 @@ class Executor:
         transaction: Transaction,
         parameters: Sequence[Any] = (),
     ) -> ResultSet:
-        handler_name = f"_execute_{type(statement).__name__.lower()}"
-        handler = getattr(self, handler_name, None)
+        handler = self._handlers.get(type(statement))
         if handler is None:
             raise SQLError(f"unsupported statement {type(statement).__name__}")
-        return handler(statement, transaction, list(parameters))
+        return handler(statement, transaction, parameters)
 
     def _plan(self, statement: ast.Statement, compile) -> Any:
         """The statement's plan, compiled again once the catalog has changed.
@@ -215,34 +237,29 @@ class Executor:
     # ------------------------------------------------------------------- DML
 
     def _execute_insert(
-        self, statement: ast.Insert, transaction: Transaction, parameters: List[Any]
+        self, statement: ast.Insert, transaction: Transaction, parameters: Sequence[Any]
     ) -> ResultSet:
-        table = self._engine.catalog.get_table(statement.table)
+        insert = self._plan(statement, self._compile_insert)
+        table = insert.table
         self._engine.lock_manager.lock_write(transaction.txn_id, statement.table)
-        column_names = statement.columns or table.schema.column_names
-        rows_to_insert: List[Dict[str, Any]] = []
         if statement.select is not None:
-            select_result = self._execute_select(statement.select, transaction, parameters)
-            for row in select_result.rows:
-                rows_to_insert.append(dict(zip(column_names, row)))
+            rows = self._run_select(statement.select, parameters).rows
         else:
-            context = RowContext({}, parameters)
-            for value_expressions in statement.rows:
-                if len(value_expressions) != len(column_names):
+            rows = []
+            for values in insert.rows:
+                if len(values) != len(insert.names):
                     raise SQLError(
-                        f"INSERT into {statement.table!r}: {len(column_names)} columns "
-                        f"but {len(value_expressions)} values"
+                        f"INSERT into {statement.table!r}: {len(insert.names)} columns "
+                        f"but {len(values)} values"
                     )
-                values = [
-                    self._evaluator.evaluate(expression, context)
-                    for expression in value_expressions
-                ]
-                rows_to_insert.append(dict(zip(column_names, values)))
-        inserted = 0
-        for raw_row in rows_to_insert:
+                rows.append([value({}, parameters, None) for value in values])
+        columns = insert.columns
+        if columns is None and rows:  # names a column the table lacks: fails here
+            columns = [table.schema.column(name) for name in insert.names]
+        for values in rows:
             coerced = {
-                name: table.schema.column(name).coerce(value)
-                for name, value in raw_row.items()
+                column.name: coerce_value(value, column.sql_type)
+                for column, value in zip(columns, values)
             }
             row_id, stored = table.insert_row(coerced)
             for key_column in table.schema.primary_key:
@@ -251,24 +268,34 @@ class Executor:
                 lambda rid=row_id: table.delete_row(rid),
                 f"undo INSERT into {statement.table}",
             )
-            inserted += 1
         transaction.mark_write()
-        return ResultSet(update_count=inserted)
+        return ResultSet(update_count=len(rows))
+
+    def _compile_insert(self, statement: ast.Insert, catalog: "Catalog"):  # noqa: F821
+        table = catalog.get_table(statement.table)
+        names = statement.columns or table.schema.column_names
+        known = all(table.schema.has_column(name) for name in names)
+        rows = [
+            [compile_expression(value, _NO_TABLES, self._run_subquery) for value in values]
+            for values in statement.rows
+        ]
+        return _Insert(
+            table, names, [table.schema.column(name) for name in names] if known else None, rows
+        )
 
     def _execute_update(
-        self, statement: ast.Update, transaction: Transaction, parameters: List[Any]
+        self, statement: ast.Update, transaction: Transaction, parameters: Sequence[Any]
     ) -> ResultSet:
-        table = self._engine.catalog.get_table(statement.table)
+        access, assignments = self._plan(statement, self._compile_update)
+        table, exposed = access.table, access.exposed
         self._engine.lock_manager.lock_write(transaction.txn_id, statement.table)
         updated = 0
-        access = self._plan(statement, compile_access)
-        for row_id, row in access.rows(Run(self._evaluator.evaluate, parameters)):
-            context = RowContext({statement.table: row}, parameters)
-            changes: Dict[str, Any] = {}
-            for column_name, expression in statement.assignments:
-                column = table.schema.column(column_name)
-                value = self._evaluator.evaluate(expression, context)
-                changes[column.name] = column.coerce(value)
+        for row_id, row in access.rows(parameters):
+            tables = {exposed: row}
+            changes = {
+                name: coerce_value(value(tables, parameters, None), sql_type)
+                for name, sql_type, value in assignments
+            }
             old_row, _new_row = table.update_row(row_id, changes)
             transaction.record_undo(
                 lambda rid=row_id, old=old_row: table.update_row(rid, old),
@@ -278,14 +305,27 @@ class Executor:
         transaction.mark_write()
         return ResultSet(update_count=updated)
 
+    def _compile_update(self, statement: ast.Update, catalog: "Catalog"):  # noqa: F821
+        """The access path and, per ``SET`` column, its stored name, type and value closure."""
+        access = compile_access(statement, catalog, self._run_subquery)
+        schema, assignments = access.table.schema, []
+        for name, expression in statement.assignments:
+            if schema.has_column(name):
+                column = schema.column(name)
+                value = compile_expression(expression, access.scope, self._run_subquery)
+                assignments.append((column.name, column.sql_type, value))
+            else:  # fails on the first row updated, as the lookup it stands for
+                assignments.append((name, None, lambda *_, name=name: schema.column(name)))
+        return access, assignments
+
     def _execute_delete(
-        self, statement: ast.Delete, transaction: Transaction, parameters: List[Any]
+        self, statement: ast.Delete, transaction: Transaction, parameters: Sequence[Any]
     ) -> ResultSet:
-        table = self._engine.catalog.get_table(statement.table)
+        access = self._plan(statement, self._compile_delete)
+        table = access.table
         self._engine.lock_manager.lock_write(transaction.txn_id, statement.table)
         deleted = 0
-        access = self._plan(statement, compile_access)
-        for row_id, _row in access.rows(Run(self._evaluator.evaluate, parameters)):
+        for row_id, _row in access.rows(parameters):
             removed = table.delete_row(row_id)
             transaction.record_undo(
                 lambda rid=row_id, row=removed: table.restore_row(rid, row),
@@ -295,52 +335,108 @@ class Executor:
         transaction.mark_write()
         return ResultSet(update_count=deleted)
 
+    def _compile_delete(self, statement: ast.Delete, catalog: "Catalog"):  # noqa: F821
+        return compile_access(statement, catalog, self._run_subquery)
+
     # ---------------------------------------------------------------- SELECT
 
     def _execute_select(
-        self, statement: ast.Select, transaction: Transaction, parameters: List[Any]
+        self, statement: ast.Select, transaction: Transaction, parameters: Sequence[Any]
     ) -> ResultSet:
         return self._run_select(statement, parameters)
 
-    def _run_subquery(self, select: ast.Select, outer_context: RowContext) -> List[List[Any]]:
-        return self._run_select(select, outer_context.parameters, outer_context).rows
+    def _run_subquery(
+        self, select: ast.Select, tables: Joined, parameters: Sequence[Any], outer: Any
+    ) -> List[List[Any]]:
+        return self._run_select(select, parameters, (tables, outer)).rows
 
     def _run_select(
-        self,
-        statement: ast.Select,
-        parameters: Sequence[Any],
-        outer_context: Optional[RowContext] = None,
+        self, statement: ast.Select, parameters: Sequence[Any], outer: Any = None
     ) -> ResultSet:
-        # 1-2. FROM / JOIN / WHERE: the joined rows that pass WHERE.  Reads
-        # hold no table lock: a statement sees each row as committed when it
-        # reached it (read-committed per statement), which is what the
+        # Reads hold no table lock: a statement sees each row as committed
+        # when it reached it (read-committed per statement), which is what the
         # middleware expects of its backends — write ordering is the
         # scheduler's job, never backend read locks.
-        joined_rows = self._plan(statement, SelectPlan).rows(
-            Run(self._evaluator.evaluate, parameters, outer_context)
+        return self._plan(statement, self._compile_select).run(parameters, outer)
+
+    def _compile_select(self, statement: ast.Select, catalog: "Catalog"):  # noqa: F821
+        return _Query(statement, catalog, self._run_subquery)
+
+    # ------------------------------------------------------------ transactions
+
+    def _execute_transaction_control(
+        self, statement: ast.Statement, transaction: Transaction, parameters: Sequence[Any]
+    ) -> ResultSet:
+        return ResultSet(update_count=0)
+
+
+class _Insert(NamedTuple):
+    """An ``INSERT`` compiled once per catalog version."""
+
+    table: Table
+    names: List[str]
+    #: the named columns, None when one of them is unknown
+    columns: Optional[List[Column]]
+    #: per ``VALUES`` row, one closure per value
+    rows: List[List[Evaluator]]
+
+
+class _Query:
+    """A ``SELECT`` compiled once per catalog version: its access plan and every per-statement fact.
+
+    Steps of an execution: the joined rows that pass ``WHERE`` (the plan);
+    grouped and aggregated, or projected; DISTINCT; ORDER BY; LIMIT/OFFSET.
+    ``sources`` keep, per output row, what ORDER BY expressions over columns
+    absent from the select list are evaluated on.
+    """
+
+    def __init__(self, statement: ast.Select, catalog: "Catalog", subquery):  # noqa: F821
+        self.plan = plan = SelectPlan(statement, catalog, subquery)
+        scope = plan.scope
+        projected = _projected(statement, scope)
+        self.columns = [name for name, _expression in projected]
+        self.grouped = bool(statement.group_by) or any(
+            _contains_aggregate(expression)
+            for expression in [*(item.expression for item in statement.items), statement.having]
+        )
+        compile = compile_grouped if self.grouped else compile_expression
+        self.project = [compile(expression, scope, subquery) for _name, expression in projected]
+        self.group_by = [compile_expression(key, scope, subquery) for key in statement.group_by]
+        self.having = None
+        if statement.having is not None:
+            self.having = compile_grouped(statement.having, scope, subquery)
+        self.distinct = statement.distinct
+        # ORDER BY: an output column by name or 1-based ordinal, else an
+        # expression over the source rows
+        positions = {name.lower(): position for position, name in enumerate(self.columns)}
+        self.order: List[Tuple[Optional[int], Any, bool]] = []
+        for item in statement.order_by:
+            expression, position = item.expression, None
+            if isinstance(expression, ast.ColumnRef) and expression.table is None:
+                position = positions.get(expression.name.lower())
+            elif isinstance(expression, ast.Literal) and isinstance(expression.value, int):
+                if 0 <= expression.value - 1 < len(self.columns):
+                    position = expression.value - 1
+            value = None if position is not None else compile(expression, scope, subquery)
+            self.order.append((position, value, item.descending))
+        self.limit, self.offset = (
+            None if clause is None else compile_expression(clause, _NO_TABLES, subquery)
+            for clause in (statement.limit, statement.offset)
         )
 
-        # 3. aggregate / group by, or plain projection.  ``sources`` keeps, for
-        # each output row, the data needed to evaluate ORDER BY expressions
-        # that reference columns absent from the select list.
-        has_aggregate = any(
-            _contains_aggregate(item.expression) for item in statement.items
-        ) or any(_contains_aggregate(expr) for expr in [statement.having] if expr)
-        grouped = bool(statement.group_by) or has_aggregate
-        if grouped:
-            columns, rows, sources = self._project_grouped(
-                statement, joined_rows, parameters, outer_context
-            )
-        else:
-            columns, rows, sources = self._project_plain(
-                statement, joined_rows, parameters, outer_context
-            )
+    def describe(self) -> List[str]:
+        return self.plan.describe()
 
-        # 4. DISTINCT
-        if statement.distinct:
+    def run(self, parameters: Sequence[Any], outer: Any) -> ResultSet:
+        joined = self.plan.rows(parameters, outer)
+        if self.grouped:
+            rows, sources = self._groups(joined, parameters, outer)
+        else:
+            values, sources = self.project, joined
+            rows = [[value(tables, parameters, outer) for value in values] for tables in joined]
+        if self.distinct:
             seen = set()
-            unique_rows = []
-            unique_sources = []
+            unique_rows, unique_sources = [], []
             for row, source in zip(rows, sources):
                 key = tuple(sort_key(value) for value in row)
                 if key not in seen:
@@ -348,276 +444,76 @@ class Executor:
                     unique_rows.append(row)
                     unique_sources.append(source)
             rows, sources = unique_rows, unique_sources
+        if self.order:
+            rows = self._sorted(rows, sources, parameters, outer)
+        if self.limit is not None or self.offset is not None:
+            offset = 0 if self.offset is None else int(self.offset({}, parameters, None) or 0)
+            if self.limit is None:
+                rows = rows[offset:]
+            else:
+                rows = rows[offset : offset + int(self.limit({}, parameters, None))]
+        return ResultSet(columns=list(self.columns), rows=rows)
 
-        # 5. ORDER BY
-        if statement.order_by:
-            rows = self._order_rows(
-                statement, columns, rows, sources, grouped, parameters, outer_context
-            )
-
-        # 6. LIMIT / OFFSET
-        rows = self._apply_limit(statement, rows, parameters)
-        return ResultSet(columns=columns, rows=rows)
-
-    # -- projection ------------------------------------------------------------
-
-    def _projected_columns(self, statement: ast.Select) -> List[Tuple[str, ast.Expression]]:
-        """Expand ``*`` and name every output column."""
-        projected: List[Tuple[str, ast.Expression]] = []
-        for item in statement.items:
-            expression = item.expression
-            if isinstance(expression, ast.Star):
-                projected.extend(self._expand_star(statement, expression))
+    def _groups(
+        self, joined: List[Joined], parameters: Sequence[Any], outer: Any
+    ) -> Tuple[List[List[Any]], List[Any]]:
+        groups: Dict[Tuple, List[Joined]] = {}
+        for tables in joined:
+            key = tuple([sort_key(value(tables, parameters, outer)) for value in self.group_by])
+            groups.setdefault(key, []).append(tables)
+        if not self.group_by and not groups:
+            groups[()] = []
+        rows, sources = [], []
+        for group in groups.values():
+            values = [value(group, parameters, outer) for value in self.project]
+            if self.having is not None and self.having(group, parameters, outer) is not True:
                 continue
-            name = item.alias or _default_column_name(expression)
-            projected.append((name, expression))
-        return projected
+            rows.append(values)
+            sources.append(group)
+        return rows, sources
 
-    def _expand_star(
-        self, statement: ast.Select, star: ast.Star
-    ) -> List[Tuple[str, ast.Expression]]:
-        expanded: List[Tuple[str, ast.Expression]] = []
-        table_refs: List[ast.TableRef] = []
-        if statement.from_table is not None:
-            table_refs.append(statement.from_table)
-        table_refs.extend(join.table for join in statement.joins)
-        for table_ref in table_refs:
-            if star.table and star.table.lower() != table_ref.exposed_name.lower():
-                continue
-            schema = self._engine.catalog.get_table(table_ref.name).schema
-            for column in schema.column_names:
-                expanded.append(
-                    (column, ast.ColumnRef(column, table_ref.exposed_name))
-                )
+    def _sorted(
+        self, rows: List[List[Any]], sources: List[Any], parameters: Sequence[Any], outer: Any
+    ) -> List[List[Any]]:
+        keyed = []
+        for row, source in zip(rows, sources):
+            entry = []
+            for position, value, _descending in self.order:
+                if value is None:
+                    entry.append(sort_key(row[position]))
+                    continue
+                try:
+                    entry.append(sort_key(value(source, parameters, outer)))
+                except SQLError:
+                    # cannot be resolved (e.g. an expression's alias after
+                    # DISTINCT): such rows order as NULLs instead of failing
+                    entry.append(sort_key(None))
+            entry.append(row)
+            keyed.append(entry)
+        # one stable pass per key, the last first, gives the lexicographic order
+        for index in reversed(range(len(self.order))):
+            keyed.sort(key=itemgetter(index), reverse=self.order[index][2])
+        return [entry[-1] for entry in keyed]
+
+
+def _projected(statement: ast.Select, scope: Scope) -> List[Tuple[str, ast.Expression]]:
+    """Every output column's name and expression, ``*`` expanded against the catalog."""
+    projected: List[Tuple[str, ast.Expression]] = []
+    for item in statement.items:
+        expression = item.expression
+        if not isinstance(expression, ast.Star):
+            projected.append((item.alias or _default_column_name(expression), expression))
+            continue
+        expanded = [
+            (column, ast.ColumnRef(column, name))
+            for name, columns in zip(scope.names, scope.columns)
+            if not expression.table or expression.table.lower() == name.lower()
+            for column in columns
+        ]
         if not expanded:
             raise SQLError("SELECT * with no FROM clause")
-        return expanded
-
-    def _project_plain(
-        self,
-        statement: ast.Select,
-        joined_rows: List[Dict[str, Dict[str, Any]]],
-        parameters: Sequence[Any],
-        outer_context: Optional[RowContext],
-    ) -> Tuple[List[str], List[List[Any]], List[Any]]:
-        projected = self._projected_columns(statement)
-        columns = [name for name, _expr in projected]
-        rows = []
-        sources: List[Any] = []
-        for tables in joined_rows:
-            context = RowContext(tables, parameters, outer_context)
-            rows.append(
-                [self._evaluator.evaluate(expression, context) for _name, expression in projected]
-            )
-            sources.append(tables)
-        return columns, rows, sources
-
-    def _project_grouped(
-        self,
-        statement: ast.Select,
-        joined_rows: List[Dict[str, Dict[str, Any]]],
-        parameters: Sequence[Any],
-        outer_context: Optional[RowContext],
-    ) -> Tuple[List[str], List[List[Any]], List[Any]]:
-        projected = self._projected_columns(statement)
-        columns = [name for name, _expr in projected]
-
-        # Partition rows into groups.
-        groups: Dict[Tuple, List[Dict[str, Dict[str, Any]]]] = {}
-        ordered_keys: List[Tuple] = []
-        for tables in joined_rows:
-            context = RowContext(tables, parameters, outer_context)
-            if statement.group_by:
-                key = tuple(
-                    sort_key(self._evaluator.evaluate(expr, context))
-                    for expr in statement.group_by
-                )
-            else:
-                key = ()
-            if key not in groups:
-                groups[key] = []
-                ordered_keys.append(key)
-            groups[key].append(tables)
-        if not statement.group_by and not groups:
-            groups[()] = []
-            ordered_keys.append(())
-
-        rows: List[List[Any]] = []
-        sources: List[Any] = []
-        for key in ordered_keys:
-            group_rows = groups[key]
-            row_values: List[Any] = []
-            for _name, expression in projected:
-                row_values.append(
-                    self._evaluate_with_aggregates(
-                        expression, group_rows, parameters, outer_context
-                    )
-                )
-            if statement.having is not None:
-                having_value = self._evaluate_with_aggregates(
-                    statement.having, group_rows, parameters, outer_context
-                )
-                if having_value is not True:
-                    continue
-            rows.append(row_values)
-            sources.append(group_rows)
-        return columns, rows, sources
-
-    def _evaluate_with_aggregates(
-        self,
-        expression: ast.Expression,
-        group_rows: List[Dict[str, Dict[str, Any]]],
-        parameters: Sequence[Any],
-        outer_context: Optional[RowContext],
-    ) -> Any:
-        """Evaluate an expression that may contain aggregate calls over a group."""
-        if isinstance(expression, ast.FunctionCall) and is_aggregate(expression.name):
-            count_star = bool(expression.args) and isinstance(expression.args[0], ast.Star)
-            aggregate = make_aggregate(
-                expression.name, count_star=count_star or not expression.args,
-                distinct=expression.distinct,
-            )
-            for tables in group_rows:
-                context = RowContext(tables, parameters, outer_context)
-                if count_star or not expression.args:
-                    aggregate.add(1)
-                else:
-                    aggregate.add(self._evaluator.evaluate(expression.args[0], context))
-            return aggregate.result()
-        if isinstance(expression, ast.BinaryOp):
-            left = self._evaluate_with_aggregates(
-                expression.left, group_rows, parameters, outer_context
-            )
-            right = self._evaluate_with_aggregates(
-                expression.right, group_rows, parameters, outer_context
-            )
-            return self._evaluator.evaluate(
-                ast.BinaryOp(expression.operator, ast.Literal(left), ast.Literal(right)),
-                RowContext({}, parameters, outer_context),
-            )
-        if isinstance(expression, ast.UnaryOp):
-            operand = self._evaluate_with_aggregates(
-                expression.operand, group_rows, parameters, outer_context
-            )
-            return self._evaluator.evaluate(
-                ast.UnaryOp(expression.operator, ast.Literal(operand)),
-                RowContext({}, parameters, outer_context),
-            )
-        # Non-aggregate expression inside a grouped query: evaluate it against
-        # the first row of the group (SQL permits this for GROUP BY columns).
-        if group_rows:
-            context = RowContext(group_rows[0], parameters, outer_context)
-        else:
-            context = RowContext({}, parameters, outer_context)
-        return self._evaluator.evaluate(expression, context)
-
-    # -- ORDER BY / LIMIT -------------------------------------------------------
-
-    def _order_rows(
-        self,
-        statement: ast.Select,
-        columns: List[str],
-        rows: List[List[Any]],
-        sources: List[Any],
-        grouped: bool,
-        parameters: Sequence[Any],
-        outer_context: Optional[RowContext],
-    ) -> List[List[Any]]:
-        column_positions = {name.lower(): position for position, name in enumerate(columns)}
-        decorated = []
-        for row, source in zip(rows, sources):
-            key = []
-            for item in statement.order_by:
-                value = self._order_value(
-                    item.expression,
-                    row,
-                    column_positions,
-                    source,
-                    grouped,
-                    parameters,
-                    outer_context,
-                )
-                entry = sort_key(value)
-                if item.descending:
-                    entry = _DescendingKey(entry)
-                key.append(entry)
-            decorated.append((key, row))
-        decorated.sort(key=lambda pair: pair[0])
-        return [row for _key, row in decorated]
-
-    def _order_value(
-        self,
-        expression: ast.Expression,
-        row: List[Any],
-        column_positions: Dict[str, int],
-        source: Any,
-        grouped: bool,
-        parameters: Sequence[Any],
-        outer_context: Optional[RowContext],
-    ) -> Any:
-        # 1. an output column name or alias
-        if isinstance(expression, ast.ColumnRef) and expression.table is None:
-            position = column_positions.get(expression.name.lower())
-            if position is not None:
-                return row[position]
-        # 2. ORDER BY ordinal (1-based)
-        if isinstance(expression, ast.Literal) and isinstance(expression.value, int):
-            position = expression.value - 1
-            if 0 <= position < len(row):
-                return row[position]
-        # 3. an arbitrary expression over the source rows
-        try:
-            if grouped:
-                return self._evaluate_with_aggregates(
-                    expression, source, parameters, outer_context
-                )
-            context = RowContext(source, parameters, outer_context)
-            return self._evaluator.evaluate(expression, context)
-        except SQLError:
-            # Expression cannot be resolved (e.g. alias of an expression after
-            # DISTINCT); order such rows as NULLs instead of failing.
-            return None
-
-    def _apply_limit(
-        self, statement: ast.Select, rows: List[List[Any]], parameters: Sequence[Any]
-    ) -> List[List[Any]]:
-        if statement.limit is None and statement.offset is None:
-            return rows
-        context = RowContext({}, parameters)
-        offset = 0
-        if statement.offset is not None:
-            offset = int(self._evaluator.evaluate(statement.offset, context) or 0)
-        if statement.limit is not None:
-            limit = int(self._evaluator.evaluate(statement.limit, context))
-            return rows[offset : offset + limit]
-        return rows[offset:]
-
-    # ------------------------------------------------------------ transactions
-
-    def _execute_begintransaction(
-        self, statement: ast.BeginTransaction, transaction: Transaction, parameters: List[Any]
-    ) -> ResultSet:
-        # Transaction statements are handled by the connection layer; reaching
-        # this point means someone executed "BEGIN" through raw execute().
-        return ResultSet(update_count=0)
-
-    _execute_commit = _execute_begintransaction
-    _execute_rollback = _execute_begintransaction
-
-
-class _DescendingKey:
-    """Wraps a sort key to invert its ordering."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        self.key = key
-
-    def __lt__(self, other: "_DescendingKey") -> bool:
-        return other.key < self.key
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _DescendingKey) and other.key == self.key
+        projected.extend(expanded)
+    return projected
 
 
 def _default_column_name(expression: ast.Expression) -> str:

@@ -2,9 +2,10 @@
 
 A statement is compiled once against the catalog and the plan is kept on its
 AST node until the catalog changes (``Catalog.version``).  The plan decides
-only *which rows are looked at*; every predicate is still evaluated by
-:class:`repro.sql.expressions.ExpressionEvaluator`, so results are those of
-a scan of the cross product followed by ``WHERE``:
+*which rows are looked at* and holds every predicate compiled to a closure
+(:func:`repro.sql.expressions.compile_expression`), so an execution only
+calls closures; results are those of a scan of the cross product followed by
+``WHERE``:
 
 * per table a :class:`TableAccess` — a hash-index point lookup when top-level
   ``AND`` conjuncts give every column of an index as ``column = constant``,
@@ -29,11 +30,19 @@ takes no table lock, safe beside a writer.
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SQLError
 from repro.sql import ast
-from repro.sql.expressions import RowContext, _as_bool
+from repro.sql.expressions import (
+    Evaluator,
+    Joined,
+    Scope,
+    SubqueryRunner,
+    compile_expression,
+    compile_predicate,
+    returns_truth,
+)
 from repro.sql.schema import Column
 from repro.sql.storage import HashIndex, Row, RowId, Table
 from repro.sql.types import SQLType
@@ -41,7 +50,6 @@ from repro.sql.types import SQLType
 #: a conjunct and whether it sat under an ``AND`` (operands of ``AND`` count
 #: by truthiness, a predicate standing alone only when it is exactly TRUE)
 Conjunct = Tuple[ast.Expression, bool]
-Joined = Dict[str, Row]
 
 _SUBQUERIES = (ast.InSubquery, ast.ExistsSubquery, ast.ScalarSubquery)
 _CONSTANTS = (ast.Literal, ast.Parameter)
@@ -57,12 +65,37 @@ _KEY_CONSTANTS = {
     SQLType.BOOLEAN: (int, float),
     SQLType.BLOB: (bytes,),
 }
+#: the Python type a column type stores: a value of exactly this type keys as it is
+_STORED = {
+    **dict.fromkeys([SQLType.INTEGER, SQLType.BIGINT], int),
+    **dict.fromkeys([SQLType.FLOAT, SQLType.DOUBLE, SQLType.DECIMAL], float),
+    **dict.fromkeys([SQLType.VARCHAR, SQLType.CHAR, SQLType.TEXT], str),
+    SQLType.BOOLEAN: bool,
+    SQLType.DATE: _dt.date,
+    SQLType.TIMESTAMP: _dt.datetime,
+    SQLType.BLOB: bytes,
+}
+#: a constant that makes no index key: the execution scans
+_NO_KEY = object()
 
 
 def _family(column: Column) -> Any:
     """Columns of one family hold values whose ``==``/``hash`` agree with ``compare_values``."""
     sql_type = column.sql_type
     return "numeric" if sql_type.is_numeric else "character" if sql_type.is_character else sql_type
+
+
+def _key_value(column: Column, value: Any) -> Any:
+    """``value`` as ``column``'s index stores it, ``_NO_KEY`` when a lookup could miss rows."""
+    if value is None:
+        return None
+    if not isinstance(value, _KEY_CONSTANTS[_family(column)]):
+        return _NO_KEY
+    try:
+        value = column.coerce(value)
+    except (SQLError, OverflowError):
+        return _NO_KEY
+    return _NO_KEY if value != value else value  # NaN equals nothing but itself
 
 
 def _nodes(value: Any) -> Iterator[ast.Expression]:
@@ -75,6 +108,22 @@ def _nodes(value: Any) -> Iterator[ast.Expression]:
     elif isinstance(value, (list, tuple)):
         for item in value:
             yield from _nodes(item)
+
+
+def _owners(
+    scope: Scope, expression: ast.Expression, limit: Optional[int] = None
+) -> Optional[Set[int]]:
+    """Tables the expression reads, None when it cannot be placed statically."""
+    found: Set[int] = set()
+    for node in _nodes(expression):
+        if isinstance(node, _SUBQUERIES):
+            return None
+        if isinstance(node, ast.ColumnRef):
+            owner = scope.owner(node, limit)
+            if owner is None:
+                return None
+            found.add(owner)
+    return found
 
 
 def _conjuncts(expression: Optional[ast.Expression]) -> List[Conjunct]:
@@ -93,68 +142,33 @@ def _conjuncts(expression: Optional[ast.Expression]) -> List[Conjunct]:
     return [(part, len(parts) > 1) for part in parts]
 
 
+def _test(
+    conjuncts: List[Conjunct], scope: Scope, subquery: Optional[SubqueryRunner]
+) -> Optional[Evaluator]:
+    """One closure that is truthy exactly when every conjunct passes; None for no conjunct."""
+    tests = [
+        (compile_expression if under_and or returns_truth(expression) else compile_predicate)(
+            expression, scope, subquery
+        )
+        for expression, under_and in conjuncts
+    ]
+    if len(tests) < 2:
+        return tests[0] if tests else None
+
+    def passes(tables, parameters, outer):
+        for test in tests:
+            if not test(tables, parameters, outer):
+                return False
+        return True
+
+    return passes
+
+
 def _equality_sides(expression: ast.Expression) -> Sequence[Tuple[ast.Expression, ast.Expression]]:
     """``(a, b)`` and ``(b, a)`` of an ``a = b`` comparison, nothing for any other node."""
     if isinstance(expression, ast.BinaryOp) and expression.operator == "=":
         return (expression.left, expression.right), (expression.right, expression.left)
     return ()
-
-
-class Run(NamedTuple):
-    """One execution of a plan: the evaluator and the statement's bindings."""
-
-    evaluate: Callable[[ast.Expression, RowContext], Any]
-    parameters: Sequence[Any]
-    outer: Optional[RowContext] = None
-
-    def passes(self, conjuncts: List[Conjunct], tables: Joined) -> bool:
-        context = RowContext(tables, self.parameters, self.outer)
-        for expression, under_and in conjuncts:
-            value = self.evaluate(expression, context)
-            if value is not True and not (under_and and _as_bool(value)):
-                return False
-        return True
-
-
-class _Scope:
-    """Static column resolution over the FROM tables, as ``RowContext.resolve`` does it per row."""
-
-    def __init__(self, names: List[str], tables: List[Table]):
-        self.names = names
-        self.tables = tables
-        self._lowered = [name.lower() for name in names]
-        # two tables under one exposed name share one slot of the joined row;
-        # nothing can be placed statically then
-        self.static = len(set(self._lowered)) == len(names)
-
-    def owner(self, ref: ast.Expression, limit: Optional[int] = None) -> Optional[int]:
-        """Position of the one table the column ``ref`` names, None when that is not known here."""
-        if not isinstance(ref, ast.ColumnRef):
-            return None
-        schemas = [table.schema for table in self.tables[:limit]]
-        if ref.table is not None:
-            wanted = ref.table.lower()
-            for position, schema in enumerate(schemas):
-                if self._lowered[position] == wanted:
-                    return position if schema.has_column(ref.name) else None
-            return None
-        holders = [p for p, schema in enumerate(schemas) if schema.has_column(ref.name)]
-        return holders[0] if len(holders) == 1 else None
-
-    def owners(
-        self, expression: ast.Expression, limit: Optional[int] = None
-    ) -> Optional[Set[int]]:
-        """Tables the expression reads, None when it cannot be placed statically."""
-        found: Set[int] = set()
-        for node in _nodes(expression):
-            if isinstance(node, _SUBQUERIES) or not self.static:
-                return None
-            if isinstance(node, ast.ColumnRef):
-                owner = self.owner(node, limit)
-                if owner is None:
-                    return None
-                found.add(owner)
-        return found
 
 
 class TableAccess:
@@ -165,14 +179,24 @@ class TableAccess:
     literal|parameter`` on its own columns pick the index.
     """
 
-    def __init__(self, scope: _Scope, position: int, filters: List[Conjunct]):
+    def __init__(
+        self,
+        scope: Scope,
+        table: Table,
+        position: int,
+        filters: List[Conjunct],
+        subquery: Optional[SubqueryRunner] = None,
+    ):
         self.scope = scope
         self.position = position
-        self.table = table = scope.tables[position]
+        self.table = table
         self.exposed = scope.names[position]
         self.filters = filters
+        self.test = _test(filters, scope, subquery)
         self.index: Optional[HashIndex] = None
-        self.key: List[Tuple[Column, ast.Expression]] = []
+        #: per index column: the column, the type it stores, and the parameter's
+        #: index or the literal's key value
+        self.key: List[Tuple[Column, type, Optional[int], Any]] = []
         constants: Dict[str, ast.Expression] = {}
         for expression, _under_and in filters:
             for ref, constant in _equality_sides(expression):
@@ -181,44 +205,43 @@ class TableAccess:
         for index in table.indexes.values():
             if all(column.lower() in constants for column in index.columns):
                 self.index = index
-                self.key = [
-                    (table.schema.column(column), constants[column.lower()])
-                    for column in index.columns
-                ]
+                for name in index.columns:
+                    column, constant = table.schema.column(name), constants[name.lower()]
+                    stored = _STORED[column.sql_type]
+                    if isinstance(constant, ast.Parameter):
+                        self.key.append((column, stored, constant.index, None))
+                    else:
+                        self.key.append((column, stored, None, _key_value(column, constant.value)))
                 break
 
     def _constant_key(self, parameters: Sequence[Any]) -> Optional[Tuple[Any, ...]]:
         """The index key for this execution, None when the constants do not make one."""
         key = []
-        for column, constant in self.key:
-            if isinstance(constant, ast.Literal):
-                value = constant.value
-            elif constant.index < len(parameters):
-                value = parameters[constant.index]
-            else:
-                return None  # the scan's evaluation reports the missing parameter
-            if value is not None:
-                if not isinstance(value, _KEY_CONSTANTS[_family(column)]):
-                    return None
-                try:
-                    value = column.coerce(value)
-                except (SQLError, OverflowError):
-                    return None
-                if value != value:  # NaN compares equal to nothing but itself
-                    return None
+        for column, stored, index, value in self.key:
+            if index is not None:
+                if index >= len(parameters):
+                    return None  # the scan's evaluation reports the missing parameter
+                value = parameters[index]
+                if type(value) is not stored or value != value:  # else it keys as it is
+                    value = _key_value(column, value)
+            if value is _NO_KEY:
+                return None
             key.append(value)
         return tuple(key)
 
     def rows(
-        self, run: Run, probe: Optional[Tuple[HashIndex, Tuple[Any, ...]]] = None
+        self,
+        parameters: Sequence[Any],
+        outer: Any = None,
+        probe: Optional[Tuple[HashIndex, Tuple[Any, ...]]] = None,
     ) -> List[Tuple[RowId, Row]]:
         """``(row_id, row)`` pairs passing ``filters``; ``probe`` overrides the access path."""
         if probe is None and self.index is not None:
-            key = self._constant_key(run.parameters)
+            key = self._constant_key(parameters)
             if key is not None:
                 probe = (self.index, key)
         if probe is None:
-            pairs = self.table.rows()
+            pairs: Iterable[Tuple[RowId, Row]] = self.table.rows()
         else:
             index, key = probe
             get_row = self.table.get_row
@@ -227,15 +250,17 @@ class TableAccess:
                 for row_id in sorted(index.lookup(key))
                 if (row := get_row(row_id)) is not None
             ]
-        filters, exposed = self.filters, self.exposed
-        return [pair for pair in pairs if not filters or run.passes(filters, {exposed: pair[1]})]
+        test, exposed = self.test, self.exposed
+        if test is None:
+            return list(pairs)
+        return [pair for pair in pairs if test({exposed: pair[1]}, parameters, outer)]
 
     def describe(self) -> str:
         return f"index lookup {self.index.name}" if self.index is not None else "scan"
 
 
 class _Join:
-    """One FROM table and how it meets the rows joined so far (the first meets one empty row).
+    """One FROM table and how it meets the rows joined so far.
 
     ``pair`` holds the conjuncts deciding whether two rows match; the first
     ``earlier.column = this.column`` among them over one type family becomes
@@ -243,7 +268,15 @@ class _Join:
     JOIN's null-extended rows.
     """
 
-    def __init__(self, kind: str, access: TableAccess, pair: List[Conjunct], after: List[Conjunct]):
+    def __init__(
+        self,
+        kind: str,
+        access: TableAccess,
+        tables: List[Table],
+        pair: List[Conjunct],
+        after: List[Conjunct],
+        subquery: Optional[SubqueryRunner],
+    ):
         scope, position = access.scope, access.position
         self.kind = kind
         self.access = access
@@ -254,64 +287,62 @@ class _Join:
         self.key: Optional[Tuple[str, str, str]] = None
         self.probe: Optional[HashIndex] = None
         for conjunct in pair:
+            if self.key is not None:
+                break
             for mine, other in _equality_sides(conjunct[0]):
                 owner = scope.owner(other, position)
                 if owner is None or scope.owner(mine, position + 1) != position:
                     continue
                 column = access.table.schema.column(mine.name)
-                other_column = scope.tables[owner].schema.column(other.name)
+                other_column = tables[owner].schema.column(other.name)
                 if _family(column) != _family(other_column):
                     continue
                 self.key = (scope.names[owner], other_column.name, column.name)
                 pair.remove(conjunct)
                 if access.index is None:
                     self.probe = access.table.find_by_index([column.name], ())
-                return
+                break
+        self.test = _test(pair, scope, subquery)
+        self.after_test = _test(after, scope, subquery)
 
-    def apply(self, joined: List[Joined], run: Run) -> List[Joined]:
-        access, exposed = self.access, self.access.exposed
+    def apply(self, joined: List[Joined], parameters: Sequence[Any], outer: Any) -> List[Joined]:
+        access, exposed, probe = self.access, self.access.exposed, self.probe
         if not joined:
             return joined
+        matches: Dict[Any, List[Row]] = {}
         if self.key is None:
-            everything = [row for _row_id, row in access.rows(run)]
-
-            def candidates(tables: Joined) -> Sequence[Row]:
-                return everything
-
+            everything = [row for _row_id, row in access.rows(parameters, outer)]
         else:
             left_exposed, left_column, right_column = self.key
-            matches: Dict[Any, List[Row]] = {}
-            if self.probe is None:
-                for _row_id, row in access.rows(run):
+            if probe is None:
+                for _row_id, row in access.rows(parameters, outer):
                     if row[right_column] is not None:
                         matches.setdefault(row[right_column], []).append(row)
-
-            def candidates(tables: Joined) -> Sequence[Row]:
-                value = tables[left_exposed][left_column]
-                found = matches.get(value)
-                if found is None:
-                    found = ()
-                    if self.probe is not None and value is not None:
-                        found = matches[value] = [
-                            row for _row_id, row in access.rows(run, (self.probe, (value,)))
-                        ]
-                return found
-
-        pair, out = self.pair, []
+        test, out = self.test, []
         for tables in joined:
+            if self.key is None:
+                found: Sequence[Row] = everything
+            else:
+                value = tables[left_exposed][left_column]
+                found = matches.get(value, ())
+                if probe is not None and value is not None and value not in matches:
+                    found = matches[value] = [
+                        row for _row_id, row in access.rows(parameters, outer, (probe, (value,)))
+                    ]
             matched = False
-            for row in candidates(tables):
+            for row in found:
                 candidate = dict(tables)
                 candidate[exposed] = row
-                if not pair or run.passes(pair, candidate):
+                if test is None or test(candidate, parameters, outer):
                     out.append(candidate)
                     matched = True
             if not matched and self.kind == "LEFT":
                 candidate = dict(tables)
                 candidate[exposed] = self.null_row
                 out.append(candidate)
-        if self.after:
-            out = [tables for tables in out if run.passes(self.after, tables)]
+        after = self.after_test
+        if after is not None:
+            out = [tables for tables in out if after(tables, parameters, outer)]
         return out
 
     def describe(self) -> str:
@@ -326,44 +357,63 @@ class _Join:
 
 
 class SelectPlan:
-    """The FROM/WHERE part of one ``SELECT``: joined rows that pass ``WHERE``."""
+    """The FROM/WHERE part of one ``SELECT``: joined rows that pass ``WHERE``.
 
-    def __init__(self, statement: ast.Select, catalog: "Catalog"):  # noqa: F821
+    ``subquery`` runs the nested selects of its predicates (None: they raise).
+    """
+
+    def __init__(
+        self,
+        statement: ast.Select,
+        catalog: "Catalog",  # noqa: F821
+        subquery: Optional[SubqueryRunner] = None,
+    ):
         refs = ([statement.from_table] if statement.from_table is not None else []) + [
             join.table for join in statement.joins
         ]
         kinds = ["INNER"] + [join.kind for join in statement.joins]
-        scope = _Scope(
-            [ref.exposed_name for ref in refs], [catalog.get_table(ref.name) for ref in refs]
+        tables = [catalog.get_table(ref.name) for ref in refs]
+        self.scope = scope = Scope(
+            [ref.exposed_name for ref in refs], [table.schema.column_names for table in tables]
         )
+
         own: List[List[Conjunct]] = [[] for _ref in refs]
         pair: List[List[Conjunct]] = [[] for _ref in refs]
         after: List[List[Conjunct]] = [[] for _ref in refs]
-        #: conjuncts that cannot be placed statically, run on the fully joined rows
-        self.residual: List[Conjunct] = []
+        residual: List[Conjunct] = []
         for position, join in enumerate(statement.joins, 1):
             for conjunct in _conjuncts(join.condition):
-                alone = scope.owners(conjunct[0], position + 1) == {position}
+                alone = _owners(scope, conjunct[0], position + 1) == {position}
                 (own if alone else pair)[position].append(conjunct)
         for conjunct in _conjuncts(statement.where):
-            owners = scope.owners(conjunct[0])
+            owners = _owners(scope, conjunct[0])
             if not owners:
-                self.residual.append(conjunct)
+                residual.append(conjunct)
             elif kinds[max(owners)] == "LEFT":
                 after[max(owners)].append(conjunct)
             else:
                 (own if len(owners) == 1 else pair)[max(owners)].append(conjunct)
         self.joins = [
-            _Join(kinds[at], TableAccess(scope, at, own[at]), pair[at], after[at])
+            _Join(
+                kinds[at],
+                TableAccess(scope, tables[at], at, own[at], subquery),
+                tables,
+                pair[at],
+                after[at],
+                subquery,
+            )
             for at in range(len(refs))
         ]
+        #: conjuncts that cannot be placed statically, run on the fully joined rows
+        self.residual = _test(residual, scope, subquery)
 
-    def rows(self, run: Run) -> List[Joined]:
+    def rows(self, parameters: Sequence[Any], outer: Any = None) -> List[Joined]:
         joined: List[Joined] = [{}]
         for join in self.joins:
-            joined = join.apply(joined, run)
-        if self.residual:
-            joined = [tables for tables in joined if run.passes(self.residual, tables)]
+            joined = join.apply(joined, parameters, outer)
+        residual = self.residual
+        if residual is not None:
+            joined = [tables for tables in joined if residual(tables, parameters, outer)]
         return joined
 
     def describe(self) -> List[str]:
@@ -374,7 +424,10 @@ class SelectPlan:
         ]
 
 
-def compile_access(statement: Any, catalog: "Catalog") -> TableAccess:  # noqa: F821
+def compile_access(
+    statement: Any, catalog: "Catalog", subquery: Optional[SubqueryRunner] = None  # noqa: F821
+) -> TableAccess:
     """The access path of an ``UPDATE``/``DELETE``: every WHERE conjunct filters its one table."""
-    scope = _Scope([statement.table], [catalog.get_table(statement.table)])
-    return TableAccess(scope, 0, _conjuncts(statement.where))
+    table = catalog.get_table(statement.table)
+    scope = Scope([statement.table], [table.schema.column_names])
+    return TableAccess(scope, table, 0, _conjuncts(statement.where), subquery)

@@ -69,8 +69,8 @@ class HashIndex:
             del self._entries[key]
 
     def lookup(self, key: Tuple[Any, ...]) -> FrozenSet[RowId]:
-        """Row ids under ``key``: a snapshot, safe to iterate beside a writer."""
-        bucket = self._entries.get(tuple(_hashable(k) for k in key), ())
+        """Row ids under ``key`` (values as stored): a snapshot, safe to iterate beside a writer."""
+        bucket = self._entries.get(key, ())
         return frozenset(bucket if isinstance(bucket, (set, tuple)) else (bucket,))
 
     def __len__(self) -> int:

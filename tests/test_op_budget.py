@@ -19,10 +19,11 @@ Each row of :data:`BUDGETS` is one operation and its exact cost on CPython
 The first five rows are the canonical operations; the next ones restate the
 hot-path ablations (parsing cache on/off per statement shape, indexed vs
 full-scan cache invalidation per cache size, server batch vs a looped
-``executemany``) as counts.  The four ``wire:`` rows are both ends of the
-wire codec (:mod:`repro.net.protocol`) in one thread: a prepared statement's
-request frame and its result frames encoded and decoded, for a point read, a
-50-row read (the same count: the rows never pass through Python) and an update
+``executemany``, one UPDATE with bound values vs with literals) as counts.
+The four ``wire:`` rows are both ends of the wire codec
+(:mod:`repro.net.protocol`) in one thread: a prepared statement's request
+frame and its result frames encoded and decoded, for a point read, a 50-row
+read (the same count: the rows never pass through Python) and an update
 count, and one multicast write's ``GROUP_DELIVER`` frame from the sender's
 payload to the receiver's message.  The six ``TPC-W:`` rows are the read-only
 interactions of the load benchmark's ``tpcw_browse`` workload, one seeded
@@ -129,12 +130,15 @@ TPCW_SCALE = TPCWScale(items=50, customers=100)
 BUDGETS: Dict[str, Count] = {
     # the five canonical operations, each after a warm-up of the same statement
     "cached read": Count(23, 0, 4),  # 3-replica manager, result cache hit
-    "PK read, no cache": Count(136, 76, 18),  # engine (sql) vs middleware calls
-    "3-replica UPDATE": Count(378, 237, 56),  # autocommit, result cache, memory log
-    "replicated prepared UPDATE": Count(396, 159, 73),  # 2 controllers x 1 backend
-    "100-row batch": Count(16541, 13530, 2139),  # one execute_batch, 3 replicas
+    "PK read, no cache": Count(102, 44, 18),  # engine (sql) vs middleware calls
+    "3-replica UPDATE": Count(300, 165, 53),  # autocommit, result cache, memory log
+    "replicated prepared UPDATE": Count(344, 111, 71),  # 2 controllers x 1 backend
+    "100-row batch": Count(13841, 10830, 1839),  # one execute_batch, 3 replicas
     # server batch vs the client loop it replaces
-    "100-row looped executemany": Count(30502, 17100, 5600),
+    "100-row looped executemany": Count(27502, 14100, 5300),
+    # the same UPDATE with bound values and with literals, one backend, no cache
+    "UPDATE, bound values": Count(132, 55, 24),
+    "UPDATE, literals": Count(132, 55, 24),
     # both ends of the wire codec, in one thread
     "wire: cached point read": Count(17, 0, 0),
     "wire: 50-row read": Count(17, 0, 0),
@@ -170,16 +174,16 @@ BUDGETS: Dict[str, Count] = {
     "invalidate, indexed: 4000": Count(3, 0, 1),
     "invalidate, full scan: 4000": Count(16003, 0, 1),
     # one seeded TPC-W browsing interaction, one backend, no result cache
-    "TPC-W: home": Count(370, 224, 38),
-    "TPC-W: new_products": Count(690, 614, 19),
-    "TPC-W: product_detail": Count(289, 213, 19),
-    "TPC-W: search_request": Count(158, 82, 19),
-    "TPC-W: search_results": Count(801, 725, 19),
-    "TPC-W: order_inquiry": Count(169, 91, 19),
+    "TPC-W: home": Count(251, 111, 38),
+    "TPC-W: new_products": Count(188, 116, 19),
+    "TPC-W: product_detail": Count(135, 61, 19),
+    "TPC-W: search_request": Count(124, 50, 19),
+    "TPC-W: search_results": Count(274, 199, 19),
+    "TPC-W: order_inquiry": Count(126, 52, 19),
     # Table 1: 150 RUBiS bidding-mix interactions, one backend
-    "RUBiS bidding, no cache": Count(77459, 45052, 5176),
-    "RUBiS bidding, coherent cache": Count(71765, 37985, 5128),
-    "RUBiS bidding, relaxed cache": Count(67582, 32959, 4638),
+    "RUBiS bidding, no cache": Count(61710, 29670, 5134),
+    "RUBiS bidding, coherent cache": Count(60548, 27096, 5086),
+    "RUBiS bidding, relaxed cache": Count(59365, 25000, 4596),
 }
 
 #: what each Table 1 run does outside the count table, on any interpreter:
@@ -193,6 +197,7 @@ TABLE_1_RUNS = {
 
 READ = "SELECT v FROM kv WHERE k = ?"
 WRITE = "UPDATE kv SET v = ? WHERE k = ?"
+LITERAL_WRITE = "UPDATE kv SET v = 'next' WHERE k = 1"
 INSERT = "INSERT INTO kv (k, v) VALUES (?, ?)"
 BATCH_ROWS = 100
 
@@ -288,6 +293,12 @@ def _update():
     manager = make_manager()
     manager.execute(WRITE, ("warm", 1))
     return lambda: manager.execute(WRITE, ("next", 1))
+
+
+def _single_update(sql, parameters=()):
+    manager = make_manager(backends=1, cache=False)
+    manager.execute(sql, parameters)
+    return lambda: manager.execute(sql, parameters)
 
 
 def _replicated_prepared_update():
@@ -425,6 +436,8 @@ SETUPS: Dict[str, Callable[[], Callable[[], object]]] = {
     "replicated prepared UPDATE": _replicated_prepared_update,
     "100-row batch": lambda: _batches(batched=True),
     "100-row looped executemany": lambda: _batches(batched=False),
+    "UPDATE, bound values": lambda: _single_update(WRITE, ("next", 1)),
+    "UPDATE, literals": lambda: _single_update(LITERAL_WRITE),
     "wire: cached point read": lambda: _wire(
         RequestResult(columns=["v"], rows=[["one"]], backend_name="backend0", from_cache=True),
         (1,),
@@ -490,6 +503,9 @@ class TestCountTable:
         assert first.count == BUDGETS[row], (
             f"{row}: measured {first.count}, table {BUDGETS[row]}\n{format_calls(first)}"
         )
+
+    def test_a_bound_value_costs_the_engine_what_a_literal_costs(self):
+        assert BUDGETS["UPDATE, bound values"].sql == BUDGETS["UPDATE, literals"].sql
 
     def test_cached_read_stays_off_the_backends(self):
         first, _ = measure_row("cached read")

@@ -5,8 +5,8 @@ import datetime
 import pytest
 
 from repro.errors import SQLError
-from repro.sql import ast
-from repro.sql.expressions import ExpressionEvaluator, RowContext
+from repro.sql import DatabaseEngine, ast
+from repro.sql.expressions import Scope, compile_expression, compile_predicate, like_regex
 from repro.sql.functions import (
     AvgAggregate,
     CountAggregate,
@@ -23,13 +23,17 @@ from repro.sql.parser import parse_expression
 
 @pytest.fixture
 def evaluator():
-    return ExpressionEvaluator()
+    return compile_expression
+
+
+def run(evaluator, sql, tables, parameters=(), outer=None):
+    """``sql`` compiled over the exposed names and columns of ``tables``, run on them."""
+    scope = Scope(list(tables), [list(row) for row in tables.values()])
+    return evaluator(parse_expression(sql), scope)(tables, parameters, outer)
 
 
 def evaluate(evaluator, sql, row=None, parameters=()):
-    expression = parse_expression(sql)
-    tables = {"t": row or {}}
-    return evaluator.evaluate(expression, RowContext(tables, parameters))
+    return run(evaluator, sql, {"t": row or {}}, parameters)
 
 
 class TestThreeValuedLogic:
@@ -54,8 +58,8 @@ class TestThreeValuedLogic:
         assert evaluate(evaluator, "1 IS NOT NULL") is True
 
     def test_predicate_treats_unknown_as_false(self, evaluator):
-        expression = parse_expression("NULL = 1")
-        assert evaluator.evaluate_predicate(expression, RowContext({})) is False
+        predicate = compile_predicate(parse_expression("NULL = 1"), Scope([], []))
+        assert predicate({}, (), None) is False
 
 
 class TestOperators:
@@ -101,27 +105,25 @@ class TestOperators:
 
 class TestColumnResolution:
     def test_qualified_and_unqualified(self, evaluator):
-        context = RowContext({"t": {"a": 1, "b": 2}, "u": {"c": 3}})
-        assert evaluator.evaluate(parse_expression("t.a + c"), context) == 4
-        assert evaluator.evaluate(parse_expression("b * 2"), context) == 4
+        tables = {"t": {"a": 1, "b": 2}, "u": {"c": 3}}
+        assert run(evaluator, "t.a + c", tables) == 4
+        assert run(evaluator, "b * 2", tables) == 4
 
     def test_ambiguous_column_raises(self, evaluator):
-        context = RowContext({"t": {"a": 1}, "u": {"a": 2}})
+        tables = {"t": {"a": 1}, "u": {"a": 2}}
         with pytest.raises(SQLError):
-            evaluator.evaluate(parse_expression("a"), context)
+            run(evaluator, "a", tables)
 
     def test_unknown_column_raises(self, evaluator):
         with pytest.raises(SQLError):
             evaluate(evaluator, "missing_column")
 
     def test_case_insensitive_columns(self, evaluator):
-        context = RowContext({"t": {"Price": 5}})
-        assert evaluator.evaluate(parse_expression("price"), context) == 5
+        assert run(evaluator, "price", {"t": {"Price": 5}}) == 5
 
     def test_outer_context_for_correlated_subqueries(self, evaluator):
-        outer = RowContext({"o": {"x": 7}})
-        inner = RowContext({"i": {"y": 1}}, outer=outer)
-        assert evaluator.evaluate(parse_expression("x + y"), inner) == 8
+        outer = ({"o": {"x": 7}}, None)
+        assert run(evaluator, "x + y", {"i": {"y": 1}}, outer=outer) == 8
 
     def test_parameters(self, evaluator):
         assert evaluate(evaluator, "? + ?", parameters=(2, 3)) == 5
@@ -221,3 +223,123 @@ class TestAggregates:
     def test_aggregate_outside_group_context_raises(self, evaluator):
         with pytest.raises(SQLError):
             evaluate(evaluator, "COUNT(*) + 1")
+
+
+class TestLikePatterns:
+    def test_a_repeated_pattern_stays_cached_past_4096_distinct_ones(self):
+        for n in range(5000):
+            like_regex(f"pattern {n}%")
+        like_regex("again%")
+        hits = like_regex.cache_info().hits
+        like_regex("again%")
+        assert like_regex.cache_info().hits == hits + 1
+
+    def test_a_literal_pattern_compiles_once_at_plan_time(self):
+        like = compile_expression(parse_expression("t.a LIKE 'x%'"), Scope(["t"], [["a"]]))
+        lookups = like_regex.cache_info()[:2]
+        values = [like({"t": {"a": value}}, (), None) for value in ("xy", "y", None, "X")]
+        assert values == [True, False, None, True]
+        assert like_regex.cache_info()[:2] == lookups
+
+
+class TestCompiledEdges:
+    """What the plan-time compiler must keep of name resolution and its errors."""
+
+    @pytest.fixture
+    def shop(self):
+        engine = DatabaseEngine("compiled-edges")
+        engine.execute_script(
+            [
+                "CREATE TABLE Item (I_Id INT PRIMARY KEY, i_title VARCHAR(20), i_cost INT)",
+                "CREATE TABLE review (r_id INT PRIMARY KEY, r_i_id INT, r_stars INT)",
+                "CREATE TABLE empty (i_id INT, note VARCHAR(8))",
+            ]
+        )
+        for i_id in range(1, 5):
+            engine.execute("INSERT INTO Item VALUES (?, ?, ?)", (i_id, f"title{i_id}", i_id))
+        for r_id, r_i_id, stars in ((1, 1, 3), (2, 1, 1), (3, 3, 5)):
+            engine.execute("INSERT INTO review VALUES (?, ?, ?)", (r_id, r_i_id, stars))
+        return engine
+
+    def test_names_in_another_case(self, shop):
+        assert shop.execute("SELECT ITEM.I_TITLE FROM item WHERE i_id = 2").rows == [["title2"]]
+        assert shop.execute("SELECT X.i_TITLE FROM iTeM x WHERE X.I_ID = ?", (3,)).rows == [
+            ["title3"]
+        ]
+        assert shop.execute("SELECT * FROM item WHERE I_ID = 1").columns == [
+            "I_Id", "i_title", "i_cost"
+        ]
+
+    def test_an_ambiguous_column_fails_only_on_a_row(self, shop):
+        sql = "SELECT i_id FROM empty a, empty b WHERE i_id = 1"
+        assert shop.execute(sql).rows == []
+        shop.execute("INSERT INTO empty VALUES (1, 'n')")
+        with pytest.raises(SQLError, match="ambiguous column reference 'i_id'"):
+            shop.execute(sql)
+
+    def test_correlated_subqueries_read_the_outer_row(self, shop):
+        exists = (
+            "SELECT i_id FROM item i WHERE EXISTS"
+            " (SELECT 1 FROM review WHERE r_i_id = i.i_id AND r_stars > 2)"
+        )
+        assert shop.execute(exists).rows == [[1], [3]]
+        in_select = (
+            "SELECT i_id FROM item WHERE i_cost IN"
+            " (SELECT r_stars FROM review WHERE r_i_id = i_id)"
+        )
+        assert shop.execute(in_select).rows == [[1]]
+        scalar = "SELECT i_id, (SELECT COUNT(*) FROM review WHERE r_i_id = item.i_id) FROM item"
+        assert shop.execute(scalar).rows == [[1, 2], [2, 0], [3, 1], [4, 0]]
+
+    def test_a_lone_predicate_passes_only_when_true(self, shop):
+        # alone, a number is not TRUE; under AND each operand counts by truthiness
+        rows = {where: shop.execute(f"SELECT i_id FROM item WHERE {where}").rows for where in (
+            "i_cost - 2", "i_cost - 2 AND i_id", "NOT i_cost - 2", "(i_cost = 1) OR i_cost - 2"
+        )}
+        assert rows == {
+            "i_cost - 2": [],
+            "i_cost - 2 AND i_id": [[1], [3], [4]],
+            "NOT i_cost - 2": [[2]],
+            "(i_cost = 1) OR i_cost - 2": [[1], [3], [4]],
+        }
+
+    def test_an_on_condition_naming_a_table_joined_later(self, shop):
+        later = "SELECT r_id FROM review JOIN item ON r_i_id = {} JOIN empty e ON e.i_id = r_i_id"
+        with pytest.raises(SQLError, match="unknown table or alias 'e'"):
+            shop.execute(later.format("e.i_id"))
+        with pytest.raises(SQLError, match="unknown column 'note'"):
+            shop.execute(later.format("note"))
+
+    def test_add_column_between_two_executions(self, shop):
+        star = "SELECT * FROM review WHERE r_id = ?"
+        named = "SELECT r_note FROM review WHERE r_id = ?"
+        statement = shop.prepare(star)
+        assert shop.execute(star, (1,)).rows == [[1, 1, 3]]
+        with pytest.raises(SQLError, match="unknown column 'r_note'"):
+            shop.execute(named, (1,))
+        shop.execute("ALTER TABLE review ADD COLUMN r_note VARCHAR(8) DEFAULT 'ok'")
+        result = shop.execute(star, (1,))
+        assert shop.prepare(star) is statement
+        assert result.columns == ["r_id", "r_i_id", "r_stars", "r_note"]
+        assert result.rows == [[1, 1, 3, "ok"]]
+        assert shop.execute(named, (1,)).rows == [["ok"]]
+
+    def test_a_missing_parameter_fails_only_on_a_row(self, shop):
+        message = "missing parameter #1: only 0 bound"
+        for sql in (
+            "SELECT i_title FROM item WHERE i_id = ?",
+            "SELECT i_title FROM item WHERE i_cost > ?",
+            "SELECT ? FROM item",
+            "UPDATE item SET i_cost = ? WHERE i_id = 1",
+        ):
+            with pytest.raises(SQLError, match=message):
+                shop.execute(sql)
+        assert shop.execute("SELECT i_id FROM empty WHERE i_id = ?").rows == []
+
+    def test_left_join_null_extended_rows_under_where(self, shop):
+        join = "SELECT i_id, r_id FROM item LEFT JOIN review ON r_i_id = i_id"
+        assert shop.execute(f"{join} WHERE r_id IS NULL").rows == [[2, None], [4, None]]
+        assert shop.execute(f"{join} WHERE r_stars > 2").rows == [[1, 1], [3, 3]]
+        assert shop.execute(f"{join} WHERE COALESCE(r_stars, 0) < 2 ORDER BY i_id").rows == [
+            [1, 2], [2, None], [4, None]
+        ]
