@@ -4,13 +4,17 @@ Each row of :data:`BUDGETS` is one operation and its exact cost on CPython
 3.11, measured in-process with ``sys.setprofile``:
 
 * ``calls`` — Python function calls (``call`` events);
-* ``sql`` — the part of ``calls`` whose frame lives under ``repro/sql/``
-  (the engine); ``calls - sql`` is what the middleware spent.  Engine code
-  also runs on the controller's behalf: the parser, once per distinct
-  statement text (:class:`~repro.core.requestparser.ParsedTemplate`), and a
-  volatile function such as ``NOW()``, once per call in a write
-  (:func:`~repro.core.macros.bind_macros`); those calls are keyed
-  ``controller/sql/...`` and count as middleware;
+* ``sql`` — the engine calls: frames under ``repro/sql/`` that run inside
+  a method of a :class:`~repro.core.backend.DatabaseBackend`, which
+  :func:`measure` also counts per backend; ``calls - sql`` is what the
+  middleware spent.  Engine code also runs outside the backends: the
+  controller's parser, once per distinct statement text
+  (:class:`~repro.core.requestparser.ParsedTemplate`), a volatile function
+  such as ``NOW()``, once per call in a write
+  (:func:`~repro.core.macros.bind_macros`), and the driver's cursor; those
+  calls are keyed ``middleware/sql/...`` and count as middleware.  A frame
+  outside ``repro`` (``enum``, ``threading``, a generated ``__init__``)
+  counts where its nearest ``repro`` caller counts;
 * ``locks`` — lock operations: ``c_call`` events for ``acquire`` or
   ``__exit__`` on a ``_thread.lock``/``RLock``.  CPython 3.11 emits no event
   for a ``with`` block's ``__enter__``, so a ``with lock:`` counts once (its
@@ -48,18 +52,18 @@ import itertools
 import sys
 import _thread
 from collections import Counter
+from types import FunctionType
 from typing import Callable, Dict, NamedTuple, Optional
 
 import pytest
 
 from repro.cluster.fixture import boot, descriptor
-from repro.core.macros import bind_macros
 from repro.core.backend import DatabaseBackend
 from repro.core.cache import FullScanTableGranularity, ResultCache, TableGranularity
 from repro.core.recovery import MemoryRecoveryLog
 from repro.core.request import RequestResult, SelectRequest, WriteRequest
 from repro.core.request_manager import RequestManager
-from repro.core.requestparser import ParsedTemplate, RequestFactory
+from repro.core.requestparser import RequestFactory
 from repro.distrib.distributed_vdb import _WriteCommand
 from repro.groupcomm.message import payload_from_wire
 from repro.groupcomm.node import _body, _message
@@ -130,15 +134,15 @@ TPCW_SCALE = TPCWScale(items=50, customers=100)
 BUDGETS: Dict[str, Count] = {
     # the five canonical operations, each after a warm-up of the same statement
     "cached read": Count(23, 0, 4),  # 3-replica manager, result cache hit
-    "PK read, no cache": Count(102, 44, 18),  # engine (sql) vs middleware calls
-    "3-replica UPDATE": Count(300, 165, 53),  # autocommit, result cache, memory log
-    "replicated prepared UPDATE": Count(344, 111, 71),  # 2 controllers x 1 backend
-    "100-row batch": Count(13841, 10830, 1839),  # one execute_batch, 3 replicas
+    "PK read, no cache": Count(102, 45, 18),  # engine (sql) vs middleware calls
+    "3-replica UPDATE": Count(300, 192, 53),  # autocommit, result cache, memory log
+    "replicated prepared UPDATE": Count(344, 128, 71),  # 2 controllers x 1 backend
+    "100-row batch": Count(13841, 13530, 1839),  # one execute_batch, 3 replicas
     # server batch vs the client loop it replaces
-    "100-row looped executemany": Count(27502, 14100, 5300),
+    "100-row looped executemany": Count(27502, 16800, 5300),
     # the same UPDATE with bound values and with literals, one backend, no cache
-    "UPDATE, bound values": Count(132, 55, 24),
-    "UPDATE, literals": Count(132, 55, 24),
+    "UPDATE, bound values": Count(132, 64, 24),
+    "UPDATE, literals": Count(132, 64, 24),
     # both ends of the wire codec, in one thread
     "wire: cached point read": Count(17, 0, 0),
     "wire: 50-row read": Count(17, 0, 0),
@@ -174,16 +178,16 @@ BUDGETS: Dict[str, Count] = {
     "invalidate, indexed: 4000": Count(3, 0, 1),
     "invalidate, full scan: 4000": Count(16003, 0, 1),
     # one seeded TPC-W browsing interaction, one backend, no result cache
-    "TPC-W: home": Count(251, 111, 38),
-    "TPC-W: new_products": Count(188, 116, 19),
-    "TPC-W: product_detail": Count(135, 61, 19),
-    "TPC-W: search_request": Count(124, 50, 19),
-    "TPC-W: search_results": Count(274, 199, 19),
-    "TPC-W: order_inquiry": Count(126, 52, 19),
+    "TPC-W: home": Count(251, 102, 38),
+    "TPC-W: new_products": Count(188, 111, 19),
+    "TPC-W: product_detail": Count(135, 56, 19),
+    "TPC-W: search_request": Count(124, 45, 19),
+    "TPC-W: search_results": Count(274, 194, 19),
+    "TPC-W: order_inquiry": Count(126, 47, 19),
     # Table 1: 150 RUBiS bidding-mix interactions, one backend
-    "RUBiS bidding, no cache": Count(61710, 29670, 5134),
-    "RUBiS bidding, coherent cache": Count(60548, 27096, 5086),
-    "RUBiS bidding, relaxed cache": Count(59365, 25000, 4596),
+    "RUBiS bidding, no cache": Count(61710, 29863, 5134),
+    "RUBiS bidding, coherent cache": Count(60548, 27259, 5086),
+    "RUBiS bidding, relaxed cache": Count(59365, 25128, 4596),
 }
 
 #: what each Table 1 run does outside the count table, on any interpreter:
@@ -202,39 +206,89 @@ INSERT = "INSERT INTO kv (k, v) VALUES (?, ?)"
 BATCH_ROWS = 100
 
 _LOCK_TYPES = (_thread.LockType, _thread.RLock)
-#: code whose engine calls are the controller's work
-_CONTROLLER = (ParsedTemplate.__init__.__code__, bind_macros.__code__)
+_LOCK_METHODS = ("acquire", "__exit__")
+#: what a frame is: engine code (under ``repro/sql/``), middleware (the rest
+#: of ``repro``), code outside ``repro`` (charged to its nearest ``repro``
+#: caller), or a method of a backend (middleware whose engine calls are that
+#: backend's)
+_ENGINE, _MIDDLEWARE, _FOREIGN, _BACKEND = range(4)
+_BACKEND_CODES = frozenset(
+    id(member.__code__)
+    for member in vars(DatabaseBackend).values()
+    if isinstance(member, FunctionType)
+)
+
+
+def _classify(code):
+    """``(key, kind, code)`` of a code object; the key is ``path:function``."""
+    _, in_repro, path = code.co_filename.rpartition("/repro/")
+    if not in_repro:
+        return f"{code.co_filename.rpartition('/')[2]}:{code.co_name}", _FOREIGN, code
+    if id(code) in _BACKEND_CODES:
+        kind = _BACKEND
+    else:
+        kind = _ENGINE if path.startswith("sql/") else _MIDDLEWARE
+    return f"{path}:{code.co_name}", kind, code
 
 
 class Measurement(NamedTuple):
     count: Count
     #: Python calls keyed by ``path:function`` (path relative to ``repro/``)
     calls: Counter
+    #: engine calls keyed by the name of the backend that ran them
+    backends: Counter
 
 
 def measure(operation: Callable[[], object]) -> Measurement:
-    """Count what one ``operation()`` costs in this thread."""
+    """Count what one ``operation()`` costs in this thread.
+
+    One rule places every call.  A frame outside ``repro`` (the standard
+    library, a generated ``__init__``) belongs to its nearest ``repro``
+    caller and is keyed ``caller-path:caller-function > file:function``.
+    A frame that is engine code, by its own path or its caller's, is an
+    engine call of the backend whose method is innermost on the stack;
+    engine code that no backend runs (the controller's statement analysis
+    and macro values, the driver's cursor) is middleware, keyed
+    ``middleware/sql/...``.
+    """
     calls = Counter()
+    on_backends = Counter()
     locks = 0
-    in_controller = 0  # depth of the controller's own use of engine code
+    owners = []  # the backends whose methods are on the stack, innermost last
+    known = {}  # id(code) -> _classify(code); the entry keeps the id taken
+
+    def classify(code):
+        entry = known.get(id(code))
+        if entry is None:
+            entry = known[id(code)] = _classify(code)
+        return entry
 
     def profile(frame, event, arg):
-        nonlocal locks, in_controller
+        nonlocal locks
         if event == "call":
-            code = frame.f_code
-            if code in _CONTROLLER:
-                in_controller += 1
-            _, in_repro, inner = code.co_filename.rpartition("/repro/")
-            path = inner if in_repro else code.co_filename.rpartition("/")[2]
-            if in_controller and path.startswith("sql/"):
-                # engine code run on the controller's behalf is middleware work
-                path = "controller/" + path
-            calls[f"{path}:{code.co_name}"] += 1
-        elif event == "return" and frame.f_code in _CONTROLLER:
-            in_controller -= 1
+            key, kind, _ = classify(frame.f_code)
+            if kind == _BACKEND:
+                owners.append(frame.f_locals["self"])
+            elif kind == _FOREIGN:
+                caller = frame.f_back
+                while caller is not None:
+                    caller_key, kind, _ = classify(caller.f_code)
+                    if kind != _FOREIGN:
+                        key = f"{caller_key} > {key}"
+                        break
+                    caller = caller.f_back
+            if kind == _ENGINE:
+                if owners:
+                    on_backends[owners[-1]] += 1
+                else:
+                    key = "middleware/" + key
+            calls[key] += 1
+        elif event == "return":
+            if known[id(frame.f_code)][1] == _BACKEND:
+                owners.pop()
         elif (
             event == "c_call"
-            and arg.__name__ in ("acquire", "__exit__")
+            and arg.__name__ in _LOCK_METHODS
             and isinstance(getattr(arg, "__self__", None), _LOCK_TYPES)
         ):
             locks += 1
@@ -247,8 +301,12 @@ def measure(operation: Callable[[], object]) -> Measurement:
     finally:
         sys.setprofile(None)
         gc.enable()
-    sql = sum(count for name, count in calls.items() if name.startswith("sql/"))
-    return Measurement(Count(sum(calls.values()), sql, locks), calls)
+    backends = Counter()
+    for backend, count in on_backends.items():
+        backends[backend.name] += count
+    return Measurement(
+        Count(sum(calls.values()), sum(backends.values()), locks), calls, backends
+    )
 
 
 def make_manager(backends=3, cache=True):
@@ -496,7 +554,8 @@ class TestCountTable:
     def test_row(self, row):
         first, second = measure_row(row)
         print(format_row(row, first.count))
-        assert first == second, (
+        # which replica serves a read rotates; what each call costs does not
+        assert (first.count, first.calls) == (second.count, second.calls), (
             f"{row}: two measurements differ, {first.count} vs {second.count}\n"
             f"first:\n{format_calls(first)}\nsecond:\n{format_calls(second)}"
         )
