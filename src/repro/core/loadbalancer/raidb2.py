@@ -7,8 +7,11 @@ schema of each backend" (paper §2.4.3).
 
 Reads are routed to a backend that hosts *all* the tables named by the
 query (the paper notes the tables named in a query must all be present on
-at least one backend).  Writes go to every backend hosting any of the
-written tables.  DDL follows the replication map when one is configured,
+at least one backend).  A write goes to every backend hosting the table it
+writes, and each of them must also host every table the write reads
+(``INSERT ... SELECT``, a subquery): otherwise the controller refuses the
+write with :class:`~repro.errors.NotReplicatedError` before any backend
+runs it.  DDL follows the replication map when one is configured,
 otherwise it is broadcast everywhere.
 """
 
@@ -99,7 +102,15 @@ class RAIDb2LoadBalancer(AbstractLoadBalancer):
             return enabled
         if request.request_type is RequestType.DDL:
             return self._ddl_targets(request, enabled)
-        targets = [b for b in enabled if b.has_any_table(request.tables)]
+        # a write names the table it writes first; the others it only reads
+        written, *read = request.tables
+        targets = [b for b in enabled if b.has_tables((written,))]
+        lacking = [b.name for b in targets if not b.has_tables(read)]
+        if lacking:
+            raise NotReplicatedError(
+                f"{', '.join(lacking)} host {written!r} but not all of {read!r};"
+                " every replica of a written table must host the tables the write reads"
+            )
         return targets
 
     def placement_reason(self, request: AbstractRequest) -> str:

@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.cluster.fixture import boot, descriptor
 from repro.core.backend import DatabaseBackend
 from repro.core.loadbalancer import (
     LeastPendingRequestsFirst,
@@ -201,6 +202,38 @@ class TestRAIDb2:
         outcome = balancer.execute_write_request(write, backends)
         assert sorted(outcome.successes) == ["b0", "b1"]
         assert engines[2].catalog.has_table("orders")
+
+    def test_write_targets_the_replicas_of_the_written_table(self):
+        backends, _ = self.build()
+        balancer = RAIDb2LoadBalancer()
+        # author is only read: the write goes where item lives, not where author lives
+        write = factory.create_request(
+            "UPDATE item SET v = 'x' WHERE id IN (SELECT id FROM author)"
+        )
+        with pytest.raises(NotReplicatedError, match="b1 host 'item'"):
+            balancer.write_targets(write, backends)
+        insert = factory.create_request("INSERT INTO orders (id, v) SELECT id, v FROM orders")
+        assert [b.name for b in balancer.write_targets(insert, backends)] == ["b2"]
+
+    def test_write_reading_a_table_some_replicas_lack_is_refused_before_any_backend(self):
+        cluster = boot(
+            descriptor(
+                "raidb2-read-write",
+                4,
+                replication="raidb2",
+                recovery_log="none",
+                replication_map={"order_line": ["b0", "b1"]},
+            )
+        )
+        cursor = cluster.connect(cluster.name, "u", "p").cursor()
+        cursor.execute("CREATE TABLE order_line (ol_id INT PRIMARY KEY, ol_i_id INT, ol_qty INT)")
+        cursor.execute("CREATE TABLE t (ol_i_id INT, ol_qty INT)")
+        cursor.execute("INSERT INTO order_line (ol_id, ol_i_id, ol_qty) VALUES (1, 2, 3)")
+        with pytest.raises(NotReplicatedError, match="b2, b3 host 't'"):
+            cursor.execute("INSERT INTO t (ol_i_id, ol_qty) SELECT ol_i_id, ol_qty FROM order_line")
+        backends = cluster.virtual_database(cluster.name).backends
+        assert [b.name for b in backends if b.is_enabled] == ["b0", "b1", "b2", "b3"]
+        assert [cluster.engine(b.name).row_count("t") for b in backends] == [0, 0, 0, 0]
 
     def test_ddl_create_follows_replication_map(self):
         backends, engines = self.build()
