@@ -257,22 +257,24 @@ def measure(operation: Callable[[], object]) -> Measurement:
     owners = []  # the backends whose methods are on the stack, innermost last
     known = {}  # id(code) -> _classify(code); the entry keeps the id taken
 
-    def classify(code):
-        entry = known.get(id(code))
-        if entry is None:
-            entry = known[id(code)] = _classify(code)
-        return entry
-
     def profile(frame, event, arg):
         nonlocal locks
         if event == "call":
-            key, kind, _ = classify(frame.f_code)
+            code = frame.f_code
+            entry = known.get(id(code))
+            if entry is None:
+                entry = known[id(code)] = _classify(code)
+            key, kind, _ = entry
             if kind == _BACKEND:
                 owners.append(frame.f_locals["self"])
             elif kind == _FOREIGN:
                 caller = frame.f_back
                 while caller is not None:
-                    caller_key, kind, _ = classify(caller.f_code)
+                    code = caller.f_code
+                    entry = known.get(id(code))
+                    if entry is None:
+                        entry = known[id(code)] = _classify(code)
+                    caller_key, kind, _ = entry
                     if kind != _FOREIGN:
                         key = f"{caller_key} > {key}"
                         break
@@ -284,7 +286,7 @@ def measure(operation: Callable[[], object]) -> Measurement:
                     key = "middleware/" + key
             calls[key] += 1
         elif event == "return":
-            if known[id(frame.f_code)][1] == _BACKEND:
+            if id(frame.f_code) in _BACKEND_CODES:
                 owners.pop()
         elif (
             event == "c_call"
@@ -293,7 +295,6 @@ def measure(operation: Callable[[], object]) -> Measurement:
         ):
             locks += 1
 
-    gc.collect()
     gc.disable()
     sys.setprofile(profile)
     try:
