@@ -20,8 +20,9 @@ The package is organised as follows:
 * :mod:`repro.distrib` — horizontal (replicated controllers) and vertical
   (nested controllers) scalability;
 * :mod:`repro.workloads` — TPC-W and RUBiS workload generators;
-* :mod:`repro.simulation` — discrete-event cluster performance model;
-* :mod:`repro.bench` — measurement harness used by the benchmarks.
+* :mod:`repro.simulation` — a deterministic discrete-event simulator core;
+* :mod:`repro.bench` — live ablations, chaos scenarios and the scheduler
+  bench, each on real in-process clusters.
 """
 
 from repro.cluster import (

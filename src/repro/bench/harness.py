@@ -1,109 +1,21 @@
-"""Experiment drivers for the paper's figures and the ablations.
+"""Ablation drivers that run the real middleware.
 
-* :func:`run_tpcw_scalability` — Figures 10, 11 and 12: maximum throughput in
-  SQL requests per minute as a function of the number of backends, for the
-  single-database baseline, full replication and partial replication;
-* :func:`run_optimization_ablation` — ablation of the §2.4.4 optimisations
-  (early response, lazy transaction begin is exercised functionally in the
-  test suite);
 * :func:`run_loadbalancer_ablation` — round robin vs weighted round robin vs
-  least pending requests first under heterogeneous backend speeds;
+  least pending requests first, with one backend weighted down;
 * :func:`run_routing_ablation` — cost-based planner vs read-policy routing
   on two RAIDb-2 layouts.
 
-Table 1 (RUBiS query result caching) is counted on the real middleware by
-``tests/test_op_budget.py``.
+The paper's Table 1 and Figures 10-12 are count tables under ``tests/``
+(``test_op_budget.py`` and ``test_tpcw_figures.py``), measured on the same
+middleware.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.cluster.fixture import boot, descriptor, seed_kv
-from repro.simulation import ClusterSimulation, SimulationConfig, SimulationResult
-from repro.simulation.cluster import tpcw_partial_placement
-from repro.planner.costmodel import TPCW_COST_MODEL, CostModel
-from repro.workloads.tpcw import INTERACTIONS
-from repro.workloads.tpcw.mixes import mix_by_name
-
-# Default simulated durations: long enough for stable averages at the
-# paper-scale request rates, short enough that the whole figure regenerates
-# in seconds of wall-clock time.
-DEFAULT_WARMUP = 120.0
-DEFAULT_MEASUREMENT = 600.0
-
-
-# ---------------------------------------------------------------------------
-# Figures 10-12: TPC-W throughput scalability
-# ---------------------------------------------------------------------------
-
-
-def run_tpcw_scalability(
-    mix_name: str,
-    backend_counts: Optional[List[int]] = None,
-    clients_per_backend: int = 130,
-    cost_model: Optional[CostModel] = None,
-    warmup: float = DEFAULT_WARMUP,
-    measurement: float = DEFAULT_MEASUREMENT,
-) -> Dict[str, List[SimulationResult]]:
-    """Reproduce one TPC-W figure (browsing/shopping/ordering).
-
-    Returns three series keyed ``"single"``, ``"full"`` and ``"partial"``.
-    The single-database baseline bypasses the middleware entirely (one
-    backend, no replication); full and partial replication sweep the backend
-    counts.  The client population grows with the cluster size, the same way
-    the paper increases the offered load until each configuration saturates.
-    """
-    mix = mix_by_name(mix_name)
-    counts = backend_counts or [1, 2, 3, 4, 5, 6]
-    model = cost_model or TPCW_COST_MODEL
-    series: Dict[str, List[SimulationResult]] = {"single": [], "full": [], "partial": []}
-
-    baseline = ClusterSimulation(
-        SimulationConfig(
-            interactions=INTERACTIONS,
-            mix=mix,
-            backends=1,
-            replication="single",
-            clients=clients_per_backend,
-            warmup=warmup,
-            measurement=measurement,
-            cost_model=model,
-        ),
-        label=f"tpcw-{mix_name}-single-1",
-    ).run()
-    series["single"].append(baseline)
-
-    for replication in ("full", "partial"):
-        for backends in counts:
-            placement = tpcw_partial_placement(backends) if replication == "partial" else {}
-            result = ClusterSimulation(
-                SimulationConfig(
-                    interactions=INTERACTIONS,
-                    mix=mix,
-                    backends=backends,
-                    replication=replication,
-                    table_placement=placement,
-                    clients=clients_per_backend * backends,
-                    warmup=warmup,
-                    measurement=measurement,
-                    cost_model=model,
-                ),
-                label=f"tpcw-{mix_name}-{replication}-{backends}",
-            ).run()
-            series[replication].append(result)
-    return series
-
-
-def tpcw_speedups(series: Dict[str, List[SimulationResult]]) -> Dict[str, float]:
-    """Speedup of the largest full/partial configuration over the single DB."""
-    baseline = series["single"][0].sql_requests_per_minute
-    return {
-        replication: series[replication][-1].sql_requests_per_minute / baseline
-        for replication in ("full", "partial")
-        if series.get(replication)
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -111,48 +23,18 @@ def tpcw_speedups(series: Dict[str, List[SimulationResult]]) -> Dict[str, float]
 # ---------------------------------------------------------------------------
 
 
-def run_optimization_ablation(
-    mix_name: str = "ordering",
-    backends: int = 6,
-    clients: int = 600,
-    warmup: float = DEFAULT_WARMUP,
-    measurement: float = DEFAULT_MEASUREMENT,
-) -> Dict[str, SimulationResult]:
-    """Early response on/off for a write-heavy mix (ablation E5 of DESIGN.md)."""
-    mix = mix_by_name(mix_name)
-    results = {}
-    for early_response in (True, False):
-        label = "early_response" if early_response else "wait_all"
-        results[label] = ClusterSimulation(
-            SimulationConfig(
-                interactions=INTERACTIONS,
-                mix=mix,
-                backends=backends,
-                replication="full",
-                clients=clients,
-                warmup=warmup,
-                measurement=measurement,
-                cost_model=TPCW_COST_MODEL,
-                early_response=early_response,
-            ),
-            label=f"ablation-{label}",
-        ).run()
-    return results
-
-
 def run_loadbalancer_ablation(
     requests: int = 4000,
     backends: int = 3,
     slow_backend_factor: float = 3.0,
 ) -> Dict[str, float]:
-    """Compare RR / WRR / LPRF on the real middleware with a slow backend.
+    """Compare RR / WRR / LPRF on the real middleware with one weaker backend.
 
-    This ablation runs *functionally* (real middleware, real in-memory
-    engines): one backend is made ``slow_backend_factor`` times slower by
-    wrapping its connection factory with a busy-wait, and we measure how many
-    requests each policy sends to the slow backend (fewer is better for LPRF
-    and for a WRR that weights it down).  Returns the fraction of reads that
-    landed on the slow backend for each policy.
+    The ablation runs real in-memory engines behind the real middleware:
+    backend ``b0`` has weight 1 and the others ``slow_backend_factor``, as
+    an operator would weight down a slower machine.  Returns the fraction of
+    the reads each policy sent to ``b0`` (a WRR honouring the weights sends
+    it less than its fair share).
     """
     from repro.core.loadbalancer.policies import (
         LeastPendingRequestsFirst,

@@ -1,11 +1,10 @@
 """Command-line interface.
 
-Two groups of commands, mirroring how the original project was driven:
-
-* experiment commands that regenerate the paper's figures from the command
-  line (``python -m repro figure10|figure11|figure12 ...``);
-* a demo command that builds a small replicated virtual database and drops
-  into the text administration console (``python -m repro console``).
+Commands that boot, check and serve clusters from descriptors, drop into
+the text administration console (``python -m repro console``), and run the
+live experiments: the load-balancing ablation, the chaos scenarios and the
+isolation matrix.  The paper's Table 1 and Figures 10-12 are count tables
+in ``tests/`` (``python tests/test_tpcw_figures.py`` prints the figures).
 
 The CLI is intentionally a thin shell over :mod:`repro.bench` and
 :mod:`repro.core.management`; everything it does can be done from Python.
@@ -17,30 +16,15 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.bench import (
-    format_scalability_table,
-    run_loadbalancer_ablation,
-    run_tpcw_scalability,
-)
+from repro.bench import run_loadbalancer_ablation
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
-        description="C-JDBC reproduction: regenerate the paper's experiments or run a demo console",
+        description="C-JDBC reproduction: boot, serve and inspect clusters, run the live experiments",
     )
     subparsers = parser.add_subparsers(dest="command")
-
-    for figure, mix in (("figure10", "browsing"), ("figure11", "shopping"), ("figure12", "ordering")):
-        sub = subparsers.add_parser(
-            figure, help=f"TPC-W {mix} mix throughput vs number of backends"
-        )
-        sub.add_argument("--backends", type=int, default=6, help="largest backend count")
-        sub.add_argument(
-            "--clients-per-backend", type=int, default=110, help="emulated clients per backend"
-        )
-        sub.add_argument("--measurement", type=float, default=600.0, help="measured seconds")
-        sub.set_defaults(mix=mix)
 
     subparsers.add_parser("ablation-lb", help="load-balancing policy ablation")
 
@@ -143,17 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
         " per controller; grouped vdbs reconnect over their group: tcp addresses)",
     )
     return parser
-
-
-def _run_figure(mix: str, args: argparse.Namespace) -> str:
-    counts = list(range(1, max(1, args.backends) + 1))
-    series = run_tpcw_scalability(
-        mix,
-        backend_counts=counts,
-        clients_per_backend=args.clients_per_backend,
-        measurement=args.measurement,
-    )
-    return format_scalability_table(mix, series)
 
 
 def _run_ablation_lb() -> str:
@@ -415,9 +388,6 @@ def main(argv: Optional[List[str]] = None, stdout=None) -> int:
     if args.command is None:
         parser.print_help(stdout)
         return 2
-    if args.command in ("figure10", "figure11", "figure12"):
-        print(_run_figure(args.mix, args), file=stdout)
-        return 0
     if args.command == "ablation-lb":
         print(_run_ablation_lb(), file=stdout)
         return 0

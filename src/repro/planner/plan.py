@@ -33,9 +33,9 @@ MERGE_UNION = "union"
 MERGE_ORDERED = "ordered_merge"
 MERGE_AGGREGATE = "aggregate_recombination"
 
-#: statement classes used for per-backend service-time tracking; coarser
-#: than :class:`repro.workloads.profile.StatementClass` because the live
-#: EWMA needs enough samples per bucket to converge quickly
+#: statement classes used for per-backend service-time tracking; few and
+#: coarse, because the live EWMA needs enough samples per bucket to converge
+#: quickly
 READ_SIMPLE = "read_simple"
 READ_COMPLEX = "read_complex"
 WRITE = "write"

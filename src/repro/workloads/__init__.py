@@ -1,17 +1,10 @@
 """Workload generators: TPC-W and RUBiS.
 
-Each workload provides three things:
-
-* a schema + data generator that can populate any DB-API connection
-  (used to load the virtual database or the individual backends);
-* the benchmark interactions expressed as SQL transaction templates that run
-  against a DB-API connection (functional execution, used by examples and
-  integration tests);
-* a *statement profile* per interaction (statement class + tables touched)
-  consumed by the discrete-event performance model in
-  :mod:`repro.simulation`, which is what regenerates the paper's figures.
+Each workload provides a schema and a seeded data generator that populate
+any DB-API connection (one engine, or a virtual database through the
+driver), its interactions as SQL transaction templates run against a DB-API
+connection, and its interaction mixes as weights with a seeded stream of
+interaction names.  The examples, the integration tests, the load benchmark
+and the count tables of the paper's Table 1 and Figures 10-12 all run the
+interactions through the real middleware.
 """
-
-from repro.workloads.profile import InteractionProfile, StatementClass, StatementProfile
-
-__all__ = ["InteractionProfile", "StatementClass", "StatementProfile"]

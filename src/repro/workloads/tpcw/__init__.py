@@ -10,18 +10,18 @@ This package provides:
 * :mod:`repro.workloads.tpcw.schema` — the TPC-W tables and a scalable data
   generator;
 * :mod:`repro.workloads.tpcw.interactions` — the 14 web interactions as SQL
-  transaction templates and as statement profiles for the simulator;
+  transaction templates;
 * :mod:`repro.workloads.tpcw.mixes` — the browsing / shopping / ordering
   interaction mixes.
 """
 
-from repro.workloads.tpcw.interactions import INTERACTIONS, TPCWInteractions
+from repro.workloads.tpcw.interactions import INTERACTION_NAMES, TPCWInteractions
 from repro.workloads.tpcw.mixes import BROWSING_MIX, ORDERING_MIX, SHOPPING_MIX, TPCWMix
 from repro.workloads.tpcw.schema import TPCWDataGenerator, TPCW_TABLES, create_schema
 
 __all__ = [
     "BROWSING_MIX",
-    "INTERACTIONS",
+    "INTERACTION_NAMES",
     "ORDERING_MIX",
     "SHOPPING_MIX",
     "TPCWDataGenerator",

@@ -1,130 +1,23 @@
-"""The 14 TPC-W web interactions.
+"""The 14 TPC-W web interactions as SQL transaction templates.
 
-Each interaction exists in two forms:
-
-* a *statement profile* (:class:`repro.workloads.profile.InteractionProfile`)
-  used by the discrete-event performance model — this is what regenerates
-  Figures 10-12;
-* an *executable* form: a method of :class:`TPCWInteractions` that issues the
-  interaction's SQL against a DB-API connection (direct backend connection
-  or a C-JDBC virtual database connection), used by the examples and the
-  integration tests.
+Each interaction is a method of :class:`TPCWInteractions` that issues its
+SQL against a DB-API connection: a direct backend connection or a C-JDBC
+virtual database connection.  The examples, the integration tests, the
+load benchmark and the counted Figures 10-12 (``tests/test_tpcw_figures.py``)
+all run these methods.
 
 Six interactions are read-only (Home, New Products, Best Sellers, Product
-Detail, Search Request, Search Results) and eight contain updates (Shopping
-Cart, Customer Registration, Buy Request, Buy Confirm, Order Inquiry*,
-Order Display*, Admin Request*, Admin Confirm) — the paper counts Order
-Inquiry/Display and Admin Request among the eight because they belong to the
-ordering path of the specification; their SQL footprint here follows the
-Wisconsin servlet implementation.
+Detail, Search Request, Search Results) and eight belong to the ordering
+path (Shopping Cart, Customer Registration, Buy Request, Buy Confirm, Order
+Inquiry, Order Display, Admin Request, Admin Confirm).  Order Inquiry, Order
+Display and Admin Request issue only reads here, following the Wisconsin
+servlet implementation; the paper counts them among the eight because the
+specification puts them on the ordering path.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
-
-from repro.workloads.profile import InteractionProfile, StatementClass, StatementProfile
-
-# ---------------------------------------------------------------------------
-# Statement profiles (simulator view)
-# ---------------------------------------------------------------------------
-
-_S = StatementProfile
-_C = StatementClass
-
-INTERACTIONS: Dict[str, InteractionProfile] = {
-    "home": InteractionProfile(
-        "home",
-        (
-            _S(_C.READ_SIMPLE, ("customer",)),
-            _S(_C.READ_COMPLEX, ("item",)),  # promotional items
-        ),
-    ),
-    "new_products": InteractionProfile(
-        "new_products",
-        (_S(_C.READ_COMPLEX, ("item", "author"), cost_factor=1.5),),
-    ),
-    "best_sellers": InteractionProfile(
-        "best_sellers",
-        (
-            # The MySQL implementation creates a temporary table, selects the
-            # 3333 most recent orders into it, reads the top 50 and drops it
-            # (paper §6.3 explains the resulting sub-linear speedup).
-            _S(_C.READ_BESTSELLER, ("order_line", "item", "author")),
-        ),
-    ),
-    "product_detail": InteractionProfile(
-        "product_detail",
-        (_S(_C.READ_SIMPLE, ("item", "author")),),
-    ),
-    "search_request": InteractionProfile(
-        "search_request",
-        (_S(_C.READ_SIMPLE, ("item",)),),
-    ),
-    "search_results": InteractionProfile(
-        "search_results",
-        (_S(_C.READ_COMPLEX, ("item", "author"), cost_factor=2.0),),
-    ),
-    "shopping_cart": InteractionProfile(
-        "shopping_cart",
-        (
-            _S(_C.READ_SIMPLE, ("shopping_cart",)),
-            _S(_C.WRITE_SIMPLE, ("shopping_cart",)),
-            _S(_C.WRITE_SIMPLE, ("shopping_cart_line",)),
-            _S(_C.READ_SIMPLE, ("shopping_cart_line", "item")),
-        ),
-    ),
-    "customer_registration": InteractionProfile(
-        "customer_registration",
-        (
-            _S(_C.READ_SIMPLE, ("customer",)),
-            _S(_C.WRITE_SIMPLE, ("customer",)),
-            _S(_C.WRITE_SIMPLE, ("address",)),
-        ),
-    ),
-    "buy_request": InteractionProfile(
-        "buy_request",
-        (
-            _S(_C.READ_SIMPLE, ("customer",)),
-            _S(_C.READ_SIMPLE, ("shopping_cart_line", "item")),
-            _S(_C.WRITE_SIMPLE, ("customer",)),
-        ),
-    ),
-    "buy_confirm": InteractionProfile(
-        "buy_confirm",
-        (
-            _S(_C.READ_SIMPLE, ("shopping_cart_line",)),
-            _S(_C.WRITE_SIMPLE, ("orders",)),
-            _S(_C.WRITE_COMPLEX, ("order_line",)),
-            _S(_C.WRITE_COMPLEX, ("item",)),  # stock update
-            _S(_C.WRITE_SIMPLE, ("cc_xacts",)),
-            _S(_C.WRITE_SIMPLE, ("shopping_cart_line",)),  # empty the cart
-        ),
-    ),
-    "order_inquiry": InteractionProfile(
-        "order_inquiry",
-        (_S(_C.READ_SIMPLE, ("customer",)),),
-    ),
-    "order_display": InteractionProfile(
-        "order_display",
-        (
-            _S(_C.READ_SIMPLE, ("customer",)),
-            _S(_C.READ_COMPLEX, ("orders", "order_line", "item", "address", "country")),
-        ),
-    ),
-    "admin_request": InteractionProfile(
-        "admin_request",
-        (_S(_C.READ_SIMPLE, ("item",)),),
-    ),
-    "admin_confirm": InteractionProfile(
-        "admin_confirm",
-        (
-            _S(_C.READ_COMPLEX, ("order_line", "item")),  # recompute related items
-            _S(_C.WRITE_COMPLEX, ("item",)),
-        ),
-    ),
-}
 
 #: the six read-only interactions of the specification
 READ_ONLY_INTERACTIONS = (
@@ -136,10 +29,20 @@ READ_ONLY_INTERACTIONS = (
     "search_results",
 )
 
+#: the eight interactions of the ordering path
+ORDERING_PATH_INTERACTIONS = (
+    "shopping_cart",
+    "customer_registration",
+    "buy_request",
+    "buy_confirm",
+    "order_inquiry",
+    "order_display",
+    "admin_request",
+    "admin_confirm",
+)
 
-# ---------------------------------------------------------------------------
-# Executable interactions (functional view)
-# ---------------------------------------------------------------------------
+#: every interaction :class:`TPCWInteractions` can run, by name
+INTERACTION_NAMES = READ_ONLY_INTERACTIONS + ORDERING_PATH_INTERACTIONS
 
 
 class TPCWInteractions:

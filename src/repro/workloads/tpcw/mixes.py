@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator
 
-from repro.workloads.profile import InteractionProfile
-from repro.workloads.tpcw.interactions import INTERACTIONS, READ_ONLY_INTERACTIONS
+from repro.workloads.tpcw.interactions import INTERACTION_NAMES, READ_ONLY_INTERACTIONS
 
 
 @dataclass
@@ -34,7 +33,7 @@ class TPCWMix:
     mean_think_time: float = 7.0
 
     def __post_init__(self):
-        unknown = set(self.weights) - set(INTERACTIONS)
+        unknown = set(self.weights) - set(INTERACTION_NAMES)
         if unknown:
             raise ValueError(f"unknown interactions in mix {self.name!r}: {sorted(unknown)}")
         total = sum(self.weights.values())
@@ -50,9 +49,6 @@ class TPCWMix:
             for name, weight in self.weights.items()
             if name in READ_ONLY_INTERACTIONS
         )
-
-    def interaction_items(self) -> List[Tuple[InteractionProfile, float]]:
-        return [(INTERACTIONS[name], weight) for name, weight in self.weights.items()]
 
     # -- sampling ---------------------------------------------------------------------
 

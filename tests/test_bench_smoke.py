@@ -17,10 +17,8 @@ import pytest
 from repro.bench import (
     run_chaos_scenario,
     run_loadbalancer_ablation,
-    run_optimization_ablation,
     run_routing_ablation,
     run_scheduler_ablation,
-    run_tpcw_scalability,
 )
 from repro.isolation import run_isolation_matrix
 
@@ -28,18 +26,6 @@ pytestmark = pytest.mark.bench_smoke
 
 
 class TestBenchSmoke:
-    def test_tpcw_scalability_smoke(self):
-        series = run_tpcw_scalability(
-            "ordering", backend_counts=[1, 2], clients_per_backend=20,
-            warmup=5, measurement=20,
-        )
-        assert set(series) == {"single", "full", "partial"}
-        assert all(result.sql_requests_per_minute > 0 for result in series["full"])
-
-    def test_optimization_ablation_smoke(self):
-        results = run_optimization_ablation(backends=2, clients=40, warmup=5, measurement=20)
-        assert set(results) == {"early_response", "wait_all"}
-
     def test_loadbalancer_ablation_smoke(self):
         fractions = run_loadbalancer_ablation(requests=60, backends=2)
         assert set(fractions) == {"rr", "wrr", "lprf"}

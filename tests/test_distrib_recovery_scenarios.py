@@ -251,6 +251,7 @@ class TestBackendReintegrationWithNoLocalDonor:
             )
             replica_b.get_backend("backend0").disable()
             stop = threading.Event()
+            acknowledged, failed = [], []
 
             def writer():
                 key = 1000
@@ -259,7 +260,9 @@ class TestBackendReintegrationWithNoLocalDonor:
                     try:
                         replica_a.execute("INSERT INTO t VALUES (?, 'live')", (key,))
                     except GroupCommunicationError:
-                        pass  # b has no live backend, or is between leave and join
+                        failed.append(key)  # b has no live backend, or is between leave and join
+                    else:
+                        acknowledged.append(key)
 
             thread = threading.Thread(target=writer)
             thread.start()
@@ -270,8 +273,14 @@ class TestBackendReintegrationWithNoLocalDonor:
                 stop.set()
                 thread.join()
             assert replica_b.get_backend("backend0").is_enabled
-            live = "SELECT COUNT(*) FROM t WHERE v = 'live'"
-            assert engine_b.execute(live).scalar() == engine_a.execute(live).scalar() > 0
+            assert acknowledged
+            for name, engine in (("a", engine_a), ("b", engine_b)):
+                stored = {row[0] for row in engine.execute("SELECT id FROM t").rows}
+                lost = [key for key in acknowledged if key not in stored]
+                assert not lost, (
+                    f"replica {name} lacks acknowledged keys {lost}"
+                    f" (acknowledged {acknowledged[0]}..{acknowledged[-1]}, failed {failed})"
+                )
             self._assert_converged(engine_a, engine_b)
         finally:
             node_a.stop()

@@ -13,7 +13,12 @@ from tests.conftest import make_cluster
 from repro.core import connect
 from repro.workloads.rubis import RUBISDataGenerator, RUBiSInteractions
 from repro.workloads.rubis import schema as rubis_schema
-from repro.workloads.tpcw import INTERACTIONS, SHOPPING_MIX, TPCWDataGenerator, TPCWInteractions
+from repro.workloads.tpcw import (
+    INTERACTION_NAMES,
+    SHOPPING_MIX,
+    TPCWDataGenerator,
+    TPCWInteractions,
+)
 from repro.workloads.tpcw import schema as tpcw_schema
 
 
@@ -60,7 +65,7 @@ class TestTPCWOnCluster:
         controller, _, _, scale = tpcw_cluster
         connection = connect(controller, "tpcw", "tpcw", "tpcw")
         interactions = TPCWInteractions(connection, items=scale.items, customers=scale.customers, seed=9)
-        for name in INTERACTIONS:
+        for name in INTERACTION_NAMES:
             interactions.run(name)
 
     def test_best_seller_temp_table_is_cleaned_everywhere(self, tpcw_cluster):

@@ -4,13 +4,8 @@ import random
 
 import pytest
 
+from repro.cluster.fixture import boot, descriptor
 from repro.sql import DatabaseEngine, dbapi
-from repro.workloads.profile import (
-    InteractionProfile,
-    StatementClass,
-    StatementProfile,
-    read_write_statement_ratio,
-)
 from repro.workloads.rubis import (
     BIDDING_MIX,
     INTERACTION_NAMES,
@@ -21,54 +16,48 @@ from repro.workloads.rubis import (
 from repro.workloads.rubis import schema as rubis_schema
 from repro.workloads.tpcw import (
     BROWSING_MIX,
-    INTERACTIONS,
+    INTERACTION_NAMES as TPCW_INTERACTION_NAMES,
     ORDERING_MIX,
     SHOPPING_MIX,
     TPCWDataGenerator,
     TPCWInteractions,
+    TPCWMix,
 )
 from repro.workloads.tpcw import schema as tpcw_schema
+from repro.workloads.tpcw.interactions import READ_ONLY_INTERACTIONS
 from repro.workloads.tpcw.mixes import mix_by_name
 
 
-class TestProfiles:
-    def test_interaction_read_only_detection(self):
-        read_only = InteractionProfile(
-            "ro", (StatementProfile(StatementClass.READ_SIMPLE, ("t",)),)
-        )
-        read_write = InteractionProfile(
-            "rw",
-            (
-                StatementProfile(StatementClass.READ_SIMPLE, ("t",)),
-                StatementProfile(StatementClass.WRITE_SIMPLE, ("t",)),
-            ),
-        )
-        assert read_only.read_only is True
-        assert read_write.read_only is False
-        assert read_write.read_statements == 1
-        assert read_write.write_statements == 1
-
-    def test_statement_class_partition(self):
-        for statement_class in StatementClass:
-            assert statement_class.is_read != statement_class.is_write
-
+class TestTPCWInteractionNames:
     def test_tpcw_has_14_interactions_6_canonical_read_only(self):
-        from repro.workloads.tpcw.interactions import READ_ONLY_INTERACTIONS
+        assert len(TPCW_INTERACTION_NAMES) == len(set(TPCW_INTERACTION_NAMES)) == 14
+        assert TPCW_INTERACTION_NAMES[:6] == READ_ONLY_INTERACTIONS
+        assert all(callable(getattr(TPCWInteractions, name)) for name in TPCW_INTERACTION_NAMES)
 
-        assert len(INTERACTIONS) == 14
-        # the six read-only interactions of the specification are read-only here too
-        assert len(READ_ONLY_INTERACTIONS) == 6
-        assert all(INTERACTIONS[name].read_only for name in READ_ONLY_INTERACTIONS)
-        # the ordering path contains the update interactions
-        writers = [name for name, profile in INTERACTIONS.items() if not profile.read_only]
-        assert {"shopping_cart", "buy_confirm", "customer_registration", "admin_confirm"} <= set(
-            writers
-        )
+    @pytest.fixture(scope="class")
+    def one_backend(self):
+        cluster = boot(descriptor("read-only", 1, recovery_log="none", cache={"enabled": False}))
+        connection = cluster.connect(cluster.name, "tpcw", "tpcw")
+        tpcw_schema.create_schema(connection)
+        scale = tpcw_schema.TPCWScale(items=30, customers=40)
+        TPCWDataGenerator(scale, seed=3).populate(connection)
+        client = TPCWInteractions(connection, items=scale.items, customers=scale.customers)
+        (backend,) = cluster.virtual_database(cluster.name).backends
+        return client, backend
 
-    def test_read_write_ratio_helper(self):
-        reads, writes = read_write_statement_ratio(SHOPPING_MIX.interaction_items())
-        assert reads + writes == pytest.approx(1.0)
-        assert reads > writes
+    @pytest.mark.parametrize("name", READ_ONLY_INTERACTIONS)
+    def test_read_only_interactions_write_only_the_best_seller_table(self, one_backend, name):
+        # best_sellers creates, fills and drops a temporary table: three
+        # writes, which every replica of order_line runs (paper §6.3)
+        client, backend = one_backend
+        writes = backend.total_writes
+        client.run(name)
+        written = backend.total_writes - writes
+        assert written == (3 if name == "best_sellers" else 0)
+
+    def test_unknown_interaction_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown interactions"):
+            TPCWMix("bad", {"home": 1.0, "checkout": 1.0})
 
 
 class TestTPCWMixes:
@@ -141,7 +130,7 @@ class TestTPCWFunctional:
         engine, _, scale = tpcw_database
         connection = dbapi.connect(engine)
         interactions = TPCWInteractions(connection, items=scale.items, customers=scale.customers)
-        for name in INTERACTIONS:
+        for name in TPCW_INTERACTION_NAMES:
             statements = interactions.run(name)
             assert statements >= 1
 
