@@ -29,8 +29,9 @@ READ_ONLY_INTERACTIONS = (
     "search_results",
 )
 
-#: the eight interactions of the ordering path
-ORDERING_PATH_INTERACTIONS = (
+#: every interaction :class:`TPCWInteractions` can run, by name: the
+#: read-only six, then the eight of the ordering path
+INTERACTION_NAMES = READ_ONLY_INTERACTIONS + (
     "shopping_cart",
     "customer_registration",
     "buy_request",
@@ -40,9 +41,6 @@ ORDERING_PATH_INTERACTIONS = (
     "admin_request",
     "admin_confirm",
 )
-
-#: every interaction :class:`TPCWInteractions` can run, by name
-INTERACTION_NAMES = READ_ONLY_INTERACTIONS + ORDERING_PATH_INTERACTIONS
 
 
 class TPCWInteractions:
