@@ -24,7 +24,9 @@ exceed that: the controller is one more machine that saturates.  The
 N = 1 baseline of RAIDb-1 with the same cache setting.
 
 Each backend starts from a copy of one populated engine's tables (those its
-placement hosts), as a backend restored from a dump would.
+placement hosts), as a backend restored from a dump would.  A cell starts
+cold: the controller's parsing cache and the engines' statement caches are
+empty, so its counts include each statement text's first parse.
 
 Print the tables with ``PYTHONPATH=src python tests/test_tpcw_figures.py``;
 it measures every cell twice and exits 1 unless the two agree.
