@@ -22,7 +22,7 @@ from repro.bench import run_loadbalancer_ablation
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
-        description="C-JDBC reproduction: boot, serve and inspect clusters, run the live experiments",
+        description="C-JDBC reproduction: boot, serve and inspect clusters, run live experiments",
     )
     subparsers = parser.add_subparsers(dest="command")
 

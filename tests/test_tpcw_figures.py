@@ -297,7 +297,8 @@ def run_cell(cell: Cell) -> Tuple[Work, int]:
 
 
 def speedups(cell: Cell, counts: Dict[Cell, Work]) -> Tuple[float, float]:
-    """``(backends, counted)``: the baseline's busiest backend over this cell's, uncapped and capped."""
+    """``(backends, counted)``: the baseline's busiest backend over this cell's,
+    uncapped and capped by the middleware's calls."""
     baseline = max(counts[cell.baseline].engine)
     work = counts[cell]
     busiest = max(work.engine)
@@ -321,6 +322,10 @@ def format_figure(figure: str, counts: Dict[Cell, Work]) -> str:
             f" {bound:>8.2f} {counted:>7.2f}  {' '.join(f'{n:,}' for n in work.engine)}"
         )
     return "\n".join(lines)
+
+
+def test_every_cell_is_pinned():
+    assert list(COUNTS) == CELLS
 
 
 @pytest.mark.parametrize("cell", CELLS, ids=lambda cell: f"{cell.mix}: {cell.label}")
