@@ -342,16 +342,15 @@ class DatabaseBackend:
         self._fault("execute", request.sql)
         cursor = connection.cursor()
         cursor.execute(request.sql, request.parameters)
-        if cursor.description is None:
-            result = RequestResult(update_count=cursor.rowcount)
-        else:
-            result = RequestResult(
-                columns=[d[0] for d in cursor.description],
-                rows=[list(row) for row in cursor.fetchall()],
-                update_count=-1,
-            )
-        result.backend_name = self.name
-        return result
+        description = cursor.description
+        if description is None:
+            return RequestResult(update_count=cursor.rowcount, backend_name=self.name)
+        # the native driver's rows are the engine's tuples: kept as they are
+        return RequestResult(
+            columns=[column[0] for column in description],
+            rows=cursor.fetchall(),
+            backend_name=self.name,
+        )
 
     # -- transaction management ----------------------------------------------------------
 

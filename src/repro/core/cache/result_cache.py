@@ -132,28 +132,24 @@ class ResultCache:
             self.statistics.hits += 1
             if entry.stale_deadline is not None:
                 self.statistics.stale_hits += 1
-            # copy-on-checkout: the stored master has tuple-frozen rows, so a
-            # shallow checkout (fresh row list, shared immutable rows) is both
-            # cheap and safe — no client can corrupt another reader's rows
+            # each client gets its own row list; the tuple rows are shared
             result = entry.result.checkout()
             result.from_cache = True
             return result
 
     def put(self, request: AbstractRequest, result: RequestResult) -> RequestResult:
-        """Cache the result of a SELECT request (rows frozen to tuples).
+        """Cache the result of a SELECT request; ``result`` becomes the stored master.
 
-        Returns a checkout of the stored master so callers can hand the
-        *same shape* to the client on a miss as later hits will see (rows
-        are tuples either way, never lists on the first call only).
+        Returns a checkout of it for the caller, as a later hit would get,
+        so no client ever holds the master's own row list.
         """
         key = request.cache_key()
-        frozen = result.frozen()
         rules = self.relaxation_rules
         entry = CacheEntry(
             sql=request.sql,
             parameters=tuple(request.parameters),
             tables=tuple(request.tables),
-            result=frozen,
+            result=result,
             created_at=self._clock(),
             columns=request.template.read_columns if request.template is not None else None,
             rule=first_matching_rule(rules, request) if rules else None,
@@ -170,7 +166,7 @@ class ResultCache:
                 evicted_key, evicted = self._entries.popitem(last=False)
                 self._deindex_entry(evicted_key, evicted)
                 self.statistics.evictions += 1
-        return frozen.checkout()
+        return result.checkout()
 
     # -- invalidation -----------------------------------------------------------------
 

@@ -25,6 +25,7 @@ controller and handed to the driver, so clients browse results locally.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
@@ -90,7 +91,8 @@ class VirtualConnection:
         self.user = user
         self.password = password
         self._lock = threading.RLock()
-        self._closed = False
+        #: a plain attribute, so a cursor's open check is no extra call
+        self.closed = False
         self._autocommit = True
         self._transaction_id: Optional[int] = None
         self._controller_index = 0
@@ -128,10 +130,6 @@ class VirtualConnection:
             return self._controllers[self._controller_index]
 
     # -- DB-API surface ------------------------------------------------------------------------
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     @property
     def autocommit(self) -> bool:
@@ -178,14 +176,14 @@ class VirtualConnection:
         self._virtual_database().rollback(transaction_id, self.user)
 
     def close(self) -> None:
-        if self._closed:
+        if self.closed:
             return
         if self._transaction_id is not None:
             try:
                 self.rollback()
             except CJDBCError:
                 pass
-        self._closed = True
+        self.closed = True
         # Remote controllers hold live sockets; release them.  In-process
         # controllers have no per-connection resources and no such method.
         for controller in self._controllers:
@@ -301,8 +299,10 @@ class VirtualConnection:
             raise DatabaseError(f"all controllers failed: {last_error}")
         raise DatabaseError(f"all {attempts} attempts failed: {last_error}")
 
+    # _run, _run_batch and _run_prepared are the cursors'; each cursor call
+    # has checked that the cursor and this connection are open
+
     def _run(self, sql: str, parameters: Sequence[Any]) -> RequestResult:
-        self._check_open()
         stripped = sql.lstrip()
         if stripped[:13].upper() == "EXPLAIN ROUTE":
             # a planning-only request: nothing executes, so it joins no
@@ -345,7 +345,6 @@ class VirtualConnection:
         the batch never re-parses the SQL; it is resolved here only when no
         caller prepared one.
         """
-        self._check_open()
         if not parameter_sets:
             # an empty batch executes nothing and reports zero affected rows
             return RequestResult(update_count=0)
@@ -362,7 +361,6 @@ class VirtualConnection:
     def _run_prepared(
         self, statement: "PreparedStatement", parameters: Sequence[Any]
     ) -> RequestResult:
-        self._check_open()
         transaction_id = self._ensure_transaction()
         return self._execute_with_failover(
             lambda virtual_database: statement._handle_for(virtual_database).execute(
@@ -372,7 +370,7 @@ class VirtualConnection:
         )
 
     def _check_open(self) -> None:
-        if self._closed:
+        if self.closed:
             raise InterfaceError("connection is closed")
 
     def __enter__(self) -> "VirtualConnection":
@@ -382,7 +380,7 @@ class VirtualConnection:
         # An already-closed connection must not raise here: commit()/rollback()
         # would throw InterfaceError and mask the exception that is already
         # propagating out of the ``with`` block.
-        if self._closed:
+        if self.closed:
             return
         if exc_type is None:
             try:
@@ -473,9 +471,7 @@ class VirtualCursor(ResultCursor):
         if self._result is not None:
             # The last result may be a shared cached RequestResult; report the
             # accumulated count on a private copy instead of mutating it.
-            summary = self._result.copy()
-            summary.update_count = total
-            self._result = summary
+            self._result = dataclasses.replace(self._result, update_count=total)
         return self
 
 

@@ -13,7 +13,7 @@ Stage order (each request category runs only the stages that do something
 for it — see the table below)::
 
     classify ─ authenticate ─ schedule ─ cache-lookup ─ transaction
-        ─ recovery-log ─ cache-invalidate ─ plan ─ load-balance
+        ─ plan ─ recovery-log ─ cache-invalidate ─ load-balance
 
 * **classify** validates transaction demarcation (the category itself —
   read/write/batch/begin/commit/rollback — is derived by
@@ -28,13 +28,15 @@ for it — see the table below)::
   on a miss;
 * **transaction** allocates/derives the transaction id for ``BEGIN`` and
   pops the controller-side transaction context for ``COMMIT``/``ROLLBACK``;
+* **plan** asks the query planner for the request's
+  :class:`~repro.planner.plan.RoutePlan` (template-cached, so repeated
+  statement shapes skip planning); a write the planner refuses (e.g. a
+  RAIDb-2 write whose replicas do not host every table it reads) stops
+  here, so it is never logged;
 * **recovery-log** records writes and demarcation before they reach any
   backend, so recovery can replay them;
 * **cache-invalidate** runs result-cache invalidation after a successful
   write;
-* **plan** asks the query planner for the request's
-  :class:`~repro.planner.plan.RoutePlan` (template-cached, so repeated
-  statement shapes skip planning);
 * **load-balance** is the terminal stage: it executes the route plan — one
   backend for reads (scatter-gather for multi-table reads over disjoint
   RAIDb-2 partitions), broadcast for writes — or broadcasts demarcation to
@@ -50,8 +52,8 @@ authentication manager and only the built-in ``metrics`` interceptor the
 six chains are::
 
     read            metrics ─ schedule ─ cache-lookup ─ plan ─ load-balance
-    write, batch    metrics ─ schedule ─ recovery-log ─ cache-invalidate
-                        ─ plan ─ load-balance
+    write, batch    metrics ─ schedule ─ plan ─ recovery-log
+                        ─ cache-invalidate ─ load-balance
     begin           metrics ─ transaction ─ recovery-log ─ load-balance
                         (schedule first when lazy begin is off)
     commit,         metrics ─ classify ─ schedule ─ transaction
@@ -327,8 +329,7 @@ class CacheLookupStage(Stage):
             context.cache_verdict = "miss"
             proceed(context)
             if context.result is not None:
-                # hand the client the same tuple-frozen row shape later
-                # cache hits will see, never list rows on the miss only
+                # the client gets a checkout, as a later hit would
                 context.result = cache.put(request, context.result)
 
         return cache_lookup
@@ -466,9 +467,9 @@ def default_stages(authentication_manager=None) -> List[Stage]:
         ScheduleStage(),
         CacheLookupStage(),
         TransactionStage(),
+        PlanStage(),
         RecoveryLogStage(),
         CacheInvalidateStage(),
-        PlanStage(),
         LoadBalanceStage(),
     ]
 

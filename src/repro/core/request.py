@@ -11,7 +11,6 @@ backends in the same order as writes.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import threading
 from dataclasses import dataclass, field
@@ -177,11 +176,14 @@ class RequestResult:
 
     For SELECTs this is a fully materialized result set (the C-JDBC driver
     serializes the whole ResultSet so the client can browse it locally,
-    paper §2.3); for writes it is the update count.
+    paper §2.3); for writes it is the update count.  Each row is the tuple
+    the engine's projection built; the backend, the result cache, the wire
+    and the driver's cursor hand it on unchanged, so a row is immutable
+    wherever a client meets it.
     """
 
     columns: List[str] = field(default_factory=list)
-    rows: List[List[Any]] = field(default_factory=list)
+    rows: List[Tuple[Any, ...]] = field(default_factory=list)
     update_count: int = -1
     #: name of the backend that produced the result (reads) or number of
     #: backends that executed it (writes); useful for tests and monitoring.
@@ -203,27 +205,12 @@ class RequestResult:
             return None
         return self.rows[0][0]
 
-    def copy(self) -> "RequestResult":
-        # dataclasses.replace carries every field (incl. any added later);
-        # only the containers are rebuilt
-        return dataclasses.replace(
-            self, columns=list(self.columns), rows=[list(row) for row in self.rows]
-        )
-
-    def frozen(self) -> "RequestResult":
-        """A copy whose rows are immutable tuples.
-
-        Used by the query result cache: the frozen master copy can be
-        checked out to many clients with a cheap shallow copy (fresh row
-        list, shared immutable rows) instead of a per-hit deep copy, and no
-        client can mutate a row another client sees.
-        """
-        return dataclasses.replace(
-            self, columns=list(self.columns), rows=[tuple(row) for row in self.rows]
-        )
-
     def checkout(self) -> "RequestResult":
-        """A per-client view of a frozen master copy (rows shared, container not).
+        """A per-client view of a cached master copy (rows shared, containers not).
+
+        The rows are immutable tuples, so sharing them is safe; only the
+        lists are the client's own, so draining or editing them cannot
+        change what another client of the same cache entry reads.
 
         Copies the instance dict, so every field is carried (incl. any added
         later) without the three Python calls of ``dataclasses.replace`` on

@@ -191,8 +191,7 @@ class VirtualDatabase:
         — for scatter-gather reads — the merge strategy and fragments.
         """
         plan = self.request_manager.explain(sql, login=login)
-        rows = [list(row) for row in plan.explain_rows()]
-        return RequestResult(columns=["property", "value"], rows=rows, update_count=-1)
+        return RequestResult(columns=["property", "value"], rows=plan.explain_rows())
 
     def prepare(self, sql: str):
         """Parse ``sql`` once; the handle's executions skip classification.

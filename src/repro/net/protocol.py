@@ -430,10 +430,14 @@ def result_frames(
 def result_from_frames(
     header: Mapping, row_chunks: Iterator[List[List[Any]]]
 ) -> RequestResult:
-    """Assemble a :class:`RequestResult` from a header body and the later row chunks."""
-    rows: List[List[Any]] = list(header.get("rows") or ())
+    """Assemble a :class:`RequestResult` from a header body and the later row chunks.
+
+    JSON carries a row as an array; each becomes a tuple again here, in
+    C-level passes, so a remote result has the rows of a local one.
+    """
+    rows: List[Tuple[Any, ...]] = list(map(tuple, header.get("rows") or ()))
     for chunk in row_chunks:
-        rows.extend(chunk)
+        rows.extend(map(tuple, chunk))
     return RequestResult(
         columns=list(header.get("columns") or []),
         rows=rows,

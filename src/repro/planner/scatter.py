@@ -68,7 +68,7 @@ def _load_fragment(engine: DatabaseEngine, table: str, result: RequestResult) ->
     placeholders = ", ".join("?" for _ in columns)
     insert = f"INSERT INTO {table} ({column_list}) VALUES ({placeholders})"
     for row in result.rows:
-        engine.execute(insert, tuple(row))
+        engine.execute(insert, row)
 
 
 class ScatterGatherExecutor:
@@ -104,10 +104,9 @@ class ScatterGatherExecutor:
 
         self.scatter_reads += 1
         self.fragments_executed += len(fragments)
-        rows = [list(row) for row in merged.rows]
         return RequestResult(
             columns=list(merged.columns),
-            rows=rows,
+            rows=merged.rows,
             update_count=-1,
             backend_name="scatter:" + "+".join(sorted({f.backend_name for f in fragments})),
             backends_executed=len(fragments),

@@ -55,16 +55,14 @@ class Connection:
         self.user = user
         self._lock = threading.RLock()
         self._autocommit = True
+        #: a plain attribute, so a cursor's open check is no extra call
+        self.closed = False
 
     # -- properties -------------------------------------------------------------
 
     @property
     def engine(self) -> DatabaseEngine:
         return self._engine
-
-    @property
-    def closed(self) -> bool:
-        return self._session is None
 
     @property
     def autocommit(self) -> bool:
@@ -104,6 +102,7 @@ class Connection:
         if self._session is not None:
             self._session.close()
             self._session = None
+            self.closed = True
 
     # -- cursors ------------------------------------------------------------------
 
@@ -120,11 +119,12 @@ class Connection:
     # -- internals ------------------------------------------------------------------
 
     def _check_open(self) -> None:
-        if self._session is None:
+        if self.closed:
             raise InterfaceError("connection is closed")
 
+    # _run and _run_many are the cursor's; it has checked that both are open
+
     def _run(self, sql: str, parameters: Sequence[Any]) -> ResultSet:
-        self._check_open()
         with self._lock:
             try:
                 statement = self._engine.prepare(sql)
@@ -144,7 +144,6 @@ class Connection:
         Returns the last result with the aggregated update count, or None
         when the sequence was empty.
         """
-        self._check_open()
         with self._lock:
             try:
                 statement = self._engine.prepare(sql)
@@ -187,7 +186,10 @@ class ResultCursor:
     (:class:`repro.core.driver.VirtualCursor`) both browse a fully
     materialized result — an object with ``columns`` / ``rows`` /
     ``update_count`` / ``as_dicts()`` / ``scalar()`` — held in ``_result``;
-    they differ only in how a statement is run.
+    they differ only in how a statement is run.  The result's rows are
+    tuples already, so fetching hands them out as they are: ``fetchall`` and
+    ``fetchmany`` slice the row list, ``fetchone`` indexes it.  Each call
+    checks once that the cursor and its connection are open.
     """
 
     arraysize = 1
@@ -224,39 +226,32 @@ class ResultCursor:
     # -- fetching -------------------------------------------------------------------
 
     def fetchone(self) -> Optional[Tuple[Any, ...]]:
-        self._check_has_result()
-        if self._position >= len(self._result.rows):
+        rows, position = self._checked_result().rows, self._position
+        if position >= len(rows):
             return None
-        row = tuple(self._result.rows[self._position])
-        self._position += 1
-        return row
+        self._position = position + 1
+        return rows[position]
 
     def fetchmany(self, size: Optional[int] = None) -> List[Tuple[Any, ...]]:
-        self._check_has_result()
-        count = size if size is not None else self.arraysize
-        rows = []
-        for _ in range(count):
-            row = self.fetchone()
-            if row is None:
-                break
-            rows.append(row)
-        return rows
+        rows = self._checked_result().rows
+        count = self.arraysize if size is None else max(size, 0)
+        batch = rows[self._position : self._position + count]
+        self._position += len(batch)
+        return batch
 
     def fetchall(self) -> List[Tuple[Any, ...]]:
-        self._check_has_result()
-        rows = [tuple(row) for row in self._result.rows[self._position :]]
-        self._position = len(self._result.rows)
-        return rows
+        rows = self._checked_result().rows
+        batch = rows[self._position :]
+        self._position = len(rows)
+        return batch
 
     def fetchall_dicts(self) -> List[dict]:
         """Extension: rows as dicts keyed by column name."""
-        self._check_has_result()
-        return self._result.as_dicts()
+        return self._checked_result().as_dicts()
 
     def scalar(self) -> Any:
         """Extension: first column of first row (None when empty)."""
-        self._check_has_result()
-        return self._result.scalar()
+        return self._checked_result().scalar()
 
     # -- misc ---------------------------------------------------------------------
 
@@ -282,12 +277,15 @@ class ResultCursor:
     def _check_open(self) -> None:
         if self._closed:
             raise InterfaceError("cursor is closed")
-        self._connection._check_open()
+        if self._connection.closed:
+            raise InterfaceError("connection is closed")
 
-    def _check_has_result(self) -> None:
-        self._check_open()
-        if self._result is None:
+    def _checked_result(self):
+        """The result to browse; raises unless cursor, connection and result are there."""
+        if self._result is None or self._closed or self._connection.closed:
+            self._check_open()
             raise InterfaceError("no statement executed yet")
+        return self._result
 
 
 class Cursor(ResultCursor):

@@ -43,11 +43,13 @@ class ResultSet:
 
     ``columns`` is empty for statements that only report an update count
     (INSERT/UPDATE/DELETE/DDL), mirroring JDBC's executeUpdate/executeQuery
-    distinction.
+    distinction.  Each row is a tuple, built once by the projection; the
+    native driver, the controller, its result cache and the client driver
+    all pass these tuples on unchanged.
     """
 
     columns: List[str] = field(default_factory=list)
-    rows: List[List[Any]] = field(default_factory=list)
+    rows: List[Tuple[Any, ...]] = field(default_factory=list)
     update_count: int = -1
 
     @property
@@ -347,7 +349,7 @@ class Executor:
 
     def _run_subquery(
         self, select: ast.Select, tables: Joined, parameters: Sequence[Any], outer: Any
-    ) -> List[List[Any]]:
+    ) -> List[Tuple[Any, ...]]:
         return self._run_select(select, parameters, (tables, outer)).rows
 
     def _run_select(
@@ -433,7 +435,9 @@ class _Query:
             rows, sources = self._groups(joined, parameters, outer)
         else:
             values, sources = self.project, joined
-            rows = [[value(tables, parameters, outer) for value in values] for tables in joined]
+            rows = [
+                tuple([value(tables, parameters, outer) for value in values]) for tables in joined
+            ]
         if self.distinct:
             seen = set()
             unique_rows, unique_sources = [], []
@@ -456,7 +460,7 @@ class _Query:
 
     def _groups(
         self, joined: List[Joined], parameters: Sequence[Any], outer: Any
-    ) -> Tuple[List[List[Any]], List[Any]]:
+    ) -> Tuple[List[Tuple[Any, ...]], List[Any]]:
         groups: Dict[Tuple, List[Joined]] = {}
         for tables in joined:
             key = tuple([sort_key(value(tables, parameters, outer)) for value in self.group_by])
@@ -465,7 +469,7 @@ class _Query:
             groups[()] = []
         rows, sources = [], []
         for group in groups.values():
-            values = [value(group, parameters, outer) for value in self.project]
+            values = tuple([value(group, parameters, outer) for value in self.project])
             if self.having is not None and self.having(group, parameters, outer) is not True:
                 continue
             rows.append(values)
@@ -473,8 +477,8 @@ class _Query:
         return rows, sources
 
     def _sorted(
-        self, rows: List[List[Any]], sources: List[Any], parameters: Sequence[Any], outer: Any
-    ) -> List[List[Any]]:
+        self, rows: List[Tuple[Any, ...]], sources: List[Any], parameters: Sequence[Any], outer: Any
+    ) -> List[Tuple[Any, ...]]:
         keyed = []
         for row, source in zip(rows, sources):
             entry = []

@@ -116,7 +116,7 @@ class TestDatabaseBackend:
         assert result.update_count == 1
         read = factory.create_request("SELECT v FROM kv WHERE k = 1")
         result = backend.execute_request(read)
-        assert result.rows == [["x"]]
+        assert result.rows == [("x",)]
         assert result.backend_name == "backend0"
         assert backend.total_reads == 1
         assert backend.total_writes == 1

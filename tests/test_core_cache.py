@@ -27,7 +27,7 @@ def parsed(sql):
 
 
 def result(value=1):
-    return RequestResult(columns=["v"], rows=[[value]])
+    return RequestResult(columns=["v"], rows=[(value,)])
 
 
 class FakeClock:
@@ -60,7 +60,7 @@ class TestBasicCaching:
         assert cache.get(second) is None
 
     def test_cached_result_is_a_copy(self):
-        """Copy-on-checkout: rows are tuple-frozen, containers are private."""
+        """Rows are immutable tuples shared by every hit; each hit's containers are its own."""
         cache = ResultCache()
         request = select()
         cache.put(request, result(1))

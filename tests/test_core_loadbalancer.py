@@ -116,7 +116,7 @@ class TestRAIDb1:
             assert engine.execute("SELECT COUNT(*) FROM kv").scalar() == 1
         read = factory.create_request("SELECT v FROM kv WHERE id = 1")
         result = balancer.execute_read_request(read, backends)
-        assert result.rows == [["x"]]
+        assert result.rows == [("x",)]
 
     def test_disabled_backends_are_skipped(self):
         backends = [make_backend(f"b{i}", tables=("kv",))[0] for i in range(2)]
@@ -162,7 +162,7 @@ class TestRAIDb1:
         balancer.execute_write_request(write, backends)
         read = factory.create_request("SELECT v FROM kv WHERE id = 1", transaction_id=5)
         result = balancer.execute_read_request(read, backends)
-        assert result.rows == [["x"]]
+        assert result.rows == [("x",)]
 
     def test_early_response_waits_for_first_only(self):
         backends = [make_backend(f"b{i}", tables=("kv",))[0] for i in range(3)]

@@ -282,7 +282,7 @@ class TestOneSegmentPerResponse:
     def _result(self, rows):
         return RequestResult(
             columns=["id", "name"],
-            rows=[[i, f"row{i}"] for i in range(rows)],
+            rows=[(i, f"row{i}") for i in range(rows)],
             update_count=-1,
             backend_name="backend0",
             backends_executed=1,
@@ -423,7 +423,7 @@ class TestResultFrames:
     def test_streams_header_then_chunks(self):
         result = RequestResult(
             columns=["id", "name"],
-            rows=[[i, f"row{i}"] for i in range(10)],
+            rows=[(i, f"row{i}") for i in range(10)],
             update_count=-1,
             backend_name="backend0",
             backends_executed=1,

@@ -49,7 +49,7 @@ class TestSessionLifecycle:
         result = session.execute("INSERT INTO t (id) VALUES (?)", (1,))
         assert result.update_count == 1
         result = session.execute("SELECT id FROM t")
-        assert result.rows == [[1]]
+        assert result.rows == [(1,)]
         # the write really reached both backends of the virtual database
         for engine in engines:
             assert engine.execute("SELECT COUNT(*) FROM t").rows[0][0] == 1
@@ -66,7 +66,7 @@ class TestSessionLifecycle:
         session.frames.close()
         assert wait_until(lambda: server.statistics()["connections_active"] == 0)
         check = remote_session(server)
-        assert check.execute("SELECT COUNT(*) FROM t").rows == [[0]]
+        assert check.execute("SELECT COUNT(*) FROM t").rows == [(0,)]
         check.close()
 
     def test_typed_sql_errors_cross_the_wire(self, served_cluster):
@@ -206,7 +206,7 @@ class TestChaosHook:
         assert server.statistics()["fault_disconnects"] == 1
         # the rule was one-shot: a fresh session works again
         session = remote_session(server)
-        assert session.execute("SELECT COUNT(*) FROM t").rows == [[0]]
+        assert session.execute("SELECT COUNT(*) FROM t").rows == [(0,)]
         session.close()
 
     def test_match_sql_fault_fires_on_a_prepared_execute(self, served_cluster):
@@ -218,7 +218,7 @@ class TestChaosHook:
         read = session.prepare("SELECT COUNT(*) FROM t")
         injector = server.ensure_fault_injector(seed=42)
         injector.inject("disconnect", operations=("execute",), match_sql="INSERT", one_shot=True)
-        assert read.execute().rows == [[0]]
+        assert read.execute().rows == [(0,)]
         with pytest.raises(ControllerError, match="lost connection"):
             insert.execute((1,))
         assert server.statistics()["fault_disconnects"] == 1
@@ -270,7 +270,7 @@ class TestOneSegmentPerResponse:
         served, client = self._recorded(server, session)
         before = server.statistics()
 
-        assert read.execute((1,)).rows == [["one"]]
+        assert read.execute((1,)).rows == [("one",)]
         assert (served.sendalls, client.sendalls, client.recvs) == (1, 1, 1)
         # the server's recv of that request may have been entered on the bare socket
         served_recvs = served.recvs
@@ -288,7 +288,7 @@ class TestOneSegmentPerResponse:
         server, _controller, _vdb, _engines = served_cluster
         session = remote_session(server)
         session.execute("CREATE TABLE t (id INT PRIMARY KEY, name VARCHAR(16))")
-        rows = [[i, f"row{i}"] for i in range(RESULT_CHUNK_ROWS + 1)]
+        rows = [(i, f"row{i}") for i in range(RESULT_CHUNK_ROWS + 1)]
         session.execute_batch("INSERT INTO t (id, name) VALUES (?, ?)", rows)
         served, _client = self._recorded(server, session)
         assert session.execute("SELECT id, name FROM t ORDER BY id").rows == rows

@@ -14,6 +14,7 @@ Covers the composable execution pipeline of :mod:`repro.core.pipeline`:
 * copy-on-checkout isolation of cached read results.
 """
 
+import dataclasses
 import io
 import threading
 
@@ -717,7 +718,7 @@ class TestCachedReadCheckout:
         victim = manager.execute("SELECT v FROM kv WHERE k = 1")
         assert victim.from_cache is True
         assert list(victim.rows) == [("one",)]
-        # rows are frozen: in-place cell mutation is impossible
+        # rows are tuples: in-place cell mutation is impossible
         with pytest.raises(TypeError):
             victim.rows[0][0] = "corrupted"
 
@@ -911,8 +912,8 @@ class TestRegistryCompleteness:
             manager.pipeline.add_interceptor(build_interceptor("tracing"))
 
     def test_cacheable_read_rows_same_shape_on_miss_and_hit(self):
-        """A cacheable read returns tuple-frozen rows on the first (miss)
-        call and on later hits alike — no shape flip between calls."""
+        """A cacheable read returns tuple rows on the first (miss) call and
+        on later hits alike — no shape flip between calls."""
         manager, _ = make_manager()
         miss = manager.execute("SELECT v FROM kv WHERE k = 1")
         hit = manager.execute("SELECT v FROM kv WHERE k = 1")
@@ -956,11 +957,10 @@ class TestRegistryCompleteness:
 
     def test_result_copies_preserve_transaction_id(self):
         result = RequestResult(
-            columns=["a"], rows=[[1]], update_count=0, transaction_id=77
+            columns=["a"], rows=[(1,)], update_count=0, transaction_id=77
         )
-        assert result.copy().transaction_id == 77
-        assert result.frozen().transaction_id == 77
-        assert result.frozen().checkout().transaction_id == 77
+        assert result.checkout().transaction_id == 77
+        assert dataclasses.replace(result, update_count=3).transaction_id == 77
 
     def test_rate_limit_sweeps_idle_login_windows(self):
         clock = [0.0]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import Cluster
+from repro.cluster.fixture import boot, descriptor
 from repro.core import BackendConfig, VirtualDatabaseConfig
 from repro.core.management import AdminConsole
 from repro.core.requestparser import RequestFactory
@@ -195,6 +196,32 @@ class TestRaidb2EdgeCases:
             )
         with pytest.raises(NotReplicatedError):
             vdb.request_manager.explain("SELECT * FROM orders, customer")
+
+    def test_a_refused_write_is_never_logged(self):
+        """The planner refuses a write before the recovery log records it,
+        so no recovery can replay a write that no backend ran."""
+        cluster = boot(
+            descriptor(
+                "refused",
+                4,
+                replication="raidb2",
+                recovery_log="memory",
+                replication_map={"order_line": ["b0", "b1"]},
+            )
+        )
+        try:
+            cursor = cluster.connect(cluster.name, "u", "p").cursor()
+            cursor.execute("CREATE TABLE order_line (id INT PRIMARY KEY, q INT)")
+            cursor.execute("CREATE TABLE t (id INT PRIMARY KEY, q INT)")
+            log = cluster.virtual_database(cluster.name).request_manager.recovery_log
+            assert len(log) == 2
+            # t lives on all four backends, order_line on b0 and b1 only
+            with pytest.raises(NotReplicatedError):
+                cursor.execute("INSERT INTO t (id, q) SELECT id, q FROM order_line")
+            assert len(log) == 2
+            assert [entry.sql for entry in log.entries()][-1].startswith("CREATE TABLE t")
+        finally:
+            cluster.shutdown()
 
     def test_ddl_with_replication_map_targets_mapped_backends(self):
         cluster = build_cluster(

@@ -90,7 +90,7 @@ class TestSelect:
         result = store.execute(
             "SELECT v_name, name FROM vendor JOIN product ON v_product = id ORDER BY v_name"
         )
-        assert result.rows == [["acme", "keyboard"], ["globex", "python book"]]
+        assert result.rows == [("acme", "keyboard"), ("globex", "python book")]
 
     def test_left_join_keeps_unmatched(self, store):
         result = store.execute(
@@ -141,7 +141,7 @@ class TestSelect:
             "SELECT name, CASE WHEN stock = 0 THEN 'out' ELSE 'in' END AS availability"
             " FROM product WHERE category = 'books' ORDER BY name"
         )
-        assert result.rows == [["python book", "in"], ["sql book", "out"]]
+        assert result.rows == [("python book", "in"), ("sql book", "out")]
 
     def test_arithmetic_expressions(self, store):
         result = store.execute("SELECT name, price * 2 + 1 FROM product WHERE id = 1")
@@ -149,7 +149,7 @@ class TestSelect:
 
     def test_scalar_functions(self, store):
         result = store.execute("SELECT UPPER(name), LENGTH(name) FROM product WHERE id = 2")
-        assert result.rows[0] == ["MOUSE", 5]
+        assert result.rows[0] == ("MOUSE", 5)
 
     def test_unknown_table(self, store):
         with pytest.raises((CatalogError, DatabaseError)):

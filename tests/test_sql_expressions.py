@@ -262,9 +262,9 @@ class TestCompiledEdges:
         return engine
 
     def test_names_in_another_case(self, shop):
-        assert shop.execute("SELECT ITEM.I_TITLE FROM item WHERE i_id = 2").rows == [["title2"]]
+        assert shop.execute("SELECT ITEM.I_TITLE FROM item WHERE i_id = 2").rows == [("title2",)]
         assert shop.execute("SELECT X.i_TITLE FROM iTeM x WHERE X.I_ID = ?", (3,)).rows == [
-            ["title3"]
+            ("title3",)
         ]
         assert shop.execute("SELECT * FROM item WHERE I_ID = 1").columns == [
             "I_Id", "i_title", "i_cost"
@@ -282,14 +282,14 @@ class TestCompiledEdges:
             "SELECT i_id FROM item i WHERE EXISTS"
             " (SELECT 1 FROM review WHERE r_i_id = i.i_id AND r_stars > 2)"
         )
-        assert shop.execute(exists).rows == [[1], [3]]
+        assert shop.execute(exists).rows == [(1,), (3,)]
         in_select = (
             "SELECT i_id FROM item WHERE i_cost IN"
             " (SELECT r_stars FROM review WHERE r_i_id = i_id)"
         )
-        assert shop.execute(in_select).rows == [[1]]
+        assert shop.execute(in_select).rows == [(1,)]
         scalar = "SELECT i_id, (SELECT COUNT(*) FROM review WHERE r_i_id = item.i_id) FROM item"
-        assert shop.execute(scalar).rows == [[1, 2], [2, 0], [3, 1], [4, 0]]
+        assert shop.execute(scalar).rows == [(1, 2), (2, 0), (3, 1), (4, 0)]
 
     def test_a_lone_predicate_passes_only_when_true(self, shop):
         # alone, a number is not TRUE; under AND each operand counts by truthiness
@@ -298,9 +298,9 @@ class TestCompiledEdges:
         )}
         assert rows == {
             "i_cost - 2": [],
-            "i_cost - 2 AND i_id": [[1], [3], [4]],
-            "NOT i_cost - 2": [[2]],
-            "(i_cost = 1) OR i_cost - 2": [[1], [3], [4]],
+            "i_cost - 2 AND i_id": [(1,), (3,), (4,)],
+            "NOT i_cost - 2": [(2,)],
+            "(i_cost = 1) OR i_cost - 2": [(1,), (3,), (4,)],
         }
 
     def test_an_on_condition_naming_a_table_joined_later(self, shop):
@@ -314,15 +314,15 @@ class TestCompiledEdges:
         star = "SELECT * FROM review WHERE r_id = ?"
         named = "SELECT r_note FROM review WHERE r_id = ?"
         statement = shop.prepare(star)
-        assert shop.execute(star, (1,)).rows == [[1, 1, 3]]
+        assert shop.execute(star, (1,)).rows == [(1, 1, 3)]
         with pytest.raises(SQLError, match="unknown column 'r_note'"):
             shop.execute(named, (1,))
         shop.execute("ALTER TABLE review ADD COLUMN r_note VARCHAR(8) DEFAULT 'ok'")
         result = shop.execute(star, (1,))
         assert shop.prepare(star) is statement
         assert result.columns == ["r_id", "r_i_id", "r_stars", "r_note"]
-        assert result.rows == [[1, 1, 3, "ok"]]
-        assert shop.execute(named, (1,)).rows == [["ok"]]
+        assert result.rows == [(1, 1, 3, "ok")]
+        assert shop.execute(named, (1,)).rows == [("ok",)]
 
     def test_a_missing_parameter_fails_only_on_a_row(self, shop):
         message = "missing parameter #1: only 0 bound"
@@ -338,8 +338,8 @@ class TestCompiledEdges:
 
     def test_left_join_null_extended_rows_under_where(self, shop):
         join = "SELECT i_id, r_id FROM item LEFT JOIN review ON r_i_id = i_id"
-        assert shop.execute(f"{join} WHERE r_id IS NULL").rows == [[2, None], [4, None]]
-        assert shop.execute(f"{join} WHERE r_stars > 2").rows == [[1, 1], [3, 3]]
+        assert shop.execute(f"{join} WHERE r_id IS NULL").rows == [(2, None), (4, None)]
+        assert shop.execute(f"{join} WHERE r_stars > 2").rows == [(1, 1), (3, 3)]
         assert shop.execute(f"{join} WHERE COALESCE(r_stars, 0) < 2 ORDER BY i_id").rows == [
-            [1, 2], [2, None], [4, None]
+            (1, 2), (2, None), (4, None)
         ]

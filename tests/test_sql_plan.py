@@ -57,25 +57,25 @@ class TestPlanShapes:
             "item: index lookup pk_item",
             "author: index probe pk_author on a_id = item.i_a_id",
         ]
-        assert shop.execute(sql, (3,)).rows == [["title3", "last3"]]
+        assert shop.execute(sql, (3,)).rows == [("title3", "last3")]
         assert shop.execute(sql, (5,)).rows == []  # item 5 has no author
 
     def test_equality_without_index_is_a_hash_join(self, shop):
         sql = "SELECT i_id, r_id FROM item i JOIN review r ON r.r_i_id = i.i_id WHERE r_stars > 0"
         assert describe(shop, sql) == ["i: scan", "r: scan, hash join on r_i_id = i.i_id"]
         rows = shop.execute(sql).rows
-        assert rows == [[1, 3], [1, 6], [2, 1], [3, 2], [3, 5]]  # left-major, right scan order
+        assert rows == [(1, 3), (1, 6), (2, 1), (3, 2), (3, 5)]  # left-major, right scan order
 
     def test_keys_of_different_type_families_fall_back_to_nested_loop(self, shop):
         # VARCHAR '3' equals INT 3 under compare_values but not under hash()
         sql = "SELECT i_id, r_id FROM item, review WHERE i_id = r_code"
         assert describe(shop, sql) == ["item: scan", "review: scan, nested loop"]
-        assert shop.execute(sql).rows == [[n, n] for n in range(1, 7)]
+        assert shop.execute(sql).rows == [(n, n) for n in range(1, 7)]
 
     def test_non_equi_join_is_a_nested_loop(self, shop):
         sql = "SELECT i_id, r_id FROM item, review WHERE i_id < r_stars"
         assert describe(shop, sql) == ["item: scan", "review: scan, nested loop"]
-        assert sorted(shop.execute(sql).rows) == [[1, 2], [1, 3], [1, 6], [2, 3]]
+        assert sorted(shop.execute(sql).rows) == [(1, 2), (1, 3), (1, 6), (2, 3)]
 
     def test_left_join_keeps_unmatched_rows_and_where_stays_above_it(self, shop):
         sql = (
@@ -90,12 +90,12 @@ class TestPlanShapes:
         assert len(plan.joins[0].access.filters) == 1  # i_id < 5 runs before the join
         assert len(plan.joins[1].access.filters) == 1  # ON r_stars > 1 filters review first
         assert len(plan.joins[1].after) == 1  # r_id IS NULL sees the null-extended rows
-        assert shop.execute(sql).rows == [[2, None], [4, None]]
+        assert shop.execute(sql).rows == [(2, None), (4, None)]
 
     def test_where_equality_is_not_a_left_join_key(self, shop):
         sql = "SELECT i_id, r_id FROM item LEFT JOIN review ON r_stars = 3 WHERE r_i_id = i_id"
         assert describe(shop, sql) == ["item: scan", "review: scan, left nested loop"]
-        assert shop.execute(sql).rows == [[1, 3]]
+        assert shop.execute(sql).rows == [(1, 3)]
 
     def test_or_like_and_ranges_scan(self, shop):
         for where in ("i_id = 1 OR i_id = 2", "i_title LIKE 'title1%'", "i_id >= 7"):
@@ -110,7 +110,7 @@ class TestPlanShapes:
         # a_id = 2 belongs to author although item has the index named first
         sql = "SELECT i_id FROM item, author WHERE a_id = 2 AND i_a_id = a_id"
         assert describe(shop, sql)[0] == "item: scan"
-        assert shop.execute(sql).rows == [[2], [7]]
+        assert shop.execute(sql).rows == [(2,), (7,)]
 
     def test_order_display_returns_its_rows(self):
         connection = dbapi.connect(DatabaseEngine("tpcw"))
@@ -182,13 +182,13 @@ class TestKeyCoercion:
         # '03' = 3 under compare_values: the string index would miss it
         kv.execute("INSERT INTO kv VALUES (7, '03', 0)")
         assert describe(kv, "SELECT k FROM kv WHERE v = 3") == ["kv: index lookup kv_v"]
-        assert sorted(kv.execute("SELECT k FROM kv WHERE v = 3").rows) == [[3], [7]]
+        assert sorted(kv.execute("SELECT k FROM kv WHERE v = 3").rows) == [(3,), (7,)]
         assert kv.execute("UPDATE kv SET n = 2 WHERE v = 3").update_count == 2
-        assert kv.execute("SELECT k FROM kv WHERE v = '3'").rows == [[3]]
+        assert kv.execute("SELECT k FROM kv WHERE v = '3'").rows == [(3,)]
 
     def test_qualified_alias_and_table_name(self, kv):
         assert kv.execute("UPDATE kv SET n = 1 WHERE kv.k = '2'").update_count == 1
-        assert kv.execute("SELECT a.n FROM kv a WHERE a.k = '2'").rows == [[1]]
+        assert kv.execute("SELECT a.n FROM kv a WHERE a.k = '2'").rows == [(1,)]
         assert describe(kv, "SELECT a.n FROM kv a WHERE a.k = '2'") == ["a: index lookup pk_kv"]
 
     def test_another_tables_qualifier_is_not_a_key(self, kv):
@@ -205,25 +205,25 @@ class TestKeyCoercion:
 class TestPlanCache:
     def test_statement_parsed_and_planned_once(self, shop):
         sql = "SELECT i_title FROM item WHERE i_id = ?"
-        assert shop.execute(sql, (1,)).rows == [["title1"]]
+        assert shop.execute(sql, (1,)).rows == [("title1",)]
         statement = shop.prepare(sql)
         plan = statement.plan
-        assert shop.execute(sql, (2,)).rows == [["title2"]]
+        assert shop.execute(sql, (2,)).rows == [("title2",)]
         assert shop.prepare(sql) is statement and statement.plan is plan
 
     def test_ddl_retires_a_cached_plan(self, shop):
         sql = "SELECT i_id FROM item WHERE i_title = ?"
         statement = shop.prepare(sql)
-        assert shop.execute(sql, ("title4",)).rows == [[4]]
+        assert shop.execute(sql, ("title4",)).rows == [(4,)]
         assert statement.plan[2].describe() == ["item: scan"]
         shop.execute("CREATE INDEX item_title ON item (i_title)")
-        assert shop.execute(sql, ("title4",)).rows == [[4]]
+        assert shop.execute(sql, ("title4",)).rows == [(4,)]
         assert statement.plan[2].describe() == ["item: index lookup item_title"]
         shop.execute("DROP INDEX item_title")
-        assert shop.execute(sql, ("title4",)).rows == [[4]]
+        assert shop.execute(sql, ("title4",)).rows == [(4,)]
         assert statement.plan[2].describe() == ["item: scan"]
         shop.execute("ALTER TABLE item ADD COLUMN i_note VARCHAR(8) DEFAULT 'n'")
-        assert shop.execute("SELECT i_note FROM item WHERE i_id = 1").rows == [["n"]]
+        assert shop.execute("SELECT i_note FROM item WHERE i_id = 1").rows == [("n",)]
         shop.execute("DROP TABLE item")
         with pytest.raises(SQLError, match="unknown table"):
             shop.execute(sql, ("title4",))
@@ -238,7 +238,7 @@ class TestPlanCache:
         assert shop.prepare(sql).plan[2].describe() == ["item: index lookup item_title"]
         connection.rollback()
         shop.execute("INSERT INTO item VALUES (9, 'title4', 1, 1.0)")
-        assert shop.execute(sql, ("title4",)).rows == [[4], [9]]  # not the dropped index
+        assert shop.execute(sql, ("title4",)).rows == [(4,), (9,)]  # not the dropped index
 
     def test_one_statement_on_two_engines(self, shop):
         other = DatabaseEngine("other")
@@ -247,7 +247,7 @@ class TestPlanCache:
         statement = parse("SELECT i_title FROM item WHERE i_id = 1")
         for engine, title in ((shop, "title1"), (other, "elsewhere"), (shop, "title1")):
             session = engine.create_session()
-            assert session.execute_statement(statement).rows == [[title]]
+            assert session.execute_statement(statement).rows == [(title,)]
 
     def test_cache_is_bounded_and_keeps_what_is_used(self, shop):
         hot = "SELECT i_id FROM item WHERE i_id = ?"
@@ -275,8 +275,8 @@ class TestPlanCache:
             "SELECT i_id FROM item i WHERE EXISTS"
             " (SELECT 1 FROM review WHERE r_i_id = i.i_id AND r_stars = 3)"
         )
-        assert shop.execute(sql).rows == [[1]]
-        assert shop.execute(sql).rows == [[1]]
+        assert shop.execute(sql).rows == [(1,)]
+        assert shop.execute(sql).rows == [(1,)]
         shop.execute("CREATE TABLE cheap (c_id INT PRIMARY KEY)")
         insert = "INSERT INTO cheap (c_id) SELECT i_id FROM item WHERE i_id = ?"
         assert shop.execute(insert, (2,)).update_count == 1

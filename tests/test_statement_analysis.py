@@ -99,7 +99,7 @@ class TestUnparseableStatementsStopAtTheController:
         connection.execute("INSERT INTO d (k) VALUES (1)")
         for engine in engines:
             assert engine.execute("SELECT n, s, z, m, f FROM d").rows == [
-                [0, "n", None, -1, -2.5]
+                (0, "n", None, -1, -2.5)
             ]
 
 
