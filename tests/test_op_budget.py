@@ -134,15 +134,15 @@ TPCW_SCALE = TPCWScale(items=50, customers=100)
 BUDGETS: Dict[str, Count] = {
     # the five canonical operations, each after a warm-up of the same statement
     "cached read": Count(23, 0, 4),  # 3-replica manager, result cache hit
-    "PK read, no cache": Count(102, 45, 18),  # engine (sql) vs middleware calls
-    "3-replica UPDATE": Count(300, 192, 53),  # autocommit, result cache, memory log
-    "replicated prepared UPDATE": Count(344, 128, 71),  # 2 controllers x 1 backend
-    "100-row batch": Count(13841, 13530, 1839),  # one execute_batch, 3 replicas
+    "PK read, no cache": Count(94, 38, 18),  # engine (sql) vs middleware calls
+    "3-replica UPDATE": Count(294, 186, 53),  # autocommit, result cache, memory log
+    "replicated prepared UPDATE": Count(338, 124, 71),  # 2 controllers x 1 backend
+    "100-row batch": Count(13835, 13524, 1839),  # one execute_batch, 3 replicas
     # server batch vs the client loop it replaces
-    "100-row looped executemany": Count(27502, 16800, 5300),
+    "100-row looped executemany": Count(26902, 16200, 5300),
     # the same UPDATE with bound values and with literals, one backend, no cache
-    "UPDATE, bound values": Count(132, 64, 24),
-    "UPDATE, literals": Count(132, 64, 24),
+    "UPDATE, bound values": Count(130, 62, 24),
+    "UPDATE, literals": Count(130, 62, 24),
     # both ends of the wire codec, in one thread
     "wire: cached point read": Count(17, 0, 0),
     "wire: 50-row read": Count(17, 0, 0),
@@ -178,16 +178,16 @@ BUDGETS: Dict[str, Count] = {
     "invalidate, indexed: 4000": Count(3, 0, 1),
     "invalidate, full scan: 4000": Count(16003, 0, 1),
     # one seeded TPC-W browsing interaction, one backend, no result cache
-    "TPC-W: home": Count(251, 102, 38),
-    "TPC-W: new_products": Count(188, 111, 19),
-    "TPC-W: product_detail": Count(135, 56, 19),
-    "TPC-W: search_request": Count(124, 45, 19),
-    "TPC-W: search_results": Count(274, 194, 19),
-    "TPC-W: order_inquiry": Count(126, 47, 19),
+    "TPC-W: home": Count(225, 88, 38),
+    "TPC-W: new_products": Count(175, 104, 19),
+    "TPC-W: product_detail": Count(122, 49, 19),
+    "TPC-W: search_request": Count(111, 38, 19),
+    "TPC-W: search_results": Count(261, 187, 19),
+    "TPC-W: order_inquiry": Count(113, 40, 19),
     # Table 1: 150 RUBiS bidding-mix interactions, one backend
-    "RUBiS bidding, no cache": Count(61710, 29863, 5134),
-    "RUBiS bidding, coherent cache": Count(60548, 27259, 5086),
-    "RUBiS bidding, relaxed cache": Count(59365, 25128, 4596),
+    "RUBiS bidding, no cache": Count(59259, 28546, 5134),
+    "RUBiS bidding, coherent cache": Count(57672, 26152, 5086),
+    "RUBiS bidding, relaxed cache": Count(56944, 24266, 4596),
 }
 
 #: what each Table 1 run does outside the count table, on any interpreter:

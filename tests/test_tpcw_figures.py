@@ -92,144 +92,144 @@ CELLS = [
 #: the pinned counts; ``engine`` and ``middleware`` on CPython 3.11
 COUNTS: Dict[Cell, Work] = {
     # Figure 10: browsing
-    Cell("browsing", "raidb1", 1, False): Work(14546, (28731,), ((18, 12),)),
-    Cell("browsing", "raidb1", 2, False): Work(15028, (18409, 23412), ((9, 12), (9, 12))),
+    Cell("browsing", "raidb1", 1, False): Work(14415, (28581,), ((18, 12),)),
+    Cell("browsing", "raidb1", 2, False): Work(14897, (18322, 23325), ((9, 12), (9, 12))),
     Cell("browsing", "raidb1", 4, False): Work(
-        15992,
-        (16507, 16527, 14410, 19248),
+        15861,
+        (16448, 16468, 14358, 19196),
         ((5, 12), (5, 12), (4, 12), (4, 12)),
     ),
     Cell("browsing", "raidb1", 6, False): Work(
-        16956,
-        (13812, 13240, 14346, 16764, 16423, 18279),
+        16825,
+        (13767, 13195, 14301, 16719, 16378, 18234),
         ((3, 12), (3, 12), (3, 12), (3, 12), (3, 12), (3, 12)),
     ),
-    Cell("browsing", "raidb1", 1, True): Work(14750, (28675,), ((17, 12),)),
-    Cell("browsing", "raidb1", 2, True): Work(15230, (24014, 19052), ((9, 12), (8, 12))),
+    Cell("browsing", "raidb1", 1, True): Work(14550, (28532,), ((17, 12),)),
+    Cell("browsing", "raidb1", 2, True): Work(15030, (23927, 18972), ((9, 12), (8, 12))),
     Cell("browsing", "raidb1", 4, True): Work(
-        16190,
-        (16509, 14605, 19286, 16810),
+        15990,
+        (16450, 14553, 19234, 16758),
         ((5, 12), (4, 12), (4, 12), (4, 12)),
     ),
     Cell("browsing", "raidb1", 6, True): Work(
-        17150,
-        (14541, 14549, 16220, 16764, 18124, 13192),
+        16950,
+        (14496, 14504, 16175, 16719, 18079, 13154),
         ((3, 12), (3, 12), (3, 12), (3, 12), (3, 12), (2, 12)),
     ),
-    Cell("browsing", "raidb2", 2, False): Work(15172, (18409, 23412), ((9, 12), (9, 12))),
+    Cell("browsing", "raidb2", 2, False): Work(15041, (18322, 23325), ((9, 12), (9, 12))),
     Cell("browsing", "raidb2", 4, False): Work(
-        15512,
-        (16940, 23366, 3517, 1949),
+        15381,
+        (16874, 23286, 3494, 1940),
         ((6, 12), (8, 12), (3, 1), (1, 1)),
     ),
     Cell("browsing", "raidb2", 6, False): Work(
-        15852,
-        (17476, 23310, 3453, 1949, 2732, 2104),
+        15721,
+        (17417, 23237, 3437, 1940, 2716, 2095),
         ((5, 12), (7, 12), (2, 1), (1, 1), (2, 1), (1, 1)),
     ),
-    Cell("browsing", "raidb2", 2, True): Work(15374, (24014, 19052), ((9, 12), (8, 12))),
+    Cell("browsing", "raidb2", 2, True): Work(15174, (23927, 18972), ((9, 12), (8, 12))),
     Cell("browsing", "raidb2", 4, True): Work(
-        15710,
-        (22657, 18960, 2678, 1995),
+        15510,
+        (22577, 18894, 2669, 1979),
         ((8, 12), (6, 12), (1, 1), (2, 1)),
     ),
     Cell("browsing", "raidb2", 6, True): Work(
-        16046,
-        (23920, 18904, 2096, 1949, 1949, 2732),
+        15846,
+        (23847, 18845, 2087, 1940, 1940, 2716),
         ((7, 12), (5, 12), (1, 1), (1, 1), (1, 1), (2, 1)),
     ),
     # Figure 11: shopping
-    Cell("shopping", "raidb1", 1, False): Work(12851, (23089,), ((15, 8),)),
-    Cell("shopping", "raidb1", 2, False): Work(13236, (18123, 15087), ((7, 8), (8, 8))),
+    Cell("shopping", "raidb1", 1, False): Work(12745, (22968,), ((15, 8),)),
+    Cell("shopping", "raidb1", 2, False): Work(13130, (18058, 15015), ((7, 8), (8, 8))),
     Cell("shopping", "raidb1", 4, False): Work(
-        14006,
-        (16086, 13497, 10849, 10552),
+        13900,
+        (16042, 13446, 10812, 10515),
         ((4, 8), (5, 8), (3, 8), (3, 8)),
     ),
     Cell("shopping", "raidb1", 6, False): Work(
-        14776,
-        (12716, 11019, 12088, 11468, 10479, 9296),
+        14670,
+        (12679, 10975, 12058, 11438, 10449, 9266),
         ((3, 8), (4, 8), (2, 8), (2, 8), (2, 8), (2, 8)),
     ),
-    Cell("shopping", "raidb1", 1, True): Work(13041, (23089,), ((15, 8),)),
-    Cell("shopping", "raidb1", 2, True): Work(13426, (18123, 15087), ((7, 8), (8, 8))),
+    Cell("shopping", "raidb1", 1, True): Work(12875, (22968,), ((15, 8),)),
+    Cell("shopping", "raidb1", 2, True): Work(13260, (18058, 15015), ((7, 8), (8, 8))),
     Cell("shopping", "raidb1", 4, True): Work(
-        14196,
-        (16086, 13497, 10849, 10552),
+        14030,
+        (16042, 13446, 10812, 10515),
         ((4, 8), (5, 8), (3, 8), (3, 8)),
     ),
     Cell("shopping", "raidb1", 6, True): Work(
-        14966,
-        (12716, 11019, 12088, 11468, 10479, 9296),
+        14800,
+        (12679, 10975, 12058, 11438, 10449, 9266),
         ((3, 8), (4, 8), (2, 8), (2, 8), (2, 8), (2, 8)),
     ),
-    Cell("shopping", "raidb2", 2, False): Work(13357, (18123, 15087), ((7, 8), (8, 8))),
+    Cell("shopping", "raidb2", 2, False): Work(13251, (18058, 15015), ((7, 8), (8, 8))),
     Cell("shopping", "raidb2", 4, False): Work(
-        13809,
-        (16086, 13497, 4379, 4082),
+        13703,
+        (16042, 13446, 4354, 4057),
         ((4, 8), (5, 8), (3, 2), (3, 2)),
     ),
     Cell("shopping", "raidb2", 6, False): Work(
-        14261,
-        (15947, 13511, 2387, 2506, 4009, 2713),
+        14155,
+        (15903, 13460, 2376, 2495, 3991, 2695),
         ((4, 8), (5, 8), (1, 2), (1, 2), (2, 2), (2, 2)),
     ),
-    Cell("shopping", "raidb2", 2, True): Work(13547, (18123, 15087), ((7, 8), (8, 8))),
+    Cell("shopping", "raidb2", 2, True): Work(13381, (18058, 15015), ((7, 8), (8, 8))),
     Cell("shopping", "raidb2", 4, True): Work(
-        13999,
-        (16086, 13497, 4379, 4082),
+        13833,
+        (16042, 13446, 4354, 4057),
         ((4, 8), (5, 8), (3, 2), (3, 2)),
     ),
     Cell("shopping", "raidb2", 6, True): Work(
-        14451,
-        (15947, 13511, 2387, 2506, 4009, 2713),
+        14285,
+        (15903, 13460, 2376, 2495, 3991, 2695),
         ((4, 8), (5, 8), (1, 2), (1, 2), (2, 2), (2, 2)),
     ),
     # Figure 12: ordering
-    Cell("ordering", "raidb1", 1, False): Work(13827, (16434,), ((14, 10),)),
-    Cell("ordering", "raidb1", 2, False): Work(14226, (12603, 11642), ((7, 10), (7, 10))),
+    Cell("ordering", "raidb1", 1, False): Work(13724, (16316,), ((14, 10),)),
+    Cell("ordering", "raidb1", 2, False): Work(14123, (12534, 11573), ((7, 10), (7, 10))),
     Cell("ordering", "raidb1", 4, False): Work(
-        15024,
-        (10901, 10308, 8789, 9255),
+        14921,
+        (10853, 10260, 8748, 9214),
         ((4, 10), (4, 10), (3, 10), (3, 10)),
     ),
     Cell("ordering", "raidb1", 6, False): Work(
-        15822,
-        (8689, 8832, 9985, 8033, 7169, 8017),
+        15719,
+        (8648, 8791, 9951, 7999, 7135, 7983),
         ((3, 10), (3, 10), (2, 10), (2, 10), (2, 10), (2, 10)),
     ),
-    Cell("ordering", "raidb1", 1, True): Work(13985, (16434,), ((14, 10),)),
-    Cell("ordering", "raidb1", 2, True): Work(14384, (12603, 11642), ((7, 10), (7, 10))),
+    Cell("ordering", "raidb1", 1, True): Work(13837, (16316,), ((14, 10),)),
+    Cell("ordering", "raidb1", 2, True): Work(14236, (12534, 11573), ((7, 10), (7, 10))),
     Cell("ordering", "raidb1", 4, True): Work(
-        15182,
-        (10901, 10308, 8789, 9255),
+        15034,
+        (10853, 10260, 8748, 9214),
         ((4, 10), (4, 10), (3, 10), (3, 10)),
     ),
     Cell("ordering", "raidb1", 6, True): Work(
-        15980,
-        (8689, 8832, 9985, 8033, 7169, 8017),
+        15832,
+        (8648, 8791, 9951, 7999, 7135, 7983),
         ((3, 10), (3, 10), (2, 10), (2, 10), (2, 10), (2, 10)),
     ),
-    Cell("ordering", "raidb2", 2, False): Work(14364, (12603, 11642), ((7, 10), (7, 10))),
+    Cell("ordering", "raidb2", 2, False): Work(14261, (12534, 11573), ((7, 10), (7, 10))),
     Cell("ordering", "raidb2", 4, False): Work(
-        15038,
-        (11787, 10308, 5069, 6421),
+        14935,
+        (11732, 10260, 5043, 6388),
         ((5, 10), (4, 10), (2, 6), (3, 6)),
     ),
     Cell("ordering", "raidb2", 6, False): Work(
-        15712,
-        (12054, 8832, 3786, 5199, 4335, 5183),
+        15609,
+        (11999, 8791, 3774, 5173, 4309, 5157),
         ((5, 10), (3, 10), (0, 6), (2, 6), (2, 6), (2, 6)),
     ),
-    Cell("ordering", "raidb2", 2, True): Work(14522, (12603, 11642), ((7, 10), (7, 10))),
+    Cell("ordering", "raidb2", 2, True): Work(14374, (12534, 11573), ((7, 10), (7, 10))),
     Cell("ordering", "raidb2", 4, True): Work(
-        15196,
-        (11787, 10308, 5069, 6421),
+        15048,
+        (11732, 10260, 5043, 6388),
         ((5, 10), (4, 10), (2, 6), (3, 6)),
     ),
     Cell("ordering", "raidb2", 6, True): Work(
-        15870,
-        (12054, 8832, 3786, 5199, 4335, 5183),
+        15722,
+        (11999, 8791, 3774, 5173, 4309, 5157),
         ((5, 10), (3, 10), (0, 6), (2, 6), (2, 6), (2, 6)),
     ),
 }
