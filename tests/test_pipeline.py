@@ -11,7 +11,7 @@ Covers the composable execution pipeline of :mod:`repro.core.pipeline`:
 * declarative validation of the ``interceptors:`` descriptor section;
 * per-category chains: only the applicable stages run, tracing changes
   nothing observable, tickets released on every category's error path;
-* copy-on-checkout isolation of cached read results.
+* isolation of cached read results (shared tuple rows, private lists).
 """
 
 import dataclasses

@@ -219,7 +219,7 @@ class TestRaidb2EdgeCases:
             with pytest.raises(NotReplicatedError):
                 cursor.execute("INSERT INTO t (id, q) SELECT id, q FROM order_line")
             assert len(log) == 2
-            assert [entry.sql for entry in log.entries()][-1].startswith("CREATE TABLE t")
+            assert log.entries()[-1].sql.startswith("CREATE TABLE t")
         finally:
             cluster.shutdown()
 
